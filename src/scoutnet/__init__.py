@@ -1,6 +1,5 @@
 """scoutnet: deterministic scout/query/lottery protocol simulation on lattices."""
 
-from .admissibility import FORWARD_DAG, ForwardDag, MaxHops
 from .engine import Mode, TrialOutcome, run_trial
 from .lattice import (
     Lattice,
@@ -18,9 +17,6 @@ from .lattice import (
 from .oracle import born_distribution, detector_amplitude, enumerate_paths
 
 __all__ = [
-    "FORWARD_DAG",
-    "ForwardDag",
-    "MaxHops",
     "Mode",
     "TrialOutcome",
     "run_trial",

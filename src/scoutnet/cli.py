@@ -14,7 +14,7 @@ import os
 import sys
 from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import Optional
+from typing import Optional, get_args, get_type_hints
 
 import yaml
 
@@ -116,12 +116,12 @@ def _merge_config(args: argparse.Namespace) -> RunConfig:
             raise ConfigError(f"unparseable config file: {exc}") from exc
         if not isinstance(loaded, dict):
             raise ConfigError("config file must be a mapping")
-        known = {f.name for f in fields(RunConfig)}
+        hints = get_type_hints(RunConfig)
         for key, value in loaded.items():
             name = str(key).replace("-", "_")
-            if name not in known:
+            if name not in hints:
                 raise ConfigError(f"unknown config key {key!r}")
-            setattr(config, name, value)
+            setattr(config, name, _checked_value(key, value, hints[name]))
     env_out = os.environ.get(OUT_ENV_VAR)
     if env_out and args.out is None and config.out == ".":
         config.out = env_out
@@ -130,6 +130,18 @@ def _merge_config(args: argparse.Namespace) -> RunConfig:
         if value is not None:
             setattr(config, f.name, value)
     return config
+
+
+def _checked_value(key: object, value: object, hint: object) -> object:
+    """A config-file value of the field's type; an int may stand for a float,
+    and a number for text (list options such as ``distance: 10``)."""
+    kinds = get_args(hint) or (hint,)
+    if str in kinds and type(value) in (int, float):
+        return str(value)
+    if type(value) in kinds or (float in kinds and type(value) is int):
+        return value
+    expected = " or ".join(k.__name__ for k in kinds if k is not type(None))
+    raise ConfigError(f"config key {key!r} must be {expected}, got {value!r}")
 
 
 def _parse_float_list(text: str, flag: str) -> list[float]:
@@ -262,6 +274,8 @@ def _run_dilation(config: RunConfig, out_dir: Path) -> int:
 def run(config: RunConfig) -> int:
     if config.scenario not in SCENARIOS:
         raise ConfigError(f"unknown scenario {config.scenario!r}")
+    if config.mode not in {m.value for m in Mode}:
+        raise ConfigError(f"unknown mode {config.mode!r}")
     if config.trials < 1:
         raise ConfigError("trials must be >= 1")
     if config.jobs < 1:

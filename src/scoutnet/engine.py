@@ -26,8 +26,8 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Optional
 
-from .admissibility import FORWARD_DAG, Admissibility, ForwardDag, MaxHops
 from .errors import (
+    DEFAULT_PATH_BUDGET,
     DarkTrialError,
     DeadlockError,
     PathBudgetError,
@@ -38,9 +38,7 @@ from .lattice import Lattice, NodeKind
 from .rng import derive_trial_seed
 
 TWO_PI = 2.0 * math.pi
-DEFAULT_PATH_BUDGET = 1_000_000
 DEFAULT_EPS_INTENSITY = 1e-12
-DEFAULT_EPS_SAME = 0.1
 
 TraceSink = Callable[[str], None]
 
@@ -52,42 +50,12 @@ class Mode(str, Enum):
 
 class RibState(str, Enum):
     VOID = "void"
-    SCOUT_MARKED = "scout"
-    QUERY_MARKED = "query"
     CONFIRMED = "confirmed"
-
-
-class ArrivalClass(str, Enum):
-    SAME_SOURCE = "same-source"
-    NEW_SOURCE = "new-source"
 
 
 def next_phase(phi: float, rib_length: float, wavelength: float) -> float:
     """Rotate the phase by one rib: (phi + 2*pi*l/lambda) mod 2*pi."""
     return math.fmod(phi + TWO_PI * rib_length / wavelength, TWO_PI)
-
-
-def classify_arrival(
-    prev_phase: float, new_phase: float, eps_same: float = DEFAULT_EPS_SAME
-) -> ArrivalClass:
-    """Same source iff the circular phase distance is within eps_same."""
-    if not (0.0 < eps_same < math.pi):
-        raise ValueError(f"eps_same must be in (0, pi), got {eps_same}")
-    delta = abs(math.fmod(new_phase, TWO_PI) - math.fmod(prev_phase, TWO_PI))
-    circular = min(delta, TWO_PI - delta)
-    return (
-        ArrivalClass.SAME_SOURCE if circular <= eps_same else ArrivalClass.NEW_SOURCE
-    )
-
-
-@dataclass
-class ScoutFront:
-    """A phase-carrying signal on one admissible path."""
-
-    at: int
-    phase: float
-    hops: int
-    path: tuple[int, ...]
 
 
 @dataclass
@@ -139,14 +107,15 @@ class ScoutReport:
 
 def propagate_scouts(
     lattice: Lattice,
-    admissibility: Admissibility = FORWARD_DAG,
     path_budget: int = DEFAULT_PATH_BUDGET,
     trace: Optional[TraceSink] = None,
 ) -> ScoutReport:
     """Run the scout wavefront to exhaustion; one rib per hidden tick.
 
-    Scouts do not interact with each other and are absorbed by charged
-    nodes, so each front corresponds to exactly one admissible path.
+    A scout crosses only ribs that raise the hop distance from the source
+    by one (the forward DAG), which keeps the path set finite on any
+    lattice.  Scouts do not interact with each other and are absorbed by
+    charged nodes, so each front corresponds to exactly one admissible path.
     """
     source = lattice.source
     wavelength = lattice.wavelength
@@ -155,59 +124,30 @@ def propagate_scouts(
     created = 1
     ticks = 0
 
-    if isinstance(admissibility, ForwardDag):
-        dist = lattice.hop_distances()
-        fronts: list[tuple[int, float]] = [(source, 0.0)]
-        while fronts:
-            ticks += 1
-            nxt: list[tuple[int, float]] = []
-            for u, phase in fronts:
-                du = dist[u]
-                for v, idx in lattice.adjacency[u]:
-                    if dist.get(v) != du + 1:
-                        continue
-                    rib = lattice.ribs[idx]
-                    ph = next_phase(phase, rib.length, wavelength)
-                    trace_edges.add((u, v))
-                    if trace:
-                        trace(f"tick={ticks} scout rib=({u},{v}) phase={ph:.9f}")
-                    kind = lattice.nodes[v].kind
-                    if kind is NodeKind.DETECTOR:
-                        arrivals[v].append(ph)
-                    elif kind is NodeKind.VOID:
-                        created += 1
-                        if created > path_budget:
-                            raise PathBudgetError(path_budget, created)
-                        nxt.append((v, ph))
-            fronts = nxt
-    elif isinstance(admissibility, MaxHops):
-        limit = admissibility.hops
-        sfronts: list[tuple[int, float, frozenset[int]]] = [
-            (source, 0.0, frozenset((source,)))
-        ]
-        while sfronts and ticks < limit:
-            ticks += 1
-            snxt: list[tuple[int, float, frozenset[int]]] = []
-            for u, phase, visited in sfronts:
-                for v, idx in lattice.adjacency[u]:
-                    if v in visited:
-                        continue
-                    rib = lattice.ribs[idx]
-                    ph = next_phase(phase, rib.length, wavelength)
-                    trace_edges.add((u, v))
-                    if trace:
-                        trace(f"tick={ticks} scout rib=({u},{v}) phase={ph:.9f}")
-                    kind = lattice.nodes[v].kind
-                    if kind is NodeKind.DETECTOR:
-                        arrivals[v].append(ph)
-                    elif kind is NodeKind.VOID:
-                        created += 1
-                        if created > path_budget:
-                            raise PathBudgetError(path_budget, created)
-                        snxt.append((v, ph, visited | {v}))
-            sfronts = snxt
-    else:
-        raise TypeError(f"unknown admissibility rule {admissibility!r}")
+    dist = lattice.hop_distances()
+    fronts: list[tuple[int, float]] = [(source, 0.0)]
+    while fronts:
+        ticks += 1
+        nxt: list[tuple[int, float]] = []
+        for u, phase in fronts:
+            du = dist[u]
+            for v, idx in lattice.adjacency[u]:
+                if dist.get(v) != du + 1:
+                    continue
+                rib = lattice.ribs[idx]
+                ph = next_phase(phase, rib.length, wavelength)
+                trace_edges.add((u, v))
+                if trace:
+                    trace(f"tick={ticks} scout rib=({u},{v}) phase={ph:.9f}")
+                kind = lattice.nodes[v].kind
+                if kind is NodeKind.DETECTOR:
+                    arrivals[v].append(ph)
+                elif kind is NodeKind.VOID:
+                    created += 1
+                    if created > path_budget:
+                        raise PathBudgetError(path_budget, created)
+                    nxt.append((v, ph))
+        fronts = nxt
 
     return ScoutReport(
         arrival_phases={det: tuple(phs) for det, phs in sorted(arrivals.items())},
@@ -215,32 +155,6 @@ def propagate_scouts(
         ticks=ticks,
         fronts=created,
     )
-
-
-def emit_queries(
-    records: dict[int, DetectorRecord],
-    trace_edges: frozenset[tuple[int, int]],
-    eps_intensity: float = DEFAULT_EPS_INTENSITY,
-) -> tuple[list[Query], list[int]]:
-    """Initial reverse queries: one per (live detector, scout-marked inbound rib).
-
-    Returns the query list plus the detectors whose intensity fell below
-    the dark threshold (their traces are refused outright).
-    """
-    queries: list[Query] = []
-    dark: list[int] = []
-    for det, record in sorted(records.items()):
-        if not record.closed:
-            raise ProtocolOrderError(f"detector {det} not closed before query phase")
-        if record.intensity is None or record.intensity <= eps_intensity:
-            dark.append(det)
-            continue
-        for u, v in sorted(trace_edges):
-            if v == det:
-                queries.append(Query(detector=det, weight=record.intensity, at=u))
-    if not queries:
-        raise DarkTrialError("dark trial: no detector intensity above threshold")
-    return queries, dark
 
 
 def lottery_select(
@@ -310,8 +224,6 @@ class TrialPlan:
     """Everything about a trial that does not depend on the random stream."""
 
     lattice: Lattice
-    admissibility: Admissibility
-    eps_intensity: float
     scout_report: ScoutReport
     intensities: dict[int, float]
     live_detectors: tuple[int, ...]
@@ -321,14 +233,13 @@ class TrialPlan:
     process_order: tuple[int, ...]
 
 
-def prepare(
-    lattice: Lattice,
-    admissibility: Admissibility = FORWARD_DAG,
-    eps_intensity: float = DEFAULT_EPS_INTENSITY,
-    path_budget: int = DEFAULT_PATH_BUDGET,
-) -> TrialPlan:
-    """Run the forward half and precompute the reverse-query structure."""
-    report = propagate_scouts(lattice, admissibility, path_budget)
+def prepare(lattice: Lattice, trace: Optional[TraceSink] = None) -> TrialPlan:
+    """Run the forward half and precompute the reverse-query structure.
+
+    Detectors whose intensity does not exceed ``DEFAULT_EPS_INTENSITY``
+    are dark: they emit no query and no live edge leads to them.
+    """
+    report = propagate_scouts(lattice, trace=trace)
     records: dict[int, DetectorRecord] = {}
     for det in lattice.detectors:
         rec = DetectorRecord(det)
@@ -337,7 +248,7 @@ def prepare(
         close_detector(rec)
         records[det] = rec
     intensities = {det: rec.intensity or 0.0 for det, rec in records.items()}
-    live = tuple(d for d in lattice.detectors if intensities[d] > eps_intensity)
+    live = tuple(d for d in lattice.detectors if intensities[d] > DEFAULT_EPS_INTENSITY)
     if not live:
         raise DarkTrialError("dark trial: no detector intensity above threshold")
 
@@ -348,16 +259,13 @@ def prepare(
     live_set = set(live)
     reach: dict[int, frozenset[int]] = {}
     for node in reversed(order):
-        kind = lattice.nodes[node].kind
-        if kind is NodeKind.DETECTOR:
+        if lattice.nodes[node].kind is NodeKind.DETECTOR:
             reach[node] = frozenset((node,)) if node in live_set else frozenset()
-        elif kind is NodeKind.VOID or node == lattice.source:
+        else:
             acc: set[int] = set()
             for v in out_trace.get(node, ()):
                 acc |= reach.get(v, frozenset())
             reach[node] = frozenset(acc)
-        else:
-            reach[node] = frozenset()
 
     live_edges = frozenset(
         (u, v) for u, v in report.trace_edges if reach.get(v, frozenset())
@@ -370,8 +278,6 @@ def prepare(
     process_order = tuple(n for n in reversed(order) if out_live.get(n))
     return TrialPlan(
         lattice=lattice,
-        admissibility=admissibility,
-        eps_intensity=eps_intensity,
         scout_report=report,
         intensities=intensities,
         live_detectors=live,
@@ -518,9 +424,6 @@ def run_trial(
     master_seed: int,
     trial_index: int,
     plan: Optional[TrialPlan] = None,
-    admissibility: Admissibility = FORWARD_DAG,
-    eps_intensity: float = DEFAULT_EPS_INTENSITY,
-    path_budget: int = DEFAULT_PATH_BUDGET,
     trace: Optional[TraceSink] = None,
 ) -> TrialOutcome:
     """Execute one complete trial; a pure function of (lattice, mode, seed, index).
@@ -529,9 +432,7 @@ def run_trial(
     over an ensemble; the outcome is identical either way.
     """
     if plan is None:
-        if trace:
-            propagate_scouts(lattice, admissibility, path_budget, trace)
-        plan = prepare(lattice, admissibility, eps_intensity, path_budget)
+        plan = prepare(lattice, trace)
     seed = derive_trial_seed(master_seed, trial_index)
     rng = random.Random(seed)
 

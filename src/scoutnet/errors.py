@@ -1,5 +1,8 @@
 """Exception hierarchy shared by all scoutnet modules."""
 
+DEFAULT_PATH_BUDGET = 1_000_000
+"""Fronts (engine) or rib visits (oracle) allowed before ``PathBudgetError``."""
+
 
 class ScoutnetError(Exception):
     """Base class for every error raised by this package."""

@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from scipy.stats import chi2 as _chi2_dist
 
 from . import oracle
-from .admissibility import FORWARD_DAG, Admissibility
 from .engine import DEFAULT_EPS_INTENSITY, Mode, prepare, run_trial
 from .errors import DarkTrialError, DeadlockError, ScoutnetError
 from .lattice import Lattice, NodeKind
@@ -92,10 +91,8 @@ def _count_chunk(
     master_seed: int,
     start: int,
     stop: int,
-    admissibility: Admissibility,
-    eps_intensity: float,
 ) -> Counter:
-    plan = prepare(lattice, admissibility, eps_intensity)
+    plan = prepare(lattice)
     counts: Counter = Counter()
     for index in range(start, stop):
         counts[run_trial(lattice, mode, master_seed, index, plan=plan).winner] += 1
@@ -108,8 +105,6 @@ def run_ensemble(
     trials: int,
     master_seed: int,
     jobs: int = 1,
-    admissibility: Admissibility = FORWARD_DAG,
-    eps_intensity: float = DEFAULT_EPS_INTENSITY,
     lattice_id: str = "lattice",
 ) -> EnsembleResult:
     """``trials`` independent trials with indices 0..trials-1.
@@ -121,9 +116,7 @@ def run_ensemble(
         raise ValueError("trials must be >= 1")
     counts: Counter = Counter()
     if jobs <= 1:
-        counts = _count_chunk(
-            lattice, mode, master_seed, 0, trials, admissibility, eps_intensity
-        )
+        counts = _count_chunk(lattice, mode, master_seed, 0, trials)
     else:
         chunk = (trials + jobs - 1) // jobs
         spans = [
@@ -131,24 +124,13 @@ def run_ensemble(
         ]
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             futures = [
-                pool.submit(
-                    _count_chunk,
-                    lattice,
-                    mode,
-                    master_seed,
-                    start,
-                    stop,
-                    admissibility,
-                    eps_intensity,
-                )
+                pool.submit(_count_chunk, lattice, mode, master_seed, start, stop)
                 for start, stop in spans
             ]
             for future in futures:
                 counts += future.result()
 
-    reference = oracle.born_distribution(
-        oracle.lattice_amplitudes(lattice, admissibility)
-    )
+    reference = oracle.born_distribution(oracle.lattice_amplitudes(lattice))
     empirical = {det: counts.get(det, 0) / trials for det in lattice.detectors}
     tv = tv_distance(empirical, reference.entries)
     chi = chi_square(dict(counts), reference.entries, trials)
@@ -172,27 +154,24 @@ def run_ensemble(
 # ---------------------------------------------------------------------------
 
 
-def exact_selection_distribution(
-    lattice: Lattice,
-    mode: Mode,
-    admissibility: Admissibility = FORWARD_DAG,
-    eps_intensity: float = DEFAULT_EPS_INTENSITY,
-) -> dict[int, float]:
+def exact_selection_distribution(lattice: Lattice, mode: Mode) -> dict[int, float]:
     """Exact P(detector) by enumerating every lottery outcome sequence.
 
     Built on the oracle's path enumeration (not the engine's traversal),
     with its own copy of the merge/lottery/refusal semantics, so it can
     cross-validate the engine's Monte-Carlo frequencies.
     """
-    amplitudes = oracle.lattice_amplitudes(lattice, admissibility)
+    amplitudes = oracle.lattice_amplitudes(lattice)
     intensities = {det: abs(a) ** 2 for det, a in amplitudes.items()}
-    live = [det for det in lattice.detectors if intensities[det] > eps_intensity]
+    live = [
+        det for det in lattice.detectors if intensities[det] > DEFAULT_EPS_INTENSITY
+    ]
     if not live:
         raise DarkTrialError("dark configuration: nothing to select")
 
     edges: set[tuple[int, int]] = set()
     for det in live:
-        for record in oracle.enumerate_paths(lattice, det, admissibility):
+        for record in oracle.enumerate_paths(lattice, det):
             edges.update(zip(record.nodes, record.nodes[1:]))
 
     out_live: dict[int, list[int]] = defaultdict(list)
@@ -317,11 +296,9 @@ def interference_profile(
     trials: int,
     master_seed: int,
     jobs: int = 1,
-    admissibility: Admissibility = FORWARD_DAG,
 ) -> InterferenceProfile:
     """Oracle intensities and empirical frequencies across the screen,
     ordered by detector position."""
-    amplitudes = oracle.lattice_amplitudes(lattice, admissibility)
     ordered = sorted(
         lattice.detectors, key=lambda det: (lattice.nodes[det].position[1], det)
     )
@@ -331,13 +308,12 @@ def interference_profile(
         trials,
         master_seed,
         jobs=jobs,
-        admissibility=admissibility,
         lattice_id="slit-screen",
     )
     return InterferenceProfile(
         detector_ids=tuple(ordered),
         positions=tuple(lattice.nodes[det].position[1] for det in ordered),
-        oracle_intensity=tuple(abs(amplitudes[det]) ** 2 for det in ordered),
+        oracle_intensity=tuple(ensemble.reference.intensities[det] for det in ordered),
         empirical_frequency=tuple(ensemble.empirical[det] for det in ordered),
         ensemble=ensemble,
     )

@@ -1,7 +1,7 @@
 """Node/rib lattices: the immutable substrate every protocol run executes on.
 
 A lattice is a finite undirected graph.  Nodes carry positions (lattice
-length units) and a kind (void, source, detector, laser); ribs carry a
+length units) and a kind (void, source, detector); ribs carry a
 positive length, defaulting to the Euclidean distance between their
 endpoints.  Exactly one source is required, every detector must be
 reachable from it, and the photon wavelength is part of the lattice
@@ -28,7 +28,6 @@ class NodeKind(str, Enum):
     VOID = "void"
     SOURCE = "source"
     DETECTOR = "detector"
-    LASER = "laser"
 
 
 @dataclass(frozen=True)
@@ -61,13 +60,6 @@ class Rib:
     @property
     def endpoints(self) -> tuple[int, int]:
         return (self.a, self.b)
-
-    def other(self, node: int) -> int:
-        if node == self.a:
-            return self.b
-        if node == self.b:
-            return self.a
-        raise LatticeError(f"node {node} is not an endpoint of rib {self.endpoints}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -168,9 +160,6 @@ class Lattice:
                     seen.add(v)
                     stack.append(v)
         return seen
-
-    def node(self, node_id: int) -> Node:
-        return self.nodes[node_id]
 
     def rib_between(self, u: int, v: int) -> Rib:
         for w, idx in self.adjacency[u]:

@@ -11,11 +11,8 @@ import cmath
 import math
 from dataclasses import dataclass
 
-from .admissibility import FORWARD_DAG, Admissibility, ForwardDag, MaxHops
-from .errors import DarkTrialError, PathBudgetError
+from .errors import DEFAULT_PATH_BUDGET, DarkTrialError, PathBudgetError
 from .lattice import Lattice, NodeKind
-
-DEFAULT_PATH_BUDGET = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -30,7 +27,7 @@ class PathRecord:
 @dataclass(frozen=True)
 class BornDistribution:
     entries: dict[int, float]
-    total_intensity: float
+    intensities: dict[int, float]
 
     def __post_init__(self):
         total = sum(self.entries.values())
@@ -41,13 +38,13 @@ class BornDistribution:
 def enumerate_paths(
     lattice: Lattice,
     detector: int,
-    admissibility: Admissibility = FORWARD_DAG,
     path_budget: int = DEFAULT_PATH_BUDGET,
 ) -> list[PathRecord]:
     """All admissible simple paths source -> detector, lexicographic by node ids.
 
-    Charged nodes absorb: no path passes through a detector on the way to
-    another one.
+    A path is admissible when each rib raises the hop distance from the
+    source by one.  Charged nodes absorb: no path passes through a
+    detector on the way to another one.
     """
     if detector not in lattice.detectors:
         raise ValueError(f"node {detector} is not a detector")
@@ -56,60 +53,30 @@ def enumerate_paths(
     paths: list[PathRecord] = []
     budget_used = 0
 
-    if isinstance(admissibility, ForwardDag):
-        dist = lattice.hop_distances()
+    dist = lattice.hop_distances()
 
-        def forward(u: int):
-            du = dist[u]
-            for v, idx in lattice.adjacency[u]:
-                if dist.get(v) == du + 1:
-                    yield v, lattice.ribs[idx].length
+    def forward(u: int):
+        du = dist[u]
+        for v, idx in lattice.adjacency[u]:
+            if dist.get(v) == du + 1:
+                yield v, lattice.ribs[idx].length
 
-        def walk(u: int, trail: list[int], length: float):
-            nonlocal budget_used
-            for v, rib_len in forward(u):
-                budget_used += 1
-                if budget_used > path_budget:
-                    raise PathBudgetError(path_budget, budget_used)
-                if v == detector:
-                    total = length + rib_len
-                    phase = math.fmod(2.0 * math.pi * total / wavelength, 2.0 * math.pi)
-                    paths.append(PathRecord(tuple(trail + [v]), total, phase))
-                elif lattice.nodes[v].kind is NodeKind.VOID:
-                    trail.append(v)
-                    walk(v, trail, length + rib_len)
-                    trail.pop()
+    def walk(u: int, trail: list[int], length: float):
+        nonlocal budget_used
+        for v, rib_len in forward(u):
+            budget_used += 1
+            if budget_used > path_budget:
+                raise PathBudgetError(path_budget, budget_used)
+            if v == detector:
+                total = length + rib_len
+                phase = math.fmod(2.0 * math.pi * total / wavelength, 2.0 * math.pi)
+                paths.append(PathRecord(tuple(trail + [v]), total, phase))
+            elif lattice.nodes[v].kind is NodeKind.VOID:
+                trail.append(v)
+                walk(v, trail, length + rib_len)
+                trail.pop()
 
-        walk(source, [source], 0.0)
-    elif isinstance(admissibility, MaxHops):
-        limit = admissibility.hops
-
-        def walk_simple(u: int, trail: list[int], visited: set[int], length: float):
-            nonlocal budget_used
-            if len(trail) - 1 >= limit:
-                return
-            for v, idx in sorted(lattice.adjacency[u]):
-                if v in visited:
-                    continue
-                budget_used += 1
-                if budget_used > path_budget:
-                    raise PathBudgetError(path_budget, budget_used)
-                rib_len = lattice.ribs[idx].length
-                if v == detector:
-                    total = length + rib_len
-                    phase = math.fmod(2.0 * math.pi * total / wavelength, 2.0 * math.pi)
-                    paths.append(PathRecord(tuple(trail + [v]), total, phase))
-                elif lattice.nodes[v].kind is NodeKind.VOID:
-                    trail.append(v)
-                    visited.add(v)
-                    walk_simple(v, trail, visited, length + rib_len)
-                    visited.discard(v)
-                    trail.pop()
-
-        walk_simple(source, [source], {source}, 0.0)
-    else:
-        raise TypeError(f"unknown admissibility rule {admissibility!r}")
-
+    walk(source, [source], 0.0)
     paths.sort(key=lambda p: p.nodes)
     return paths
 
@@ -130,19 +97,13 @@ def born_distribution(amplitudes: dict[int, complex]) -> BornDistribution:
         raise DarkTrialError("dark configuration: every detector amplitude is zero")
     return BornDistribution(
         entries={det: i / total for det, i in sorted(intensities.items())},
-        total_intensity=total,
+        intensities=intensities,
     )
 
 
-def lattice_amplitudes(
-    lattice: Lattice,
-    admissibility: Admissibility = FORWARD_DAG,
-    path_budget: int = DEFAULT_PATH_BUDGET,
-) -> dict[int, complex]:
+def lattice_amplitudes(lattice: Lattice) -> dict[int, complex]:
     """Convenience: amplitude of every detector on the lattice."""
     return {
-        det: detector_amplitude(
-            enumerate_paths(lattice, det, admissibility, path_budget)
-        )
+        det: detector_amplitude(enumerate_paths(lattice, det))
         for det in lattice.detectors
     }

@@ -8,8 +8,6 @@ which trials execute.
 
 from __future__ import annotations
 
-import random
-
 _MASK = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 
@@ -21,7 +19,3 @@ def derive_trial_seed(master_seed: int, trial_index: int) -> int:
     z = (z ^ (z >> 27)) * 0x94D049BB133111EB & _MASK
     return (z ^ (z >> 31)) & _MASK
 
-
-def trial_stream(master_seed: int, trial_index: int) -> random.Random:
-    """Deterministic per-trial generator; identical (seed, index) -> identical draws."""
-    return random.Random(derive_trial_seed(master_seed, trial_index))

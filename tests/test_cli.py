@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from scoutnet import engine
 from scoutnet.cli import EXIT_CONFIG, EXIT_OK, EXIT_THRESHOLD, main
 from scoutnet.lattice import build_star, serialize_topology
 
@@ -21,6 +22,28 @@ class TestExitCodes:
         cfg.write_text("no_such_option: 1\n")
         code = run_cli("--config", str(cfg))
         assert code == EXIT_CONFIG
+
+    @pytest.mark.parametrize(
+        "line,key", [("trials: abc", "trials"), ("wavelength: abc", "wavelength"),
+                     ("mode: bogus", "mode")],
+    )
+    def test_malformed_config_value_is_config_error(
+        self, tmp_path, capsys, line, key
+    ):
+        cfg = tmp_path / "run.yaml"
+        cfg.write_text(f"{line}\nout: {tmp_path}\n")
+        assert run_cli("--config", str(cfg)) == EXIT_CONFIG
+        assert key in capsys.readouterr().err
+
+    def test_laser_node_kind_is_config_error(self, tmp_path, capsys):
+        doc = serialize_topology(build_star(2, 2, [1.0, 1.0]))
+        topo = tmp_path / "topo.yaml"
+        topo.write_text(doc.replace("kind: void", "kind: laser", 1))
+        code = run_cli(
+            "--scenario", "custom", "--topology", str(topo), "--out", str(tmp_path),
+        )
+        assert code == EXIT_CONFIG
+        assert "laser" in capsys.readouterr().err
 
     def test_missing_topology_file(self, tmp_path):
         code = run_cli(
@@ -94,6 +117,23 @@ class TestScenarios:
         assert "scout" in log
         assert "confirm" in log
 
+    def test_trace_runs_forward_half_once(self, tmp_path, monkeypatch):
+        traced = []
+        original = engine.propagate_scouts
+
+        def counting(*args, **kwargs):
+            traced.append(kwargs.get("trace") is not None)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(engine, "propagate_scouts", counting)
+        argv = ["--scenario", "star", "--detectors", "2", "--trials", "100",
+                "--seed", "8", "--tv-threshold", "0.5", "--out", str(tmp_path)]
+        assert run_cli(*argv) == EXIT_OK
+        assert traced == [False]  # the ensemble's plan
+        traced.clear()
+        assert run_cli(*argv, "--trace") == EXIT_OK
+        assert traced == [True, False]  # traced trial 0, then the ensemble's plan
+
 
 class TestConfigPrecedence:
     def test_config_file_values_are_used(self, tmp_path):
@@ -114,6 +154,13 @@ class TestConfigPrecedence:
         )
         lines = (tmp_path / "dilation.csv").read_text().strip().split("\n")
         assert lines[1] == "0.6,1.25"
+
+    def test_config_numbers_accepted_for_list_options(self, tmp_path):
+        cfg = tmp_path / "run.yaml"
+        cfg.write_text(f"scenario: clock\ndistance: 10\nout: {tmp_path}\n")
+        assert run_cli("--config", str(cfg)) == EXIT_OK
+        lines = (tmp_path / "clock.csv").read_text().strip().split("\n")
+        assert lines[1:] == ["10,1,1,10"]
 
     def test_env_var_sets_default_out_dir(self, tmp_path, monkeypatch):
         monkeypatch.setenv("SCOUTNET_OUT", str(tmp_path))

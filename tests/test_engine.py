@@ -6,18 +6,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import nested_tree_lattice, random_layered_lattice
+from conftest import (
+    chain_arm,
+    diamond_arm,
+    nested_tree_lattice,
+    random_layered_lattice,
+)
 from scoutnet import oracle
-from scoutnet.admissibility import MaxHops
 from scoutnet.engine import (
-    ArrivalClass,
     DetectorRecord,
     Mode,
     Query,
     RibState,
-    classify_arrival,
     close_detector,
-    emit_queries,
     lottery_select,
     next_phase,
     prepare,
@@ -26,6 +27,9 @@ from scoutnet.engine import (
 )
 from scoutnet.errors import DarkTrialError, PathBudgetError, ProtocolOrderError
 from scoutnet.lattice import (
+    Lattice,
+    Node,
+    NodeKind,
     build_grid,
     build_intensity_star,
     build_star,
@@ -94,12 +98,6 @@ class TestPropagateScouts:
                 for a, b in zip(got, want):
                     assert abs(a - b) < 1e-9
 
-    def test_max_hops_matches_oracle_counts(self):
-        lat = build_grid(3, 3, "corner")
-        report = propagate_scouts(lat, MaxHops(8))
-        want = len(oracle.enumerate_paths(lat, lat.detectors[0], MaxHops(8)))
-        assert len(report.arrival_phases[lat.detectors[0]]) == want
-
 
 class TestDetectorRecord:
     @pytest.mark.parametrize(
@@ -138,64 +136,25 @@ class TestDetectorRecord:
         assert abs(rec.amplitude) <= rec.arrivals + 1e-9
 
 
-class TestClassifyArrival:
-    @pytest.mark.parametrize(
-        "prev,new,expected",
-        [
-            (0.30, 0.31, ArrivalClass.SAME_SOURCE),
-            (0.0, 2.0, ArrivalClass.NEW_SOURCE),
-            (0.05, TWO_PI - 0.03, ArrivalClass.SAME_SOURCE),
-        ],
-    )
-    def test_circular_distance_rule(self, prev, new, expected):
-        assert classify_arrival(prev, new, 0.1) is expected
-
-    def test_threshold_is_inclusive(self):
-        assert classify_arrival(0.0, 0.1, 0.1) is ArrivalClass.SAME_SOURCE
-
-    def test_bad_epsilon_rejected(self):
-        with pytest.raises(ValueError):
-            classify_arrival(0.0, 1.0, 4.0)
-
-
-class TestEmitQueries:
-    def test_star_emits_one_query_per_arm(self):
-        lat = build_star(3, 2, [1.0, 1.0, 1.0])
+class TestPrepare:
+    def test_dark_detector_left_out_of_plan(self):
+        nodes = [Node(0, (0.0, 0.0), NodeKind.SOURCE)]
+        ribs = []
+        dark = diamond_arm(nodes, ribs, 0, 0.0, y=1.0)
+        live = chain_arm(nodes, ribs, 0, hops=3, y=-1.0)
+        lat = Lattice(tuple(nodes), tuple(ribs), 1.0)
         plan = prepare(lat)
-        records = {}
-        for det in lat.detectors:
-            rec = DetectorRecord(det)
-            for ph in plan.scout_report.arrival_phases[det]:
-                rec.add_arrival(ph)
-            records[det] = close_detector(rec)
-        queries, dark = emit_queries(records, plan.scout_report.trace_edges)
-        assert len(queries) == 3
-        assert dark == []
-
-    def test_two_path_detector_emits_two_queries(self):
-        lat = build_two_path(2.0, 2.0, 2)
-        report = propagate_scouts(lat)
-        rec = DetectorRecord(lat.detectors[0])
-        for ph in report.arrival_phases[lat.detectors[0]]:
-            rec.add_arrival(ph)
-        close_detector(rec)
-        queries, _ = emit_queries({rec.detector: rec}, report.trace_edges)
-        assert len(queries) == 2
-
-    def test_dark_detector_emits_nothing(self):
-        rec_dark = close_detector(DetectorRecord(detector=1))
-        rec_live = DetectorRecord(detector=2)
-        rec_live.add_arrival(0.0)
-        close_detector(rec_live)
-        trace = frozenset({(0, 1), (0, 2)})
-        queries, dark = emit_queries({1: rec_dark, 2: rec_live}, trace)
-        assert dark == [1]
-        assert [q.detector for q in queries] == [2]
+        assert plan.intensities[dark] == pytest.approx(0.0, abs=1e-12)
+        assert plan.intensities[live] == pytest.approx(1.0)
+        assert plan.live_detectors == (live,)
+        assert plan.live_edges and all(dark not in edge for edge in plan.live_edges)
+        for index in range(100):
+            outcome = run_trial(lat, Mode.AGGREGATE, 4, index, plan=plan)
+            assert outcome.winner == live
 
     def test_all_dark_is_an_error(self):
-        rec = close_detector(DetectorRecord(detector=1))
         with pytest.raises(DarkTrialError, match="dark trial"):
-            emit_queries({1: rec}, frozenset({(0, 1)}))
+            prepare(build_two_path(2.0, 2.5, 2))
 
 
 class TestLotterySelect:

@@ -1,5 +1,7 @@
 import math
 import random
+import re
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -217,6 +219,18 @@ class TestTopologyDocuments:
         doc = CHAIN_DOC.replace("kind: source", "kind: void")
         with pytest.raises(TopologyError, match="missing Source"):
             load_topology(doc)
+
+    def test_unknown_node_kind_rejected(self):
+        doc = CHAIN_DOC.replace("kind: void", "kind: laser")
+        with pytest.raises(TopologyError, match="laser"):
+            load_topology(doc)
+
+    def test_readme_example_loads_as_written(self):
+        readme = (Path(__file__).parent.parent / "README.md").read_text()
+        block = re.search(r"```yaml\n(.*?)```", readme, re.S).group(1)
+        lat = load_topology(block)
+        assert lat.source == 0 and lat.detectors == (2,)
+        assert [r.length for r in lat.ribs] == pytest.approx([1.0, 1.5])
 
     @pytest.mark.parametrize(
         "factory",

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from conftest import random_layered_lattice
 from scoutnet import oracle
-from scoutnet.admissibility import MaxHops
 from scoutnet.errors import DarkTrialError, PathBudgetError
 from scoutnet.lattice import build_grid, build_slit_grid, build_star, build_two_path
 
@@ -48,14 +47,6 @@ class TestEnumeratePaths:
         lat = build_grid(4, 4, "corner")
         with pytest.raises(PathBudgetError, match="path budget exceeded"):
             oracle.enumerate_paths(lat, lat.detectors[0], path_budget=3)
-
-    def test_max_hops_restricts_path_length(self):
-        lat = build_grid(3, 3, "corner")
-        short = oracle.enumerate_paths(lat, lat.detectors[0], MaxHops(4))
-        assert len(short) == 6
-        assert all(len(p.nodes) - 1 <= 4 for p in short)
-        longer = oracle.enumerate_paths(lat, lat.detectors[0], MaxHops(8))
-        assert len(longer) > len(short)
 
 
 class TestDetectorAmplitude:
