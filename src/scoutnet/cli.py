@@ -20,7 +20,7 @@ import yaml
 
 from . import experiments
 from .chronometry import ClockScenario, dilation_time, queue_clock_count
-from .engine import Mode, run_trial
+from .engine import Mode, prepare, run_trial
 from .errors import ConfigError, ScoutnetError
 from .lattice import (
     Lattice,
@@ -69,8 +69,16 @@ class RunConfig:
     cadence: int = 1
 
 
+class _Parser(argparse.ArgumentParser):
+    """A malformed or unknown flag is a configuration error (exit 1), not
+    argparse's exit 2, which this CLI keeps for failing statistical gates."""
+
+    def error(self, message: str):
+        raise ConfigError(message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="scoutnet",
         description="Deterministic scout/query/lottery protocol simulator",
     )
@@ -201,14 +209,16 @@ def _scenario_lattice(config: RunConfig) -> Lattice:
 def _run_ensemble_scenario(config: RunConfig, out_dir: Path) -> int:
     lattice = _scenario_lattice(config)
     mode = Mode(config.mode)
+    plan = None
     if config.trace:
         events: list[str] = []
-        run_trial(lattice, mode, config.seed, 0, trace=events.append)
+        plan = prepare(lattice, trace=events.append)
+        run_trial(lattice, mode, config.seed, 0, plan=plan, trace=events.append)
         (out_dir / "trial_trace.log").write_text("\n".join(events) + "\n")
 
     if config.scenario == "double-slit":
         profile = experiments.interference_profile(
-            lattice, mode, config.trials, config.seed, jobs=config.jobs
+            lattice, mode, config.trials, config.seed, jobs=config.jobs, plan=plan
         )
         result = profile.ensemble
         (out_dir / "profile.csv").write_text(experiments.profile_csv(profile))
@@ -221,6 +231,7 @@ def _run_ensemble_scenario(config: RunConfig, out_dir: Path) -> int:
             config.seed,
             jobs=config.jobs,
             lattice_id=config.scenario,
+            plan=plan,
         )
         default_tv = 0.01
     (out_dir / "ensemble.csv").write_text(experiments.ensemble_csv(result))
@@ -290,9 +301,8 @@ def run(config: RunConfig) -> int:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         config = _merge_config(args)
         return run(config)
     except ConfigError as exc:

@@ -14,6 +14,15 @@ The reverse half honours barrier semantics: a node's lottery runs only
 once every scout-marked inbound rib has either delivered a query or been
 voided, which is what processing nodes in reverse topological order of
 the trace graph implements.
+
+Everything that does not depend on the random stream is computed once
+by ``prepare``, which lowers the live trace graph to integer-indexed
+arrays (a ``TrialPlan``).  One kernel, ``_reverse_half``, runs the
+lotteries and refusal waves on those arrays.  Three entry points share
+it: ``trial_winner`` returns only the winning detector (what an ensemble
+counts); ``run_trial`` adds the confirmation walk and the full
+``TrialOutcome``; ``backpropagate`` returns the kernel's state keyed by
+node id and edge.
 """
 
 from __future__ import annotations
@@ -91,13 +100,6 @@ def close_detector(record: DetectorRecord) -> DetectorRecord:
 
 
 @dataclass(frozen=True)
-class Query:
-    detector: int
-    weight: float
-    at: int
-
-
-@dataclass(frozen=True)
 class ScoutReport:
     arrival_phases: dict[int, tuple[float, ...]]
     trace_edges: frozenset[tuple[int, int]]
@@ -158,37 +160,35 @@ def propagate_scouts(
 
 
 def lottery_select(
-    competitors: list[Query],
+    weights: list[float],
     mode: Mode,
     rng: random.Random,
-) -> tuple[Query, list[Query], bool]:
-    """Draw one winner with probability weight_i / sum(weights).
+) -> tuple[int, float, bool]:
+    """Draw index i with probability weights[i] / sum(weights).
 
-    All-zero weights degenerate to a uniform draw (flagged).  The winner
-    keeps its own weight in naive mode and inherits the sum of all
-    competitor weights in aggregate mode.
+    Returns the drawn index, the weight its query carries on, and whether
+    the draw was degenerate: all-zero weights fall back to a uniform draw.
+    The winner keeps its own weight in naive mode and inherits the sum of
+    all competitor weights in aggregate mode.
     """
-    if not competitors:
+    if not weights:
         raise ValueError("lottery with no competitors")
-    total = sum(q.weight for q in competitors)
+    total = sum(weights)
     degenerate = False
     if total <= 0.0:
-        index = rng.randrange(len(competitors))
+        index = rng.randrange(len(weights))
         degenerate = True
     else:
         r = rng.random() * total
         acc = 0.0
-        index = len(competitors) - 1
-        for i, q in enumerate(competitors):
-            acc += q.weight
+        index = len(weights) - 1
+        for i, w in enumerate(weights):
+            acc += w
             if r < acc:
                 index = i
                 break
-    chosen = competitors[index]
-    new_weight = total if mode is Mode.AGGREGATE and total > 0.0 else chosen.weight
-    winner = Query(detector=chosen.detector, weight=new_weight, at=chosen.at)
-    losers = [q for i, q in enumerate(competitors) if i != index]
-    return winner, losers, degenerate
+    carried = total if mode is Mode.AGGREGATE and total > 0.0 else weights[index]
+    return index, carried, degenerate
 
 
 def _topo_order(edges: frozenset[tuple[int, int]]) -> list[int]:
@@ -219,18 +219,34 @@ def _topo_order(edges: frozenset[tuple[int, int]]) -> list[int]:
     return order
 
 
+# One step of the reverse half at a node: (edge id, child, the child's
+# detector id or -1 for a void child, the detector's intensity or 0.0).
+Step = tuple[int, int, int, float]
+
+
 @dataclass(frozen=True)
 class TrialPlan:
-    """Everything about a trial that does not depend on the random stream."""
+    """Everything about a trial that does not depend on the random stream.
+
+    The fields after ``process_order`` are the live trace graph lowered to
+    integer ids for the reverse-half kernel.  Edge ``e`` is ``edges[e]``,
+    in sorted ``(u, v)`` order, so each node's out-edges run in child
+    order; ``steps[i]`` holds the out-edges of ``process_order[i]``.
+    """
 
     lattice: Lattice
     scout_report: ScoutReport
     intensities: dict[int, float]
     live_detectors: tuple[int, ...]
     live_edges: frozenset[tuple[int, int]]
+    # the kernel reads ``out_edges``; perfbench's plan counters read this
     out_live: dict[int, tuple[int, ...]]
-    in_live: dict[int, tuple[int, ...]]
     process_order: tuple[int, ...]
+    edges: tuple[tuple[int, int], ...]
+    edge_head: tuple[int, ...]
+    out_edges: tuple[tuple[int, ...], ...]
+    in_degree: tuple[int, ...]
+    steps: tuple[tuple[Step, ...], ...]
 
 
 def prepare(lattice: Lattice, trace: Optional[TraceSink] = None) -> TrialPlan:
@@ -270,46 +286,131 @@ def prepare(lattice: Lattice, trace: Optional[TraceSink] = None) -> TrialPlan:
     live_edges = frozenset(
         (u, v) for u, v in report.trace_edges if reach.get(v, frozenset())
     )
-    out_live: dict[int, list[int]] = defaultdict(list)
-    in_live: dict[int, list[int]] = defaultdict(list)
-    for u, v in live_edges:
-        out_live[u].append(v)
-        in_live[v].append(u)
-    process_order = tuple(n for n in reversed(order) if out_live.get(n))
+    edges = tuple(sorted(live_edges))
+    n = len(lattice.nodes)
+    out_edges: list[list[int]] = [[] for _ in range(n)]
+    in_degree = [0] * n
+    for e, (u, v) in enumerate(edges):
+        out_edges[u].append(e)
+        in_degree[v] += 1
+    process_order = tuple(node for node in reversed(order) if out_edges[node])
+
+    def step(e: int) -> Step:
+        v = edges[e][1]
+        if lattice.nodes[v].kind is NodeKind.DETECTOR:
+            return (e, v, v, intensities[v])
+        return (e, v, -1, 0.0)
+
     return TrialPlan(
         lattice=lattice,
         scout_report=report,
         intensities=intensities,
         live_detectors=live,
         live_edges=live_edges,
-        out_live={u: tuple(sorted(vs)) for u, vs in out_live.items()},
-        in_live={v: tuple(sorted(us)) for v, us in in_live.items()},
+        out_live={
+            u: tuple(edges[e][1] for e in out_edges[u]) for u in range(n) if out_edges[u]
+        },
         process_order=process_order,
+        edges=edges,
+        edge_head=tuple(v for _, v in edges),
+        out_edges=tuple(tuple(es) for es in out_edges),
+        in_degree=tuple(in_degree),
+        steps=tuple(tuple(step(e) for e in out_edges[u]) for u in process_order),
     )
 
 
-def _refuse(
-    start_edges: list[tuple[int, int]],
-    void: set[tuple[int, int]],
+def _reverse_half(
     plan: TrialPlan,
+    mode: Mode,
+    rng: random.Random,
     trace: Optional[TraceSink] = None,
-) -> None:
-    """Void a losing branch: walk from the loss point toward its detectors.
+) -> tuple[list[int], list[float], bytearray, int]:
+    """The reverse-half kernel: every lottery in barrier order.
 
-    An edge dies when its query lost; a node cut from every inbound rib
-    drags its whole downstream trace along (the refusal wave).
+    Returns, per node, the detector whose query survived there (-1 if
+    none) and that query's weight; per edge, 1 if it was voided; and the
+    count of degenerate (all-zero-weight) lotteries.
+
+    Queries from one detector merge at a node (no self-competition) and
+    keep the larger weight.  A losing query's edges are voided, and the
+    refusal wave walks on from every node whose live inbound edges are
+    all dead.  Competitors are drawn in detector order and the wave pops
+    edges from a stack, which fixes the order of the RNG draws.
     """
-    stack = list(start_edges)
-    while stack:
-        u, v = stack.pop()
-        if (u, v) in void:
+    n = len(plan.lattice.nodes)
+    win_det = [-1] * n
+    win_weight = [0.0] * n
+    void = bytearray(len(plan.edges))
+    dead_in = [0] * n
+    edge_head = plan.edge_head
+    out_edges = plan.out_edges
+    in_degree = plan.in_degree
+    degenerate = 0
+    for u, steps in zip(plan.process_order, plan.steps):
+        weights: dict[int, float] = {}
+        carriers: dict[int, list[int]] = {}
+        for e, v, det, w in steps:
+            if void[e]:
+                continue
+            if det < 0:
+                det = win_det[v]
+                if det < 0:
+                    continue
+                w = win_weight[v]
+            if det in weights:
+                if w > weights[det]:
+                    weights[det] = w
+                carriers[det].append(e)
+            else:
+                weights[det] = w
+                carriers[det] = [e]
+        if not weights:
             continue
-        void.add((u, v))
+        if len(weights) == 1:
+            ((win_det[u], win_weight[u]),) = weights.items()
+            continue
+        dets = sorted(weights)
+        competitors = [weights[d] for d in dets]
+        index, carried, was_degenerate = lottery_select(competitors, mode, rng)
+        if was_degenerate:
+            degenerate += 1
         if trace:
-            trace(f"refuse rib=({u},{v})")
-        if all((t, v) in void for t in plan.in_live.get(v, ())):
-            for w in plan.out_live.get(v, ()):
-                stack.append((v, w))
+            trace(
+                f"lottery node={u} winner={dets[index]} "
+                f"weights={list(zip(dets, competitors))}"
+            )
+        win_det[u] = dets[index]
+        win_weight[u] = carried
+        for i, loser in enumerate(dets):
+            if i == index:
+                continue
+            stack = carriers[loser]
+            while stack:
+                e = stack.pop()
+                if void[e]:
+                    continue
+                void[e] = 1
+                v = edge_head[e]
+                if trace:
+                    trace(f"refuse rib=({plan.edges[e][0]},{v})")
+                dead_in[v] += 1
+                if dead_in[v] == in_degree[v]:
+                    stack.extend(out_edges[v])
+
+    if win_det[plan.lattice.source] < 0:
+        raise ScoutnetError("protocol bug: no query survived to the source")
+    return win_det, win_weight, void, degenerate
+
+
+def trial_winner(plan: TrialPlan, mode: Mode, master_seed: int, trial_index: int) -> int:
+    """The winning detector of one trial, and nothing else.
+
+    Equal to ``run_trial(...).winner``: the confirmation walk draws from
+    the stream only after the last lottery, so skipping it cannot change
+    which detector wins.
+    """
+    rng = random.Random(derive_trial_seed(master_seed, trial_index))
+    return _reverse_half(plan, mode, rng)[0][plan.lattice.source]
 
 
 def backpropagate(
@@ -318,55 +419,15 @@ def backpropagate(
     rng: random.Random,
     trace: Optional[TraceSink] = None,
 ) -> tuple[int, dict[int, tuple[int, float]], set[tuple[int, int]], int]:
-    """Run every lottery in barrier order; returns the winning detector,
-    the surviving query per node, the voided edges, and the count of
-    degenerate (all-zero-weight) lotteries."""
-    winner_at: dict[int, tuple[int, float]] = {}
-    void: set[tuple[int, int]] = set()
-    degenerate = 0
-    for u in plan.process_order:
-        weights: dict[int, float] = {}
-        carriers: dict[int, list[tuple[int, int]]] = {}
-        for v in plan.out_live[u]:
-            if (u, v) in void:
-                continue
-            if plan.lattice.nodes[v].kind is NodeKind.DETECTOR:
-                entry = (v, plan.intensities[v])
-            else:
-                entry = winner_at.get(v)
-                if entry is None:
-                    continue
-            det, w = entry
-            if det in weights:
-                # queries from the same detector merge; no self-competition
-                weights[det] = max(weights[det], w)
-                carriers[det].append((u, v))
-            else:
-                weights[det] = w
-                carriers[det] = [(u, v)]
-        if not weights:
-            continue
-        if len(weights) == 1:
-            det, w = next(iter(weights.items()))
-            winner_at[u] = (det, w)
-            continue
-        competitors = [Query(det, w, u) for det, w in sorted(weights.items())]
-        winner, losers, was_degenerate = lottery_select(competitors, mode, rng)
-        if was_degenerate:
-            degenerate += 1
-        if trace:
-            trace(
-                f"lottery node={u} winner={winner.detector} "
-                f"weights={[(q.detector, q.weight) for q in competitors]}"
-            )
-        winner_at[u] = (winner.detector, winner.weight)
-        for loser in losers:
-            _refuse(carriers[loser.detector], void, plan, trace)
-
-    source_entry = winner_at.get(plan.lattice.source)
-    if source_entry is None:
-        raise ScoutnetError("protocol bug: no query survived to the source")
-    return source_entry[0], winner_at, void, degenerate
+    """The kernel's result by node id: the winning detector, the surviving
+    query per node, the voided edges, and the count of degenerate
+    (all-zero-weight) lotteries."""
+    win_det, win_weight, void, degenerate = _reverse_half(plan, mode, rng, trace)
+    winner_at = {
+        u: (win_det[u], win_weight[u]) for u in plan.process_order if win_det[u] >= 0
+    }
+    voided = {edge for edge, dead in zip(plan.edges, void) if dead}
+    return win_det[plan.lattice.source], winner_at, voided, degenerate
 
 
 @dataclass(frozen=True)
@@ -386,8 +447,8 @@ class TrialOutcome:
 def _confirmation_walk(
     plan: TrialPlan,
     winner: int,
-    winner_at: dict[int, tuple[int, float]],
-    void: set[tuple[int, int]],
+    win_det: list[int],
+    void: bytearray,
     rng: random.Random,
 ) -> tuple[int, ...]:
     """Source-to-winner walk over the surviving trace; forks between
@@ -396,19 +457,14 @@ def _confirmation_walk(
     u = plan.lattice.source
     while u != winner:
         candidates = []
-        for v in plan.out_live.get(u, ()):
-            if (u, v) in void:
+        for e in plan.out_edges[u]:
+            if void[e]:
                 continue
-            if v == winner:
+            # the winner itself, or a void node holding its query
+            # (detectors hold no query, so their win_det is -1)
+            v = plan.edge_head[e]
+            if v == winner or win_det[v] == winner:
                 candidates.append(v)
-            else:
-                entry = winner_at.get(v)
-                if (
-                    entry is not None
-                    and entry[0] == winner
-                    and plan.lattice.nodes[v].kind is NodeKind.VOID
-                ):
-                    candidates.append(v)
         if not candidates:
             raise ScoutnetError(
                 f"protocol bug: confirmation walk stuck at node {u}"
@@ -436,8 +492,9 @@ def run_trial(
     seed = derive_trial_seed(master_seed, trial_index)
     rng = random.Random(seed)
 
-    winner, winner_at, void, degenerate = backpropagate(plan, mode, rng, trace)
-    path = _confirmation_walk(plan, winner, winner_at, void, rng)
+    win_det, _, void, degenerate = _reverse_half(plan, mode, rng, trace)
+    winner = win_det[lattice.source]
+    path = _confirmation_walk(plan, winner, win_det, void, rng)
     if trace:
         trace(f"confirm winner={winner} path={list(path)}")
 

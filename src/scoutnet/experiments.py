@@ -16,11 +16,13 @@ import json
 from collections import Counter, defaultdict
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from typing import Optional
 
 from scipy.stats import chi2 as _chi2_dist
 
 from . import oracle
-from .engine import DEFAULT_EPS_INTENSITY, Mode, prepare, run_trial
+from .engine import DEFAULT_EPS_INTENSITY, Mode, TrialPlan, prepare, trial_winner
+from .engine import run_trial  # noqa: F401  (perfbench's traced run wraps this name)
 from .errors import DarkTrialError, DeadlockError, ScoutnetError
 from .lattice import Lattice, NodeKind
 from .oracle import BornDistribution
@@ -86,16 +88,15 @@ class EnsembleResult:
 
 
 def _count_chunk(
-    lattice: Lattice,
+    plan: TrialPlan,
     mode: Mode,
     master_seed: int,
     start: int,
     stop: int,
 ) -> Counter:
-    plan = prepare(lattice)
     counts: Counter = Counter()
     for index in range(start, stop):
-        counts[run_trial(lattice, mode, master_seed, index, plan=plan).winner] += 1
+        counts[trial_winner(plan, mode, master_seed, index)] += 1
     return counts
 
 
@@ -106,17 +107,21 @@ def run_ensemble(
     master_seed: int,
     jobs: int = 1,
     lattice_id: str = "lattice",
+    plan: Optional[TrialPlan] = None,
 ) -> EnsembleResult:
     """``trials`` independent trials with indices 0..trials-1.
 
     Trials are seeded individually, so the aggregate is identical for any
-    job count or execution order.
+    job count or execution order.  ``plan``, if given, is the lattice's
+    prebuilt forward half; otherwise it is built here.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    if plan is None:
+        plan = prepare(lattice)
     counts: Counter = Counter()
     if jobs <= 1:
-        counts = _count_chunk(lattice, mode, master_seed, 0, trials)
+        counts = _count_chunk(plan, mode, master_seed, 0, trials)
     else:
         chunk = (trials + jobs - 1) // jobs
         spans = [
@@ -124,7 +129,7 @@ def run_ensemble(
         ]
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             futures = [
-                pool.submit(_count_chunk, lattice, mode, master_seed, start, stop)
+                pool.submit(_count_chunk, plan, mode, master_seed, start, stop)
                 for start, stop in spans
             ]
             for future in futures:
@@ -296,6 +301,7 @@ def interference_profile(
     trials: int,
     master_seed: int,
     jobs: int = 1,
+    plan: Optional[TrialPlan] = None,
 ) -> InterferenceProfile:
     """Oracle intensities and empirical frequencies across the screen,
     ordered by detector position."""
@@ -309,6 +315,7 @@ def interference_profile(
         master_seed,
         jobs=jobs,
         lattice_id="slit-screen",
+        plan=plan,
     )
     return InterferenceProfile(
         detector_ids=tuple(ordered),

@@ -10,6 +10,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 from .errors import DEFAULT_PATH_BUDGET, DarkTrialError, PathBudgetError
 from .lattice import Lattice, NodeKind
@@ -35,48 +36,65 @@ class BornDistribution:
             raise ValueError(f"probabilities sum to {total}, not 1")
 
 
+def _walk_paths(
+    lattice: Lattice,
+    path_budget: int,
+    arrive: Callable[[list[int], int, float], None],
+) -> None:
+    """Depth-first walk over every admissible path from the source.
+
+    A path is admissible when each rib raises the hop distance from the
+    source by one.  Charged nodes absorb: a path ends at the first
+    detector it meets, where ``arrive(trail, detector, length)`` is called
+    (``trail`` excludes the detector).  Children are taken in adjacency
+    order, which is by node id, so each detector's paths arrive in
+    lexicographic order of their node ids.  The budget counts every rib
+    the walk crosses.
+    """
+    dist = lattice.hop_distances()
+    budget_used = 0
+
+    def walk(u: int, trail: list[int], length: float) -> None:
+        nonlocal budget_used
+        du = dist[u]
+        for v, idx in lattice.adjacency[u]:
+            if dist.get(v) != du + 1:
+                continue
+            budget_used += 1
+            if budget_used > path_budget:
+                raise PathBudgetError(path_budget, budget_used)
+            kind = lattice.nodes[v].kind
+            rib_len = lattice.ribs[idx].length
+            if kind is NodeKind.DETECTOR:
+                arrive(trail, v, length + rib_len)
+            elif kind is NodeKind.VOID:
+                trail.append(v)
+                walk(v, trail, length + rib_len)
+                trail.pop()
+
+    walk(lattice.source, [lattice.source], 0.0)
+
+
+def _phase(total_length: float, wavelength: float) -> float:
+    return math.fmod(2.0 * math.pi * total_length / wavelength, 2.0 * math.pi)
+
+
 def enumerate_paths(
     lattice: Lattice,
     detector: int,
     path_budget: int = DEFAULT_PATH_BUDGET,
 ) -> list[PathRecord]:
-    """All admissible simple paths source -> detector, lexicographic by node ids.
-
-    A path is admissible when each rib raises the hop distance from the
-    source by one.  Charged nodes absorb: no path passes through a
-    detector on the way to another one.
-    """
+    """All admissible simple paths source -> detector, lexicographic by node ids."""
     if detector not in lattice.detectors:
         raise ValueError(f"node {detector} is not a detector")
-    source = lattice.source
-    wavelength = lattice.wavelength
     paths: list[PathRecord] = []
-    budget_used = 0
 
-    dist = lattice.hop_distances()
+    def arrive(trail: list[int], det: int, total: float) -> None:
+        if det == detector:
+            phase = _phase(total, lattice.wavelength)
+            paths.append(PathRecord(tuple(trail + [det]), total, phase))
 
-    def forward(u: int):
-        du = dist[u]
-        for v, idx in lattice.adjacency[u]:
-            if dist.get(v) == du + 1:
-                yield v, lattice.ribs[idx].length
-
-    def walk(u: int, trail: list[int], length: float):
-        nonlocal budget_used
-        for v, rib_len in forward(u):
-            budget_used += 1
-            if budget_used > path_budget:
-                raise PathBudgetError(path_budget, budget_used)
-            if v == detector:
-                total = length + rib_len
-                phase = math.fmod(2.0 * math.pi * total / wavelength, 2.0 * math.pi)
-                paths.append(PathRecord(tuple(trail + [v]), total, phase))
-            elif lattice.nodes[v].kind is NodeKind.VOID:
-                trail.append(v)
-                walk(v, trail, length + rib_len)
-                trail.pop()
-
-    walk(source, [source], 0.0)
+    _walk_paths(lattice, path_budget, arrive)
     paths.sort(key=lambda p: p.nodes)
     return paths
 
@@ -102,8 +120,16 @@ def born_distribution(amplitudes: dict[int, complex]) -> BornDistribution:
 
 
 def lattice_amplitudes(lattice: Lattice) -> dict[int, complex]:
-    """Convenience: amplitude of every detector on the lattice."""
-    return {
-        det: detector_amplitude(enumerate_paths(lattice, det))
-        for det in lattice.detectors
-    }
+    """Amplitude of every detector on the lattice, from one walk.
+
+    Each path's unit vector is added as the path ends.  Paths reach a
+    detector in the order ``enumerate_paths`` returns them, so every sum
+    equals ``detector_amplitude(enumerate_paths(lattice, det))`` exactly.
+    """
+    amplitudes = {det: 0j for det in lattice.detectors}
+
+    def arrive(trail: list[int], det: int, total: float) -> None:
+        amplitudes[det] += cmath.exp(1j * _phase(total, lattice.wavelength))
+
+    _walk_paths(lattice, DEFAULT_PATH_BUDGET, arrive)
+    return amplitudes

@@ -45,6 +45,26 @@ class TestExitCodes:
         assert code == EXIT_CONFIG
         assert "laser" in capsys.readouterr().err
 
+    def test_malformed_flag_value_is_config_error(self, tmp_path, capsys):
+        code = run_cli("--scenario", "star", "--trials", "abc", "--out", str(tmp_path))
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert "--trials" in err
+
+    def test_unknown_flag_is_config_error(self, tmp_path, capsys):
+        code = run_cli("--scenario", "star", "--no-such-flag", "--out", str(tmp_path))
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert "--no-such-flag" in err
+
+    def test_help_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run_cli("--help")
+        assert exc.value.code == 0
+        assert "--scenario" in capsys.readouterr().out
+
     def test_missing_topology_file(self, tmp_path):
         code = run_cli(
             "--scenario", "custom", "--topology", str(tmp_path / "nope.yaml"),
@@ -132,7 +152,7 @@ class TestScenarios:
         assert traced == [False]  # the ensemble's plan
         traced.clear()
         assert run_cli(*argv, "--trace") == EXIT_OK
-        assert traced == [True, False]  # traced trial 0, then the ensemble's plan
+        assert traced == [True]  # traced trial 0's plan serves the ensemble too
 
 
 class TestConfigPrecedence:

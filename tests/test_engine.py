@@ -3,7 +3,7 @@ import random
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
@@ -12,18 +12,20 @@ from conftest import (
     nested_tree_lattice,
     random_layered_lattice,
 )
+from reference_kernel import reference_trial
 from scoutnet import oracle
 from scoutnet.engine import (
     DetectorRecord,
     Mode,
-    Query,
     RibState,
+    backpropagate,
     close_detector,
     lottery_select,
     next_phase,
     prepare,
     propagate_scouts,
     run_trial,
+    trial_winner,
 )
 from scoutnet.errors import DarkTrialError, PathBudgetError, ProtocolOrderError
 from scoutnet.lattice import (
@@ -35,6 +37,7 @@ from scoutnet.lattice import (
     build_star,
     build_two_path,
 )
+from scoutnet.rng import derive_trial_seed
 
 TWO_PI = 2 * math.pi
 
@@ -160,46 +163,74 @@ class TestPrepare:
 class TestLotterySelect:
     def test_zero_weight_never_wins(self):
         rng = random.Random(0)
-        comps = [Query(1, 2.0, 0), Query(2, 0.0, 0)]
         for _ in range(200):
-            winner, losers, degenerate = lottery_select(comps, Mode.NAIVE, rng)
-            assert winner.detector == 1
+            index, _, degenerate = lottery_select([2.0, 0.0], Mode.NAIVE, rng)
+            assert index == 0
             assert not degenerate
 
     def test_equal_weights_split_evenly(self):
         rng = random.Random(1)
-        comps = [Query(1, 1.0, 0), Query(2, 1.0, 0)]
         wins = Counter(
-            lottery_select(comps, Mode.NAIVE, rng)[0].detector
-            for _ in range(100_000)
+            lottery_select([1.0, 1.0], Mode.NAIVE, rng)[0] for _ in range(100_000)
         )
-        assert wins[1] / 100_000 == pytest.approx(0.5, abs=0.01)
+        assert wins[0] / 100_000 == pytest.approx(0.5, abs=0.01)
 
     def test_aggregate_winner_inherits_total(self):
         rng = random.Random(2)
-        comps = [Query(1, 1.0, 0), Query(2, 3.0, 0)]
-        winner, _, _ = lottery_select(comps, Mode.AGGREGATE, rng)
-        assert winner.weight == pytest.approx(4.0)
+        _, carried, _ = lottery_select([1.0, 3.0], Mode.AGGREGATE, rng)
+        assert carried == pytest.approx(4.0)
 
     def test_naive_winner_keeps_own_weight(self):
         rng = random.Random(2)
-        comps = [Query(1, 1.0, 0), Query(2, 3.0, 0)]
-        winner, _, _ = lottery_select(comps, Mode.NAIVE, rng)
-        assert winner.weight in (1.0, 3.0)
+        _, carried, _ = lottery_select([1.0, 3.0], Mode.NAIVE, rng)
+        assert carried in (1.0, 3.0)
 
     def test_all_zero_weights_degenerate_uniform(self):
         rng = random.Random(3)
-        comps = [Query(1, 0.0, 0), Query(2, 0.0, 0)]
         wins = Counter()
         for _ in range(20_000):
-            winner, _, degenerate = lottery_select(comps, Mode.NAIVE, rng)
+            index, _, degenerate = lottery_select([0.0, 0.0], Mode.NAIVE, rng)
             assert degenerate
-            wins[winner.detector] += 1
-        assert wins[1] / 20_000 == pytest.approx(0.5, abs=0.02)
+            wins[index] += 1
+        assert wins[0] / 20_000 == pytest.approx(0.5, abs=0.02)
 
     def test_empty_competitors_rejected(self):
         with pytest.raises(ValueError):
             lottery_select([], Mode.NAIVE, random.Random(0))
+
+
+class TestReferenceKernel:
+    """The array kernel against the frozen set-and-dict kernel, per seed."""
+
+    @given(
+        lattice_seed=st.integers(min_value=0, max_value=2**32),
+        mode=st.sampled_from(list(Mode)),
+        master_seed=st.integers(min_value=0, max_value=2**64 - 1),
+        index=st.integers(min_value=0, max_value=10**6),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_matches_reference_per_seed(self, lattice_seed, mode, master_seed, index):
+        lat = random_layered_lattice(random.Random(lattice_seed))
+        try:
+            plan = prepare(lat)
+        except DarkTrialError:
+            assume(False)
+        want_events: list[str] = []
+        winner, path, degenerate, void = reference_trial(
+            plan, mode, master_seed, index, trace=want_events.append
+        )
+        assert trial_winner(plan, mode, master_seed, index) == winner
+        events: list[str] = []
+        out = run_trial(lat, mode, master_seed, index, plan=plan, trace=events.append)
+        assert (out.winner, out.surviving_path, out.degenerate_lotteries) == (
+            winner,
+            path,
+            degenerate,
+        )
+        assert events[:-1] == want_events
+        rng = random.Random(derive_trial_seed(master_seed, index))
+        got = backpropagate(plan, mode, rng)
+        assert (got[0], got[2], got[3]) == (winner, void, degenerate)
 
 
 class TestRunTrial:

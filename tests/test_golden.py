@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from scoutnet.cli import EXIT_OK, main
+from scoutnet.cli import EXIT_OK, EXIT_THRESHOLD, main
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -21,6 +21,12 @@ CASES = {
     "double-slit": (
         ["--scenario", "double-slit", "--trials", "2000", "--seed", "42"],
         EXIT_OK,
+    ),
+    # naive mode is not Born on the slit screen: the parent exited 2 here
+    "double-slit-naive": (
+        ["--scenario", "double-slit", "--mode", "naive", "--trials", "2000",
+         "--seed", "42"],
+        EXIT_THRESHOLD,
     ),
 }
 

@@ -49,6 +49,26 @@ class TestEnumeratePaths:
             oracle.enumerate_paths(lat, lat.detectors[0], path_budget=3)
 
 
+class TestLatticeAmplitudes:
+    """The one-walk sums equal the per-detector path sums bit for bit."""
+
+    @staticmethod
+    def assert_equal_to_path_sums(lat):
+        amps = oracle.lattice_amplitudes(lat)
+        assert list(amps) == list(lat.detectors)
+        for det in lat.detectors:
+            paths = oracle.enumerate_paths(lat, det)
+            assert amps[det] == oracle.detector_amplitude(paths)
+
+    def test_random_layered_lattices(self):
+        rng = random.Random(29)
+        for _ in range(100):
+            self.assert_equal_to_path_sums(random_layered_lattice(rng))
+
+    def test_slit_screen_7x9(self):
+        self.assert_equal_to_path_sums(build_slit_grid(7, 9, [2, 6]))
+
+
 class TestDetectorAmplitude:
     @pytest.mark.parametrize(
         "phases,expected",
