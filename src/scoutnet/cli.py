@@ -10,13 +10,12 @@ and 1 on configuration or validation errors (CI can tell "broken" from
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Optional, get_args, get_type_hints
-
-import yaml
 
 from . import experiments
 from .chronometry import ClockScenario, dilation_time, queue_clock_count
@@ -118,6 +117,8 @@ def _merge_config(args: argparse.Namespace) -> RunConfig:
         path = Path(args.config)
         if not path.is_file():
             raise ConfigError(f"config file not found: {path}")
+        import yaml  # imported on use: most runs have no config file
+
         try:
             loaded = yaml.safe_load(path.read_text()) or {}
         except yaml.YAMLError as exc:
@@ -237,24 +238,36 @@ def _run_ensemble_scenario(config: RunConfig, out_dir: Path) -> int:
     (out_dir / "ensemble.csv").write_text(experiments.ensemble_csv(result))
     (out_dir / "summary.json").write_text(experiments.summary_json(result))
 
-    tv_threshold = (
-        config.tv_threshold if config.tv_threshold is not None else default_tv
-    )
+    critical = None
+    if result.dof > 0:
+        critical = experiments.chi_square_critical(result.dof, config.chi_percentile)
+    tv_threshold = config.tv_threshold
+    if tv_threshold is None:
+        # TV = 1/2 sum|p^ - p| <= 1/2 sqrt(chi2 / n) by Cauchy-Schwarz, so a
+        # run that passes the chi-square gate cannot fail this TV gate on
+        # sampling noise alone, however few its trials.
+        tv_threshold = default_tv
+        if critical is not None:
+            tv_threshold = max(default_tv, 0.5 * math.sqrt(critical / result.trials))
+    if result.underpowered:
+        print(
+            f"warning: underpowered run: a detector expects fewer than 5 of "
+            f"{result.trials} trials, so the chi-square gate is approximate",
+            file=sys.stderr,
+        )
     if result.tv_distance > tv_threshold:
         print(
-            f"threshold failure: tv {result.tv_distance:.5f} > {tv_threshold}",
+            f"threshold failure: tv {result.tv_distance:.5f} > {tv_threshold:.5g}",
             file=sys.stderr,
         )
         return EXIT_THRESHOLD
-    if result.dof > 0:
-        critical = experiments.chi_square_critical(result.dof, config.chi_percentile)
-        if result.chi_square > critical:
-            print(
-                f"threshold failure: chi2 {result.chi_square:.3f} > "
-                f"critical {critical:.3f} (dof {result.dof})",
-                file=sys.stderr,
-            )
-            return EXIT_THRESHOLD
+    if critical is not None and result.chi_square > critical:
+        print(
+            f"threshold failure: chi2 {result.chi_square:.3f} > "
+            f"critical {critical:.3f} (dof {result.dof})",
+            file=sys.stderr,
+        )
+        return EXIT_THRESHOLD
     return EXIT_OK
 
 
@@ -291,6 +304,17 @@ def run(config: RunConfig) -> int:
         raise ConfigError("trials must be >= 1")
     if config.jobs < 1:
         raise ConfigError("jobs must be >= 1")
+    if not 0.0 < config.chi_percentile < 1.0:
+        raise ConfigError(
+            f"chi_percentile must lie strictly between 0 and 1, "
+            f"got {config.chi_percentile!r}"
+        )
+    if config.tv_threshold is not None and not (
+        math.isfinite(config.tv_threshold) and config.tv_threshold >= 0.0
+    ):
+        raise ConfigError(
+            f"tv_threshold must be finite and >= 0, got {config.tv_threshold!r}"
+        )
     out_dir = Path(config.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     if config.scenario == "clock":

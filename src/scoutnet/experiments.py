@@ -13,12 +13,10 @@ from __future__ import annotations
 
 import heapq
 import json
+import math
 from collections import Counter, defaultdict
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
-
-from scipy.stats import chi2 as _chi2_dist
 
 from . import oracle
 from .engine import DEFAULT_EPS_INTENSITY, Mode, TrialPlan, prepare, trial_winner
@@ -68,8 +66,80 @@ def chi_square(
     return ChiSquareResult(statistic, len(cells) - 1, underpowered)
 
 
+def _gamma_tails(a: float, x: float) -> tuple[float, float]:
+    """Regularized incomplete gamma ``(P(a, x), Q(a, x))``, with ``P + Q = 1``.
+
+    Below ``x = a + 1`` the power series for P converges fast; above it the
+    continued fraction for Q does (modified Lentz).  Each is computed
+    directly and the other tail taken as its complement, so the small tail
+    keeps its relative precision.
+    """
+    if x <= 0.0:
+        return 0.0, 1.0
+    log_front = a * math.log(x) - x - math.lgamma(a)
+    if x < a + 1.0:
+        term = total = 1.0 / a
+        n = a
+        while term > total * 1e-17:
+            n += 1.0
+            term *= x / n
+            total += term
+        lower = total * math.exp(log_front)
+        return lower, 1.0 - lower
+    tiny = 1e-300
+    b = x + 1.0 - a
+    c = 1.0 / tiny
+    d = 1.0 / b
+    fraction = d
+    for i in range(1, 10_000):
+        an = -i * (i - a)
+        b += 2.0
+        d = an * d + b
+        d = tiny if abs(d) < tiny else d
+        c = b + an / c
+        c = tiny if abs(c) < tiny else c
+        d = 1.0 / d
+        delta = d * c
+        fraction *= delta
+        if abs(delta - 1.0) < 1e-15:
+            break
+    upper = fraction * math.exp(log_front)
+    return 1.0 - upper, upper
+
+
 def chi_square_critical(dof: int, percentile: float = 0.99) -> float:
-    return float(_chi2_dist.ppf(percentile, dof))
+    """The ``percentile`` quantile of the chi-square distribution with
+    ``dof`` degrees of freedom: the x with P(chi2_dof <= x) = percentile.
+
+    Bisection on the regularized incomplete gamma, P(chi2_dof <= x) =
+    P(dof/2, x/2), to about 1e-12 relative.  The tail nearer the
+    percentile is compared, so quantiles far out in either tail keep their
+    precision.
+    """
+    if dof < 1:
+        raise ValueError(f"chi-square quantile needs dof >= 1, got {dof}")
+    if not 0.0 < percentile < 1.0:
+        raise ValueError(f"chi-square percentile must be in (0, 1), got {percentile}")
+    a = dof / 2.0
+    upper_tail = percentile > 0.5
+    target = 1.0 - percentile if upper_tail else percentile
+
+    def below(x: float) -> bool:
+        lower, upper = _gamma_tails(a, x / 2.0)
+        return upper > target if upper_tail else lower < target
+
+    lo, hi = 0.0, dof + 10.0
+    while below(hi):
+        lo, hi = hi, 2.0 * hi
+    while hi - lo > 1e-12 * hi:
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            break
+        if below(mid):
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
 
 
 @dataclass(frozen=True)
@@ -127,6 +197,9 @@ def run_ensemble(
         spans = [
             (start, min(start + chunk, trials)) for start in range(0, trials, chunk)
         ]
+        # imported here, so that a run at --jobs 1 never loads the pool
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             futures = [
                 pool.submit(_count_chunk, plan, mode, master_seed, start, stop)

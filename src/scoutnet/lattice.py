@@ -19,8 +19,6 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, Optional, Sequence
 
-import yaml
-
 from .errors import LatticeError, TopologyError
 
 
@@ -461,6 +459,8 @@ def serialize_topology(lattice: Lattice) -> str:
             for rib in sorted(lattice.ribs, key=lambda r: r.endpoints)
         ],
     }
+    import yaml  # imported on use: a CLI run without a topology never needs it
+
     return yaml.safe_dump(data, sort_keys=False)
 
 
@@ -470,6 +470,8 @@ def load_topology(document: str) -> Lattice:
     Omitted rib lengths default to the Euclidean distance between the
     endpoint positions.
     """
+    import yaml  # imported on use: a CLI run without a topology never needs it
+
     try:
         data = yaml.safe_load(document)
     except yaml.YAMLError as exc:

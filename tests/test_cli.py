@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -79,6 +83,72 @@ class TestExitCodes:
         )
         assert code == EXIT_THRESHOLD
         assert "threshold failure" in capsys.readouterr().err
+
+
+class TestGateFlags:
+    @pytest.mark.parametrize("value", ["1.5", "1.0", "-1", "nan"])
+    def test_chi_percentile_out_of_range_is_config_error(
+        self, tmp_path, capsys, value
+    ):
+        code = run_cli(
+            "--scenario", "star", "--trials", "100", "--chi-percentile", value,
+            "--out", str(tmp_path),
+        )
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert "chi_percentile" in err
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-0.1"])
+    def test_tv_threshold_not_finite_and_non_negative_is_config_error(
+        self, tmp_path, capsys, value
+    ):
+        code = run_cli(
+            "--scenario", "star", "--trials", "100", "--tv-threshold", value,
+            "--out", str(tmp_path),
+        )
+        assert code == EXIT_CONFIG
+        assert "tv_threshold" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "line", ["chi_percentile: 1", "chi-percentile: .nan", "tv_threshold: .nan"]
+    )
+    def test_config_file_gate_keys_are_checked(self, tmp_path, capsys, line):
+        cfg = tmp_path / "run.yaml"
+        cfg.write_text(f"scenario: star\ntrials: 100\n{line}\nout: {tmp_path}\n")
+        assert run_cli("--config", str(cfg)) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("error:")
+
+    def test_default_tv_gate_scales_with_trials(self, tmp_path, capsys):
+        # tv 0.17 against the old fixed 0.01; chi2 1.6 passes its gate at dof 8
+        code = run_cli(
+            "--scenario", "grid", "--grid-w", "9", "--grid-h", "9",
+            "--trials", "10", "--out", str(tmp_path),
+        )
+        err = capsys.readouterr().err
+        assert code == EXIT_OK, err
+        assert "threshold failure" not in err
+        assert "warning: underpowered" in err
+        summary = json.loads((tmp_path / "summary.json").read_text())
+        assert summary["tv_distance"] > 0.1
+        assert summary["underpowered"] is True
+
+
+def test_cli_import_loads_no_optional_dependency():
+    src = Path(__file__).resolve().parents[1] / "src"
+    heavy = ("scipy", "numpy", "yaml", "concurrent.futures.process")
+    script = (
+        "import sys, scoutnet.cli; "
+        f"print(','.join(m for m in {heavy!r} if m in sys.modules))"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", script],
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert done.stdout.strip() == ""
 
 
 class TestScenarios:

@@ -62,6 +62,35 @@ class TestChiSquare:
         assert chi_square_critical(2, 0.99) == pytest.approx(9.21034, abs=1e-4)
 
 
+PERCENTILES = (0.5, 0.9, 0.95, 0.99, 0.999, 0.999999)
+
+
+class TestChiSquareCritical:
+    def test_matches_scipy(self):
+        stats = pytest.importorskip("scipy.stats")
+        for dof in range(1, 201):
+            for percentile in PERCENTILES:
+                expected = float(stats.chi2.ppf(percentile, dof))
+                assert chi_square_critical(dof, percentile) == pytest.approx(
+                    expected, rel=1e-9
+                ), (dof, percentile)
+
+    def test_monotone_in_percentile(self):
+        for dof in (1, 2, 3, 8, 50, 200):
+            values = [chi_square_critical(dof, p) for p in PERCENTILES]
+            assert values == sorted(values)
+            assert len(set(values)) == len(values)
+
+    @pytest.mark.parametrize(
+        "dof,percentile",
+        [(0, 0.99), (-1, 0.99), (2, 0.0), (2, 1.0), (2, 1.5), (2, -1.0),
+         (2, float("nan"))],
+    )
+    def test_out_of_range_rejected(self, dof, percentile):
+        with pytest.raises(ValueError):
+            chi_square_critical(dof, percentile)
+
+
 class TestRunEnsemble:
     def test_single_detector_is_certain(self):
         lat = build_star(1, 2, [1.0])
