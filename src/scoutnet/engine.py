@@ -17,12 +17,16 @@ the trace graph implements.
 
 Everything that does not depend on the random stream is computed once
 by ``prepare``, which lowers the live trace graph to integer-indexed
-arrays (a ``TrialPlan``).  One kernel, ``_reverse_half``, runs the
-lotteries and refusal waves on those arrays.  Three entry points share
-it: ``trial_winner`` returns only the winning detector (what an ensemble
-counts); ``run_trial`` adds the confirmation walk and the full
-``TrialOutcome``; ``backpropagate`` returns the kernel's state keyed by
-node id and edge.
+arrays (a ``TrialPlan``).  The reverse half is split in two.  The kernel,
+``_reverse_half``, runs every lottery and draws from the random stream;
+a refusal wave voids only edges below its lottery, which barrier order
+has already passed, so the lotteries alone fix the winner.  The replay,
+``_refusals``, runs the waves from the kernel's result and draws
+nothing; only the voided-edge set and the ``--trace`` lines need it.
+``trial_winner`` runs the kernel alone (what an ensemble counts);
+``run_trial`` adds the confirmation walk, the full ``TrialOutcome`` and,
+under a trace, the replay; ``backpropagate`` returns the kernel's state
+keyed by node id with the replay's voided edges.
 """
 
 from __future__ import annotations
@@ -40,7 +44,6 @@ from .errors import (
     DarkTrialError,
     DeadlockError,
     PathBudgetError,
-    ProtocolOrderError,
     ScoutnetError,
 )
 from .lattice import Lattice, NodeKind
@@ -65,38 +68,6 @@ class RibState(str, Enum):
 def next_phase(phi: float, rib_length: float, wavelength: float) -> float:
     """Rotate the phase by one rib: (phi + 2*pi*l/lambda) mod 2*pi."""
     return math.fmod(phi + TWO_PI * rib_length / wavelength, TWO_PI)
-
-
-@dataclass
-class DetectorRecord:
-    detector: int
-    re: float = 0.0
-    im: float = 0.0
-    arrivals: int = 0
-    intensity: Optional[float] = None
-    closed: bool = False
-
-    def add_arrival(self, phase: float) -> None:
-        if self.closed:
-            raise ProtocolOrderError(
-                f"detector {self.detector} is closed; arrival rejected"
-            )
-        self.re += math.cos(phase)
-        self.im += math.sin(phase)
-        self.arrivals += 1
-
-    @property
-    def amplitude(self) -> complex:
-        return complex(self.re, self.im)
-
-
-def close_detector(record: DetectorRecord) -> DetectorRecord:
-    """Freeze the amplitude and fix I = |amplitude|^2; closing twice is a bug."""
-    if record.closed:
-        raise ProtocolOrderError(f"detector {record.detector} closed twice")
-    record.intensity = record.re * record.re + record.im * record.im
-    record.closed = True
-    return record
 
 
 @dataclass(frozen=True)
@@ -239,11 +210,10 @@ class TrialPlan:
     intensities: dict[int, float]
     live_detectors: tuple[int, ...]
     live_edges: frozenset[tuple[int, int]]
-    # the kernel reads ``out_edges``; perfbench's plan counters read this
+    # the reverse half reads ``out_edges``; perfbench's plan counters read this
     out_live: dict[int, tuple[int, ...]]
     process_order: tuple[int, ...]
     edges: tuple[tuple[int, int], ...]
-    edge_head: tuple[int, ...]
     out_edges: tuple[tuple[int, ...], ...]
     in_degree: tuple[int, ...]
     steps: tuple[tuple[Step, ...], ...]
@@ -252,18 +222,19 @@ class TrialPlan:
 def prepare(lattice: Lattice, trace: Optional[TraceSink] = None) -> TrialPlan:
     """Run the forward half and precompute the reverse-query structure.
 
-    Detectors whose intensity does not exceed ``DEFAULT_EPS_INTENSITY``
-    are dark: they emit no query and no live edge leads to them.
+    A detector's intensity is |sum of exp(i*phase)|^2 over its arrivals,
+    summed in arrival order.  Detectors whose intensity does not exceed
+    ``DEFAULT_EPS_INTENSITY`` are dark: they emit no query and no live edge
+    leads to them.
     """
     report = propagate_scouts(lattice, trace=trace)
-    records: dict[int, DetectorRecord] = {}
+    intensities: dict[int, float] = {}
     for det in lattice.detectors:
-        rec = DetectorRecord(det)
+        re = im = 0.0
         for phase in report.arrival_phases.get(det, ()):
-            rec.add_arrival(phase)
-        close_detector(rec)
-        records[det] = rec
-    intensities = {det: rec.intensity or 0.0 for det, rec in records.items()}
+            re += math.cos(phase)
+            im += math.sin(phase)
+        intensities[det] = re * re + im * im
     live = tuple(d for d in lattice.detectors if intensities[d] > DEFAULT_EPS_INTENSITY)
     if not live:
         raise DarkTrialError("dark trial: no detector intensity above threshold")
@@ -312,102 +283,124 @@ def prepare(lattice: Lattice, trace: Optional[TraceSink] = None) -> TrialPlan:
         },
         process_order=process_order,
         edges=edges,
-        edge_head=tuple(v for _, v in edges),
         out_edges=tuple(tuple(es) for es in out_edges),
         in_degree=tuple(in_degree),
         steps=tuple(tuple(step(e) for e in out_edges[u]) for u in process_order),
     )
 
 
+def _merge(
+    steps: tuple[Step, ...], win_det: list[int], win_weight: list[float]
+) -> dict[int, float]:
+    """The competitors at one node: detector -> weight of its query.
+
+    Each out-edge delivers the query of a detector child or the query that
+    survived at a void child.  Queries from one detector merge (no
+    self-competition) and keep the larger weight.
+    """
+    weights: dict[int, float] = {}
+    for _, v, det, w in steps:
+        if det < 0:
+            det = win_det[v]
+            if det < 0:
+                continue
+            w = win_weight[v]
+        if det not in weights or w > weights[det]:
+            weights[det] = w
+    return weights
+
+
 def _reverse_half(
     plan: TrialPlan,
     mode: Mode,
     rng: random.Random,
-    trace: Optional[TraceSink] = None,
-) -> tuple[list[int], list[float], bytearray, int]:
+) -> tuple[list[int], list[float], int]:
     """The reverse-half kernel: every lottery in barrier order.
 
     Returns, per node, the detector whose query survived there (-1 if
-    none) and that query's weight; per edge, 1 if it was voided; and the
-    count of degenerate (all-zero-weight) lotteries.
+    none) and that query's weight, and the count of degenerate
+    (all-zero-weight) lotteries.  Competitors are drawn in detector order,
+    which fixes the order of the RNG draws.
 
-    Queries from one detector merge at a node (no self-competition) and
-    keep the larger weight.  A losing query's edges are voided, and the
-    refusal wave walks on from every node whose live inbound edges are
-    all dead.  Competitors are drawn in detector order and the wave pops
-    edges from a stack, which fixes the order of the RNG draws.
+    Refusal waves are left out.  A wave started at node u voids only edges
+    whose tail is u or a descendant of u, whose lotteries barrier order has
+    already run, so no later lottery reads a voided edge.
     """
     n = len(plan.lattice.nodes)
     win_det = [-1] * n
     win_weight = [0.0] * n
-    void = bytearray(len(plan.edges))
-    dead_in = [0] * n
-    edge_head = plan.edge_head
-    out_edges = plan.out_edges
-    in_degree = plan.in_degree
     degenerate = 0
     for u, steps in zip(plan.process_order, plan.steps):
-        weights: dict[int, float] = {}
-        carriers: dict[int, list[int]] = {}
-        for e, v, det, w in steps:
-            if void[e]:
-                continue
-            if det < 0:
-                det = win_det[v]
-                if det < 0:
-                    continue
-                w = win_weight[v]
-            if det in weights:
-                if w > weights[det]:
-                    weights[det] = w
-                carriers[det].append(e)
-            else:
-                weights[det] = w
-                carriers[det] = [e]
+        weights = _merge(steps, win_det, win_weight)
         if not weights:
             continue
         if len(weights) == 1:
             ((win_det[u], win_weight[u]),) = weights.items()
             continue
         dets = sorted(weights)
-        competitors = [weights[d] for d in dets]
-        index, carried, was_degenerate = lottery_select(competitors, mode, rng)
-        if was_degenerate:
-            degenerate += 1
-        if trace:
-            trace(
-                f"lottery node={u} winner={dets[index]} "
-                f"weights={list(zip(dets, competitors))}"
-            )
+        index, carried, was_degenerate = lottery_select(
+            [weights[d] for d in dets], mode, rng
+        )
+        degenerate += was_degenerate
         win_det[u] = dets[index]
         win_weight[u] = carried
-        for i, loser in enumerate(dets):
-            if i == index:
+
+    if win_det[plan.lattice.source] < 0:
+        raise ScoutnetError("protocol bug: no query survived to the source")
+    return win_det, win_weight, degenerate
+
+
+def _refusals(
+    plan: TrialPlan,
+    win_det: list[int],
+    win_weight: list[float],
+    trace: Optional[TraceSink] = None,
+) -> bytearray:
+    """Replay the kernel's lotteries and return, per edge, 1 if it was voided.
+
+    At every lottery the losing queries' edges are voided, and the refusal
+    wave walks on from every node whose live inbound edges are all dead.
+    Losers are taken in detector order and the wave pops edges from a
+    stack, so the ``lottery``/``refuse`` trace lines come out in protocol
+    order.  Draws nothing from the random stream.
+    """
+    void = bytearray(len(plan.edges))
+    dead_in = [0] * len(plan.lattice.nodes)
+    for u, steps in zip(plan.process_order, plan.steps):
+        weights = _merge(steps, win_det, win_weight)
+        if len(weights) < 2:
+            continue
+        winner = win_det[u]
+        competitors = sorted(weights.items())
+        if trace:
+            trace(f"lottery node={u} winner={winner} weights={competitors}")
+        for loser, _ in competitors:
+            if loser == winner:
                 continue
-            stack = carriers[loser]
+            stack = [
+                e for e, v, det, _ in steps
+                if (det if det >= 0 else win_det[v]) == loser
+            ]
             while stack:
                 e = stack.pop()
                 if void[e]:
                     continue
                 void[e] = 1
-                v = edge_head[e]
+                tail, v = plan.edges[e]
                 if trace:
-                    trace(f"refuse rib=({plan.edges[e][0]},{v})")
+                    trace(f"refuse rib=({tail},{v})")
                 dead_in[v] += 1
-                if dead_in[v] == in_degree[v]:
-                    stack.extend(out_edges[v])
-
-    if win_det[plan.lattice.source] < 0:
-        raise ScoutnetError("protocol bug: no query survived to the source")
-    return win_det, win_weight, void, degenerate
+                if dead_in[v] == plan.in_degree[v]:
+                    stack.extend(plan.out_edges[v])
+    return void
 
 
 def trial_winner(plan: TrialPlan, mode: Mode, master_seed: int, trial_index: int) -> int:
     """The winning detector of one trial, and nothing else.
 
-    Equal to ``run_trial(...).winner``: the confirmation walk draws from
-    the stream only after the last lottery, so skipping it cannot change
-    which detector wins.
+    Equal to ``run_trial(...).winner``: the kernel alone fixes the winner,
+    and the confirmation walk draws from the stream only after the last
+    lottery, so skipping the walk and the refusal replay cannot change it.
     """
     rng = random.Random(derive_trial_seed(master_seed, trial_index))
     return _reverse_half(plan, mode, rng)[0][plan.lattice.source]
@@ -419,10 +412,12 @@ def backpropagate(
     rng: random.Random,
     trace: Optional[TraceSink] = None,
 ) -> tuple[int, dict[int, tuple[int, float]], set[tuple[int, int]], int]:
-    """The kernel's result by node id: the winning detector, the surviving
-    query per node, the voided edges, and the count of degenerate
-    (all-zero-weight) lotteries."""
-    win_det, win_weight, void, degenerate = _reverse_half(plan, mode, rng, trace)
+    """The kernel's result by node id, with the refusal waves replayed: the
+    winning detector, the surviving query per node, the voided edges, and
+    the count of degenerate (all-zero-weight) lotteries.  ``trace`` gets
+    the ``lottery`` and ``refuse`` lines."""
+    win_det, win_weight, degenerate = _reverse_half(plan, mode, rng)
+    void = _refusals(plan, win_det, win_weight, trace)
     winner_at = {
         u: (win_det[u], win_weight[u]) for u in plan.process_order if win_det[u] >= 0
     }
@@ -448,27 +443,21 @@ def _confirmation_walk(
     plan: TrialPlan,
     winner: int,
     win_det: list[int],
-    void: bytearray,
     rng: random.Random,
 ) -> tuple[int, ...]:
-    """Source-to-winner walk over the surviving trace; forks between
-    equivalent same-detector branches are resolved uniformly at random."""
+    """Source-to-winner walk through the nodes whose query is the winner's;
+    forks between equivalent same-detector branches are resolved uniformly
+    at random.  No refusal wave voids an edge it can take: every node on
+    the walk holds the winner's query and keeps a live inbound edge."""
     path = [plan.lattice.source]
     u = plan.lattice.source
     while u != winner:
-        candidates = []
-        for e in plan.out_edges[u]:
-            if void[e]:
-                continue
-            # the winner itself, or a void node holding its query
-            # (detectors hold no query, so their win_det is -1)
-            v = plan.edge_head[e]
-            if v == winner or win_det[v] == winner:
-                candidates.append(v)
+        # the winner itself, or a void node holding its query
+        # (detectors hold no query, so their win_det is -1)
+        heads = (plan.edges[e][1] for e in plan.out_edges[u])
+        candidates = [v for v in heads if v == winner or win_det[v] == winner]
         if not candidates:
-            raise ScoutnetError(
-                f"protocol bug: confirmation walk stuck at node {u}"
-            )
+            raise ScoutnetError(f"protocol bug: confirmation walk stuck at node {u}")
         u = candidates[0] if len(candidates) == 1 else rng.choice(candidates)
         path.append(u)
     return tuple(path)
@@ -492,9 +481,11 @@ def run_trial(
     seed = derive_trial_seed(master_seed, trial_index)
     rng = random.Random(seed)
 
-    win_det, _, void, degenerate = _reverse_half(plan, mode, rng, trace)
+    win_det, win_weight, degenerate = _reverse_half(plan, mode, rng)
+    if trace:
+        _refusals(plan, win_det, win_weight, trace)
     winner = win_det[lattice.source]
-    path = _confirmation_walk(plan, winner, win_det, void, rng)
+    path = _confirmation_walk(plan, winner, win_det, rng)
     if trace:
         trace(f"confirm winner={winner} path={list(path)}")
 

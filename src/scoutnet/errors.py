@@ -27,10 +27,6 @@ class PathBudgetError(ScoutnetError):
         self.count = count
 
 
-class ProtocolOrderError(ScoutnetError):
-    """An operation was applied out of protocol order (e.g. closing twice)."""
-
-
 class DarkTrialError(ScoutnetError):
     """Every detector interfered to (near) zero intensity; no selection possible."""
 

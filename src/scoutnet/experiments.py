@@ -236,8 +236,10 @@ def exact_selection_distribution(lattice: Lattice, mode: Mode) -> dict[int, floa
     """Exact P(detector) by enumerating every lottery outcome sequence.
 
     Built on the oracle's path enumeration (not the engine's traversal),
-    with its own copy of the merge/lottery/refusal semantics, so it can
-    cross-validate the engine's Monte-Carlo frequencies.
+    with its own copy of the merge/lottery semantics, so it can
+    cross-validate the engine's Monte-Carlo frequencies.  Refusal waves
+    are left out: a wave voids only edges below the lottery that starts
+    it, whose lotteries have already run, so it cannot change the winner.
     """
     amplitudes = oracle.lattice_amplitudes(lattice)
     intensities = {det: abs(a) ** 2 for det, a in amplitudes.items()}
@@ -253,12 +255,10 @@ def exact_selection_distribution(lattice: Lattice, mode: Mode) -> dict[int, floa
             edges.update(zip(record.nodes, record.nodes[1:]))
 
     out_live: dict[int, list[int]] = defaultdict(list)
-    in_live: dict[int, list[int]] = defaultdict(list)
     indeg: dict[int, int] = defaultdict(int)
     nodes: set[int] = set()
     for u, v in edges:
         out_live[u].append(v)
-        in_live[v].append(u)
         indeg[v] += 1
         nodes.add(u)
         nodes.add(v)
@@ -284,21 +284,9 @@ def exact_selection_distribution(lattice: Lattice, mode: Mode) -> dict[int, floa
     }
     result: dict[int, float] = {det: 0.0 for det in lattice.detectors}
 
-    def cascade(dead: tuple[int, int], void: set[tuple[int, int]]) -> None:
-        stack = [dead]
-        while stack:
-            u, v = stack.pop()
-            if (u, v) in void:
-                continue
-            void.add((u, v))
-            if all((t, v) in void for t in in_live.get(v, ())):
-                for w in out_live.get(v, ()):
-                    stack.append((v, w))
-
     def descend(
         idx: int,
         winner_at: dict[int, tuple[int, float]],
-        void: set[tuple[int, int]],
         prob: float,
     ) -> None:
         if idx == len(order):
@@ -309,10 +297,7 @@ def exact_selection_distribution(lattice: Lattice, mode: Mode) -> dict[int, floa
             return
         u = order[idx]
         weights: dict[int, float] = {}
-        carriers: dict[int, list[tuple[int, int]]] = {}
         for v in out_live[u]:
-            if (u, v) in void:
-                continue
             if is_detector[v]:
                 entry = (v, intensities[v])
             else:
@@ -320,37 +305,21 @@ def exact_selection_distribution(lattice: Lattice, mode: Mode) -> dict[int, floa
                 if entry is None:
                     continue
             det, w = entry
-            if det in weights:
-                weights[det] = max(weights[det], w)
-                carriers[det].append((u, v))
-            else:
-                weights[det] = w
-                carriers[det] = [(u, v)]
+            weights[det] = max(weights[det], w) if det in weights else w
         if not weights:
-            descend(idx + 1, winner_at, void, prob)
+            descend(idx + 1, winner_at, prob)
             return
         if len(weights) == 1:
             det, w = next(iter(weights.items()))
-            descend(idx + 1, {**winner_at, u: (det, w)}, void, prob)
+            descend(idx + 1, {**winner_at, u: (det, w)}, prob)
             return
         total = sum(weights.values())
         for det in sorted(weights):
             share = weights[det] / total
             new_weight = total if mode is Mode.AGGREGATE else weights[det]
-            new_void = set(void)
-            for loser in weights:
-                if loser == det:
-                    continue
-                for edge in carriers[loser]:
-                    cascade(edge, new_void)
-            descend(
-                idx + 1,
-                {**winner_at, u: (det, new_weight)},
-                new_void,
-                prob * share,
-            )
+            descend(idx + 1, {**winner_at, u: (det, new_weight)}, prob * share)
 
-    descend(0, {}, set(), 1.0)
+    descend(0, {}, 1.0)
     return result
 
 

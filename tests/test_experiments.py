@@ -1,8 +1,10 @@
+from collections import Counter
+
 import pytest
 
 from conftest import nested_tree_lattice, tree_merge_instances
 from scoutnet import experiments, oracle
-from scoutnet.engine import Mode
+from scoutnet.engine import Mode, prepare, trial_winner
 from scoutnet.experiments import (
     chi_square,
     chi_square_critical,
@@ -13,7 +15,12 @@ from scoutnet.experiments import (
     summary_json,
     tv_distance,
 )
-from scoutnet.lattice import build_intensity_star, build_slit_grid, build_star
+from scoutnet.lattice import (
+    build_grid,
+    build_intensity_star,
+    build_slit_grid,
+    build_star,
+)
 
 
 class TestTvDistance:
@@ -161,6 +168,65 @@ class TestExactSelection:
             for mode in Mode:
                 dist = exact_selection_distribution(lat, mode)
                 assert sum(dist.values()) == pytest.approx(1.0, abs=1e-12)
+
+
+# The exact law on two reconvergent lattices, ``build_grid(n, n, "column")``,
+# at full precision, written by an enumerator that still ran the refusal
+# waves.  On grids the waves reach past the lottery node's own edges,
+# unlike on the trees and stars above, so these values pin that leaving
+# the waves out does not change the law.
+GRID_EXACT = {
+    (3, Mode.NAIVE): {
+        6: 0.014970414201183434, 7: 0.14332271279016845, 8: 0.8417068730086481,
+    },
+    (3, Mode.AGGREGATE): {
+        6: 0.03418803418803419, 7: 0.22222222222222227, 8: 0.7435897435897436,
+    },
+    (4, Mode.NAIVE): {
+        12: 5.647433900209981e-06,
+        13: 0.002722273383965111,
+        14: 0.06724804170390607,
+        15: 0.9300240374782287,
+    },
+    (4, Mode.AGGREGATE): {
+        12: 0.0019481426361655201,
+        13: 0.02953288912438395,
+        14: 0.17145006256036557,
+        15: 0.7970689056790851,
+    },
+}
+
+
+def pooled_chi_square(
+    counts: Counter, law: dict[int, float], trials: int
+) -> tuple[float, int]:
+    """Pearson statistic and dof after merging the two smallest cells until
+    every cell expects at least 5 draws, so that the chi-square quantile
+    applies; a zero-probability cell is merged too and still counts."""
+    cells = sorted((p * trials, counts[det]) for det, p in law.items())
+    while len(cells) > 1 and cells[0][0] < 5.0:
+        (e1, o1), (e2, o2) = cells[0], cells[1]
+        cells = sorted([(e1 + e2, o1 + o2)] + cells[2:])
+    statistic = sum((obs - exp) ** 2 / exp for exp, obs in cells)
+    return statistic, len(cells) - 1
+
+
+class TestExactSelectionOffTrees:
+    @pytest.mark.parametrize("size,mode", list(GRID_EXACT))
+    def test_grid_law_pinned(self, size, mode):
+        dist = exact_selection_distribution(build_grid(size, size, "column"), mode)
+        assert dist == pytest.approx(GRID_EXACT[size, mode], rel=0, abs=1e-12)
+
+    @pytest.mark.parametrize("size,mode", list(GRID_EXACT))
+    def test_engine_draws_follow_grid_law(self, size, mode):
+        lat = build_grid(size, size, "column")
+        law = exact_selection_distribution(lat, mode)
+        plan = prepare(lat)
+        trials = 20_000
+        counts = Counter(trial_winner(plan, mode, 1, i) for i in range(trials))
+        statistic, dof = pooled_chi_square(counts, law, trials)
+        assert dof >= 1
+        assert statistic <= chi_square_critical(dof, 1 - 1e-6), (statistic, dof)
 
 
 class TestInterferenceProfile:
