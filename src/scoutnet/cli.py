@@ -87,7 +87,7 @@ def _build_parser() -> argparse.ArgumentParser:
     add("--mode", choices=[m.value for m in Mode])
     add("--lambda", dest="wavelength", type=float, help="photon wavelength")
     add("--trials", type=int)
-    add("--seed", type=int, help="64-bit master seed")
+    add("--seed", type=int, help="master seed in [0, 2**64)")
     add("--jobs", type=int, help="parallel trial workers (results identical)")
     add("--topology", help="topology document (custom scenario)")
     add("--out", help=f"output directory (default ${OUT_ENV_VAR} or cwd)")
@@ -304,6 +304,10 @@ def run(config: RunConfig) -> int:
         raise ConfigError("trials must be >= 1")
     if config.jobs < 1:
         raise ConfigError("jobs must be >= 1")
+    if not 0 <= config.seed < 2**64:
+        # the trial seeds reduce it mod 2**64, so another value would run
+        # some in-range seed's stream while summary.json records this one
+        raise ConfigError(f"seed must lie in [0, 2**64), got {config.seed}")
     if not 0.0 < config.chi_percentile < 1.0:
         raise ConfigError(
             f"chi_percentile must lie strictly between 0 and 1, "

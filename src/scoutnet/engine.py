@@ -17,13 +17,18 @@ the trace graph implements.
 
 Everything that does not depend on the random stream is computed once
 by ``prepare``, which lowers the live trace graph to integer-indexed
-arrays (a ``TrialPlan``).  The reverse half is split in two.  The kernel,
-``_reverse_half``, runs every lottery and draws from the random stream;
-a refusal wave voids only edges below its lottery, which barrier order
-has already passed, so the lotteries alone fix the winner.  The replay,
-``_refusals``, runs the waves from the kernel's result and draws
-nothing; only the voided-edge set and the ``--trace`` lines need it.
-``trial_winner`` runs the kernel alone (what an ensemble counts);
+arrays (a ``TrialPlan``).  That includes the surviving query of every
+draw-free node, one whose live reach holds a single detector: it never
+holds a lottery, so the plan stores its query as a base value and the
+steps into it as constants.  The reverse half is split in two.  The
+kernel, ``_reverse_half``, starts from the base values, runs the
+lottery of every node in ``draw_order`` and draws from the random
+stream; a refusal wave voids only edges below its lottery, which
+barrier order has already passed, so the lotteries alone fix the
+winner.  The replay, ``_refusals``, runs the waves from the kernel's
+result and draws nothing; only the voided-edge set and the ``--trace``
+lines need it.  ``count_winners`` runs the kernel alone over a span of
+trials, reseeding one generator per trial (what an ensemble counts);
 ``run_trial`` adds the confirmation walk, the full ``TrialOutcome`` and,
 under a trace, the replay; ``backpropagate`` returns the kernel's state
 keyed by node id with the replay's voided edges.
@@ -34,10 +39,10 @@ from __future__ import annotations
 import heapq
 import math
 import random
-from collections import defaultdict
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 from .errors import (
     DEFAULT_PATH_BUDGET,
@@ -90,32 +95,41 @@ def propagate_scouts(
     lattice.  Scouts do not interact with each other and are absorbed by
     charged nodes, so each front corresponds to exactly one admissible path.
     """
-    source = lattice.source
-    wavelength = lattice.wavelength
     arrivals: dict[int, list[float]] = defaultdict(list)
     trace_edges: set[tuple[int, int]] = set()
     created = 1
     ticks = 0
 
     dist = lattice.hop_distances()
-    fronts: list[tuple[int, float]] = [(source, 0.0)]
+    # each expanded node's forward children, built on its first front:
+    # (child, the phase one rib adds as ``next_phase`` computes it, is a
+    # detector); a forward child is never the source, so the rest are void
+    children: dict[int, list[tuple[int, float, bool]]] = {}
+    fronts: list[tuple[int, float]] = [(lattice.source, 0.0)]
     while fronts:
         ticks += 1
         nxt: list[tuple[int, float]] = []
         for u, phase in fronts:
-            du = dist[u]
-            for v, idx in lattice.adjacency[u]:
-                if dist.get(v) != du + 1:
-                    continue
-                rib = lattice.ribs[idx]
-                ph = next_phase(phase, rib.length, wavelength)
-                trace_edges.add((u, v))
+            kids = children.get(u)
+            if kids is None:
+                du = dist[u]
+                kids = children[u] = [
+                    (
+                        v,
+                        TWO_PI * lattice.ribs[idx].length / lattice.wavelength,
+                        lattice.nodes[v].kind is NodeKind.DETECTOR,
+                    )
+                    for v, idx in lattice.adjacency[u]
+                    if dist.get(v) == du + 1
+                ]
+                trace_edges.update((u, v) for v, _, _ in kids)
+            for v, turn, is_detector in kids:
+                ph = math.fmod(phase + turn, TWO_PI)
                 if trace:
                     trace(f"tick={ticks} scout rib=({u},{v}) phase={ph:.9f}")
-                kind = lattice.nodes[v].kind
-                if kind is NodeKind.DETECTOR:
+                if is_detector:
                     arrivals[v].append(ph)
-                elif kind is NodeKind.VOID:
+                else:
                     created += 1
                     if created > path_budget:
                         raise PathBudgetError(path_budget, created)
@@ -190,8 +204,9 @@ def _topo_order(edges: frozenset[tuple[int, int]]) -> list[int]:
     return order
 
 
-# One step of the reverse half at a node: (edge id, child, the child's
-# detector id or -1 for a void child, the detector's intensity or 0.0).
+# One step of the reverse half at a node: (edge id, child, the query the
+# child delivers if no draw can change it -- a detector child's own, or a
+# draw-free void child's base query -- else -1 and 0.0).
 Step = tuple[int, int, int, float]
 
 
@@ -202,7 +217,14 @@ class TrialPlan:
     The fields after ``process_order`` are the live trace graph lowered to
     integer ids for the reverse-half kernel.  Edge ``e`` is ``edges[e]``,
     in sorted ``(u, v)`` order, so each node's out-edges run in child
-    order; ``steps[i]`` holds the out-edges of ``process_order[i]``.
+    order.
+
+    A node whose live reach holds a single detector is draw-free: it never
+    holds a lottery, and its surviving query is a fixed function of the
+    forward half.  ``base_det``/``base_weight`` hold that query per node
+    id (-1 and 0.0 for every other node).  ``draw_order`` is the rest of
+    ``process_order``, the nodes whose query depends on a draw, and
+    ``steps[i]`` holds the out-edges of ``draw_order[i]``.
     """
 
     lattice: Lattice
@@ -216,6 +238,9 @@ class TrialPlan:
     edges: tuple[tuple[int, int], ...]
     out_edges: tuple[tuple[int, ...], ...]
     in_degree: tuple[int, ...]
+    base_det: tuple[int, ...]
+    base_weight: tuple[float, ...]
+    draw_order: tuple[int, ...]
     steps: tuple[tuple[Step, ...], ...]
 
 
@@ -266,11 +291,27 @@ def prepare(lattice: Lattice, trace: Optional[TraceSink] = None) -> TrialPlan:
         in_degree[v] += 1
     process_order = tuple(node for node in reversed(order) if out_edges[node])
 
-    def step(e: int) -> Step:
-        v = edges[e][1]
-        if lattice.nodes[v].kind is NodeKind.DETECTOR:
-            return (e, v, v, intensities[v])
-        return (e, v, -1, 0.0)
+    # Children come before parents in process order, so a draw-free
+    # child's base query is known when its parent's steps are lowered.
+    base_det = [-1] * n
+    base_weight = [0.0] * n
+    draw_order: list[int] = []
+    steps: list[tuple[Step, ...]] = []
+    for u in process_order:
+        node_steps = []
+        for e in out_edges[u]:
+            v = edges[e][1]
+            if lattice.nodes[v].kind is NodeKind.DETECTOR:
+                node_steps.append((e, v, v, intensities[v]))
+            else:
+                node_steps.append((e, v, base_det[v], base_weight[v]))
+        if len(reach[u]) > 1:
+            draw_order.append(u)
+            steps.append(tuple(node_steps))
+        else:
+            ((base_det[u], base_weight[u]),) = _merge(
+                node_steps, base_det, base_weight
+            ).items()
 
     return TrialPlan(
         lattice=lattice,
@@ -285,12 +326,15 @@ def prepare(lattice: Lattice, trace: Optional[TraceSink] = None) -> TrialPlan:
         edges=edges,
         out_edges=tuple(tuple(es) for es in out_edges),
         in_degree=tuple(in_degree),
-        steps=tuple(tuple(step(e) for e in out_edges[u]) for u in process_order),
+        base_det=tuple(base_det),
+        base_weight=tuple(base_weight),
+        draw_order=tuple(draw_order),
+        steps=tuple(steps),
     )
 
 
 def _merge(
-    steps: tuple[Step, ...], win_det: list[int], win_weight: list[float]
+    steps: Sequence[Step], win_det: list[int], win_weight: list[float]
 ) -> dict[int, float]:
     """The competitors at one node: detector -> weight of its query.
 
@@ -322,15 +366,18 @@ def _reverse_half(
     (all-zero-weight) lotteries.  Competitors are drawn in detector order,
     which fixes the order of the RNG draws.
 
+    Starts from the plan's base queries and visits only ``draw_order``:
+    draw-free nodes hold no lottery, so skipping them leaves the draws as
+    they were.
+
     Refusal waves are left out.  A wave started at node u voids only edges
     whose tail is u or a descendant of u, whose lotteries barrier order has
     already run, so no later lottery reads a voided edge.
     """
-    n = len(plan.lattice.nodes)
-    win_det = [-1] * n
-    win_weight = [0.0] * n
+    win_det = list(plan.base_det)
+    win_weight = list(plan.base_weight)
     degenerate = 0
-    for u, steps in zip(plan.process_order, plan.steps):
+    for u, steps in zip(plan.draw_order, plan.steps):
         weights = _merge(steps, win_det, win_weight)
         if not weights:
             continue
@@ -362,11 +409,12 @@ def _refusals(
     wave walks on from every node whose live inbound edges are all dead.
     Losers are taken in detector order and the wave pops edges from a
     stack, so the ``lottery``/``refuse`` trace lines come out in protocol
-    order.  Draws nothing from the random stream.
+    order.  Draw-free nodes hold no lottery, so only ``draw_order`` is
+    visited.  Draws nothing from the random stream.
     """
     void = bytearray(len(plan.edges))
     dead_in = [0] * len(plan.lattice.nodes)
-    for u, steps in zip(plan.process_order, plan.steps):
+    for u, steps in zip(plan.draw_order, plan.steps):
         weights = _merge(steps, win_det, win_weight)
         if len(weights) < 2:
             continue
@@ -395,15 +443,24 @@ def _refusals(
     return void
 
 
-def trial_winner(plan: TrialPlan, mode: Mode, master_seed: int, trial_index: int) -> int:
-    """The winning detector of one trial, and nothing else.
+def count_winners(
+    plan: TrialPlan, mode: Mode, master_seed: int, start: int, stop: int
+) -> Counter:
+    """How often each detector wins among trials ``start``..``stop - 1``.
 
-    Equal to ``run_trial(...).winner``: the kernel alone fixes the winner,
-    and the confirmation walk draws from the stream only after the last
-    lottery, so skipping the walk and the refusal replay cannot change it.
+    Each trial's winner equals ``run_trial(...).winner``: the kernel alone
+    fixes the winner, and the confirmation walk draws from the stream only
+    after the last lottery, so skipping the walk and the refusal replay
+    cannot change it.  One generator serves the whole span; reseeding it
+    with an int gives the state ``random.Random(seed)`` starts from.
     """
-    rng = random.Random(derive_trial_seed(master_seed, trial_index))
-    return _reverse_half(plan, mode, rng)[0][plan.lattice.source]
+    source = plan.lattice.source
+    rng = random.Random()
+    counts: Counter = Counter()
+    for index in range(start, stop):
+        rng.seed(derive_trial_seed(master_seed, index))
+        counts[_reverse_half(plan, mode, rng)[0][source]] += 1
+    return counts
 
 
 def backpropagate(

@@ -14,12 +14,13 @@ from __future__ import annotations
 import heapq
 import json
 import math
+import os
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from typing import Optional
 
 from . import oracle
-from .engine import DEFAULT_EPS_INTENSITY, Mode, TrialPlan, prepare, trial_winner
+from .engine import DEFAULT_EPS_INTENSITY, Mode, TrialPlan, count_winners, prepare
 from .engine import run_trial  # noqa: F401  (perfbench's traced run wraps this name)
 from .errors import DarkTrialError, DeadlockError, ScoutnetError
 from .lattice import Lattice, NodeKind
@@ -157,19 +158,6 @@ class EnsembleResult:
     underpowered: bool
 
 
-def _count_chunk(
-    plan: TrialPlan,
-    mode: Mode,
-    master_seed: int,
-    start: int,
-    stop: int,
-) -> Counter:
-    counts: Counter = Counter()
-    for index in range(start, stop):
-        counts[trial_winner(plan, mode, master_seed, index)] += 1
-    return counts
-
-
 def run_ensemble(
     lattice: Lattice,
     mode: Mode,
@@ -189,9 +177,8 @@ def run_ensemble(
         raise ValueError("trials must be >= 1")
     if plan is None:
         plan = prepare(lattice)
-    counts: Counter = Counter()
     if jobs <= 1:
-        counts = _count_chunk(plan, mode, master_seed, 0, trials)
+        counts = count_winners(plan, mode, master_seed, 0, trials)
     else:
         chunk = (trials + jobs - 1) // jobs
         spans = [
@@ -200,9 +187,13 @@ def run_ensemble(
         # imported here, so that a run at --jobs 1 never loads the pool
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        # the pool starts all its workers at the first submit: no more of
+        # them than there are spans to run or cores to run them on
+        workers = min(len(spans), os.cpu_count() or 1)
+        counts = Counter()
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = [
-                pool.submit(_count_chunk, plan, mode, master_seed, start, stop)
+                pool.submit(count_winners, plan, mode, master_seed, start, stop)
                 for start, stop in spans
             ]
             for future in futures:

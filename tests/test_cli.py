@@ -63,6 +63,19 @@ class TestExitCodes:
         assert err.startswith("error:")
         assert "--no-such-flag" in err
 
+    @pytest.mark.parametrize("seed", ["-1", "18446744073709551616"])
+    def test_seed_out_of_range_is_config_error(self, tmp_path, capsys, seed):
+        code = run_cli("--scenario", "star", "--seed", seed, "--out", str(tmp_path))
+        assert code == EXIT_CONFIG
+        assert f"seed must lie in [0, 2**64), got {seed}" in capsys.readouterr().err
+        assert not (tmp_path / "summary.json").exists()
+
+    def test_config_seed_out_of_range_is_config_error(self, tmp_path, capsys):
+        cfg = tmp_path / "run.yaml"
+        cfg.write_text(f"seed: -5\nout: {tmp_path}\n")
+        assert run_cli("--config", str(cfg)) == EXIT_CONFIG
+        assert "got -5" in capsys.readouterr().err
+
     def test_help_exits_zero(self, capsys):
         with pytest.raises(SystemExit) as exc:
             run_cli("--help")

@@ -20,12 +20,12 @@ from scoutnet.engine import (
     Mode,
     RibState,
     backpropagate,
+    count_winners,
     lottery_select,
     next_phase,
     prepare,
     propagate_scouts,
     run_trial,
-    trial_winner,
 )
 from scoutnet.errors import DarkTrialError, PathBudgetError
 from scoutnet.lattice import (
@@ -118,6 +118,19 @@ class TestPrepare:
             outcome = run_trial(lat, Mode.AGGREGATE, 4, index, plan=plan)
             assert outcome.winner == live
 
+    def test_intensity_star_draws_only_at_the_source(self):
+        lat = build_intensity_star([1.0, 1.0, 2.0])
+        plan = prepare(lat)
+        assert plan.draw_order == (lat.source,)
+        assert len(plan.process_order) == 10
+        # each arm node's query is fixed: its own arm's detector and intensity
+        for u in plan.process_order:
+            if u != lat.source:
+                det = plan.base_det[u]
+                assert det in lat.detectors
+                assert plan.base_weight[u] == plan.intensities[det]
+        assert plan.base_det[lat.source] == -1
+
     def test_all_dark_is_an_error(self):
         with pytest.raises(DarkTrialError, match="dark trial"):
             prepare(build_two_path(2.0, 2.5, 2))
@@ -182,7 +195,13 @@ class TestReferenceKernel:
         winner, path, degenerate, void = reference_trial(
             plan, mode, master_seed, index, trace=want_events.append
         )
-        assert trial_winner(plan, mode, master_seed, index) == winner
+        # one reseeded generator serves a span: no trial's draws may leak
+        # into the next one's
+        span = range(index, index + 4)
+        assert count_winners(plan, mode, master_seed, index, index + 1) == {winner: 1}
+        assert count_winners(plan, mode, master_seed, span.start, span.stop) == Counter(
+            reference_trial(plan, mode, master_seed, i)[0] for i in span
+        )
         events: list[str] = []
         out = run_trial(lat, mode, master_seed, index, plan=plan, trace=events.append)
         assert (out.winner, out.surviving_path, out.degenerate_lotteries) == (

@@ -1,10 +1,12 @@
+import concurrent.futures
+import os
 from collections import Counter
 
 import pytest
 
 from conftest import nested_tree_lattice, tree_merge_instances
 from scoutnet import experiments, oracle
-from scoutnet.engine import Mode, prepare, trial_winner
+from scoutnet.engine import Mode, count_winners, prepare
 from scoutnet.experiments import (
     chi_square,
     chi_square_critical,
@@ -128,6 +130,34 @@ class TestRunEnsemble:
         par = run_ensemble(lat, Mode.AGGREGATE, 4_000, 77, jobs=4)
         assert seq == par
 
+    @pytest.mark.parametrize("cores,workers", [(2, 2), (64, 10), (None, 1)])
+    def test_pool_never_outgrows_spans_or_cores(self, monkeypatch, cores, workers):
+        # a fake executor that runs each span inline: it records the pool
+        # size asked for and starts no process
+        sizes = []
+
+        class InlinePool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, *args):
+                future = concurrent.futures.Future()
+                future.set_result(fn(*args))
+                return future
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+        monkeypatch.setattr(os, "cpu_count", lambda: cores)
+        lat = build_intensity_star([1.0, 1.0, 2.0])
+        par = run_ensemble(lat, Mode.AGGREGATE, 10, 77, jobs=4000)
+        assert sizes == [workers]
+        assert par == run_ensemble(lat, Mode.AGGREGATE, 10, 77, jobs=1)
+
     def test_invalid_trials_rejected(self):
         lat = build_star(1, 1, [1.0])
         with pytest.raises(ValueError):
@@ -223,7 +253,7 @@ class TestExactSelectionOffTrees:
         law = exact_selection_distribution(lat, mode)
         plan = prepare(lat)
         trials = 20_000
-        counts = Counter(trial_winner(plan, mode, 1, i) for i in range(trials))
+        counts = count_winners(plan, mode, 1, 0, trials)
         statistic, dof = pooled_chi_square(counts, law, trials)
         assert dof >= 1
         assert statistic <= chi_square_critical(dof, 1 - 1e-6), (statistic, dof)
