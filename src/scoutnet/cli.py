@@ -305,8 +305,8 @@ def run(config: RunConfig) -> int:
     if config.jobs < 1:
         raise ConfigError("jobs must be >= 1")
     if not 0 <= config.seed < 2**64:
-        # the trial seeds reduce it mod 2**64, so another value would run
-        # some in-range seed's stream while summary.json records this one
+        # the trial seeds reject it too, but only once trials run; checked
+        # here so the run exits 1 before it writes anything
         raise ConfigError(f"seed must lie in [0, 2**64), got {config.seed}")
     if not 0.0 < config.chi_percentile < 1.0:
         raise ConfigError(

@@ -16,12 +16,14 @@ voided, which is what processing nodes in reverse topological order of
 the trace graph implements.
 
 Everything that does not depend on the random stream is computed once
-by ``prepare``, which lowers the live trace graph to integer-indexed
-arrays (a ``TrialPlan``).  That includes the surviving query of every
-draw-free node, one whose live reach holds a single detector: it never
-holds a lottery, so the plan stores its query as a base value and the
-steps into it as constants.  The reverse half is split in two.  The
-kernel, ``_reverse_half``, starts from the base values, runs the
+by ``prepare``.  The scout report holds each detector's amplitude, summed
+as its scouts land, and each expanded node's forward children; the live
+trace graph is grouped from those children once and lowered to
+integer-indexed arrays (a ``TrialPlan``).  Its per-node query table is
+seeded with each live detector's own query and with the surviving query
+of every draw-free node, one whose live reach holds a single detector:
+such a node never holds a lottery.  The reverse half is split in two.
+The kernel, ``_reverse_half``, starts from the seeded table, runs the
 lottery of every node in ``draw_order`` and draws from the random
 stream; a refusal wave voids only edges below its lottery, which
 barrier order has already passed, so the lotteries alone fix the
@@ -39,9 +41,10 @@ from __future__ import annotations
 import heapq
 import math
 import random
-from collections import Counter, defaultdict
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from typing import Callable, Optional, Sequence
 
 from .errors import (
@@ -51,7 +54,7 @@ from .errors import (
     PathBudgetError,
     ScoutnetError,
 )
-from .lattice import Lattice, NodeKind
+from .lattice import Lattice
 from .rng import derive_trial_seed
 
 TWO_PI = 2.0 * math.pi
@@ -70,15 +73,13 @@ class RibState(str, Enum):
     CONFIRMED = "confirmed"
 
 
-def next_phase(phi: float, rib_length: float, wavelength: float) -> float:
-    """Rotate the phase by one rib: (phi + 2*pi*l/lambda) mod 2*pi."""
-    return math.fmod(phi + TWO_PI * rib_length / wavelength, TWO_PI)
-
-
 @dataclass(frozen=True)
 class ScoutReport:
-    arrival_phases: dict[int, tuple[float, ...]]
-    trace_edges: frozenset[tuple[int, int]]
+    """The forward half: each detector's amplitude (0j if no scout lands),
+    each expanded node's forward children, hidden ticks and fronts."""
+
+    amplitudes: dict[int, complex]
+    children: dict[int, tuple[int, ...]]
     ticks: int
     fronts: int
 
@@ -94,41 +95,39 @@ def propagate_scouts(
     by one (the forward DAG), which keeps the path set finite on any
     lattice.  Scouts do not interact with each other and are absorbed by
     charged nodes, so each front corresponds to exactly one admissible path.
+    A scout landing on a detector adds its unit phasor to the detector's
+    amplitude, so each amplitude is summed in arrival order.
     """
-    arrivals: dict[int, list[float]] = defaultdict(list)
-    trace_edges: set[tuple[int, int]] = set()
+    detectors = set(lattice.detectors)
+    re = [0.0] * len(lattice.nodes)
+    im = [0.0] * len(lattice.nodes)
     created = 1
     ticks = 0
 
     dist = lattice.hop_distances()
-    # each expanded node's forward children, built on its first front:
-    # (child, the phase one rib adds as ``next_phase`` computes it, is a
-    # detector); a forward child is never the source, so the rest are void
-    children: dict[int, list[tuple[int, float, bool]]] = {}
+    # each expanded node's forward children, built on its first front, with
+    # the phase one rib adds, (phi + 2*pi*l/lambda) mod 2*pi
+    forward: dict[int, list[tuple[int, float]]] = {}
     fronts: list[tuple[int, float]] = [(lattice.source, 0.0)]
     while fronts:
         ticks += 1
         nxt: list[tuple[int, float]] = []
         for u, phase in fronts:
-            kids = children.get(u)
+            kids = forward.get(u)
             if kids is None:
                 du = dist[u]
-                kids = children[u] = [
-                    (
-                        v,
-                        TWO_PI * lattice.ribs[idx].length / lattice.wavelength,
-                        lattice.nodes[v].kind is NodeKind.DETECTOR,
-                    )
+                kids = forward[u] = [
+                    (v, TWO_PI * lattice.ribs[idx].length / lattice.wavelength)
                     for v, idx in lattice.adjacency[u]
                     if dist.get(v) == du + 1
                 ]
-                trace_edges.update((u, v) for v, _, _ in kids)
-            for v, turn, is_detector in kids:
+            for v, turn in kids:
                 ph = math.fmod(phase + turn, TWO_PI)
                 if trace:
                     trace(f"tick={ticks} scout rib=({u},{v}) phase={ph:.9f}")
-                if is_detector:
-                    arrivals[v].append(ph)
+                if v in detectors:
+                    re[v] += math.cos(ph)
+                    im[v] += math.sin(ph)
                 else:
                     created += 1
                     if created > path_budget:
@@ -137,8 +136,8 @@ def propagate_scouts(
         fronts = nxt
 
     return ScoutReport(
-        arrival_phases={det: tuple(phs) for det, phs in sorted(arrivals.items())},
-        trace_edges=frozenset(trace_edges),
+        amplitudes={det: complex(re[det], im[det]) for det in lattice.detectors},
+        children={u: tuple(v for v, _ in kids) for u, kids in forward.items()},
         ticks=ticks,
         fronts=created,
     )
@@ -155,6 +154,10 @@ def lottery_select(
     the draw was degenerate: all-zero weights fall back to a uniform draw.
     The winner keeps its own weight in naive mode and inherits the sum of
     all competitor weights in aggregate mode.
+
+    A plan's lotteries never take the fallback: each competitor weight is
+    a live detector's intensity, above ``DEFAULT_EPS_INTENSITY``, or is
+    carried on from such intensities, so every total is positive.
     """
     if not weights:
         raise ValueError("lottery with no competitors")
@@ -176,23 +179,21 @@ def lottery_select(
     return index, carried, degenerate
 
 
-def _topo_order(edges: frozenset[tuple[int, int]]) -> list[int]:
-    """Deterministic topological order of the trace graph (u before v per edge)."""
-    out: dict[int, list[int]] = defaultdict(list)
-    indeg: dict[int, int] = defaultdict(int)
-    nodes: set[int] = set()
-    for u, v in edges:
-        out[u].append(v)
-        indeg[v] += 1
-        nodes.add(u)
-        nodes.add(v)
+def _topo_order(children: dict[int, tuple[int, ...]]) -> list[int]:
+    """Deterministic topological order of the trace graph (u before its children).
+
+    Ready nodes leave a heap smallest id first, so the order does not
+    depend on the order of any node's children.
+    """
+    indeg = Counter(v for kids in children.values() for v in kids)
+    nodes = set(children) | set(indeg)
     ready = [n for n in nodes if indeg[n] == 0]
     heapq.heapify(ready)
     order: list[int] = []
     while ready:
         u = heapq.heappop(ready)
         order.append(u)
-        for v in out[u]:
+        for v in children.get(u, ()):
             indeg[v] -= 1
             if indeg[v] == 0:
                 heapq.heappush(ready, v)
@@ -204,10 +205,8 @@ def _topo_order(edges: frozenset[tuple[int, int]]) -> list[int]:
     return order
 
 
-# One step of the reverse half at a node: (edge id, child, the query the
-# child delivers if no draw can change it -- a detector child's own, or a
-# draw-free void child's base query -- else -1 and 0.0).
-Step = tuple[int, int, int, float]
+# One step of the reverse half at a node: (edge id, child).
+Step = tuple[int, int]
 
 
 @dataclass(frozen=True)
@@ -219,21 +218,19 @@ class TrialPlan:
     in sorted ``(u, v)`` order, so each node's out-edges run in child
     order.
 
-    A node whose live reach holds a single detector is draw-free: it never
-    holds a lottery, and its surviving query is a fixed function of the
-    forward half.  ``base_det``/``base_weight`` hold that query per node
-    id (-1 and 0.0 for every other node).  ``draw_order`` is the rest of
-    ``process_order``, the nodes whose query depends on a draw, and
-    ``steps[i]`` holds the out-edges of ``draw_order[i]``.
+    ``base_det``/``base_weight`` seed the per-node query table: a live
+    detector holds its own query, ``(id, intensity)``.  A node whose live
+    reach holds a single detector is draw-free: it never holds a lottery,
+    and its surviving query is a fixed function of the forward half, so it
+    is seeded too.  Every other node holds -1 and 0.0.  ``draw_order`` is
+    the rest of ``process_order``, the nodes whose query depends on a draw,
+    and ``steps[i]`` holds the out-edges of ``draw_order[i]``.  Every live
+    child holds a query by the time its parents read it.
     """
 
     lattice: Lattice
     scout_report: ScoutReport
     intensities: dict[int, float]
-    live_detectors: tuple[int, ...]
-    live_edges: frozenset[tuple[int, int]]
-    # the reverse half reads ``out_edges``; perfbench's plan counters read this
-    out_live: dict[int, tuple[int, ...]]
     process_order: tuple[int, ...]
     edges: tuple[tuple[int, int], ...]
     out_edges: tuple[tuple[int, ...], ...]
@@ -243,46 +240,49 @@ class TrialPlan:
     draw_order: tuple[int, ...]
     steps: tuple[tuple[Step, ...], ...]
 
+    # views over ``edges``/``out_edges`` for perfbench's plan counters and
+    # the frozen reference kernel; the engine reads neither
+    @cached_property
+    def live_edges(self) -> frozenset[tuple[int, int]]:
+        return frozenset(self.edges)
+
+    @cached_property
+    def out_live(self) -> dict[int, tuple[int, ...]]:
+        return {
+            u: tuple(self.edges[e][1] for e in es)
+            for u, es in enumerate(self.out_edges)
+            if es
+        }
+
 
 def prepare(lattice: Lattice, trace: Optional[TraceSink] = None) -> TrialPlan:
     """Run the forward half and precompute the reverse-query structure.
 
-    A detector's intensity is |sum of exp(i*phase)|^2 over its arrivals,
-    summed in arrival order.  Detectors whose intensity does not exceed
+    A detector's intensity is ``|a|^2`` of its amplitude ``a``, taken as
+    ``a.real**2 + a.imag**2``.  Detectors whose intensity does not exceed
     ``DEFAULT_EPS_INTENSITY`` are dark: they emit no query and no live edge
     leads to them.
     """
     report = propagate_scouts(lattice, trace=trace)
-    intensities: dict[int, float] = {}
-    for det in lattice.detectors:
-        re = im = 0.0
-        for phase in report.arrival_phases.get(det, ()):
-            re += math.cos(phase)
-            im += math.sin(phase)
-        intensities[det] = re * re + im * im
-    live = tuple(d for d in lattice.detectors if intensities[d] > DEFAULT_EPS_INTENSITY)
+    intensities = {
+        det: a.real * a.real + a.imag * a.imag for det, a in report.amplitudes.items()
+    }
+    live = {d for d in lattice.detectors if intensities[d] > DEFAULT_EPS_INTENSITY}
     if not live:
         raise DarkTrialError("dark trial: no detector intensity above threshold")
 
-    order = _topo_order(report.trace_edges)
-    out_trace: dict[int, list[int]] = defaultdict(list)
-    for u, v in report.trace_edges:
-        out_trace[u].append(v)
-    live_set = set(live)
-    reach: dict[int, frozenset[int]] = {}
+    children = report.children
+    order = _topo_order(children)
+    reach: dict[int, set[int]] = {}
     for node in reversed(order):
-        if lattice.nodes[node].kind is NodeKind.DETECTOR:
-            reach[node] = frozenset((node,)) if node in live_set else frozenset()
-        else:
-            acc: set[int] = set()
-            for v in out_trace.get(node, ()):
-                acc |= reach.get(v, frozenset())
-            reach[node] = frozenset(acc)
+        acc = {node} if node in live else set()
+        for v in children.get(node, ()):
+            acc |= reach[v]
+        reach[node] = acc
 
-    live_edges = frozenset(
-        (u, v) for u, v in report.trace_edges if reach.get(v, frozenset())
+    edges = tuple(
+        sorted((u, v) for u, kids in children.items() for v in kids if reach[v])
     )
-    edges = tuple(sorted(live_edges))
     n = len(lattice.nodes)
     out_edges: list[list[int]] = [[] for _ in range(n)]
     in_degree = [0] * n
@@ -292,22 +292,19 @@ def prepare(lattice: Lattice, trace: Optional[TraceSink] = None) -> TrialPlan:
     process_order = tuple(node for node in reversed(order) if out_edges[node])
 
     # Children come before parents in process order, so a draw-free
-    # child's base query is known when its parent's steps are lowered.
+    # child's query is seeded when its parent reads it.
     base_det = [-1] * n
     base_weight = [0.0] * n
+    for d in live:
+        base_det[d] = d
+        base_weight[d] = intensities[d]
     draw_order: list[int] = []
     steps: list[tuple[Step, ...]] = []
     for u in process_order:
-        node_steps = []
-        for e in out_edges[u]:
-            v = edges[e][1]
-            if lattice.nodes[v].kind is NodeKind.DETECTOR:
-                node_steps.append((e, v, v, intensities[v]))
-            else:
-                node_steps.append((e, v, base_det[v], base_weight[v]))
+        node_steps = tuple((e, edges[e][1]) for e in out_edges[u])
         if len(reach[u]) > 1:
             draw_order.append(u)
-            steps.append(tuple(node_steps))
+            steps.append(node_steps)
         else:
             ((base_det[u], base_weight[u]),) = _merge(
                 node_steps, base_det, base_weight
@@ -317,11 +314,6 @@ def prepare(lattice: Lattice, trace: Optional[TraceSink] = None) -> TrialPlan:
         lattice=lattice,
         scout_report=report,
         intensities=intensities,
-        live_detectors=live,
-        live_edges=live_edges,
-        out_live={
-            u: tuple(edges[e][1] for e in out_edges[u]) for u in range(n) if out_edges[u]
-        },
         process_order=process_order,
         edges=edges,
         out_edges=tuple(tuple(es) for es in out_edges),
@@ -338,17 +330,13 @@ def _merge(
 ) -> dict[int, float]:
     """The competitors at one node: detector -> weight of its query.
 
-    Each out-edge delivers the query of a detector child or the query that
-    survived at a void child.  Queries from one detector merge (no
-    self-competition) and keep the larger weight.
+    Each out-edge delivers the query its child holds.  Queries from one
+    detector merge (no self-competition) and keep the larger weight.
     """
     weights: dict[int, float] = {}
-    for _, v, det, w in steps:
-        if det < 0:
-            det = win_det[v]
-            if det < 0:
-                continue
-            w = win_weight[v]
+    for _, v in steps:
+        det = win_det[v]
+        w = win_weight[v]
         if det not in weights or w > weights[det]:
             weights[det] = w
     return weights
@@ -366,9 +354,9 @@ def _reverse_half(
     (all-zero-weight) lotteries.  Competitors are drawn in detector order,
     which fixes the order of the RNG draws.
 
-    Starts from the plan's base queries and visits only ``draw_order``:
-    draw-free nodes hold no lottery, so skipping them leaves the draws as
-    they were.
+    Starts from the plan's seeded query table and visits only
+    ``draw_order``: draw-free nodes hold no lottery, so skipping them
+    leaves the draws as they were.
 
     Refusal waves are left out.  A wave started at node u voids only edges
     whose tail is u or a descendant of u, whose lotteries barrier order has
@@ -379,8 +367,6 @@ def _reverse_half(
     degenerate = 0
     for u, steps in zip(plan.draw_order, plan.steps):
         weights = _merge(steps, win_det, win_weight)
-        if not weights:
-            continue
         if len(weights) == 1:
             ((win_det[u], win_weight[u]),) = weights.items()
             continue
@@ -425,10 +411,7 @@ def _refusals(
         for loser, _ in competitors:
             if loser == winner:
                 continue
-            stack = [
-                e for e, v, det, _ in steps
-                if (det if det >= 0 else win_det[v]) == loser
-            ]
+            stack = [e for e, v in steps if win_det[v] == loser]
             while stack:
                 e = stack.pop()
                 if void[e]:
@@ -475,9 +458,7 @@ def backpropagate(
     the ``lottery`` and ``refuse`` lines."""
     win_det, win_weight, degenerate = _reverse_half(plan, mode, rng)
     void = _refusals(plan, win_det, win_weight, trace)
-    winner_at = {
-        u: (win_det[u], win_weight[u]) for u in plan.process_order if win_det[u] >= 0
-    }
+    winner_at = {u: (win_det[u], win_weight[u]) for u in plan.process_order}
     voided = {edge for edge, dead in zip(plan.edges, void) if dead}
     return win_det[plan.lattice.source], winner_at, voided, degenerate
 
@@ -510,9 +491,8 @@ def _confirmation_walk(
     u = plan.lattice.source
     while u != winner:
         # the winner itself, or a void node holding its query
-        # (detectors hold no query, so their win_det is -1)
         heads = (plan.edges[e][1] for e in plan.out_edges[u])
-        candidates = [v for v in heads if v == winner or win_det[v] == winner]
+        candidates = [v for v in heads if win_det[v] == winner]
         if not candidates:
             raise ScoutnetError(f"protocol bug: confirmation walk stuck at node {u}")
         u = candidates[0] if len(candidates) == 1 else rng.choice(candidates)

@@ -159,12 +159,6 @@ class Lattice:
                     stack.append(v)
         return seen
 
-    def rib_between(self, u: int, v: int) -> Rib:
-        for w, idx in self.adjacency[u]:
-            if w == v:
-                return self.ribs[idx]
-        raise LatticeError(f"no rib between {u} and {v}")
-
     def hop_distances(self) -> dict[int, int]:
         """BFS hop counts from the source; charged nodes absorb (no exit)."""
         dist = {self.source: 0}

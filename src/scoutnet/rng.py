@@ -13,7 +13,13 @@ _GOLDEN = 0x9E3779B97F4A7C15
 
 
 def derive_trial_seed(master_seed: int, trial_index: int) -> int:
-    """splitmix64 finalizer applied to master_seed + (index+1)*golden-ratio."""
+    """splitmix64 finalizer applied to master_seed + (index+1)*golden-ratio.
+
+    The master seed must lie in [0, 2**64): the mix reduces it mod 2**64,
+    so another value would silently run some in-range seed's stream.
+    """
+    if not 0 <= master_seed <= _MASK:
+        raise ValueError(f"master seed must lie in [0, 2**64), got {master_seed}")
     z = (master_seed + (trial_index + 1) * _GOLDEN) & _MASK
     z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9 & _MASK
     z = (z ^ (z >> 27)) * 0x94D049BB133111EB & _MASK

@@ -24,8 +24,7 @@ def test_c1_two_path_interference():
     assert plan.intensities[det] == pytest.approx(4.0, abs=1e-9)
 
     lat_half = build_two_path(2.0, 2.5, 2, wavelength=1.0)
-    phases = propagate_scouts(lat_half).arrival_phases[lat_half.detectors[0]]
-    amp = sum(complex(math.cos(p), math.sin(p)) for p in phases)
+    amp = propagate_scouts(lat_half).amplitudes[lat_half.detectors[0]]
     assert abs(amp) ** 2 <= 1e-18
     elapsed = time.perf_counter() - start
     assert elapsed < 1.0
@@ -41,11 +40,9 @@ def test_c2_engine_oracle_amplitude_equivalence():
         plan = prepare(lat)
         amps = oracle.lattice_amplitudes(lat)
         for det in lat.detectors:
-            phases = plan.scout_report.arrival_phases.get(det, ())
-            re = sum(math.cos(p) for p in phases)
-            im = sum(math.sin(p) for p in phases)
-            assert re == pytest.approx(amps[det].real, abs=1e-9)
-            assert im == pytest.approx(amps[det].imag, abs=1e-9)
+            a = plan.scout_report.amplitudes[det]
+            assert a.real == pytest.approx(amps[det].real, abs=1e-9)
+            assert a.imag == pytest.approx(amps[det].imag, abs=1e-9)
     elapsed = time.perf_counter() - start
     assert elapsed < 10.0
     print(f"\nACCEPTANCE 2 engine-oracle amplitude equivalence: PASS ({elapsed:.3f}s)")
@@ -136,6 +133,7 @@ def test_c6_winner_path_invariant():
     while trials_done < 1000:
         lat = random_layered_lattice(rng)
         plan = prepare(lat)
+        ribs = {rib.endpoints for rib in lat.ribs}
         for index in range(20):
             out = run_trial(lat, Mode.AGGREGATE, 314159, index, plan=plan)
             path = out.surviving_path
@@ -143,8 +141,7 @@ def test_c6_winner_path_invariant():
             assert path[-1] == out.winner
             assert len(set(path)) == len(path)  # simple
             path_ribs = {tuple(sorted(p)) for p in zip(path, path[1:])}
-            for u, v in path_ribs:
-                lat.rib_between(u, v)
+            assert path_ribs <= ribs
             confirmed = {
                 rib for rib, s in out.rib_states.items() if s is RibState.CONFIRMED
             }

@@ -158,6 +158,13 @@ class TestRunEnsemble:
         assert sizes == [workers]
         assert par == run_ensemble(lat, Mode.AGGREGATE, 10, 77, jobs=1)
 
+    @pytest.mark.parametrize("master_seed", [-1, 2**64])
+    def test_out_of_range_master_seed_rejected(self, master_seed):
+        # the trial seeds reduce mod 2**64: 2**64 would count seed 0's stream
+        lat = build_intensity_star([1.0, 1.0, 2.0])
+        with pytest.raises(ValueError, match=r"\[0, 2\*\*64\)"):
+            run_ensemble(lat, Mode.AGGREGATE, 500, master_seed)
+
     def test_invalid_trials_rejected(self):
         lat = build_star(1, 1, [1.0])
         with pytest.raises(ValueError):

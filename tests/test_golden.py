@@ -28,6 +28,19 @@ CASES = {
          "--seed", "42"],
         EXIT_THRESHOLD,
     ),
+    # the traced cases below pin multi-lottery merges, refusal replays and
+    # confirmation walks: 3 lotteries on the slit screen, 7 on the grid
+    "double-slit-trace": (
+        ["--scenario", "double-slit", "--trials", "2000", "--seed", "42",
+         "--trace"],
+        EXIT_OK,
+    ),
+    # naive mode on a reconvergent grid is not Born: exits 2
+    "grid-naive-trace": (
+        ["--scenario", "grid", "--grid-w", "4", "--grid-h", "4", "--mode",
+         "naive", "--trials", "2000", "--seed", "42", "--trace"],
+        EXIT_THRESHOLD,
+    ),
 }
 
 
