@@ -22,12 +22,13 @@ trace graph is grouped from those children once and lowered to
 integer-indexed arrays (a ``TrialPlan``).  Its per-node query table is
 seeded with each live detector's own query and with the surviving query
 of every draw-free node, one whose live reach holds a single detector:
-such a node never holds a lottery.  The reverse half is split in two.
-The kernel, ``_reverse_half``, starts from the seeded table, runs the
-lottery of every node in ``draw_order`` and draws from the random
-stream; a refusal wave voids only edges below its lottery, which
-barrier order has already passed, so the lotteries alone fix the
-winner.  The replay, ``_refusals``, runs the waves from the kernel's
+such a node never holds a lottery.  A lottery whose children are all
+seeded has fixed competitors, so the plan stores them sorted.  The
+reverse half is split in two.  The kernel, ``_reverse_half``, starts
+from the seeded table, runs the lottery of every node in ``draw_order``
+and draws from the random stream; a refusal wave voids only edges below
+its lottery, which barrier order has already passed, so the lotteries
+alone fix the winner.  The replay, ``_refusals``, runs the waves from the kernel's
 result and draws nothing; only the voided-edge set and the ``--trace``
 lines need it.  ``count_winners`` runs the kernel alone over a span of
 trials, reseeding one generator per trial (what an ensemble counts);
@@ -131,7 +132,7 @@ def propagate_scouts(
                 else:
                     created += 1
                     if created > path_budget:
-                        raise PathBudgetError(path_budget, created)
+                        raise PathBudgetError(path_budget, created, "fronts")
                     nxt.append((v, ph))
         fronts = nxt
 
@@ -144,7 +145,7 @@ def propagate_scouts(
 
 
 def lottery_select(
-    weights: list[float],
+    weights: Sequence[float],
     mode: Mode,
     rng: random.Random,
 ) -> tuple[int, float, bool]:
@@ -205,8 +206,8 @@ def _topo_order(children: dict[int, tuple[int, ...]]) -> list[int]:
     return order
 
 
-# One step of the reverse half at a node: (edge id, child).
-Step = tuple[int, int]
+# The sorted competitors of a lottery: (detectors, their query weights).
+Competitors = tuple[tuple[int, ...], tuple[float, ...]]
 
 
 @dataclass(frozen=True)
@@ -224,8 +225,11 @@ class TrialPlan:
     and its surviving query is a fixed function of the forward half, so it
     is seeded too.  Every other node holds -1 and 0.0.  ``draw_order`` is
     the rest of ``process_order``, the nodes whose query depends on a draw,
-    and ``steps[i]`` holds the out-edges of ``draw_order[i]``.  Every live
-    child holds a query by the time its parents read it.
+    and ``draw_children[i]`` holds the live children of ``draw_order[i]``,
+    in the order of its out-edges.  Every live child holds a query by the
+    time its parents read it.  When every child of a draw node is seeded,
+    its lottery's competitors are fixed too, and ``competitors[i]`` holds
+    them, sorted by detector; otherwise it is None and the kernel merges.
     """
 
     lattice: Lattice
@@ -238,7 +242,8 @@ class TrialPlan:
     base_det: tuple[int, ...]
     base_weight: tuple[float, ...]
     draw_order: tuple[int, ...]
-    steps: tuple[tuple[Step, ...], ...]
+    draw_children: tuple[tuple[int, ...], ...]
+    competitors: tuple[Optional[Competitors], ...]
 
     # views over ``edges``/``out_edges`` for perfbench's plan counters and
     # the frozen reference kernel; the engine reads neither
@@ -299,16 +304,23 @@ def prepare(lattice: Lattice, trace: Optional[TraceSink] = None) -> TrialPlan:
         base_det[d] = d
         base_weight[d] = intensities[d]
     draw_order: list[int] = []
-    steps: list[tuple[Step, ...]] = []
+    draw_children: list[tuple[int, ...]] = []
+    competitors: list[Optional[Competitors]] = []
     for u in process_order:
-        node_steps = tuple((e, edges[e][1]) for e in out_edges[u])
-        if len(reach[u]) > 1:
-            draw_order.append(u)
-            steps.append(node_steps)
-        else:
+        kids = tuple(edges[e][1] for e in out_edges[u])
+        if len(reach[u]) == 1:
             ((base_det[u], base_weight[u]),) = _merge(
-                node_steps, base_det, base_weight
+                kids, base_det, base_weight
             ).items()
+            continue
+        draw_order.append(u)
+        draw_children.append(kids)
+        fixed = None
+        if all(base_det[v] >= 0 for v in kids):
+            weights = _merge(kids, base_det, base_weight)
+            dets = tuple(sorted(weights))
+            fixed = (dets, tuple(weights[d] for d in dets))
+        competitors.append(fixed)
 
     return TrialPlan(
         lattice=lattice,
@@ -321,20 +333,21 @@ def prepare(lattice: Lattice, trace: Optional[TraceSink] = None) -> TrialPlan:
         base_det=tuple(base_det),
         base_weight=tuple(base_weight),
         draw_order=tuple(draw_order),
-        steps=tuple(steps),
+        draw_children=tuple(draw_children),
+        competitors=tuple(competitors),
     )
 
 
 def _merge(
-    steps: Sequence[Step], win_det: list[int], win_weight: list[float]
+    kids: Sequence[int], win_det: list[int], win_weight: list[float]
 ) -> dict[int, float]:
     """The competitors at one node: detector -> weight of its query.
 
-    Each out-edge delivers the query its child holds.  Queries from one
+    Each live child delivers the query it holds.  Queries from one
     detector merge (no self-competition) and keep the larger weight.
     """
     weights: dict[int, float] = {}
-    for _, v in steps:
+    for v in kids:
         det = win_det[v]
         w = win_weight[v]
         if det not in weights or w > weights[det]:
@@ -356,7 +369,9 @@ def _reverse_half(
 
     Starts from the plan's seeded query table and visits only
     ``draw_order``: draw-free nodes hold no lottery, so skipping them
-    leaves the draws as they were.
+    leaves the draws as they were.  A lottery whose competitors the plan
+    fixed reads them from ``plan.competitors``; any other merges its
+    children's queries.
 
     Refusal waves are left out.  A wave started at node u voids only edges
     whose tail is u or a descendant of u, whose lotteries barrier order has
@@ -365,15 +380,17 @@ def _reverse_half(
     win_det = list(plan.base_det)
     win_weight = list(plan.base_weight)
     degenerate = 0
-    for u, steps in zip(plan.draw_order, plan.steps):
-        weights = _merge(steps, win_det, win_weight)
-        if len(weights) == 1:
-            ((win_det[u], win_weight[u]),) = weights.items()
-            continue
-        dets = sorted(weights)
-        index, carried, was_degenerate = lottery_select(
-            [weights[d] for d in dets], mode, rng
-        )
+    for u, kids, fixed in zip(plan.draw_order, plan.draw_children, plan.competitors):
+        if fixed is not None:
+            dets, ranked = fixed
+        else:
+            weights = _merge(kids, win_det, win_weight)
+            if len(weights) == 1:
+                ((win_det[u], win_weight[u]),) = weights.items()
+                continue
+            dets = sorted(weights)
+            ranked = [weights[d] for d in dets]
+        index, carried, was_degenerate = lottery_select(ranked, mode, rng)
         degenerate += was_degenerate
         win_det[u] = dets[index]
         win_weight[u] = carried
@@ -400,8 +417,8 @@ def _refusals(
     """
     void = bytearray(len(plan.edges))
     dead_in = [0] * len(plan.lattice.nodes)
-    for u, steps in zip(plan.draw_order, plan.steps):
-        weights = _merge(steps, win_det, win_weight)
+    for u, kids in zip(plan.draw_order, plan.draw_children):
+        weights = _merge(kids, win_det, win_weight)
         if len(weights) < 2:
             continue
         winner = win_det[u]
@@ -411,7 +428,9 @@ def _refusals(
         for loser, _ in competitors:
             if loser == winner:
                 continue
-            stack = [e for e, v in steps if win_det[v] == loser]
+            stack = [
+                e for e, v in zip(plan.out_edges[u], kids) if win_det[v] == loser
+            ]
             while stack:
                 e = stack.pop()
                 if void[e]:

@@ -17,12 +17,14 @@ class TopologyError(LatticeError):
 
 
 class PathBudgetError(ScoutnetError):
-    """Admissible path enumeration exceeded the configured budget."""
+    """Admissible path enumeration exceeded the configured budget.
 
-    def __init__(self, budget: int, count: int):
-        super().__init__(
-            f"path budget exceeded: generated {count} fronts with budget {budget}"
-        )
+    ``count`` is the first count past ``budget`` and ``unit`` names what was
+    counted: the engine's scout fronts or the oracle's rib visits.
+    """
+
+    def __init__(self, budget: int, count: int, unit: str):
+        super().__init__(f"path budget exceeded: {count} {unit} with budget {budget}")
         self.budget = budget
         self.count = count
 

@@ -48,26 +48,40 @@ def _walk_paths(
     detector it meets, where ``arrive(trail, detector, length)`` is called
     (``trail`` excludes the detector).  Children are taken in adjacency
     order, which is by node id, so each detector's paths arrive in
-    lexicographic order of their node ids.  The budget counts every rib
-    the walk crosses.
+    lexicographic order of their node ids.  A path's length is summed rib
+    by rib from the source.
+
+    Each reached node's admissible children, ``(child, rib length, is
+    detector)``, are built once before the walk.  The budget counts every
+    rib the walk crosses; a node's ribs are charged when it is expanded,
+    all of which the walk then crosses, so the error names rib visit
+    ``budget + 1``.
     """
     dist = lattice.hop_distances()
-    budget_used = 0
+    forward: list[tuple[tuple[int, float, bool], ...]] = [()] * len(lattice.nodes)
+    for u, du in dist.items():
+        if u == lattice.source or lattice.nodes[u].kind is NodeKind.VOID:
+            forward[u] = tuple(
+                (
+                    v,
+                    lattice.ribs[idx].length,
+                    lattice.nodes[v].kind is NodeKind.DETECTOR,
+                )
+                for v, idx in lattice.adjacency[u]
+                if dist.get(v) == du + 1
+            )
+    budget_left = path_budget
 
     def walk(u: int, trail: list[int], length: float) -> None:
-        nonlocal budget_used
-        du = dist[u]
-        for v, idx in lattice.adjacency[u]:
-            if dist.get(v) != du + 1:
-                continue
-            budget_used += 1
-            if budget_used > path_budget:
-                raise PathBudgetError(path_budget, budget_used)
-            kind = lattice.nodes[v].kind
-            rib_len = lattice.ribs[idx].length
-            if kind is NodeKind.DETECTOR:
+        nonlocal budget_left
+        kids = forward[u]
+        budget_left -= len(kids)
+        if budget_left < 0:
+            raise PathBudgetError(path_budget, path_budget + 1, "rib visits")
+        for v, rib_len, is_detector in kids:
+            if is_detector:
                 arrive(trail, v, length + rib_len)
-            elif kind is NodeKind.VOID:
+            else:
                 trail.append(v)
                 walk(v, trail, length + rib_len)
                 trail.pop()
@@ -124,12 +138,21 @@ def lattice_amplitudes(lattice: Lattice) -> dict[int, complex]:
 
     Each path's unit vector is added as the path ends.  Paths reach a
     detector in the order ``enumerate_paths`` returns them, so every sum
-    equals ``detector_amplitude(enumerate_paths(lattice, det))`` exactly.
+    equals ``detector_amplitude(enumerate_paths(lattice, det))`` exactly:
+    the phase is ``_phase``'s expression with its constants hoisted,
+    ``cmath.exp(1j * phase)`` is ``cos(phase) + i sin(phase)`` to the bit,
+    and a complex sum adds its real and imaginary parts separately.
     """
-    amplitudes = {det: 0j for det in lattice.detectors}
+    re = [0.0] * len(lattice.nodes)
+    im = [0.0] * len(lattice.nodes)
+    two_pi = 2.0 * math.pi
+    wavelength = lattice.wavelength
+    fmod, cos, sin = math.fmod, math.cos, math.sin
 
     def arrive(trail: list[int], det: int, total: float) -> None:
-        amplitudes[det] += cmath.exp(1j * _phase(total, lattice.wavelength))
+        phase = fmod(two_pi * total / wavelength, two_pi)
+        re[det] += cos(phase)
+        im[det] += sin(phase)
 
     _walk_paths(lattice, DEFAULT_PATH_BUDGET, arrive)
-    return amplitudes
+    return {det: complex(re[det], im[det]) for det in lattice.detectors}

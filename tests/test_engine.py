@@ -1,9 +1,10 @@
+import math
 import random
 import re
 from collections import Counter, defaultdict
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
@@ -18,6 +19,7 @@ from scoutnet import oracle
 from scoutnet.engine import (
     Mode,
     RibState,
+    _merge,
     backpropagate,
     count_winners,
     lottery_select,
@@ -81,6 +83,50 @@ class TestPropagateScouts:
                     assert abs(a - b) < 1e-9
 
 
+class TestPathBudgetBoundary:
+    """A budget equal to the exact count passes; one less names count + 1.
+
+    On a w x h corner grid every rib raises the hop distance, so node
+    (i, j) is reached by C(i + j, i) admissible paths.  The oracle crosses
+    one rib per path prefix, so it visits the sum of those counts over
+    every node but the source.  The engine's count starts at 1 for the
+    source's front and adds one per front that lands on a void node, so
+    it is 1 plus the sum over every node but the source and the detector.
+    """
+
+    W, H = 4, 5
+
+    @classmethod
+    def prefix_counts(cls) -> list[int]:
+        return [
+            math.comb(i + j, i)
+            for i in range(cls.W)
+            for j in range(cls.H)
+            if (i, j) != (0, 0)
+        ]
+
+    def test_oracle_rib_visits(self):
+        lat = build_grid(self.W, self.H, "corner")
+        (det,) = lat.detectors
+        visits = sum(self.prefix_counts())
+        assert len(oracle.enumerate_paths(lat, det, path_budget=visits)) == (
+            math.comb(self.W + self.H - 2, self.W - 1)
+        )
+        with pytest.raises(PathBudgetError, match="path budget exceeded") as err:
+            oracle.enumerate_paths(lat, det, path_budget=visits - 1)
+        assert (err.value.budget, err.value.count) == (visits - 1, visits)
+        assert "rib visits" in str(err.value)
+
+    def test_engine_fronts(self):
+        lat = build_grid(self.W, self.H, "corner")
+        fronts = 1 + sum(self.prefix_counts()[:-1])
+        assert propagate_scouts(lat, path_budget=fronts).fronts == fronts
+        with pytest.raises(PathBudgetError, match="path budget exceeded") as err:
+            propagate_scouts(lat, path_budget=fronts - 1)
+        assert (err.value.budget, err.value.count) == (fronts - 1, fronts)
+        assert "fronts" in str(err.value)
+
+
 class TestPrepare:
     def test_dark_detector_left_out_of_plan(self):
         nodes = [Node(0, (0.0, 0.0), NodeKind.SOURCE)]
@@ -110,6 +156,16 @@ class TestPrepare:
                 assert det in lat.detectors
                 assert plan.base_weight[u] == plan.intensities[det]
         assert plan.base_det[lat.source] == -1
+
+    def test_intensity_star_source_competitors_are_stored(self):
+        lat = build_intensity_star([1.0, 1.0, 2.0])
+        plan = prepare(lat)
+        (kids,) = plan.draw_children
+        merged = _merge(kids, list(plan.base_det), list(plan.base_weight))
+        dets = tuple(sorted(merged))
+        assert plan.competitors == ((dets, tuple(merged[d] for d in dets)),)
+        assert dets == lat.detectors
+        assert plan.competitors[0][1] == tuple(plan.intensities[d] for d in dets)
 
     def test_all_dark_is_an_error(self):
         with pytest.raises(DarkTrialError, match="dark trial"):
@@ -155,8 +211,39 @@ class TestLotterySelect:
             lottery_select([], Mode.NAIVE, random.Random(0))
 
 
+def lottery_kinds(plan) -> tuple[int, int]:
+    """How many of a plan's lotteries have stored and merged competitors."""
+    stored = sum(fixed is not None for fixed in plan.competitors)
+    return stored, len(plan.competitors) - stored
+
+
 class TestReferenceKernel:
-    """The array kernel against the frozen set-and-dict kernel, per seed."""
+    """The array kernel against the frozen set-and-dict kernel, per seed.
+
+    Each example records, as a Hypothesis event, whether its plan holds
+    stored lotteries, merged ones, or both (``--hypothesis-show-statistics``
+    prints the tally); ``test_lattice_family_holds_both_lottery_kinds``
+    checks that the lattice family covers both.
+    """
+
+    def test_lattice_family_holds_both_lottery_kinds(self):
+        both = 0
+        for seed in range(300):
+            try:
+                plan = prepare(random_layered_lattice(random.Random(seed)))
+            except DarkTrialError:
+                continue
+            base = list(plan.base_det), list(plan.base_weight)
+            for kids, fixed in zip(plan.draw_children, plan.competitors):
+                seeded = all(plan.base_det[v] >= 0 for v in kids)
+                assert (fixed is not None) == seeded
+                if fixed is not None:
+                    merged = sorted(_merge(kids, *base).items())
+                    assert fixed == tuple(map(tuple, zip(*merged)))
+            stored, merged = lottery_kinds(plan)
+            both += stored > 0 and merged > 0
+        # 241 of these 300 seeds today
+        assert both >= 150
 
     @given(
         lattice_seed=st.integers(min_value=0, max_value=2**32),
@@ -171,6 +258,8 @@ class TestReferenceKernel:
             plan = prepare(lat)
         except DarkTrialError:
             assume(False)
+        stored, merged = lottery_kinds(plan)
+        event(f"lotteries stored: {stored > 0}, merged: {merged > 0}")
         want_events: list[str] = []
         winner, path, degenerate, void = reference_trial(
             plan, mode, master_seed, index, trace=want_events.append

@@ -1,6 +1,8 @@
 import cmath
+import json
 import math
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -10,6 +12,8 @@ from conftest import random_layered_lattice
 from scoutnet import oracle
 from scoutnet.errors import DarkTrialError, PathBudgetError
 from scoutnet.lattice import build_grid, build_slit_grid, build_star, build_two_path
+
+PINNED = json.loads((Path(__file__).parent / "oracle_amplitudes.json").read_text())
 
 
 class TestEnumeratePaths:
@@ -67,6 +71,30 @@ class TestLatticeAmplitudes:
 
     def test_slit_screen_7x9(self):
         self.assert_equal_to_path_sums(build_slit_grid(7, 9, [2, 6]))
+
+
+class TestPinnedAmplitudes:
+    """The oracle's sums, pinned by ``repr``.
+
+    ``oracle_amplitudes.json`` holds the ``repr`` of ``lattice_amplitudes``
+    as written by the per-rib-lookup walk that preceded the prebuilt
+    forward children.  ``TestLatticeAmplitudes`` compares two callers of
+    one walk, so it cannot see a change to the walk itself; these pins can.
+    """
+
+    def test_slit_screen_7x9(self):
+        amps = oracle.lattice_amplitudes(build_slit_grid(7, 9, [2, 6]))
+        assert repr(amps) == PINNED["slit-7x9"]
+
+    @pytest.mark.parametrize("n", range(3, 9))
+    def test_column_grid(self, n):
+        amps = oracle.lattice_amplitudes(build_grid(n, n, "column"))
+        assert repr(amps) == PINNED[f"grid-{n}x{n}-column"]
+
+    def test_random_layered_lattices(self):
+        for seed in range(50):
+            lat = random_layered_lattice(random.Random(seed))
+            assert repr(oracle.lattice_amplitudes(lat)) == PINNED[f"random-{seed}"]
 
 
 class TestDetectorAmplitude:
