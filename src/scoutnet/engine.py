@@ -22,19 +22,22 @@ trace graph is grouped from those children once and lowered to
 integer-indexed arrays (a ``TrialPlan``).  Its per-node query table is
 seeded with each live detector's own query and with the surviving query
 of every draw-free node, one whose live reach holds a single detector:
-such a node never holds a lottery.  A lottery whose children are all
-seeded has fixed competitors, so the plan stores them sorted.  The
-reverse half is split in two.  The kernel, ``_reverse_half``, starts
-from the seeded table, runs the lottery of every node in ``draw_order``
-and draws from the random stream; a refusal wave voids only edges below
-its lottery, which barrier order has already passed, so the lotteries
-alone fix the winner.  The replay, ``_refusals``, runs the waves from the kernel's
-result and draws nothing; only the voided-edge set and the ``--trace``
-lines need it.  ``count_winners`` runs the kernel alone over a span of
-trials, reseeding one generator per trial (what an ensemble counts);
-``run_trial`` adds the confirmation walk, the full ``TrialOutcome`` and,
-under a trace, the replay; ``backpropagate`` returns the kernel's state
-keyed by node id with the replay's voided edges.
+such a node never holds a lottery.  Draw nodes with the same live
+children see the same competing queries in any one trial, so the plan
+groups them into one lottery; a lottery whose children are all seeded
+has fixed competitors, and the plan stores its record.  The reverse half
+is split in two.  The kernel, ``_reverse_half``, starts from the seeded
+table, builds each lottery once per trial and draws from it at every
+node of its group, in ``draw_order``; a refusal wave voids only edges
+below its lottery, which barrier order has already passed, so the
+lotteries alone fix the winner.  The replay, ``_refusals``, runs the
+waves from the kernel's result and draws nothing; only the voided-edge
+set and the ``--trace`` lines need it.  ``count_winners`` runs the
+kernel alone over a span of trials, reseeding one generator per trial
+(what an ensemble counts); ``run_trial`` adds the confirmation walk, the
+full ``TrialOutcome`` and, under a trace, the replay; ``backpropagate``
+returns the kernel's state keyed by node id with the replay's voided
+edges.
 """
 
 from __future__ import annotations
@@ -42,10 +45,12 @@ from __future__ import annotations
 import heapq
 import math
 import random
+from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
+from itertools import accumulate
 from typing import Callable, Optional, Sequence
 
 from .errors import (
@@ -144,39 +149,62 @@ def propagate_scouts(
     )
 
 
+# Read once per draw: looking the member up on ``Mode`` costs about 190 ns
+# on CPython 3.10 and 3.11, a module global about 30 ns.
+_AGGREGATE = Mode.AGGREGATE
+
+
+# A lottery's record: its competitors' detectors, sorted; their query
+# weights in that order; the running sums of those weights; their total.
+# Lists, not tuples: the kernel builds records per trial, and a copy into
+# a tuple costs time there; no code changes a record once it is built.
+Lottery = tuple[list[int], list[float], list[float], float]
+
+
+def _lottery(weights_by_det: dict[int, float]) -> Lottery:
+    """The record of a lottery among ``weights_by_det``'s competitors.
+
+    The running sums are ``acc += w`` in detector order and the total is
+    ``sum(weights)``.  On CPython 3.12+ ``sum`` is compensated, so the
+    total may differ from the last running sum in its final bits;
+    ``lottery_select`` allows for that.
+    """
+    dets = sorted(weights_by_det)
+    weights = [*map(weights_by_det.__getitem__, dets)]
+    return dets, weights, [*accumulate(weights)], sum(weights)
+
+
 def lottery_select(
-    weights: Sequence[float],
+    lottery: Lottery,
     mode: Mode,
     rng: random.Random,
 ) -> tuple[int, float, bool]:
-    """Draw index i with probability weights[i] / sum(weights).
+    """Draw index i with probability weights[i] / total from a lottery record.
 
     Returns the drawn index, the weight its query carries on, and whether
     the draw was degenerate: all-zero weights fall back to a uniform draw.
-    The winner keeps its own weight in naive mode and inherits the sum of
-    all competitor weights in aggregate mode.
+    Otherwise the index is the first i whose running sum exceeds
+    ``r = rng.random() * total``, or the last index if none does (``r``
+    can reach the last running sum when ``total`` is compensated), found
+    by bisection.  The winner keeps its own weight in naive mode and
+    inherits the total in aggregate mode.
 
     A plan's lotteries never take the fallback: each competitor weight is
     a live detector's intensity, above ``DEFAULT_EPS_INTENSITY``, or is
     carried on from such intensities, so every total is positive.
     """
+    _dets, weights, sums, total = lottery
     if not weights:
         raise ValueError("lottery with no competitors")
-    total = sum(weights)
     degenerate = False
     if total <= 0.0:
         index = rng.randrange(len(weights))
         degenerate = True
     else:
-        r = rng.random() * total
-        acc = 0.0
-        index = len(weights) - 1
-        for i, w in enumerate(weights):
-            acc += w
-            if r < acc:
-                index = i
-                break
-    carried = total if mode is Mode.AGGREGATE and total > 0.0 else weights[index]
+        index = bisect_right(sums, rng.random() * total)
+        if index == len(sums):
+            index -= 1
+    carried = total if mode is _AGGREGATE and total > 0.0 else weights[index]
     return index, carried, degenerate
 
 
@@ -206,10 +234,6 @@ def _topo_order(children: dict[int, tuple[int, ...]]) -> list[int]:
     return order
 
 
-# The sorted competitors of a lottery: (detectors, their query weights).
-Competitors = tuple[tuple[int, ...], tuple[float, ...]]
-
-
 @dataclass(frozen=True)
 class TrialPlan:
     """Everything about a trial that does not depend on the random stream.
@@ -224,12 +248,16 @@ class TrialPlan:
     reach holds a single detector is draw-free: it never holds a lottery,
     and its surviving query is a fixed function of the forward half, so it
     is seeded too.  Every other node holds -1 and 0.0.  ``draw_order`` is
-    the rest of ``process_order``, the nodes whose query depends on a draw,
-    and ``draw_children[i]`` holds the live children of ``draw_order[i]``,
-    in the order of its out-edges.  Every live child holds a query by the
-    time its parents read it.  When every child of a draw node is seeded,
-    its lottery's competitors are fixed too, and ``competitors[i]`` holds
-    them, sorted by detector; otherwise it is None and the kernel merges.
+    the rest of ``process_order``, the nodes whose query depends on a draw.
+    Every live child holds a query by the time its parents read it, and
+    keeps it, so draw nodes with the same live children see the same
+    competitors in any one trial: they share one lottery.
+    ``draw_lottery[i]`` is the lottery of ``draw_order[i]``, numbered in
+    order of first use, and ``lottery_children[k]`` holds lottery k's
+    live children, in the order of its nodes' out-edges.  When every
+    child of a lottery is seeded, its competitors are fixed too, and
+    ``lotteries[k]`` holds its record (see ``_lottery``); otherwise it is
+    None and the kernel merges once per trial.
     """
 
     lattice: Lattice
@@ -242,8 +270,9 @@ class TrialPlan:
     base_det: tuple[int, ...]
     base_weight: tuple[float, ...]
     draw_order: tuple[int, ...]
-    draw_children: tuple[tuple[int, ...], ...]
-    competitors: tuple[Optional[Competitors], ...]
+    draw_lottery: tuple[int, ...]
+    lottery_children: tuple[tuple[int, ...], ...]
+    lotteries: tuple[Optional[Lottery], ...]
 
     # views over ``edges``/``out_edges`` for perfbench's plan counters and
     # the frozen reference kernel; the engine reads neither
@@ -304,8 +333,9 @@ def prepare(lattice: Lattice, trace: Optional[TraceSink] = None) -> TrialPlan:
         base_det[d] = d
         base_weight[d] = intensities[d]
     draw_order: list[int] = []
-    draw_children: list[tuple[int, ...]] = []
-    competitors: list[Optional[Competitors]] = []
+    draw_lottery: list[int] = []
+    lottery_of: dict[tuple[int, ...], int] = {}
+    lotteries: list[Optional[Lottery]] = []
     for u in process_order:
         kids = tuple(edges[e][1] for e in out_edges[u])
         if len(reach[u]) == 1:
@@ -314,13 +344,13 @@ def prepare(lattice: Lattice, trace: Optional[TraceSink] = None) -> TrialPlan:
             ).items()
             continue
         draw_order.append(u)
-        draw_children.append(kids)
-        fixed = None
-        if all(base_det[v] >= 0 for v in kids):
-            weights = _merge(kids, base_det, base_weight)
-            dets = tuple(sorted(weights))
-            fixed = (dets, tuple(weights[d] for d in dets))
-        competitors.append(fixed)
+        k = lottery_of.setdefault(kids, len(lottery_of))
+        draw_lottery.append(k)
+        if k == len(lotteries):
+            fixed = all(base_det[v] >= 0 for v in kids)
+            lotteries.append(
+                _lottery(_merge(kids, base_det, base_weight)) if fixed else None
+            )
 
     return TrialPlan(
         lattice=lattice,
@@ -333,8 +363,9 @@ def prepare(lattice: Lattice, trace: Optional[TraceSink] = None) -> TrialPlan:
         base_det=tuple(base_det),
         base_weight=tuple(base_weight),
         draw_order=tuple(draw_order),
-        draw_children=tuple(draw_children),
-        competitors=tuple(competitors),
+        draw_lottery=tuple(draw_lottery),
+        lottery_children=tuple(lottery_of),
+        lotteries=tuple(lotteries),
     )
 
 
@@ -369,9 +400,13 @@ def _reverse_half(
 
     Starts from the plan's seeded query table and visits only
     ``draw_order``: draw-free nodes hold no lottery, so skipping them
-    leaves the draws as they were.  A lottery whose competitors the plan
-    fixed reads them from ``plan.competitors``; any other merges its
-    children's queries.
+    leaves the draws as they were.  Each trial starts from the plan's
+    stored lottery records; a lottery without one is merged from its
+    children's queries once, at its first node, and that record serves
+    every other node of its group in this trial, because those children
+    keep their queries.  A lottery that merges to a single competitor
+    gets no record and draws at none of its nodes: each merges again and
+    takes that query.
 
     Refusal waves are left out.  A wave started at node u voids only edges
     whose tail is u or a descendant of u, whose lotteries barrier order has
@@ -379,20 +414,20 @@ def _reverse_half(
     """
     win_det = list(plan.base_det)
     win_weight = list(plan.base_weight)
+    held = list(plan.lotteries)
+    children = plan.lottery_children
     degenerate = 0
-    for u, kids, fixed in zip(plan.draw_order, plan.draw_children, plan.competitors):
-        if fixed is not None:
-            dets, ranked = fixed
-        else:
-            weights = _merge(kids, win_det, win_weight)
+    for u, k in zip(plan.draw_order, plan.draw_lottery):
+        lottery = held[k]
+        if lottery is None:
+            weights = _merge(children[k], win_det, win_weight)
             if len(weights) == 1:
                 ((win_det[u], win_weight[u]),) = weights.items()
                 continue
-            dets = sorted(weights)
-            ranked = [weights[d] for d in dets]
-        index, carried, was_degenerate = lottery_select(ranked, mode, rng)
+            lottery = held[k] = _lottery(weights)
+        index, carried, was_degenerate = lottery_select(lottery, mode, rng)
         degenerate += was_degenerate
-        win_det[u] = dets[index]
+        win_det[u] = lottery[0][index]
         win_weight[u] = carried
 
     if win_det[plan.lattice.source] < 0:
@@ -417,7 +452,8 @@ def _refusals(
     """
     void = bytearray(len(plan.edges))
     dead_in = [0] * len(plan.lattice.nodes)
-    for u, kids in zip(plan.draw_order, plan.draw_children):
+    for u, k in zip(plan.draw_order, plan.draw_lottery):
+        kids = plan.lottery_children[k]
         weights = _merge(kids, win_det, win_weight)
         if len(weights) < 2:
             continue

@@ -2,6 +2,7 @@ import math
 import random
 import re
 from collections import Counter, defaultdict
+from itertools import accumulate
 
 import pytest
 from hypothesis import assume, event, given, settings
@@ -19,6 +20,7 @@ from scoutnet import oracle
 from scoutnet.engine import (
     Mode,
     RibState,
+    _lottery,
     _merge,
     backpropagate,
     count_winners,
@@ -34,6 +36,7 @@ from scoutnet.lattice import (
     NodeKind,
     build_grid,
     build_intensity_star,
+    build_slit_grid,
     build_star,
     build_two_path,
 )
@@ -160,90 +163,186 @@ class TestPrepare:
     def test_intensity_star_source_competitors_are_stored(self):
         lat = build_intensity_star([1.0, 1.0, 2.0])
         plan = prepare(lat)
-        (kids,) = plan.draw_children
+        (kids,) = plan.lottery_children
         merged = _merge(kids, list(plan.base_det), list(plan.base_weight))
-        dets = tuple(sorted(merged))
-        assert plan.competitors == ((dets, tuple(merged[d] for d in dets)),)
-        assert dets == lat.detectors
-        assert plan.competitors[0][1] == tuple(plan.intensities[d] for d in dets)
+        dets = sorted(merged)
+        (lottery,) = plan.lotteries
+        assert lottery[:2] == (dets, [merged[d] for d in dets])
+        assert lottery == _lottery(merged)
+        assert tuple(dets) == lat.detectors
+        assert lottery[1] == [plan.intensities[d] for d in dets]
+
+    def test_slit_deep_plan_shares_lotteries(self):
+        # perfbench's slit-deep screen: every node of a fully connected
+        # column has the same live children, so its column shares a lottery
+        lat = build_slit_grid(7, 9, (2, 6), wavelength=1.0)
+        plan = prepare(lat)
+        assert len(plan.draw_order) == 39
+        assert len(plan.lotteries) == 6
+        assert sum(lottery is not None for lottery in plan.lotteries) == 1
+        assert [plan.draw_lottery.count(k) for k in range(6)] == [2, 9, 9, 9, 9, 1]
+        for mode in Mode:
+            want = [reference_trial(plan, mode, 77, i)[0] for i in range(500)]
+            got = [count_winners(plan, mode, 77, i, i + 1) for i in range(500)]
+            assert got == [{winner: 1} for winner in want]
+            assert count_winners(plan, mode, 77, 0, 500) == Counter(want)
 
     def test_all_dark_is_an_error(self):
         with pytest.raises(DarkTrialError, match="dark trial"):
             prepare(build_two_path(2.0, 2.5, 2))
 
 
+class StubRandom:
+    """Returns one fixed ``random()`` value."""
+
+    def __init__(self, value: float):
+        self.value = value
+
+    def random(self) -> float:
+        return self.value
+
+
+def scan_index(weights, r: float) -> int:
+    """The draw as a linear scan: the first i with r < acc_i, else the last."""
+    acc = 0.0
+    for i, w in enumerate(weights):
+        acc += w
+        if r < acc:
+            return i
+    return len(weights) - 1
+
+
 class TestLotterySelect:
     def test_zero_weight_never_wins(self):
         rng = random.Random(0)
         for _ in range(200):
-            index, _, degenerate = lottery_select([2.0, 0.0], Mode.NAIVE, rng)
+            index, _, degenerate = lottery_select(
+                _lottery({0: 2.0, 1: 0.0}), Mode.NAIVE, rng
+            )
             assert index == 0
             assert not degenerate
 
     def test_equal_weights_split_evenly(self):
         rng = random.Random(1)
+        lottery = _lottery({0: 1.0, 1: 1.0})
         wins = Counter(
-            lottery_select([1.0, 1.0], Mode.NAIVE, rng)[0] for _ in range(100_000)
+            lottery_select(lottery, Mode.NAIVE, rng)[0] for _ in range(100_000)
         )
         assert wins[0] / 100_000 == pytest.approx(0.5, abs=0.01)
 
     def test_aggregate_winner_inherits_total(self):
         rng = random.Random(2)
-        _, carried, _ = lottery_select([1.0, 3.0], Mode.AGGREGATE, rng)
+        _, carried, _ = lottery_select(_lottery({0: 1.0, 1: 3.0}), Mode.AGGREGATE, rng)
         assert carried == pytest.approx(4.0)
 
     def test_naive_winner_keeps_own_weight(self):
         rng = random.Random(2)
-        _, carried, _ = lottery_select([1.0, 3.0], Mode.NAIVE, rng)
+        _, carried, _ = lottery_select(_lottery({0: 1.0, 1: 3.0}), Mode.NAIVE, rng)
         assert carried in (1.0, 3.0)
 
     def test_all_zero_weights_degenerate_uniform(self):
         rng = random.Random(3)
+        lottery = _lottery({0: 0.0, 1: 0.0})
         wins = Counter()
         for _ in range(20_000):
-            index, _, degenerate = lottery_select([0.0, 0.0], Mode.NAIVE, rng)
+            index, _, degenerate = lottery_select(lottery, Mode.NAIVE, rng)
             assert degenerate
             wins[index] += 1
         assert wins[0] / 20_000 == pytest.approx(0.5, abs=0.02)
 
     def test_empty_competitors_rejected(self):
         with pytest.raises(ValueError):
-            lottery_select([], Mode.NAIVE, random.Random(0))
+            lottery_select(_lottery({}), Mode.NAIVE, random.Random(0))
+
+    @given(
+        weights=st.lists(
+            st.floats(min_value=0.0, max_value=1e300, exclude_min=True),
+            min_size=1,
+            max_size=8,
+        ),
+        data=st.data(),
+    )
+    def test_bisect_equals_scan(self, weights, data):
+        lottery = _lottery(dict(enumerate(weights)))
+        _, ranked, sums, total = lottery
+        # a free draw, or one that lands r on a running sum when it can
+        ratios = [s / total for s in sums if s / total < 1.0]
+        value = data.draw(
+            st.floats(min_value=0.0, max_value=1.0, exclude_max=True)
+            | st.sampled_from(ratios or [0.0])
+        )
+        index, _, _ = lottery_select(lottery, Mode.NAIVE, StubRandom(value))
+        assert index == scan_index(ranked, value * total)
+
+    def test_r_on_a_running_sum_takes_the_next_index(self):
+        lottery = _lottery({0: 1.0, 1: 1.0, 2: 2.0})
+        assert lottery[2:] == ([1.0, 2.0, 4.0], 4.0)
+        for value, want in ((0.25, 1), (0.5, 2)):
+            index, _, _ = lottery_select(lottery, Mode.NAIVE, StubRandom(value))
+            assert index == want == scan_index(lottery[1], value * 4.0)
+
+    def test_r_past_the_last_running_sum_takes_the_last_index(self):
+        # CPython 3.12+ compensates sum(): 1.0 + 1e-16 + 1e-16 totals
+        # 1.0000000000000002 while every running sum stays 1.0, so r can
+        # reach the last running sum; the record is built by hand so the
+        # case runs on every version
+        weights = [1.0, 1e-16, 1e-16]
+        lottery = ([0, 1, 2], weights, [1.0, 1.0, 1.0], 1.0000000000000002)
+        assert list(accumulate(weights)) == lottery[2]
+        assert math.fsum(weights) == lottery[3]
+        value = 1.0 - 2.0**-53
+        assert value * lottery[3] >= 1.0
+        index, carried, _ = lottery_select(lottery, Mode.NAIVE, StubRandom(value))
+        assert index == 2 == scan_index(weights, value * lottery[3])
+        assert carried == 1e-16
 
 
 def lottery_kinds(plan) -> tuple[int, int]:
     """How many of a plan's lotteries have stored and merged competitors."""
-    stored = sum(fixed is not None for fixed in plan.competitors)
-    return stored, len(plan.competitors) - stored
+    stored = sum(lottery is not None for lottery in plan.lotteries)
+    return stored, len(plan.lotteries) - stored
+
+
+def shares_a_lottery(plan) -> bool:
+    """Whether two draw nodes of the plan hold the same lottery."""
+    return len(plan.lotteries) < len(plan.draw_order)
 
 
 class TestReferenceKernel:
     """The array kernel against the frozen set-and-dict kernel, per seed.
 
-    Each example records, as a Hypothesis event, whether its plan holds
-    stored lotteries, merged ones, or both (``--hypothesis-show-statistics``
-    prints the tally); ``test_lattice_family_holds_both_lottery_kinds``
-    checks that the lattice family covers both.
+    Lattices whose plan holds no lottery are skipped.  Each example
+    records, as Hypothesis events, whether its plan holds stored
+    lotteries, merged ones, or both, and whether two of its draw nodes
+    share a lottery (``--hypothesis-show-statistics`` prints the tally);
+    ``test_lattice_family_holds_both_lottery_kinds`` checks that the
+    lattice family covers each case.
     """
 
     def test_lattice_family_holds_both_lottery_kinds(self):
-        both = 0
+        both = shared = 0
         for seed in range(300):
             try:
                 plan = prepare(random_layered_lattice(random.Random(seed)))
             except DarkTrialError:
                 continue
             base = list(plan.base_det), list(plan.base_weight)
-            for kids, fixed in zip(plan.draw_children, plan.competitors):
+            for u, k in zip(plan.draw_order, plan.draw_lottery):
+                heads = tuple(plan.edges[e][1] for e in plan.out_edges[u])
+                assert plan.lottery_children[k] == heads
+            assert len(set(plan.lottery_children)) == len(plan.lotteries)
+            for kids, lottery in zip(plan.lottery_children, plan.lotteries):
                 seeded = all(plan.base_det[v] >= 0 for v in kids)
-                assert (fixed is not None) == seeded
-                if fixed is not None:
+                assert (lottery is not None) == seeded
+                if lottery is not None:
                     merged = sorted(_merge(kids, *base).items())
-                    assert fixed == tuple(map(tuple, zip(*merged)))
+                    assert lottery[:2] == tuple(map(list, zip(*merged)))
             stored, merged = lottery_kinds(plan)
             both += stored > 0 and merged > 0
-        # 241 of these 300 seeds today
+            shared += shares_a_lottery(plan)
+        # 241 and 141 of these 300 seeds today
         assert both >= 150
+        assert shared >= 100
 
     @given(
         lattice_seed=st.integers(min_value=0, max_value=2**32),
@@ -258,14 +357,16 @@ class TestReferenceKernel:
             plan = prepare(lat)
         except DarkTrialError:
             assume(False)
+        assume(plan.draw_order)
         stored, merged = lottery_kinds(plan)
         event(f"lotteries stored: {stored > 0}, merged: {merged > 0}")
+        event(f"shares a lottery: {shares_a_lottery(plan)}")
         want_events: list[str] = []
         winner, path, degenerate, void = reference_trial(
             plan, mode, master_seed, index, trace=want_events.append
         )
-        # one reseeded generator serves a span: no trial's draws may leak
-        # into the next one's
+        # one reseeded generator serves a span, and each trial builds its
+        # own lotteries: no trial's draws or merges may leak into the next
         span = range(index, index + 4)
         assert count_winners(plan, mode, master_seed, index, index + 1) == {winner: 1}
         assert count_winners(plan, mode, master_seed, span.start, span.stop) == Counter(
@@ -311,6 +412,7 @@ class TestRefusalInvariant:
             plan = prepare(lat)
         except DarkTrialError:
             assume(False)
+        assume(plan.draw_order)
         rank = {u: i for i, u in enumerate(plan.process_order)}
         events: list[str] = []
         run_trial(lat, mode, master_seed, index, plan=plan, trace=events.append)
