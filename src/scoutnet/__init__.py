@@ -14,7 +14,7 @@ from .lattice import (
     load_topology,
     serialize_topology,
 )
-from .oracle import born_distribution, detector_amplitude, enumerate_paths
+from .oracle import born_distribution, enumerate_paths
 
 __all__ = [
     "Mode",
@@ -32,7 +32,6 @@ __all__ = [
     "load_topology",
     "serialize_topology",
     "born_distribution",
-    "detector_amplitude",
     "enumerate_paths",
 ]
 

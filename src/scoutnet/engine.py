@@ -2,7 +2,9 @@
 
 Forward half: a scout wavefront spreads from the source one rib per
 tick, accumulating phase per rib; every admissible arrival at a detector
-adds a unit vector to that detector's amplitude.  Reverse half: closed
+adds a unit vector to that detector's amplitude.  Scouts do not
+interact, so that sum over paths is computed rib by rib over the forward
+DAG, in time linear in the ribs, not the paths.  Reverse half: closed
 detectors emit intensity-weighted queries backward along the scout
 traces; at every node where queries from distinct detectors meet, a
 lottery keeps one of them (probability proportional to weight) and a
@@ -17,7 +19,7 @@ the trace graph implements.
 
 Everything that does not depend on the random stream is computed once
 by ``prepare``.  The scout report holds each detector's amplitude, summed
-as its scouts land, and each expanded node's forward children; the live
+rib by rib, and each expanded node's forward children; the live
 trace graph is grouped from those children once and lowered to
 integer-indexed arrays (a ``TrialPlan``).  Its per-node query table is
 seeded with each live detector's own query and with the surviving query
@@ -53,14 +55,8 @@ from functools import cached_property
 from itertools import accumulate
 from typing import Callable, Optional, Sequence
 
-from .errors import (
-    DEFAULT_PATH_BUDGET,
-    DarkTrialError,
-    DeadlockError,
-    PathBudgetError,
-    ScoutnetError,
-)
-from .lattice import Lattice
+from .errors import DarkTrialError, DeadlockError, ScoutnetError
+from .lattice import Lattice, NodeKind
 from .rng import derive_trial_seed
 
 TWO_PI = 2.0 * math.pi
@@ -82,7 +78,9 @@ class RibState(str, Enum):
 @dataclass(frozen=True)
 class ScoutReport:
     """The forward half: each detector's amplitude (0j if no scout lands),
-    each expanded node's forward children, hidden ticks and fronts."""
+    each expanded node's forward children, the hidden ticks, and
+    ``fronts``, the number of scouts ever created: one at the source plus
+    one per admissible path to each void node."""
 
     amplitudes: dict[int, complex]
     children: dict[int, tuple[int, ...]]
@@ -91,61 +89,53 @@ class ScoutReport:
 
 
 def propagate_scouts(
-    lattice: Lattice,
-    path_budget: int = DEFAULT_PATH_BUDGET,
-    trace: Optional[TraceSink] = None,
+    lattice: Lattice, trace: Optional[TraceSink] = None
 ) -> ScoutReport:
     """Run the scout wavefront to exhaustion; one rib per hidden tick.
 
     A scout crosses only ribs that raise the hop distance from the source
-    by one (the forward DAG), which keeps the path set finite on any
-    lattice.  Scouts do not interact with each other and are absorbed by
-    charged nodes, so each front corresponds to exactly one admissible path.
-    A scout landing on a detector adds its unit phasor to the detector's
-    amplitude, so each amplitude is summed in arrival order.
+    by one (the forward DAG).  Scouts do not interact and are absorbed by
+    charged nodes, so the sum of unit phasors over every admissible path
+    factorises rib by rib: amp(v) = sum over parents u of amp(u) turned
+    by the rib's phase, ``fmod(2*pi*l/lambda, 2*pi)``, and the number of
+    scouts reaching v is the sum of its parents' counts.  The source and
+    the void nodes are expanded once each, in ``(hop distance, id)``
+    order, so every parent is complete before its children; a node's
+    amplitude is summed over its parents in id order.  ``trace`` gets one
+    ``scout`` line per forward rib, with the number of scouts crossing it.
     """
-    detectors = set(lattice.detectors)
-    re = [0.0] * len(lattice.nodes)
-    im = [0.0] * len(lattice.nodes)
-    created = 1
-    ticks = 0
-
+    nodes, ribs, wavelength = lattice.nodes, lattice.ribs, lattice.wavelength
     dist = lattice.hop_distances()
-    # each expanded node's forward children, built on its first front, with
-    # the phase one rib adds, (phi + 2*pi*l/lambda) mod 2*pi
-    forward: dict[int, list[tuple[int, float]]] = {}
-    fronts: list[tuple[int, float]] = [(lattice.source, 0.0)]
-    while fronts:
-        ticks += 1
-        nxt: list[tuple[int, float]] = []
-        for u, phase in fronts:
-            kids = forward.get(u)
-            if kids is None:
-                du = dist[u]
-                kids = forward[u] = [
-                    (v, TWO_PI * lattice.ribs[idx].length / lattice.wavelength)
-                    for v, idx in lattice.adjacency[u]
-                    if dist.get(v) == du + 1
-                ]
-            for v, turn in kids:
-                ph = math.fmod(phase + turn, TWO_PI)
-                if trace:
-                    trace(f"tick={ticks} scout rib=({u},{v}) phase={ph:.9f}")
-                if v in detectors:
-                    re[v] += math.cos(ph)
-                    im[v] += math.sin(ph)
-                else:
-                    created += 1
-                    if created > path_budget:
-                        raise PathBudgetError(path_budget, created, "fronts")
-                    nxt.append((v, ph))
-        fronts = nxt
+    re, im, paths = [0.0] * len(nodes), [0.0] * len(nodes), [0] * len(nodes)
+    re[lattice.source] = 1.0
+    paths[lattice.source] = 1
+    expanded = sorted(
+        (u for u in dist if u == lattice.source or nodes[u].kind is NodeKind.VOID),
+        key=lambda u: (dist[u], u),
+    )
+    children: dict[int, tuple[int, ...]] = {}
+    for u in expanded:
+        du = dist[u]
+        ru, iu, n = re[u], im[u], paths[u]
+        kids = []
+        for v, idx in lattice.adjacency[u]:
+            if dist.get(v) != du + 1:
+                continue
+            kids.append(v)
+            turn = math.fmod(TWO_PI * ribs[idx].length / wavelength, TWO_PI)
+            c, s = math.cos(turn), math.sin(turn)
+            re[v] += ru * c - iu * s
+            im[v] += ru * s + iu * c
+            paths[v] += n
+            if trace:
+                trace(f"tick={du + 1} scout rib=({u},{v}) scouts={n}")
+        children[u] = tuple(kids)
 
     return ScoutReport(
         amplitudes={det: complex(re[det], im[det]) for det in lattice.detectors},
-        children={u: tuple(v for v, _ in kids) for u, kids in forward.items()},
-        ticks=ticks,
-        fronts=created,
+        children=children,
+        ticks=dist[expanded[-1]] + 1,
+        fronts=1 + sum(paths[u] for u in expanded[1:]),
     )
 
 

@@ -1,7 +1,7 @@
 """Exception hierarchy shared by all scoutnet modules."""
 
 DEFAULT_PATH_BUDGET = 1_000_000
-"""Fronts (engine) or rib visits (oracle) allowed before ``PathBudgetError``."""
+"""Rib visits the oracle's path walk may make before ``PathBudgetError``."""
 
 
 class ScoutnetError(Exception):
@@ -17,16 +17,17 @@ class TopologyError(LatticeError):
 
 
 class PathBudgetError(ScoutnetError):
-    """Admissible path enumeration exceeded the configured budget.
+    """The oracle's path enumeration crossed more ribs than its budget.
 
-    ``count`` is the first count past ``budget`` and ``unit`` names what was
-    counted: the engine's scout fronts or the oracle's rib visits.
+    ``count`` is the first rib visit past ``budget``.
     """
 
-    def __init__(self, budget: int, count: int, unit: str):
-        super().__init__(f"path budget exceeded: {count} {unit} with budget {budget}")
+    def __init__(self, budget: int):
         self.budget = budget
-        self.count = count
+        self.count = budget + 1
+        super().__init__(
+            f"path budget exceeded: {self.count} rib visits with budget {budget}"
+        )
 
 
 class DarkTrialError(ScoutnetError):

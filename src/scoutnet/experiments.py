@@ -388,6 +388,7 @@ def profile_csv(profile: InterferenceProfile) -> str:
 
 def summary_json(result: EnsembleResult) -> str:
     payload = {
+        "format": 2,  # 1 (no field): a --trace scout line per path, not per rib
         "lattice_id": result.lattice_id,
         "mode": result.mode.value,
         "trials": result.trials,

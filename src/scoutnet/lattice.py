@@ -125,6 +125,9 @@ class Lattice:
             seen.add(rib.endpoints)
             adjacency[rib.a].append((rib.b, idx))
             adjacency[rib.b].append((rib.a, idx))
+        total = sum(rib.length for rib in self.ribs)  # bounds every path length
+        if not math.isfinite(2.0 * math.pi * total / self.wavelength):
+            raise LatticeError(f"phase 2*pi*{total}/{self.wavelength} overflows")
 
         sources = [node.id for node in self.nodes if node.kind is NodeKind.SOURCE]
         detectors = [node.id for node in self.nodes if node.kind is NodeKind.DETECTOR]
@@ -474,12 +477,19 @@ def load_topology(document: str) -> Lattice:
         raise TopologyError("topology document must be a mapping")
     if "wavelength" not in data:
         raise TopologyError("missing wavelength")
+    try:
+        wavelength = float(data["wavelength"])
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise TopologyError(f"malformed wavelength {data['wavelength']!r}") from exc
     raw_nodes = data.get("nodes")
     if not raw_nodes:
         raise TopologyError("missing nodes section")
     raw_ribs = data.get("ribs")
     if raw_ribs is None:
         raise TopologyError("missing ribs section")
+    for name, section in (("nodes", raw_nodes), ("ribs", raw_ribs)):
+        if not isinstance(section, list):
+            raise TopologyError(f"{name} section must be a list, got {section!r}")
 
     nodes = []
     for entry in raw_nodes:
@@ -487,7 +497,7 @@ def load_topology(document: str) -> Lattice:
             nid = int(entry["id"])
             position = tuple(float(c) for c in entry["position"])
             kind = NodeKind(str(entry.get("kind", "void")).lower())
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise TopologyError(f"malformed node entry {entry!r}: {exc}") from exc
         nodes.append(Node(nid, position, kind))
     nodes.sort(key=lambda node: node.id)
@@ -499,17 +509,18 @@ def load_topology(document: str) -> Lattice:
     for entry in raw_ribs:
         try:
             u, v = (int(e) for e in entry["endpoints"])
-        except (KeyError, TypeError, ValueError) as exc:
+            for end in (u, v):
+                if end not in by_id:
+                    raise TopologyError(f"dangling rib endpoint {end}")
+            length = entry.get("length")
+            if length is None:
+                length = _euclid(by_id[u].position, by_id[v].position)
+            length = float(length)
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise TopologyError(f"malformed rib entry {entry!r}: {exc}") from exc
-        for end in (u, v):
-            if end not in by_id:
-                raise TopologyError(f"dangling rib endpoint {end}")
-        length = entry.get("length")
-        if length is None:
-            length = _euclid(by_id[u].position, by_id[v].position)
-        ribs.append(Rib(u, v, float(length)))
+        ribs.append(Rib(u, v, length))
 
     try:
-        return Lattice(tuple(nodes), tuple(ribs), float(data["wavelength"]))
+        return Lattice(tuple(nodes), tuple(ribs), wavelength)
     except LatticeError as exc:
         raise TopologyError(str(exc)) from exc

@@ -7,7 +7,6 @@ between the two is the artifact's main correctness check.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -77,7 +76,7 @@ def _walk_paths(
         kids = forward[u]
         budget_left -= len(kids)
         if budget_left < 0:
-            raise PathBudgetError(path_budget, path_budget + 1, "rib visits")
+            raise PathBudgetError(path_budget)
         for v, rib_len, is_detector in kids:
             if is_detector:
                 arrive(trail, v, length + rib_len)
@@ -113,14 +112,6 @@ def enumerate_paths(
     return paths
 
 
-def detector_amplitude(paths: list[PathRecord]) -> complex:
-    """Sum of unit vectors, one per admissible path."""
-    detectors = {p.nodes[-1] for p in paths}
-    if len(detectors) > 1:
-        raise ValueError(f"paths end at multiple detectors: {sorted(detectors)}")
-    return sum((cmath.exp(1j * p.phase) for p in paths), 0j)
-
-
 def born_distribution(amplitudes: dict[int, complex]) -> BornDistribution:
     """Normalised intensities I_i / sum(I); the target selection statistics."""
     intensities = {det: abs(amp) ** 2 for det, amp in amplitudes.items()}
@@ -138,10 +129,11 @@ def lattice_amplitudes(lattice: Lattice) -> dict[int, complex]:
 
     Each path's unit vector is added as the path ends.  Paths reach a
     detector in the order ``enumerate_paths`` returns them, so every sum
-    equals ``detector_amplitude(enumerate_paths(lattice, det))`` exactly:
-    the phase is ``_phase``'s expression with its constants hoisted,
-    ``cmath.exp(1j * phase)`` is ``cos(phase) + i sin(phase)`` to the bit,
-    and a complex sum adds its real and imaginary parts separately.
+    equals the sum of ``cmath.exp(1j * p.phase)`` over those paths
+    exactly: the phase is ``_phase``'s expression with its constants
+    hoisted, ``cmath.exp(1j * phase)`` is ``cos(phase) + i sin(phase)``
+    to the bit, and a complex sum adds its real and imaginary parts
+    separately.
     """
     re = [0.0] * len(lattice.nodes)
     im = [0.0] * len(lattice.nodes)

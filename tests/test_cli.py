@@ -1,10 +1,17 @@
+import contextlib
+import io
 import json
 import os
+import re
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from scoutnet import engine
 from scoutnet.cli import EXIT_CONFIG, EXIT_OK, EXIT_THRESHOLD, main
@@ -145,6 +152,99 @@ class TestGateFlags:
         summary = json.loads((tmp_path / "summary.json").read_text())
         assert summary["tv_distance"] > 0.1
         assert summary["underpowered"] is True
+
+
+README_TOPOLOGY = re.search(
+    r"```yaml\n(.*?)```",
+    (Path(__file__).resolve().parents[1] / "README.md").read_text(),
+    re.S,
+).group(1)
+
+SCALARS = (
+    st.none() | st.booleans() | st.integers() | st.floats()
+    | st.text("ab0.:-[]{}# ", max_size=6)
+)
+VALUES = (
+    SCALARS
+    | st.lists(SCALARS, max_size=4)
+    | st.dictionaries(st.text("abid", max_size=4), SCALARS, max_size=3)
+)
+
+
+def value_paths(doc, path=()):
+    """The path of every value in a nested document, keys and indices."""
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc)
+    for key, value in items:
+        yield (*path, key)
+        if isinstance(value, (dict, list)):
+            yield from value_paths(value, (*path, key))
+
+
+def container(doc, path):
+    """The dict or list that holds the value at ``path``, and its key."""
+    *steps, key = path
+    for step in steps:
+        doc = doc[step]
+    return doc, key
+
+
+def run_topology(doc) -> tuple[int, str]:
+    """``--scenario custom`` on ``doc`` dumped to YAML: exit code and stderr."""
+    with tempfile.TemporaryDirectory() as tmp:
+        topo = Path(tmp) / "topo.yaml"
+        topo.write_text(yaml.safe_dump(doc))
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = run_cli(
+                "--scenario", "custom", "--topology", str(topo), "--trials", "20",
+                "--out", tmp,
+            )
+    return code, err.getvalue()
+
+
+class TestTopologyDocuments:
+    def test_readme_example_runs(self):
+        assert run_topology(yaml.safe_load(README_TOPOLOGY)) == (EXIT_OK, "")
+
+    @pytest.mark.parametrize(
+        "path,value",
+        [
+            (("wavelength",), "abc"),
+            (("ribs", 1, "length"), "abc"),
+            (("nodes",), 5),
+            (("ribs",), 5),
+            # finite values whose phase 2*pi*length/wavelength is not
+            (("ribs", 1, "length"), 1.0e308),
+            (("wavelength",), 1.0e-310),
+        ],
+    )
+    def test_malformed_value_is_config_error(self, path, value):
+        doc = yaml.safe_load(README_TOPOLOGY)
+        parent, key = container(doc, path)
+        parent[key] = value
+        code, err = run_topology(doc)
+        assert code == EXIT_CONFIG
+        assert err.startswith("error:")
+
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_mutated_readme_example_never_raises(self, data):
+        # replace a value, drop a key or add an unknown key anywhere
+        doc = yaml.safe_load(README_TOPOLOGY)
+        paths = list(value_paths(doc))
+        parent, key = container(doc, data.draw(st.sampled_from(paths)))
+        action = data.draw(st.sampled_from(["replace", "drop", "add"]))
+        if action == "replace" or not isinstance(parent, dict):
+            parent[key] = data.draw(VALUES)
+        elif action == "drop":
+            del parent[key]
+        else:
+            unknown = data.draw(st.text("xyz", min_size=1, max_size=3))
+            parent[unknown] = data.draw(VALUES)
+        code, err = run_topology(doc)
+        assert code in (EXIT_OK, EXIT_CONFIG, EXIT_THRESHOLD)
+        if code == EXIT_CONFIG:
+            assert err.startswith("error:")
 
 
 def test_cli_import_loads_no_optional_dependency():

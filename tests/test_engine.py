@@ -1,7 +1,7 @@
 import math
 import random
 import re
-from collections import Counter, defaultdict
+from collections import Counter
 from itertools import accumulate
 
 import pytest
@@ -34,6 +34,7 @@ from scoutnet.lattice import (
     Lattice,
     Node,
     NodeKind,
+    Rib,
     build_grid,
     build_intensity_star,
     build_slit_grid,
@@ -59,42 +60,59 @@ class TestPropagateScouts:
         report = propagate_scouts(lat)
         assert report.amplitudes[lat.detectors[0]] == 6 + 0j
 
-    def test_budget_exceeded(self):
-        lat = build_grid(5, 5, "corner")
-        with pytest.raises(PathBudgetError):
-            propagate_scouts(lat, path_budget=5)
-
-    def test_phase_closure_against_path_lengths(self):
-        # arrival phase of every scout equals 2*pi*path_length/lambda mod 2*pi;
-        # the trace prints 9 decimals, well inside the 1e-9 tolerance
+    def test_scout_counts_against_path_counts(self):
+        # each rib's trace line counts the scouts that cross it, one per
+        # admissible path to its tail: the counts into a detector sum to
+        # its path count, and 1 (the source's scout) plus the counts into
+        # void nodes is the number of fronts
         rng = random.Random(11)
         for _ in range(10):
             lat = random_layered_lattice(rng)
             events: list[str] = []
-            propagate_scouts(lat, trace=events.append)
-            arrivals = defaultdict(list)
+            report = propagate_scouts(lat, trace=events.append)
+            arrivals: Counter = Counter()
             for line in events:
-                m = re.fullmatch(r"tick=\d+ scout rib=\(\d+,(\d+)\) phase=(\S+)", line)
-                arrivals[int(m[1])].append(float(m[2]))
-            for det in lat.detectors:
-                got = sorted(arrivals[det])
-                want = sorted(
-                    p.phase for p in oracle.enumerate_paths(lat, det)
+                m = re.fullmatch(
+                    r"tick=\d+ scout rib=\(\d+,(\d+)\) scouts=(\d+)", line
                 )
-                assert len(got) == len(want)
-                for a, b in zip(got, want):
-                    assert abs(a - b) < 1e-9
+                arrivals[int(m[1])] += int(m[2])
+            for det in lat.detectors:
+                assert arrivals[det] == len(oracle.enumerate_paths(lat, det))
+            void = [v for v in arrivals if lat.nodes[v].kind is NodeKind.VOID]
+            assert 1 + sum(arrivals[v] for v in void) == report.fronts
+
+    def test_node_ids_need_not_follow_hop_distance(self):
+        # build_grid and its kin number nodes layer by layer; shuffled ids must give
+        # the same sums and counts
+        rng = random.Random(5)
+        for _ in range(20):
+            lat = random_layered_lattice(rng)
+            perm = list(range(len(lat.nodes)))
+            rng.shuffle(perm)
+            nodes = sorted(
+                (Node(perm[n.id], n.position, n.kind) for n in lat.nodes),
+                key=lambda n: n.id,
+            )
+            ribs = [Rib(perm[r.a], perm[r.b], r.length) for r in lat.ribs]
+            shuffled = Lattice(tuple(nodes), tuple(ribs), lat.wavelength)
+            want = propagate_scouts(lat)
+            got = propagate_scouts(shuffled)
+            assert (got.fronts, got.ticks) == (want.fronts, want.ticks)
+            for det, amp in want.amplitudes.items():
+                tolerance = 1e-9 * max(1.0, abs(amp))
+                assert abs(got.amplitudes[perm[det]] - amp) <= tolerance
 
 
 class TestPathBudgetBoundary:
-    """A budget equal to the exact count passes; one less names count + 1.
+    """The oracle's budget and the engine's front count, exactly.
 
     On a w x h corner grid every rib raises the hop distance, so node
     (i, j) is reached by C(i + j, i) admissible paths.  The oracle crosses
     one rib per path prefix, so it visits the sum of those counts over
-    every node but the source.  The engine's count starts at 1 for the
-    source's front and adds one per front that lands on a void node, so
-    it is 1 plus the sum over every node but the source and the detector.
+    every node but the source: a budget equal to that sum passes, one
+    less names the sum.  The engine's count starts at 1 for the source's
+    front and adds one per path to a void node, so it is 1 plus the sum
+    over every node but the source and the detector.
     """
 
     W, H = 4, 5
@@ -123,11 +141,89 @@ class TestPathBudgetBoundary:
     def test_engine_fronts(self):
         lat = build_grid(self.W, self.H, "corner")
         fronts = 1 + sum(self.prefix_counts()[:-1])
-        assert propagate_scouts(lat, path_budget=fronts).fronts == fronts
-        with pytest.raises(PathBudgetError, match="path budget exceeded") as err:
-            propagate_scouts(lat, path_budget=fronts - 1)
-        assert (err.value.budget, err.value.count) == (fronts - 1, fronts)
-        assert "fronts" in str(err.value)
+        assert propagate_scouts(lat).fronts == fronts
+
+
+def triangular_amplitudes(lat: Lattice) -> dict[int, complex]:
+    """Every detector's amplitude from ``(I - A) x = e_s``, solved by
+    forward substitution.
+
+    ``A[v, u]`` is the unit phasor of forward rib u -> v, for u the source
+    or a void node.  With the nodes ordered by hop distance, A is strictly
+    lower triangular.  A general sparse LU solve is not used: on a 60 x 60
+    column grid, whose amplitudes span 34 orders of magnitude,
+    ``scipy.sparse.linalg.spsolve`` misses the closed form by a relative
+    error above 1e4.
+    """
+    sparse = pytest.importorskip("scipy.sparse")
+    linalg = pytest.importorskip("scipy.sparse.linalg")
+    dist = lat.hop_distances()
+    order = sorted(dist, key=lambda u: (dist[u], u))
+    index = {u: i for i, u in enumerate(order)}
+    rows, cols, vals = [], [], []
+    for u in order:
+        if u != lat.source and lat.nodes[u].kind is not NodeKind.VOID:
+            continue
+        for v, idx in lat.adjacency[u]:
+            if dist.get(v) == dist[u] + 1:
+                phase = 2 * math.pi * lat.ribs[idx].length / lat.wavelength
+                rows.append(index[v])
+                cols.append(index[u])
+                vals.append(-complex(math.cos(phase), math.sin(phase)))
+    n = len(order)
+    # the unit diagonal is implied, not stored
+    matrix = sparse.csr_matrix((vals, (rows, cols)), shape=(n, n), dtype=complex)
+    rhs = [0j] * n
+    rhs[index[lat.source]] = 1.0
+    x = linalg.spsolve_triangular(matrix, rhs, lower=True, unit_diagonal=True)
+    return {det: complex(x[index[det]]) for det in lat.detectors}
+
+
+class TestRecurrenceBeyondOracle:
+    """The rib-by-rib sums on lattices far past the oracle's path budget."""
+
+    @pytest.mark.parametrize(
+        "w,h", [(2, 1), (3, 5), (12, 12), (40, 40), (100, 100)]
+    )
+    def test_column_grid_closed_form(self, w, h):
+        # unit ribs, so the path to detector (w-1, y) through void (w-2, y)
+        # turns by theta on each of its w-1+y ribs; C(w-2+y, y) paths
+        # reach (w-2, y)
+        lat = build_grid(w, h, "column", wavelength=0.73)
+        report = propagate_scouts(lat)
+        theta = math.fmod(2 * math.pi / 0.73, 2 * math.pi)
+        for y in range(h):
+            count = math.comb(w - 2 + y, y)
+            want = count * complex(
+                math.cos((w - 1 + y) * theta), math.sin((w - 1 + y) * theta)
+            )
+            got = report.amplitudes[(w - 1) * h + y]
+            assert abs(got - want) <= 1e-12 * count
+        assert report.fronts == sum(
+            math.comb(i + j, i) for i in range(w - 1) for j in range(h)
+        )
+
+    @pytest.mark.parametrize(
+        "lat",
+        [
+            *(
+                pytest.param(build_slit_grid(w, 9, [2, 6]), id=f"slit-{w}x9")
+                for w in (3, 7, 12, 30)
+            ),
+            *(
+                pytest.param(
+                    build_grid(n, n, "column", wavelength=0.73), id=f"grid-{n}x{n}"
+                )
+                for n in (5, 12, 60, 100)
+            ),
+        ],
+    )
+    def test_triangular_solve(self, lat):
+        want = triangular_amplitudes(lat)
+        got = propagate_scouts(lat).amplitudes
+        scale = max(abs(x) for x in want.values())
+        for det in lat.detectors:
+            assert abs(got[det] - want[det]) <= 1e-9 * scale
 
 
 class TestPrepare:

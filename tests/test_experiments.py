@@ -18,6 +18,10 @@ from scoutnet.experiments import (
     tv_distance,
 )
 from scoutnet.lattice import (
+    Lattice,
+    Node,
+    NodeKind,
+    Rib,
     build_grid,
     build_intensity_star,
     build_slit_grid,
@@ -264,6 +268,30 @@ class TestExactSelectionOffTrees:
         statistic, dof = pooled_chi_square(counts, law, trials)
         assert dof >= 1
         assert statistic <= chi_square_critical(dof, 1 - 1e-6), (statistic, dof)
+
+    def test_reach_nested_yet_not_born(self):
+        # K(1,3,2): the source feeds three void nodes, each feeding both
+        # detectors, so every lottery sees the reach set {4, 5}.  Each void
+        # node draws 4 with probability x = I4 / (I4 + I5) and carries the
+        # total on; the source then draws uniformly among the distinct
+        # winners: P(4) = x^3 + 3x^2y * 2/3 + 3xy^2 * 1/3 = x^3 + 1.5xy.
+        nodes = [Node(0, (0.0, 0.0), NodeKind.SOURCE)]
+        nodes += [Node(m, (1.0, m - 2.0), NodeKind.VOID) for m in (1, 2, 3)]
+        nodes += [
+            Node(4, (2.0, -0.5), NodeKind.DETECTOR),
+            Node(5, (2.0, 0.5), NodeKind.DETECTOR),
+        ]
+        ribs = [Rib(0, 1, 1.0), Rib(0, 2, 1.1), Rib(0, 3, 1.25)]
+        ribs += [Rib(m, 4, 1.0) for m in (1, 2, 3)]
+        ribs += [Rib(m, 5, length) for m, length in ((1, 1.0), (2, 1.3), (3, 1.05))]
+        lat = Lattice(tuple(nodes), tuple(ribs), 1.0)
+        born = oracle.born_distribution(oracle.lattice_amplitudes(lat))
+        x = born.entries[4]
+        y = 1.0 - x
+        law = exact_selection_distribution(lat, Mode.AGGREGATE)
+        assert law[4] == pytest.approx(x**3 + 1.5 * x * y, rel=0, abs=1e-12)
+        assert law[5] == pytest.approx(1.0 - law[4], rel=0, abs=1e-12)
+        assert tv_distance(law, born.entries) > 0.01
 
 
 class TestInterferenceProfile:
