@@ -42,19 +42,14 @@ def queue_clock_count(scenario: ClockScenario) -> ClockReading:
     The probe scout departs at tick 0 and arrives at tick ``source_distance``;
     the laser emits at ticks 0, m, 2m, ...  Arrivals are counted over the
     half-open interval (0, source_distance]: the synchronization tick is
-    excluded, the probe's own arrival tick included.
+    excluded, the probe's own arrival tick included.  Emission k arrives at
+    ``k*m + d_l >= 1``, so the count is the number of k >= 0 with
+    ``k*m + d_l <= source_distance``.
     """
     d_s = scenario.source_distance
     d_l = scenario.laser_distance
     m = scenario.laser_cadence
-    count = 0
-    emission = 0
-    while emission + d_l <= d_s:
-        arrival = emission + d_l
-        if arrival > 0:
-            count += 1
-        emission += m
-    return ClockReading(laser_count=count)
+    return ClockReading(laser_count=max(0, (d_s - d_l) // m + 1))
 
 
 def dilation_time(tau: float, v: float) -> float:

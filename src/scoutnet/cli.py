@@ -20,7 +20,7 @@ from typing import Optional, get_args, get_type_hints
 from . import experiments
 from .chronometry import ClockScenario, dilation_time, queue_clock_count
 from .engine import Mode, prepare, run_trial
-from .errors import ConfigError, ScoutnetError
+from .errors import ConfigError, ScoutnetError, TopologyError
 from .lattice import (
     Lattice,
     build_grid,
@@ -120,9 +120,11 @@ def _merge_config(args: argparse.Namespace) -> RunConfig:
         import yaml  # imported on use: most runs have no config file
 
         try:
-            loaded = yaml.safe_load(path.read_text()) or {}
+            loaded = yaml.safe_load(path.read_text(encoding="utf-8")) or {}
         except yaml.YAMLError as exc:
             raise ConfigError(f"unparseable config file: {exc}") from exc
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"config file {path} is not UTF-8: {exc}") from exc
         if not isinstance(loaded, dict):
             raise ConfigError("config file must be a mapping")
         hints = get_type_hints(RunConfig)
@@ -203,7 +205,11 @@ def _scenario_lattice(config: RunConfig) -> Lattice:
         path = Path(config.topology)
         if not path.is_file():
             raise ConfigError(f"topology file not found: {path}")
-        return load_topology(path.read_text())
+        try:
+            document = path.read_text(encoding="utf-8")
+        except UnicodeDecodeError as exc:
+            raise TopologyError(f"topology file {path} is not UTF-8: {exc}") from exc
+        return load_topology(document)
     raise ConfigError(f"scenario {config.scenario!r} has no lattice")
 
 
@@ -320,7 +326,10 @@ def run(config: RunConfig) -> int:
             f"tv_threshold must be finite and >= 0, got {config.tv_threshold!r}"
         )
     out_dir = Path(config.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory {out_dir}: {exc}") from exc
     if config.scenario == "clock":
         return _run_clock(config, out_dir)
     if config.scenario == "dilation":

@@ -14,21 +14,22 @@ walk marks the single surviving source-to-winner polyline.
 
 The reverse half honours barrier semantics: a node's lottery runs only
 once every scout-marked inbound rib has either delivered a query or been
-voided, which is what processing nodes in reverse topological order of
-the trace graph implements.
+voided.  The scouts expand nodes in ``(hop distance, id)`` order and every
+forward rib raises the hop distance by one, so that order walked backward
+reaches each node after all of its children: it is the barrier order.
 
 Everything that does not depend on the random stream is computed once
 by ``prepare``.  The scout report holds each detector's amplitude, summed
-rib by rib, and each expanded node's forward children; the live
-trace graph is grouped from those children once and lowered to
-integer-indexed arrays (a ``TrialPlan``).  Its per-node query table is
-seeded with each live detector's own query and with the surviving query
-of every draw-free node, one whose live reach holds a single detector:
-such a node never holds a lottery.  Draw nodes with the same live
-children see the same competing queries in any one trial, so the plan
-groups them into one lottery; a lottery whose children are all seeded
-has fixed competitors, and the plan stores its record.  The reverse half
-is split in two.  The kernel, ``_reverse_half``, starts from the seeded
+rib by rib, and each expanded node's forward children in expansion
+order; one backward sweep over them builds the live trace graph and
+lowers it to integer-indexed arrays (a ``TrialPlan``).  Its per-node
+query table is seeded with each live detector's own query and with the
+surviving query of every draw-free node, one whose live reach holds a
+single detector: such a node never holds a lottery.  Draw nodes with
+the same live children see the same competing queries in any one trial,
+so the plan groups them into one lottery; a lottery whose children are
+all seeded has fixed competitors, and the plan stores its record.  The
+reverse half is split in two.  The kernel, ``_reverse_half``, starts from the seeded
 table, builds each lottery once per trial and draws from it at every
 node of its group, in ``draw_order``; a refusal wave voids only edges
 below its lottery, which barrier order has already passed, so the
@@ -44,7 +45,6 @@ edges.
 
 from __future__ import annotations
 
-import heapq
 import math
 import random
 from bisect import bisect_right
@@ -55,7 +55,7 @@ from functools import cached_property
 from itertools import accumulate
 from typing import Callable, Optional, Sequence
 
-from .errors import DarkTrialError, DeadlockError, ScoutnetError
+from .errors import DarkTrialError, ScoutnetError
 from .lattice import Lattice, NodeKind
 from .rng import derive_trial_seed
 
@@ -80,7 +80,11 @@ class ScoutReport:
     """The forward half: each detector's amplitude (0j if no scout lands),
     each expanded node's forward children, the hidden ticks, and
     ``fronts``, the number of scouts ever created: one at the source plus
-    one per admissible path to each void node."""
+    one per admissible path to each void node.
+
+    ``children`` is filled in expansion order, ``(hop distance, id)``, and
+    ``prepare`` relies on it: walked backward, it lists every node after
+    all of its children.  Each node's children are in id order."""
 
     amplitudes: dict[int, complex]
     children: dict[int, tuple[int, ...]]
@@ -198,37 +202,13 @@ def lottery_select(
     return index, carried, degenerate
 
 
-def _topo_order(children: dict[int, tuple[int, ...]]) -> list[int]:
-    """Deterministic topological order of the trace graph (u before its children).
-
-    Ready nodes leave a heap smallest id first, so the order does not
-    depend on the order of any node's children.
-    """
-    indeg = Counter(v for kids in children.values() for v in kids)
-    nodes = set(children) | set(indeg)
-    ready = [n for n in nodes if indeg[n] == 0]
-    heapq.heapify(ready)
-    order: list[int] = []
-    while ready:
-        u = heapq.heappop(ready)
-        order.append(u)
-        for v in children.get(u, ()):
-            indeg[v] -= 1
-            if indeg[v] == 0:
-                heapq.heappush(ready, v)
-    if len(order) != len(nodes):
-        stuck = sorted(nodes - set(order))[:5]
-        raise DeadlockError(
-            f"reverse-query barrier cannot be satisfied: cyclic trace through {stuck}"
-        )
-    return order
-
-
 @dataclass(frozen=True)
 class TrialPlan:
     """Everything about a trial that does not depend on the random stream.
 
-    The fields after ``process_order`` are the live trace graph lowered to
+    ``process_order`` holds the nodes with live children, in reverse
+    ``(hop distance, id)`` order: every live child comes before its
+    parents.  The fields after it are the live trace graph lowered to
     integer ids for the reverse-half kernel.  Edge ``e`` is ``edges[e]``,
     in sorted ``(u, v)`` order, so each node's out-edges run in child
     order.
@@ -295,58 +275,53 @@ def prepare(lattice: Lattice, trace: Optional[TraceSink] = None) -> TrialPlan:
     if not live:
         raise DarkTrialError("dark trial: no detector intensity above threshold")
 
-    children = report.children
-    order = _topo_order(children)
-    reach: dict[int, set[int]] = {}
-    for node in reversed(order):
-        acc = {node} if node in live else set()
-        for v in children.get(node, ()):
-            acc |= reach[v]
-        reach[node] = acc
-
-    edges = tuple(
-        sorted((u, v) for u, kids in children.items() for v in kids if reach[v])
-    )
+    # One backward sweep over the expansion order reaches every node after
+    # its children.  A node's live children are its forward children that
+    # are live detectors or have live children of their own.  A seeded
+    # node's live reach is its one detector, so a node whose live children
+    # are all seeded and merge to one detector is draw-free and seeded too;
+    # every other node with live children draws.
     n = len(lattice.nodes)
-    out_edges: list[list[int]] = [[] for _ in range(n)]
-    in_degree = [0] * n
-    for e, (u, v) in enumerate(edges):
-        out_edges[u].append(e)
-        in_degree[v] += 1
-    process_order = tuple(node for node in reversed(order) if out_edges[node])
-
-    # Children come before parents in process order, so a draw-free
-    # child's query is seeded when its parent reads it.
     base_det = [-1] * n
     base_weight = [0.0] * n
     for d in live:
         base_det[d] = d
         base_weight[d] = intensities[d]
+    live_children: dict[int, tuple[int, ...]] = {}
     draw_order: list[int] = []
     draw_lottery: list[int] = []
     lottery_of: dict[tuple[int, ...], int] = {}
     lotteries: list[Optional[Lottery]] = []
-    for u in process_order:
-        kids = tuple(edges[e][1] for e in out_edges[u])
-        if len(reach[u]) == 1:
-            ((base_det[u], base_weight[u]),) = _merge(
-                kids, base_det, base_weight
-            ).items()
+    for u in reversed(report.children):
+        kids = tuple(
+            v for v in report.children[u] if v in live or v in live_children
+        )
+        if not kids:
+            continue
+        live_children[u] = kids
+        seeded = all(base_det[v] >= 0 for v in kids)
+        weights = _merge(kids, base_det, base_weight) if seeded else {}
+        if len(weights) == 1:
+            ((base_det[u], base_weight[u]),) = weights.items()
             continue
         draw_order.append(u)
         k = lottery_of.setdefault(kids, len(lottery_of))
         draw_lottery.append(k)
         if k == len(lotteries):
-            fixed = all(base_det[v] >= 0 for v in kids)
-            lotteries.append(
-                _lottery(_merge(kids, base_det, base_weight)) if fixed else None
-            )
+            lotteries.append(_lottery(weights) if seeded else None)
+
+    edges = tuple(sorted((u, v) for u, kids in live_children.items() for v in kids))
+    out_edges: list[list[int]] = [[] for _ in range(n)]
+    in_degree = [0] * n
+    for e, (u, v) in enumerate(edges):
+        out_edges[u].append(e)
+        in_degree[v] += 1
 
     return TrialPlan(
         lattice=lattice,
         scout_report=report,
         intensities=intensities,
-        process_order=process_order,
+        process_order=tuple(live_children),
         edges=edges,
         out_edges=tuple(tuple(es) for es in out_edges),
         in_degree=tuple(in_degree),

@@ -35,7 +35,10 @@ class DarkTrialError(ScoutnetError):
 
 
 class DeadlockError(ScoutnetError):
-    """The reverse-query barrier can never be satisfied (cyclic trace graph)."""
+    """The exact lottery enumerator met a cycle in its reverse routes.
+
+    The engine never raises it: its trace graph follows the hop distance,
+    which every forward rib raises by one."""
 
 
 class ConfigError(ScoutnetError):

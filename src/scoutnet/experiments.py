@@ -388,7 +388,9 @@ def profile_csv(profile: InterferenceProfile) -> str:
 
 def summary_json(result: EnsembleResult) -> str:
     payload = {
-        "format": 2,  # 1 (no field): a --trace scout line per path, not per rib
+        # 1 (no field): a --trace scout line per path, not per rib; 2:
+        # independent lotteries in heap order, not reverse (hop distance, id)
+        "format": 3,
         "lattice_id": result.lattice_id,
         "mode": result.mode.value,
         "trials": result.trials,

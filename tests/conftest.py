@@ -178,3 +178,19 @@ def random_layered_lattice(
                     )
                 )
     return Lattice(tuple(nodes), tuple(ribs), rng.choice([0.5, 0.7, 1.0, 1.3]))
+
+
+def shuffle_node_ids(lat: Lattice, rng: random.Random) -> tuple[Lattice, list[int]]:
+    """The same lattice with its node ids permuted, and the permutation.
+
+    The builders number nodes layer by layer, so their ids follow the hop
+    distance; the shuffled copy's ids need not.
+    """
+    perm = list(range(len(lat.nodes)))
+    rng.shuffle(perm)
+    nodes = sorted(
+        (Node(perm[n.id], n.position, n.kind) for n in lat.nodes),
+        key=lambda n: n.id,
+    )
+    ribs = [Rib(perm[r.a], perm[r.b], r.length) for r in lat.ribs]
+    return Lattice(tuple(nodes), tuple(ribs), lat.wavelength), perm

@@ -12,6 +12,18 @@ def count(d_s: int, d_l: int, m: int) -> int:
     return queue_clock_count(ClockScenario(d_s, d_l, m)).laser_count
 
 
+def count_by_ticks(d_s: int, d_l: int, m: int) -> int:
+    """The count one laser emission at a time: emissions at ticks 0, m,
+    2m, ... arrive d_l ticks later, and those in (0, d_s] count."""
+    n = 0
+    emission = 0
+    while emission + d_l <= d_s:
+        if emission + d_l > 0:
+            n += 1
+        emission += m
+    return n
+
+
 class TestQueueClock:
     @pytest.mark.parametrize(
         "d_s,d_l,m,expected",
@@ -49,6 +61,17 @@ class TestQueueClock:
     def test_monotonicity(self, d_s, d_l, m):
         assert count(d_s + 1, d_l, m) >= count(d_s, d_l, m)
         assert count(d_s, d_l, m + 1) <= count(d_s, d_l, m)
+
+    def test_closed_form_matches_the_emission_loop(self):
+        for d_s in range(1, 60):
+            for d_l in range(1, 30):
+                for m in range(1, 12):
+                    assert count(d_s, d_l, m) == count_by_ticks(d_s, d_l, m)
+
+    def test_far_source_counts_at_once(self):
+        # one loop turn per emission would take days here
+        assert count(10**12, 1, 1) == 10**12
+        assert count(10**12, 7, 3) == (10**12 - 7) // 3 + 1
 
     def test_invalid_scenario_rejected(self):
         with pytest.raises(ConfigError):

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import math
 import os
 import re
 import subprocess
@@ -95,6 +96,29 @@ class TestExitCodes:
             "--out", str(tmp_path),
         )
         assert code == EXIT_CONFIG
+
+    @pytest.mark.parametrize(
+        "case", ["config-not-utf8", "topology-not-utf8", "out-is-a-file",
+                 "out-under-a-file"],
+    )
+    def test_unreadable_input_or_unwritable_out_is_config_error(
+        self, tmp_path, capsys, case
+    ):
+        binary = tmp_path / "binary.yaml"
+        binary.write_bytes(b"\xff\xfe")
+        plain = tmp_path / "plain"
+        plain.write_text("")
+        out = str(tmp_path / "out")
+        argv = {
+            "config-not-utf8": ["--config", str(binary), "--out", out],
+            "topology-not-utf8": [
+                "--scenario", "custom", "--topology", str(binary), "--out", out,
+            ],
+            "out-is-a-file": ["--scenario", "dilation", "--out", str(plain)],
+            "out-under-a-file": ["--scenario", "dilation", "--out", str(plain / "sub")],
+        }[case]
+        assert run_cli(*argv) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("error:")
 
     def test_impossible_tv_threshold_fails_statistically(self, tmp_path, capsys):
         code = run_cli(
@@ -242,6 +266,75 @@ class TestTopologyDocuments:
             unknown = data.draw(st.text("xyz", min_size=1, max_size=3))
             parent[unknown] = data.draw(VALUES)
         code, err = run_topology(doc)
+        assert code in (EXIT_OK, EXIT_CONFIG, EXIT_THRESHOLD)
+        if code == EXIT_CONFIG:
+            assert err.startswith("error:")
+
+
+# one valid run per scenario, each small; ``out`` is relative, so every
+# example runs in a fresh working directory
+CONFIGS = [
+    {"scenario": "star", "mode": "naive", "trials": 50, "seed": 3, "detectors": 2,
+     "arm_hops": 1, "wavelength": 1.0, "trace": True, "out": "out"},
+    {"scenario": "star", "intensities": "1,2", "trials": 50, "tv_threshold": 0.5,
+     "chi_percentile": 0.9, "out": "out"},
+    {"scenario": "two-path", "len_a": 2.0, "len_b": 2.25, "hops": 2, "trials": 50,
+     "out": "out"},
+    {"scenario": "double-slit", "grid_w": 3, "grid_h": 3, "slits": "0,2",
+     "screen_detectors": 3, "trials": 50, "out": "out"},
+    {"scenario": "grid", "grid_w": 3, "grid_h": 2, "trials": 50, "out": "out"},
+    {"scenario": "clock", "distance": "3,1", "laser_distance": 1, "cadence": 2,
+     "out": "out"},
+    {"scenario": "dilation", "v": "0,0.5", "out": "out"},
+]
+# YAML reads ``1e400`` as text, which float() reads as inf
+CONFIG_SCALARS = (
+    st.none() | st.booleans() | st.integers(-3, 3)
+    | st.sampled_from([math.nan, math.inf, "1e400"])
+    | st.text("ab0.,-: ", max_size=5)
+)
+CONFIG_VALUES = (
+    CONFIG_SCALARS
+    | st.lists(CONFIG_SCALARS, max_size=3)
+    | st.dictionaries(st.text("ab", max_size=3), CONFIG_SCALARS, max_size=2)
+)
+
+
+def run_config(doc) -> tuple[int, str]:
+    """``--config`` on ``doc`` dumped to YAML, in a fresh working directory:
+    exit code and stderr."""
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+        mp.chdir(tmp)
+        mp.delenv("SCOUTNET_OUT", raising=False)
+        Path("run.yaml").write_text(yaml.safe_dump(doc))
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = run_cli("--config", "run.yaml")
+    return code, err.getvalue()
+
+
+class TestConfigDocuments:
+    def test_valid_documents_run(self):
+        for doc in CONFIGS:
+            assert run_config(doc)[0] in (EXIT_OK, EXIT_THRESHOLD), doc
+
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_mutated_document_never_raises(self, data):
+        # replace a value, drop a key or add an unknown key; ``trials`` is
+        # never dropped, since its default of 10 000 trials is no small run
+        doc = dict(data.draw(st.sampled_from(CONFIGS)))
+        action = data.draw(st.sampled_from(["replace", "drop", "add"]))
+        if action == "add":
+            unknown = data.draw(st.text("xyz", min_size=1, max_size=3))
+            doc[unknown] = data.draw(CONFIG_VALUES)
+        else:
+            key = data.draw(st.sampled_from(sorted(doc)))
+            if action == "replace" or key == "trials":
+                doc[key] = data.draw(CONFIG_VALUES)
+            else:
+                del doc[key]
+        code, err = run_config(doc)
         assert code in (EXIT_OK, EXIT_CONFIG, EXIT_THRESHOLD)
         if code == EXIT_CONFIG:
             assert err.startswith("error:")

@@ -13,6 +13,7 @@ from conftest import (
     diamond_arm,
     nested_tree_lattice,
     random_layered_lattice,
+    shuffle_node_ids,
 )
 from reference_kernel import backpropagate as reference_backpropagate
 from reference_kernel import reference_trial
@@ -34,7 +35,6 @@ from scoutnet.lattice import (
     Lattice,
     Node,
     NodeKind,
-    Rib,
     build_grid,
     build_intensity_star,
     build_slit_grid,
@@ -87,14 +87,7 @@ class TestPropagateScouts:
         rng = random.Random(5)
         for _ in range(20):
             lat = random_layered_lattice(rng)
-            perm = list(range(len(lat.nodes)))
-            rng.shuffle(perm)
-            nodes = sorted(
-                (Node(perm[n.id], n.position, n.kind) for n in lat.nodes),
-                key=lambda n: n.id,
-            )
-            ribs = [Rib(perm[r.a], perm[r.b], r.length) for r in lat.ribs]
-            shuffled = Lattice(tuple(nodes), tuple(ribs), lat.wavelength)
+            shuffled, perm = shuffle_node_ids(lat, rng)
             want = propagate_scouts(lat)
             got = propagate_scouts(shuffled)
             assert (got.fronts, got.ticks) == (want.fronts, want.ticks)
@@ -283,6 +276,30 @@ class TestPrepare:
             assert got == [{winner: 1} for winner in want]
             assert count_winners(plan, mode, 77, 0, 500) == Counter(want)
 
+    def test_live_children_come_before_their_parents(self):
+        # the plan walks the expansion order backward; on grids and on
+        # shuffled ids that order is not the id order
+        rng = random.Random(12)
+        lattices = [build_grid(w, h, "column") for w, h in ((4, 4), (7, 5), (9, 9))]
+        lattices += [
+            shuffle_node_ids(random_layered_lattice(rng), rng)[0] for _ in range(30)
+        ]
+        off_id_order = 0
+        for lat in lattices:
+            try:
+                plan = prepare(lat)
+            except DarkTrialError:
+                continue
+            dist = lat.hop_distances()
+            expanded = list(plan.scout_report.children)
+            assert expanded == sorted(expanded, key=lambda u: (dist[u], u))
+            off_id_order += expanded != sorted(expanded)
+            rank = {u: i for i, u in enumerate(plan.process_order)}
+            assert set(rank) == {u for u, _ in plan.edges}
+            for u, v in plan.edges:
+                assert rank.get(v, -1) < rank[u]
+        assert off_id_order >= 20
+
     def test_all_dark_is_an_error(self):
         with pytest.raises(DarkTrialError, match="dark trial"):
             prepare(build_two_path(2.0, 2.5, 2))
@@ -442,13 +459,19 @@ class TestReferenceKernel:
 
     @given(
         lattice_seed=st.integers(min_value=0, max_value=2**32),
+        shuffle_ids=st.booleans(),
         mode=st.sampled_from(list(Mode)),
         master_seed=st.integers(min_value=0, max_value=2**64 - 1),
         index=st.integers(min_value=0, max_value=10**6),
     )
     @settings(max_examples=300, deadline=None)
-    def test_matches_reference_per_seed(self, lattice_seed, mode, master_seed, index):
-        lat = random_layered_lattice(random.Random(lattice_seed))
+    def test_matches_reference_per_seed(
+        self, lattice_seed, shuffle_ids, mode, master_seed, index
+    ):
+        rng = random.Random(lattice_seed)
+        lat = random_layered_lattice(rng)
+        if shuffle_ids:
+            lat, _ = shuffle_node_ids(lat, rng)
         try:
             plan = prepare(lat)
         except DarkTrialError:
@@ -495,15 +518,19 @@ class TestRefusalInvariant:
 
     @given(
         lattice_seed=st.integers(min_value=0, max_value=2**32),
+        shuffle_ids=st.booleans(),
         mode=st.sampled_from(list(Mode)),
         master_seed=st.integers(min_value=0, max_value=2**64 - 1),
         index=st.integers(min_value=0, max_value=10**6),
     )
     @settings(max_examples=300, deadline=None)
     def test_waves_void_only_processed_out_edges(
-        self, lattice_seed, mode, master_seed, index
+        self, lattice_seed, shuffle_ids, mode, master_seed, index
     ):
-        lat = random_layered_lattice(random.Random(lattice_seed))
+        rng = random.Random(lattice_seed)
+        lat = random_layered_lattice(rng)
+        if shuffle_ids:
+            lat, _ = shuffle_node_ids(lat, rng)
         try:
             plan = prepare(lat)
         except DarkTrialError:

@@ -36,6 +36,7 @@ SCOUTS = "tests/test_engine.py::TestPropagateScouts"
 BEYOND = "tests/test_engine.py::TestRecurrenceBeyondOracle"
 BOUNDARY = "tests/test_engine.py::TestPathBudgetBoundary"
 REFERENCE = "tests/test_engine.py::TestReferenceKernel"
+PREPARE = "tests/test_engine.py::TestPrepare"
 GOLDEN = "tests/test_golden.py"
 
 MUTANTS: list[tuple[str, str, str, str, tuple[str, ...]]] = [
@@ -60,6 +61,21 @@ MUTANTS: list[tuple[str, str, str, str, tuple[str, ...]]] = [
         "key=lambda u: (dist[u], u),",
         "key=lambda u: u,",
         (SCOUTS,),
+    ),
+    # the plan's backward sweep
+    (
+        "sweep-walks-forward",
+        ENGINE,
+        "for u in reversed(report.children):",
+        "for u in report.children:",
+        (PREPARE, REFERENCE),
+    ),
+    (
+        "seed-without-all-seeded-guard",
+        ENGINE,
+        "seeded = all(base_det[v] >= 0 for v in kids)",
+        "seeded = True",
+        (PREPARE, REFERENCE),
     ),
     # the reverse half
     (
