@@ -213,6 +213,15 @@ def _scenario_lattice(config: RunConfig) -> Lattice:
     raise ConfigError(f"scenario {config.scenario!r} has no lattice")
 
 
+def _write(path: Path, text: str) -> None:
+    """Write one artifact; an OS error (the name is a directory, the disk is
+    full) ends the run as a configuration error, not a traceback."""
+    try:
+        path.write_text(text)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc}") from exc
+
+
 def _run_ensemble_scenario(config: RunConfig, out_dir: Path) -> int:
     lattice = _scenario_lattice(config)
     mode = Mode(config.mode)
@@ -221,14 +230,14 @@ def _run_ensemble_scenario(config: RunConfig, out_dir: Path) -> int:
         events: list[str] = []
         plan = prepare(lattice, trace=events.append)
         run_trial(lattice, mode, config.seed, 0, plan=plan, trace=events.append)
-        (out_dir / "trial_trace.log").write_text("\n".join(events) + "\n")
+        _write(out_dir / "trial_trace.log", "\n".join(events) + "\n")
 
     if config.scenario == "double-slit":
         profile = experiments.interference_profile(
             lattice, mode, config.trials, config.seed, jobs=config.jobs, plan=plan
         )
         result = profile.ensemble
-        (out_dir / "profile.csv").write_text(experiments.profile_csv(profile))
+        _write(out_dir / "profile.csv", experiments.profile_csv(profile))
         default_tv = 0.02
     else:
         result = experiments.run_ensemble(
@@ -241,8 +250,8 @@ def _run_ensemble_scenario(config: RunConfig, out_dir: Path) -> int:
             plan=plan,
         )
         default_tv = 0.01
-    (out_dir / "ensemble.csv").write_text(experiments.ensemble_csv(result))
-    (out_dir / "summary.json").write_text(experiments.summary_json(result))
+    _write(out_dir / "ensemble.csv", experiments.ensemble_csv(result))
+    _write(out_dir / "summary.json", experiments.summary_json(result))
 
     critical = None
     if result.dof > 0:
@@ -285,7 +294,7 @@ def _run_clock(config: RunConfig, out_dir: Path) -> int:
         lines.append(
             f"{d_s},{config.laser_distance},{config.cadence},{reading.laser_count}"
         )
-    (out_dir / "clock.csv").write_text("\n".join(lines) + "\n")
+    _write(out_dir / "clock.csv", "\n".join(lines) + "\n")
     return EXIT_OK
 
 
@@ -297,7 +306,7 @@ def _run_dilation(config: RunConfig, out_dir: Path) -> int:
     lines = ["v,t"]
     for v in speeds:
         lines.append(f"{v!r},{dilation_time(1.0, v)!r}")
-    (out_dir / "dilation.csv").write_text("\n".join(lines) + "\n")
+    _write(out_dir / "dilation.csv", "\n".join(lines) + "\n")
     return EXIT_OK
 
 

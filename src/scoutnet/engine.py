@@ -36,17 +36,22 @@ below its lottery, which barrier order has already passed, so the
 lotteries alone fix the winner.  The replay, ``_refusals``, runs the
 waves from the kernel's result and draws nothing; only the voided-edge
 set and the ``--trace`` lines need it.  ``count_winners`` runs the
-kernel alone over a span of trials, reseeding one generator per trial
-(what an ensemble counts); ``run_trial`` adds the confirmation walk, the
-full ``TrialOutcome`` and, under a trace, the replay; ``backpropagate``
-returns the kernel's state keyed by node id with the replay's voided
-edges.
+kernel alone over a span of trials (what an ensemble counts);
+``run_trial`` adds the confirmation walk, the full ``TrialOutcome`` and,
+under a trace, the replay; ``backpropagate`` returns the kernel's state
+keyed by node id with the replay's voided edges.
+
+Every draw comes from the trial's own splitmix64 stream (``rng``), and
+only through ``random()``: a lottery draws once, and a uniform choice
+among k options takes ``int(random() * k)``.  The kernel draws at most
+once per draw node and the walk at most once per node it leaves, so a
+trial needs at most ``len(draw_order)`` draws for its winner and
+``len(process_order)`` more for its path.
 """
 
 from __future__ import annotations
 
 import math
-import random
 from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
@@ -57,7 +62,7 @@ from typing import Callable, Optional, Sequence
 
 from .errors import DarkTrialError, ScoutnetError
 from .lattice import Lattice, NodeKind
-from .rng import derive_trial_seed
+from .rng import Draws, TrialStream, derive_trial_seed
 
 TWO_PI = 2.0 * math.pi
 DEFAULT_EPS_INTENSITY = 1e-12
@@ -171,17 +176,18 @@ def _lottery(weights_by_det: dict[int, float]) -> Lottery:
 def lottery_select(
     lottery: Lottery,
     mode: Mode,
-    rng: random.Random,
+    rng: Draws,
 ) -> tuple[int, float, bool]:
     """Draw index i with probability weights[i] / total from a lottery record.
 
     Returns the drawn index, the weight its query carries on, and whether
-    the draw was degenerate: all-zero weights fall back to a uniform draw.
-    Otherwise the index is the first i whose running sum exceeds
+    the draw was degenerate: all-zero weights fall back to a uniform draw,
+    index ``int(rng.random() * k)`` among k competitors.  Otherwise the
+    index is the first i whose running sum exceeds
     ``r = rng.random() * total``, or the last index if none does (``r``
     can reach the last running sum when ``total`` is compensated), found
-    by bisection.  The winner keeps its own weight in naive mode and
-    inherits the total in aggregate mode.
+    by bisection.  Either way it takes exactly one draw.  The winner keeps
+    its own weight in naive mode and inherits the total in aggregate mode.
 
     A plan's lotteries never take the fallback: each competitor weight is
     a live detector's intensity, above ``DEFAULT_EPS_INTENSITY``, or is
@@ -192,7 +198,7 @@ def lottery_select(
         raise ValueError("lottery with no competitors")
     degenerate = False
     if total <= 0.0:
-        index = rng.randrange(len(weights))
+        index = int(rng.random() * len(weights))
         degenerate = True
     else:
         index = bisect_right(sums, rng.random() * total)
@@ -354,7 +360,7 @@ def _merge(
 def _reverse_half(
     plan: TrialPlan,
     mode: Mode,
-    rng: random.Random,
+    rng: Draws,
 ) -> tuple[list[int], list[float], int]:
     """The reverse-half kernel: every lottery in barrier order.
 
@@ -454,22 +460,24 @@ def count_winners(
     Each trial's winner equals ``run_trial(...).winner``: the kernel alone
     fixes the winner, and the confirmation walk draws from the stream only
     after the last lottery, so skipping the walk and the refusal replay
-    cannot change it.  One generator serves the whole span; reseeding it
-    with an int gives the state ``random.Random(seed)`` starts from.
+    cannot change it.  One ``TrialStream`` serves the whole span: its lane
+    constants are built once, and each trial computes its first
+    ``len(draw_order)`` draws at once, the most its kernel can take.  Draw
+    j of a trial does not depend on how many are computed, so these are
+    the draws ``run_trial`` takes too.
     """
     source = plan.lattice.source
-    rng = random.Random()
+    stream = TrialStream(master_seed, len(plan.draw_order))
     counts: Counter = Counter()
     for index in range(start, stop):
-        rng.seed(derive_trial_seed(master_seed, index))
-        counts[_reverse_half(plan, mode, rng)[0][source]] += 1
+        counts[_reverse_half(plan, mode, stream.seek(index))[0][source]] += 1
     return counts
 
 
 def backpropagate(
     plan: TrialPlan,
     mode: Mode,
-    rng: random.Random,
+    rng: Draws,
     trace: Optional[TraceSink] = None,
 ) -> tuple[int, dict[int, tuple[int, float]], set[tuple[int, int]], int]:
     """The kernel's result by node id, with the refusal waves replayed: the
@@ -501,12 +509,14 @@ def _confirmation_walk(
     plan: TrialPlan,
     winner: int,
     win_det: list[int],
-    rng: random.Random,
+    rng: Draws,
 ) -> tuple[int, ...]:
     """Source-to-winner walk through the nodes whose query is the winner's;
-    forks between equivalent same-detector branches are resolved uniformly
-    at random.  No refusal wave voids an edge it can take: every node on
-    the walk holds the winner's query and keeps a live inbound edge."""
+    a fork among k equivalent same-detector branches takes branch
+    ``int(rng.random() * k)`` in out-edge order, and a node with one such
+    branch draws nothing.  No refusal wave voids an edge it can take: every
+    node on the walk holds the winner's query and keeps a live inbound
+    edge."""
     path = [plan.lattice.source]
     u = plan.lattice.source
     while u != winner:
@@ -515,7 +525,8 @@ def _confirmation_walk(
         candidates = [v for v in heads if win_det[v] == winner]
         if not candidates:
             raise ScoutnetError(f"protocol bug: confirmation walk stuck at node {u}")
-        u = candidates[0] if len(candidates) == 1 else rng.choice(candidates)
+        k = len(candidates)
+        u = candidates[0] if k == 1 else candidates[int(rng.random() * k)]
         path.append(u)
     return tuple(path)
 
@@ -531,12 +542,15 @@ def run_trial(
     """Execute one complete trial; a pure function of (lattice, mode, seed, index).
 
     A precomputed ``TrialPlan`` may be passed to amortise the forward half
-    over an ensemble; the outcome is identical either way.
+    over an ensemble; the outcome is identical either way.  The trial's
+    stream holds ``len(draw_order) + len(process_order)`` draws, enough
+    for the kernel and the walk's forks.
     """
     if plan is None:
         plan = prepare(lattice, trace)
     seed = derive_trial_seed(master_seed, trial_index)
-    rng = random.Random(seed)
+    draws = len(plan.draw_order) + len(plan.process_order)
+    rng = TrialStream(master_seed, draws).seek(trial_index)
 
     win_det, win_weight, degenerate = _reverse_half(plan, mode, rng)
     if trace:

@@ -389,8 +389,10 @@ def profile_csv(profile: InterferenceProfile) -> str:
 def summary_json(result: EnsembleResult) -> str:
     payload = {
         # 1 (no field): a --trace scout line per path, not per rib; 2:
-        # independent lotteries in heap order, not reverse (hop distance, id)
-        "format": 3,
+        # independent lotteries in heap order, not reverse (hop distance, id);
+        # 3: each trial draws from a Mersenne Twister seeded with its trial
+        # seed, not from the splitmix64 stream that starts there
+        "format": 4,
         "lattice_id": result.lattice_id,
         "mode": result.mode.value,
         "trials": result.trials,

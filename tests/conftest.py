@@ -1,9 +1,10 @@
-"""Shared lattice factories for the unit and acceptance suites."""
+"""Shared lattice factories and statistics for the unit and acceptance suites."""
 
 from __future__ import annotations
 
 import math
 import random
+from collections.abc import Hashable, Mapping
 
 from scoutnet.lattice import Lattice, Node, NodeKind, Rib
 
@@ -194,3 +195,17 @@ def shuffle_node_ids(lat: Lattice, rng: random.Random) -> tuple[Lattice, list[in
     )
     ribs = [Rib(perm[r.a], perm[r.b], r.length) for r in lat.ribs]
     return Lattice(tuple(nodes), tuple(ribs), lat.wavelength), perm
+
+
+def pooled_chi_square(
+    counts: Mapping[Hashable, int], law: dict[Hashable, float], trials: int
+) -> tuple[float, int]:
+    """Pearson statistic and dof after merging the two smallest cells until
+    every cell expects at least 5 draws, so that the chi-square quantile
+    applies; a zero-probability cell is merged too and still counts."""
+    cells = sorted((p * trials, counts[det]) for det, p in law.items())
+    while len(cells) > 1 and cells[0][0] < 5.0:
+        (e1, o1), (e2, o2) = cells[0], cells[1]
+        cells = sorted([(e1 + e2, o1 + o2)] + cells[2:])
+    statistic = sum((obs - exp) ** 2 / exp for exp, obs in cells)
+    return statistic, len(cells) - 1

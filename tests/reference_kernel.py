@@ -3,26 +3,54 @@ before the engine lowered its plan to integer arrays.
 
 Only the tests use it.  It reads the plan's dict fields (``out_live``,
 ``process_order``, ``intensities``, ``live_edges``), keeps its own copy of
-the lottery draw, and must agree with the engine's kernel per seed:
-winner, surviving path, degenerate count, voided edges and trace lines.
+the lottery draw and of the random stream, a sequential splitmix64, and
+must agree with the engine's kernel per seed: winner, surviving path,
+degenerate count, voided edges and trace lines.
 """
 
 from __future__ import annotations
 
-import random
 from collections import defaultdict
 from typing import Callable, Optional
 
 from scoutnet.engine import Mode, TrialPlan
 from scoutnet.errors import ScoutnetError
 from scoutnet.lattice import NodeKind
-from scoutnet.rng import derive_trial_seed
 
 TraceSink = Callable[[str], None]
 
+MASK64 = (1 << 64) - 1
+GAMMA = 0x9E3779B97F4A7C15
+
+
+class SplitMix64:
+    """Vigna's splitmix64, one word at a time: each step adds GAMMA to the
+    state and mixes it.  ``random()`` is the word's top 53 bits times
+    2**-53."""
+
+    def __init__(self, state: int):
+        self.state = state
+
+    def next_word(self) -> int:
+        self.state = (self.state + GAMMA) & MASK64
+        z = self.state
+        z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9 & MASK64
+        z = (z ^ (z >> 27)) * 0x94D049BB133111EB & MASK64
+        return z ^ (z >> 31)
+
+    def random(self) -> float:
+        return (self.next_word() >> 11) * 2.0**-53
+
+
+def trial_stream(master_seed: int, trial_index: int) -> SplitMix64:
+    """Trial ``trial_index``'s stream: its state is word ``trial_index`` of
+    the master seed's own splitmix64 sequence."""
+    seeds = SplitMix64((master_seed + trial_index * GAMMA) & MASK64)
+    return SplitMix64(seeds.next_word())
+
 
 def lottery_select(
-    competitors: list[tuple[int, float]], mode: Mode, rng: random.Random
+    competitors: list[tuple[int, float]], mode: Mode, rng: SplitMix64
 ) -> tuple[tuple[int, float], list[tuple[int, float]], bool]:
     """(detector, weight) competitors; returns winner, losers, degenerate."""
     if not competitors:
@@ -30,7 +58,7 @@ def lottery_select(
     total = sum(w for _, w in competitors)
     degenerate = False
     if total <= 0.0:
-        index = rng.randrange(len(competitors))
+        index = int(rng.random() * len(competitors))
         degenerate = True
     else:
         r = rng.random() * total
@@ -77,7 +105,7 @@ def _refuse(
 def backpropagate(
     plan: TrialPlan,
     mode: Mode,
-    rng: random.Random,
+    rng: SplitMix64,
     trace: Optional[TraceSink] = None,
 ) -> tuple[int, dict[int, tuple[int, float]], set[tuple[int, int]], int]:
     in_live = _in_live(plan)
@@ -130,7 +158,7 @@ def _confirmation_walk(
     winner: int,
     winner_at: dict[int, tuple[int, float]],
     void: set[tuple[int, int]],
-    rng: random.Random,
+    rng: SplitMix64,
 ) -> tuple[int, ...]:
     path = [plan.lattice.source]
     u = plan.lattice.source
@@ -151,7 +179,10 @@ def _confirmation_walk(
                     candidates.append(v)
         if not candidates:
             raise ScoutnetError(f"protocol bug: confirmation walk stuck at node {u}")
-        u = candidates[0] if len(candidates) == 1 else rng.choice(candidates)
+        if len(candidates) == 1:
+            u = candidates[0]
+        else:
+            u = candidates[int(rng.random() * len(candidates))]
         path.append(u)
     return tuple(path)
 
@@ -164,7 +195,7 @@ def reference_trial(
     trace: Optional[TraceSink] = None,
 ) -> tuple[int, tuple[int, ...], int, set[tuple[int, int]]]:
     """Winner, surviving path, degenerate count and voided edges of one trial."""
-    rng = random.Random(derive_trial_seed(master_seed, trial_index))
+    rng = trial_stream(master_seed, trial_index)
     winner, winner_at, void, degenerate = backpropagate(plan, mode, rng, trace)
     path = _confirmation_walk(plan, winner, winner_at, void, rng)
     return winner, path, degenerate, void

@@ -120,6 +120,27 @@ class TestExitCodes:
         assert run_cli(*argv) == EXIT_CONFIG
         assert capsys.readouterr().err.startswith("error:")
 
+    @pytest.mark.parametrize(
+        "artifact,argv",
+        [
+            ("ensemble.csv", ["--scenario", "star"]),
+            ("summary.json", ["--scenario", "star"]),
+            ("profile.csv", ["--scenario", "double-slit"]),
+            ("trial_trace.log", ["--scenario", "star", "--trace"]),
+            ("clock.csv", ["--scenario", "clock"]),
+            ("dilation.csv", ["--scenario", "dilation"]),
+        ],
+    )
+    def test_artifact_name_taken_by_a_directory_is_config_error(
+        self, tmp_path, capsys, artifact, argv
+    ):
+        (tmp_path / artifact).mkdir()
+        code = run_cli(*argv, "--trials", "10", "--out", str(tmp_path))
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot write"), err
+        assert artifact in err
+
     def test_impossible_tv_threshold_fails_statistically(self, tmp_path, capsys):
         code = run_cli(
             "--scenario", "star", "--detectors", "2", "--trials", "2001",
@@ -340,12 +361,21 @@ class TestConfigDocuments:
             assert err.startswith("error:")
 
 
-def test_cli_import_loads_no_optional_dependency():
+def test_cli_import_loads_no_optional_dependency(tmp_path):
+    # checked after the import and again after a short star run, which
+    # draws from the trial streams
     src = Path(__file__).resolve().parents[1] / "src"
-    heavy = ("scipy", "numpy", "yaml", "concurrent.futures.process")
+    heavy = (
+        "scipy", "numpy", "yaml", "concurrent.futures.process", "hashlib",
+        "_hashlib",
+    )  # fmt: skip
+    argv = ["--scenario", "star", "--trials", "100", "--out", str(tmp_path)]
     script = (
-        "import sys, scoutnet.cli; "
-        f"print(','.join(m for m in {heavy!r} if m in sys.modules))"
+        "import sys, scoutnet.cli\n"
+        f"loaded = lambda: ','.join(m for m in {heavy!r} if m in sys.modules)\n"
+        "print(loaded())\n"
+        f"assert scoutnet.cli.main({argv!r}) == 0\n"
+        "print(loaded())\n"
     )
     done = subprocess.run(
         [sys.executable, "-c", script],
@@ -354,7 +384,7 @@ def test_cli_import_loads_no_optional_dependency():
         text=True,
         check=True,
     )
-    assert done.stdout.strip() == ""
+    assert done.stdout.split("\n") == ["", "", ""]
 
 
 class TestScenarios:

@@ -16,7 +16,7 @@ from conftest import (
     shuffle_node_ids,
 )
 from reference_kernel import backpropagate as reference_backpropagate
-from reference_kernel import reference_trial
+from reference_kernel import reference_trial, trial_stream
 from scoutnet import oracle
 from scoutnet.engine import (
     Mode,
@@ -41,7 +41,6 @@ from scoutnet.lattice import (
     build_star,
     build_two_path,
 )
-from scoutnet.rng import derive_trial_seed
 
 
 class TestPropagateScouts:
@@ -484,8 +483,9 @@ class TestReferenceKernel:
         winner, path, degenerate, void = reference_trial(
             plan, mode, master_seed, index, trace=want_events.append
         )
-        # one reseeded generator serves a span, and each trial builds its
-        # own lotteries: no trial's draws or merges may leak into the next
+        # one stream serves a span and seeks to each trial, and each trial
+        # builds its own lotteries: no trial's draws or merges may leak into
+        # the next
         span = range(index, index + 4)
         assert count_winners(plan, mode, master_seed, index, index + 1) == {winner: 1}
         assert count_winners(plan, mode, master_seed, span.start, span.stop) == Counter(
@@ -499,13 +499,15 @@ class TestReferenceKernel:
             degenerate,
         )
         assert events[:-1] == want_events
-        seed = derive_trial_seed(master_seed, index)
-        want = reference_backpropagate(plan, mode, random.Random(seed))
+        # the engine's kernel also draws from the reference's own stream
+        want = reference_backpropagate(plan, mode, trial_stream(master_seed, index))
         assert (want[0], want[2], want[3]) == (winner, void, degenerate)
         # every competitor weight is a live intensity or carried from them
         assert degenerate == 0
         events = []
-        got = backpropagate(plan, mode, random.Random(seed), trace=events.append)
+        got = backpropagate(
+            plan, mode, trial_stream(master_seed, index), trace=events.append
+        )
         # the reference interleaves the waves with the lotteries; the
         # engine replays them afterwards: same per-node winners, same lines
         assert got == want

@@ -1,10 +1,9 @@
 import concurrent.futures
 import os
-from collections import Counter
 
 import pytest
 
-from conftest import nested_tree_lattice, tree_merge_instances
+from conftest import nested_tree_lattice, pooled_chi_square, tree_merge_instances
 from scoutnet import experiments, oracle
 from scoutnet.engine import Mode, count_winners, prepare
 from scoutnet.experiments import (
@@ -236,20 +235,6 @@ GRID_EXACT = {
         15: 0.7970689056790851,
     },
 }
-
-
-def pooled_chi_square(
-    counts: Counter, law: dict[int, float], trials: int
-) -> tuple[float, int]:
-    """Pearson statistic and dof after merging the two smallest cells until
-    every cell expects at least 5 draws, so that the chi-square quantile
-    applies; a zero-probability cell is merged too and still counts."""
-    cells = sorted((p * trials, counts[det]) for det, p in law.items())
-    while len(cells) > 1 and cells[0][0] < 5.0:
-        (e1, o1), (e2, o2) = cells[0], cells[1]
-        cells = sorted([(e1 + e2, o1 + o2)] + cells[2:])
-    statistic = sum((obs - exp) ** 2 / exp for exp, obs in cells)
-    return statistic, len(cells) - 1
 
 
 class TestExactSelectionOffTrees:

@@ -2,13 +2,20 @@
 
 ``tests/golden/<case>/`` holds the files one CLI run wrote; every rerun,
 at any job count, must exit the same way and write exactly those bytes.
+Each case's counts must also follow the protocol's exact law, so that
+regenerated goldens cannot pin a biased stream.
 """
 
+import csv
 from pathlib import Path
 
 import pytest
 
+from conftest import pooled_chi_square
+from scoutnet import cli
 from scoutnet.cli import EXIT_OK, EXIT_THRESHOLD, main
+from scoutnet.engine import Mode
+from scoutnet.experiments import chi_square_critical, exact_selection_distribution
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -54,3 +61,18 @@ def test_artifacts_match_golden_bytes(tmp_path, case, jobs):
     for name in expected:
         want = (GOLDEN / case / name).read_bytes()
         assert (tmp_path / name).read_bytes() == want, name
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_golden_counts_follow_exact_law(case):
+    # the lattice and mode the CLI builds for the case; the law is the
+    # protocol's own, not Born, so the naive cases must pass it too
+    config = cli._merge_config(cli._build_parser().parse_args(CASES[case][0]))
+    lattice = cli._scenario_lattice(config)
+    law = exact_selection_distribution(lattice, Mode(config.mode))
+    with open(GOLDEN / case / "ensemble.csv", newline="") as f:
+        counts = {int(r["detector_id"]): int(r["count"]) for r in csv.DictReader(f)}
+    assert sum(counts.values()) == config.trials
+    statistic, dof = pooled_chi_square(counts, law, config.trials)
+    assert dof >= 1
+    assert statistic <= chi_square_critical(dof, 1 - 1e-6), (statistic, dof)

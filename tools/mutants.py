@@ -32,12 +32,14 @@ ROOT = Path(__file__).resolve().parents[1]
 COPIED = ("src", "tests", "README.md", "pyproject.toml")
 
 ENGINE = "src/scoutnet/engine.py"
+RNG = "src/scoutnet/rng.py"
 SCOUTS = "tests/test_engine.py::TestPropagateScouts"
 BEYOND = "tests/test_engine.py::TestRecurrenceBeyondOracle"
 BOUNDARY = "tests/test_engine.py::TestPathBudgetBoundary"
 REFERENCE = "tests/test_engine.py::TestReferenceKernel"
 PREPARE = "tests/test_engine.py::TestPrepare"
 GOLDEN = "tests/test_golden.py"
+STREAM = "tests/test_rng.py"
 
 MUTANTS: list[tuple[str, str, str, str, tuple[str, ...]]] = [
     # the rib-by-rib forward half
@@ -119,6 +121,28 @@ MUTANTS: list[tuple[str, str, str, str, tuple[str, ...]]] = [
         "det: a.real * a.real + a.imag * a.imag",
         "det: abs(a) ** 2",
         (GOLDEN,),
+    ),
+    # the per-trial splitmix64 streams
+    (
+        "draw-drops-twelve-bits",
+        RNG,
+        "(z >> 11).to_bytes",
+        "(z >> 12).to_bytes",
+        (STREAM,),
+    ),
+    (
+        "weyl-offset-from-zero",
+        RNG,
+        "((j + 1) * _GOLDEN & _MASK).to_bytes",
+        "(j * _GOLDEN & _MASK).to_bytes",
+        (STREAM,),
+    ),
+    (
+        "lane-unmasked-before-multiply",
+        RNG,
+        "z = ((z ^ (z >> 30)) & mask) * 0xBF58476D1CE4E5B9 & mask",
+        "z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9 & mask",
+        (STREAM,),
     ),
     # the cross-checks and the statistics
     (
