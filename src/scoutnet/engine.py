@@ -62,7 +62,7 @@ from typing import Callable, Optional, Sequence
 
 from .errors import DarkTrialError, ScoutnetError
 from .lattice import Lattice, NodeKind
-from .rng import Draws, TrialStream, derive_trial_seed
+from .rng import Draws, derive_trial_seed, trial_streams
 
 TWO_PI = 2.0 * math.pi
 DEFAULT_EPS_INTENSITY = 1e-12
@@ -460,17 +460,16 @@ def count_winners(
     Each trial's winner equals ``run_trial(...).winner``: the kernel alone
     fixes the winner, and the confirmation walk draws from the stream only
     after the last lottery, so skipping the walk and the refusal replay
-    cannot change it.  One ``TrialStream`` serves the whole span: its lane
-    constants are built once, and each trial computes its first
-    ``len(draw_order)`` draws at once, the most its kernel can take.  Draw
-    j of a trial does not depend on how many are computed, so these are
-    the draws ``run_trial`` takes too.
+    cannot change it.  ``trial_streams`` computes the span's draws a block
+    of trials at a time, each trial's first ``len(draw_order)``, the most
+    its kernel can take.  Draw j of a trial does not depend on how many
+    are computed, nor on the block it falls in, so these are the draws
+    ``run_trial`` takes too, and any split of a span counts the same.
     """
     source = plan.lattice.source
-    stream = TrialStream(master_seed, len(plan.draw_order))
     counts: Counter = Counter()
-    for index in range(start, stop):
-        counts[_reverse_half(plan, mode, stream.seek(index))[0][source]] += 1
+    for rng in trial_streams(master_seed, len(plan.draw_order), start, stop):
+        counts[_reverse_half(plan, mode, rng)[0][source]] += 1
     return counts
 
 
@@ -543,14 +542,15 @@ def run_trial(
 
     A precomputed ``TrialPlan`` may be passed to amortise the forward half
     over an ensemble; the outcome is identical either way.  The trial's
-    stream holds ``len(draw_order) + len(process_order)`` draws, enough
-    for the kernel and the walk's forks.
+    stream is the one-trial span of ``trial_streams``, the code
+    ``count_winners`` draws through, and holds ``len(draw_order) +
+    len(process_order)`` draws, enough for the kernel and the walk's forks.
     """
     if plan is None:
         plan = prepare(lattice, trace)
     seed = derive_trial_seed(master_seed, trial_index)
     draws = len(plan.draw_order) + len(plan.process_order)
-    rng = TrialStream(master_seed, draws).seek(trial_index)
+    (rng,) = trial_streams(master_seed, draws, trial_index, trial_index + 1)
 
     win_det, win_weight, degenerate = _reverse_half(plan, mode, rng)
     if trace:

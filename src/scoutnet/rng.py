@@ -9,11 +9,12 @@ independent, an ensemble's statistics do not depend on the order in which
 trials execute, and draw j does not depend on how many draws a caller
 asks for.
 
-Draw j depends on j only through its Weyl offset, so ``TrialStream``
-computes a trial's first n draws at once: one Python int holds one
-128-bit lane per draw, each lane is masked to 64 bits before every
-multiply, so that no product carries into the next lane, and the lanes
-are unpacked little-endian on every host.
+Draws are computed per block of trials, not per trial: one Python int
+holds one 128-bit lane per trial state, or per draw, each lane is masked
+to 64 bits before every multiply, so that no product carries into the
+next lane, and the lanes are unpacked little-endian on every host.  A
+block holds about ``BLOCK_DRAWS`` draws; no draw depends on the block it
+falls in.
 """
 
 from __future__ import annotations
@@ -21,11 +22,14 @@ from __future__ import annotations
 import struct
 from itertools import repeat
 from operator import mul
-from typing import Protocol
+from typing import Iterable, Iterator, Protocol
 
 _MASK = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 _UNIT = 2.0**-53
+# draws per block: big enough to spread the per-block Python calls over
+# many trials, small enough that the block's ints stay cheap to allocate
+BLOCK_DRAWS = 1024
 
 
 def _mix(z: int, mask: int) -> int:
@@ -54,40 +58,56 @@ def derive_trial_seed(master_seed: int, trial_index: int) -> int:
 
 
 class Draws(Protocol):
-    """What a lottery draws from: a ``TrialStream``, or a test's stand-in."""
+    """What a lottery draws from: a trial's stream, or a test's stand-in."""
 
     def random(self) -> float: ...
 
 
-class TrialStream:
-    """The first ``n`` draws of every trial's stream under one master seed.
+class _Stream:
+    __slots__ = ("random",)
 
-    The lane constants are built once; ``seek(i)`` computes trial i's n
-    words and returns the stream, whose ``random()`` then returns them in
-    order as floats in [0, 1), each ``k * 2**-53`` with k the word's top
-    53 bits, and raises ``StopIteration`` after the n-th.
+
+def _lanes(values: Iterable[int]) -> int:
+    # built from bytes: summing shifted ints would take time quadratic in
+    # the lane count
+    return int.from_bytes(b"".join(v.to_bytes(16, "little") for v in values), "little")
+
+
+def trial_streams(master_seed: int, n: int, start: int, stop: int) -> Iterator[Draws]:
+    """The streams of trials ``start``..``stop - 1``, in order, each holding
+    its trial's first ``n`` draws: ``random()`` returns them as floats in
+    [0, 1), each ``k * 2**-53`` with k the word's top 53 bits, then raises
+    ``StopIteration``.  One object is yielded for every trial, so it holds
+    a trial's draws only until the next is yielded.
+
+    A block of ``max(1, BLOCK_DRAWS // n)`` trials (fewer if the span is
+    shorter) mixes its trial states in one int, copies that int once per
+    draw, adds each draw's Weyl offset and mixes again.  Its draws lie
+    draw-major: trial t takes every ``trials``-th float from the t-th on.
     """
-
-    __slots__ = ("random", "_master", "_ones", "_weyl", "_mask", "_unpack", "_size")
-
-    def __init__(self, master_seed: int, n: int) -> None:
-        _check(master_seed)
-        self._master = master_seed
-        # built from bytes: summing shifted ints would take time quadratic in n
-        lanes = (((j + 1) * _GOLDEN & _MASK).to_bytes(16, "little") for j in range(n))
-        self._weyl = int.from_bytes(b"".join(lanes), "little")
-        self._ones = int.from_bytes((b"\x01" + bytes(15)) * n, "little")
-        self._mask = _MASK * self._ones
-        self._unpack = struct.Struct("<" + "Q8x" * n).unpack
-        self._size = 16 * n
-
-    def seek(self, trial_index: int) -> TrialStream:
-        s = _mix((self._master + (trial_index + 1) * _GOLDEN) & _MASK, _MASK)
-        z = _mix((s * self._ones + self._weyl) & self._mask, self._mask)
+    _check(master_seed)
+    trials = max(1, min(BLOCK_DRAWS // max(n, 1), stop - start))
+    ones = _lanes(repeat(1, trials))
+    state_mask = _MASK * ones
+    steps = _lanes(t * _GOLDEN & _MASK for t in range(trials))
+    weyl = _lanes((j + 1) * _GOLDEN & _MASK for j in range(n) for _ in range(trials))
+    draw_mask = _lanes(repeat(_MASK, trials * n))
+    unpack = struct.Struct("<" + "Q8x" * (trials * n)).unpack
+    size = 16 * trials
+    stream = _Stream()
+    for first in range(start, stop, trials):
+        # lane t: the state of trial first + t
+        c = (master_seed + (first + 1) * _GOLDEN) & _MASK
+        states = _mix((c * ones + steps) & state_mask, state_mask) & state_mask
+        # lane j * trials + t: draw j of trial first + t
+        copies = states.to_bytes(size, "little") * n
+        z = _mix((int.from_bytes(copies, "little") + weyl) & draw_mask, draw_mask)
         # bits 64..74 of every lane are clear, so after the shift each
         # lane's low 64 bits hold the top 53 bits of its word
-        words = self._unpack((z >> 11).to_bytes(self._size, "little"))
-        # scaled in C as drawn; ``mul`` takes a fast call, ``_UNIT.__mul__``
-        # builds an argument tuple per draw
-        self.random = map(mul, repeat(_UNIT), words).__next__
-        return self
+        words = unpack((z >> 11).to_bytes(size * n, "little"))
+        # ``mul`` takes a fast call, ``_UNIT.__mul__`` builds an argument
+        # tuple per draw
+        floats = [*map(mul, repeat(_UNIT), words)]
+        for t in range(min(trials, stop - first)):
+            stream.random = iter(floats[t::trials]).__next__
+            yield stream

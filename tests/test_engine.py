@@ -41,6 +41,7 @@ from scoutnet.lattice import (
     build_star,
     build_two_path,
 )
+from scoutnet.rng import BLOCK_DRAWS
 
 
 class TestPropagateScouts:
@@ -549,6 +550,37 @@ class TestRefusalInvariant:
                 tail = int(m[1])
                 assert lottery is not None
                 assert rank[tail] <= rank[lottery], (line, lottery)
+
+
+class TestSpanSplits:
+    """Counting a span equals counting its two halves, wherever the split
+    falls against the stream's blocks: the process pool counts an
+    ensemble in spans and adds their counts."""
+
+    LATTICES = {
+        "star-1-1-2": lambda: build_intensity_star([1.0, 1.0, 2.0]),
+        "slit-7x9": lambda: build_slit_grid(7, 9, (2, 6), wavelength=1.0),
+        # one detector, no lottery: each trial holds no draws
+        "two-path": lambda: build_two_path(2.0, 2.0, 2),
+    }
+
+    @pytest.mark.parametrize("where", ["inside-a-block", "on-a-block-edge"])
+    @pytest.mark.parametrize("name", list(LATTICES))
+    def test_count_winners_is_additive(self, name, where):
+        plan = prepare(self.LATTICES[name]())
+        n = len(plan.draw_order)
+        if name == "two-path":
+            assert n == 0
+        block = max(1, BLOCK_DRAWS // max(n, 1))
+        start = 7
+        stop = start + 2 * block + 5
+        k = start + (block if where == "on-a-block-edge" else block // 2 + 1)
+        for mode in Mode:
+            whole = count_winners(plan, mode, 2**64 - 1, start, stop)
+            assert sum(whole.values()) == stop - start
+            halves = count_winners(plan, mode, 2**64 - 1, start, k)
+            halves += count_winners(plan, mode, 2**64 - 1, k, stop)
+            assert whole == halves
 
 
 class TestRunTrial:

@@ -1,5 +1,6 @@
-"""The per-trial splitmix64 streams: known answers, the lane batch against
-the sequential generator, and the independence of successive draws."""
+"""The per-trial splitmix64 streams: known answers, the block of trials
+against the sequential generator, and the independence of successive
+draws."""
 
 from collections import Counter
 
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 from conftest import pooled_chi_square
 from reference_kernel import trial_stream
 from scoutnet.experiments import chi_square_critical
-from scoutnet.rng import TrialStream, derive_trial_seed
+from scoutnet.rng import BLOCK_DRAWS, derive_trial_seed, trial_streams
 
 
 def test_trial_seeds_are_splitmix64_outputs():
@@ -21,16 +22,26 @@ def test_trial_seeds_are_splitmix64_outputs():
 
 @given(
     master_seed=st.integers(min_value=0, max_value=2**64 - 1),
-    index=st.integers(min_value=0, max_value=2**64),
+    start=st.integers(min_value=0, max_value=2**64),
+    n=st.sampled_from([0, 1, 2, 39, BLOCK_DRAWS + 1]),
+    extra=st.integers(min_value=1, max_value=40),
 )
-@settings(max_examples=200, deadline=None)
-def test_lane_batch_equals_sequential_generator(master_seed, index):
-    sequential = trial_stream(master_seed, index)
-    want = [sequential.random() for _ in range(500)]
-    for n in (1, 2, 39, 500):
-        stream = TrialStream(master_seed, n).seek(index)
-        # draw j does not depend on how many draws the batch holds
-        assert [stream.random() for _ in range(n)] == want[:n]
+@settings(max_examples=100, deadline=None)
+def test_lane_batch_equals_sequential_generator(master_seed, start, n, extra):
+    # a span that crosses two block boundaries; past BLOCK_DRAWS draws a
+    # block holds one trial
+    block = max(1, BLOCK_DRAWS // max(n, 1))
+    stop = start + 2 * block + extra
+    streams = trial_streams(master_seed, n, start, stop)
+    for index, stream in zip(range(start, stop), streams, strict=True):
+        sequential = trial_stream(master_seed, index)
+        # draw j does not depend on how many draws a trial holds, nor on
+        # the block it falls in
+        assert [stream.random() for _ in range(n)] == [
+            sequential.random() for _ in range(n)
+        ]
+        with pytest.raises(StopIteration):
+            stream.random()
 
 
 def serial_pair_chi_square(pairs: list[tuple[float, float]]) -> tuple[float, int]:
@@ -45,10 +56,8 @@ class TestSerialPairs:
 
     @pytest.fixture(scope="class")
     def first_two(self) -> list[tuple[float, float]]:
-        stream = TrialStream(20_241_018, 2)
-        return [
-            (stream.seek(i).random(), stream.random()) for i in range(self.TRIALS)
-        ]
+        streams = trial_streams(20_241_018, 2, 0, self.TRIALS)
+        return [(stream.random(), stream.random()) for stream in streams]
 
     def test_consecutive_draws_within_a_trial(self, first_two):
         statistic, dof = serial_pair_chi_square(first_two)

@@ -40,6 +40,7 @@ REFERENCE = "tests/test_engine.py::TestReferenceKernel"
 PREPARE = "tests/test_engine.py::TestPrepare"
 GOLDEN = "tests/test_golden.py"
 STREAM = "tests/test_rng.py"
+STREAM_PROPERTY = "tests/test_rng.py::test_lane_batch_equals_sequential_generator"
 
 MUTANTS: list[tuple[str, str, str, str, tuple[str, ...]]] = [
     # the rib-by-rib forward half
@@ -133,8 +134,8 @@ MUTANTS: list[tuple[str, str, str, str, tuple[str, ...]]] = [
     (
         "weyl-offset-from-zero",
         RNG,
-        "((j + 1) * _GOLDEN & _MASK).to_bytes",
-        "(j * _GOLDEN & _MASK).to_bytes",
+        "(j + 1) * _GOLDEN & _MASK for j in range(n)",
+        "j * _GOLDEN & _MASK for j in range(n)",
         (STREAM,),
     ),
     (
@@ -143,6 +144,21 @@ MUTANTS: list[tuple[str, str, str, str, tuple[str, ...]]] = [
         "z = ((z ^ (z >> 30)) & mask) * 0xBF58476D1CE4E5B9 & mask",
         "z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9 & mask",
         (STREAM,),
+    ),
+    # the blocks of trials
+    (
+        "block-seeds-from-first-trial",
+        RNG,
+        "c = (master_seed + (first + 1) * _GOLDEN) & _MASK",
+        "c = (master_seed + first * _GOLDEN) & _MASK",
+        (STREAM_PROPERTY, GOLDEN),
+    ),
+    (
+        "trial-takes-next-trials-draws",
+        RNG,
+        "iter(floats[t::trials])",
+        "iter(floats[t + 1 :: trials])",
+        (STREAM_PROPERTY, GOLDEN),
     ),
     # the cross-checks and the statistics
     (
