@@ -351,9 +351,6 @@ def main(argv: Optional[list[str]] = None) -> int:
         args = _build_parser().parse_args(argv)
         config = _merge_config(args)
         return run(config)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
     except ScoutnetError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -177,35 +177,27 @@ def lottery_select(
     lottery: Lottery,
     mode: Mode,
     rng: Draws,
-) -> tuple[int, float, bool]:
+) -> tuple[int, float]:
     """Draw index i with probability weights[i] / total from a lottery record.
 
-    Returns the drawn index, the weight its query carries on, and whether
-    the draw was degenerate: all-zero weights fall back to a uniform draw,
-    index ``int(rng.random() * k)`` among k competitors.  Otherwise the
+    Returns the drawn index and the weight its query carries on.  The
     index is the first i whose running sum exceeds
     ``r = rng.random() * total``, or the last index if none does (``r``
     can reach the last running sum when ``total`` is compensated), found
-    by bisection.  Either way it takes exactly one draw.  The winner keeps
-    its own weight in naive mode and inherits the total in aggregate mode.
+    by bisection; it takes exactly one draw.  The winner keeps its own
+    weight in naive mode and inherits the total in aggregate mode.
 
-    A plan's lotteries never take the fallback: each competitor weight is
-    a live detector's intensity, above ``DEFAULT_EPS_INTENSITY``, or is
-    carried on from such intensities, so every total is positive.
+    A record has at least two competitors and a positive total: a plan's
+    lotteries are merged from two or more live detectors' queries, and
+    each weight is a live intensity, above ``DEFAULT_EPS_INTENSITY``, or
+    is carried on from such intensities.
     """
     _dets, weights, sums, total = lottery
-    if not weights:
-        raise ValueError("lottery with no competitors")
-    degenerate = False
-    if total <= 0.0:
-        index = int(rng.random() * len(weights))
-        degenerate = True
-    else:
-        index = bisect_right(sums, rng.random() * total)
-        if index == len(sums):
-            index -= 1
-    carried = total if mode is _AGGREGATE and total > 0.0 else weights[index]
-    return index, carried, degenerate
+    index = bisect_right(sums, rng.random() * total)
+    if index == len(sums):
+        index -= 1
+    carried = total if mode is _AGGREGATE else weights[index]
+    return index, carried
 
 
 @dataclass(frozen=True)
@@ -361,13 +353,12 @@ def _reverse_half(
     plan: TrialPlan,
     mode: Mode,
     rng: Draws,
-) -> tuple[list[int], list[float], int]:
+) -> tuple[list[int], list[float]]:
     """The reverse-half kernel: every lottery in barrier order.
 
     Returns, per node, the detector whose query survived there (-1 if
-    none) and that query's weight, and the count of degenerate
-    (all-zero-weight) lotteries.  Competitors are drawn in detector order,
-    which fixes the order of the RNG draws.
+    none) and that query's weight.  Competitors are drawn in detector
+    order, which fixes the order of the RNG draws.
 
     Starts from the plan's seeded query table and visits only
     ``draw_order``: draw-free nodes hold no lottery, so skipping them
@@ -387,7 +378,6 @@ def _reverse_half(
     win_weight = list(plan.base_weight)
     held = list(plan.lotteries)
     children = plan.lottery_children
-    degenerate = 0
     for u, k in zip(plan.draw_order, plan.draw_lottery):
         lottery = held[k]
         if lottery is None:
@@ -396,14 +386,13 @@ def _reverse_half(
                 ((win_det[u], win_weight[u]),) = weights.items()
                 continue
             lottery = held[k] = _lottery(weights)
-        index, carried, was_degenerate = lottery_select(lottery, mode, rng)
-        degenerate += was_degenerate
+        index, carried = lottery_select(lottery, mode, rng)
         win_det[u] = lottery[0][index]
         win_weight[u] = carried
 
     if win_det[plan.lattice.source] < 0:
         raise ScoutnetError("protocol bug: no query survived to the source")
-    return win_det, win_weight, degenerate
+    return win_det, win_weight
 
 
 def _refusals(
@@ -481,13 +470,16 @@ def backpropagate(
 ) -> tuple[int, dict[int, tuple[int, float]], set[tuple[int, int]], int]:
     """The kernel's result by node id, with the refusal waves replayed: the
     winning detector, the surviving query per node, the voided edges, and
-    the count of degenerate (all-zero-weight) lotteries.  ``trace`` gets
-    the ``lottery`` and ``refuse`` lines."""
-    win_det, win_weight, degenerate = _reverse_half(plan, mode, rng)
+    0.  ``trace`` gets the ``lottery`` and ``refuse`` lines.
+
+    perfbench's backprop counter unpacks the 0 as its count of degenerate
+    (all-zero-weight) lotteries, which no plan holds; it goes when that
+    adapter does."""
+    win_det, win_weight = _reverse_half(plan, mode, rng)
     void = _refusals(plan, win_det, win_weight, trace)
     winner_at = {u: (win_det[u], win_weight[u]) for u in plan.process_order}
     voided = {edge for edge, dead in zip(plan.edges, void) if dead}
-    return win_det[plan.lattice.source], winner_at, voided, degenerate
+    return win_det[plan.lattice.source], winner_at, voided, 0
 
 
 @dataclass(frozen=True)
@@ -495,12 +487,7 @@ class TrialOutcome:
     winner: int
     surviving_path: tuple[int, ...]
     hidden_ticks: int
-    intensities: dict[int, float]
     seed: int
-    master_seed: int
-    trial_index: int
-    mode: Mode
-    degenerate_lotteries: int
     rib_states: dict[tuple[int, int], RibState]
 
 
@@ -552,7 +539,7 @@ def run_trial(
     draws = len(plan.draw_order) + len(plan.process_order)
     (rng,) = trial_streams(master_seed, draws, trial_index, trial_index + 1)
 
-    win_det, win_weight, degenerate = _reverse_half(plan, mode, rng)
+    win_det, win_weight = _reverse_half(plan, mode, rng)
     if trace:
         _refusals(plan, win_det, win_weight, trace)
     winner = win_det[lattice.source]
@@ -574,11 +561,6 @@ def run_trial(
         winner=winner,
         surviving_path=path,
         hidden_ticks=hidden_ticks,
-        intensities=dict(plan.intensities),
         seed=seed,
-        master_seed=master_seed,
-        trial_index=trial_index,
-        mode=mode,
-        degenerate_lotteries=degenerate,
         rib_states=rib_states,
     )

@@ -179,10 +179,6 @@ class Lattice:
         return dist
 
 
-def _euclid(p: Sequence[float], q: Sequence[float]) -> float:
-    return math.dist(p, q)
-
-
 # ---------------------------------------------------------------------------
 # Builders
 # ---------------------------------------------------------------------------
@@ -391,7 +387,7 @@ def build_slit_grid(
     for col in range(grid_w - 1):
         for u in columns[col]:
             for v in columns[col + 1]:
-                ribs.append(Rib(u, v, _euclid(nodes[u].position, nodes[v].position)))
+                ribs.append(Rib(u, v, math.dist(nodes[u].position, nodes[v].position)))
     return Lattice(tuple(nodes), tuple(ribs), wavelength)
 
 
@@ -514,7 +510,7 @@ def load_topology(document: str) -> Lattice:
                     raise TopologyError(f"dangling rib endpoint {end}")
             length = entry.get("length")
             if length is None:
-                length = _euclid(by_id[u].position, by_id[v].position)
+                length = math.dist(by_id[u].position, by_id[v].position)
             length = float(length)
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise TopologyError(f"malformed rib entry {entry!r}: {exc}") from exc

@@ -1,11 +1,13 @@
 """Frozen reference for the reverse half: the set-and-dict kernel as it was
 before the engine lowered its plan to integer arrays.
 
-Only the tests use it.  It reads the plan's dict fields (``out_live``,
-``process_order``, ``intensities``, ``live_edges``), keeps its own copy of
-the lottery draw and of the random stream, a sequential splitmix64, and
-must agree with the engine's kernel per seed: winner, surviving path,
-degenerate count, voided edges and trace lines.
+Only the tests use it.  It reads the plan's ``edges``, ``process_order``
+and ``intensities``, builds its own child and parent maps from the edges,
+keeps its own copy of the lottery draw and of the random stream, a
+sequential splitmix64, and must agree with the engine's kernel per seed:
+winner, surviving path, voided edges and trace lines.  Its draw keeps an
+all-zero uniform fallback that the engine's lacks, and counts its uses;
+the tests assert that count stays 0.
 """
 
 from __future__ import annotations
@@ -75,17 +77,23 @@ def lottery_select(
     return (det, new_weight), losers, degenerate
 
 
-def _in_live(plan: TrialPlan) -> dict[int, list[int]]:
+def _live_maps(
+    plan: TrialPlan,
+) -> tuple[dict[int, list[int]], dict[int, list[int]]]:
+    """Each node's live children and live parents, in ``plan.edges``
+    order: sorted ``(u, v)``, so children come in id order."""
+    out_live: dict[int, list[int]] = defaultdict(list)
     in_live: dict[int, list[int]] = defaultdict(list)
-    for u, v in sorted(plan.live_edges):
+    for u, v in plan.edges:
+        out_live[u].append(v)
         in_live[v].append(u)
-    return in_live
+    return out_live, in_live
 
 
 def _refuse(
     start_edges: list[tuple[int, int]],
     void: set[tuple[int, int]],
-    plan: TrialPlan,
+    out_live: dict[int, list[int]],
     in_live: dict[int, list[int]],
     trace: Optional[TraceSink] = None,
 ) -> None:
@@ -98,7 +106,7 @@ def _refuse(
         if trace:
             trace(f"refuse rib=({u},{v})")
         if all((t, v) in void for t in in_live.get(v, ())):
-            for w in plan.out_live.get(v, ()):
+            for w in out_live.get(v, ()):
                 stack.append((v, w))
 
 
@@ -108,14 +116,14 @@ def backpropagate(
     rng: SplitMix64,
     trace: Optional[TraceSink] = None,
 ) -> tuple[int, dict[int, tuple[int, float]], set[tuple[int, int]], int]:
-    in_live = _in_live(plan)
+    out_live, in_live = _live_maps(plan)
     winner_at: dict[int, tuple[int, float]] = {}
     void: set[tuple[int, int]] = set()
     degenerate = 0
     for u in plan.process_order:
         weights: dict[int, float] = {}
         carriers: dict[int, list[tuple[int, int]]] = {}
-        for v in plan.out_live[u]:
+        for v in out_live[u]:
             if (u, v) in void:
                 continue
             if plan.lattice.nodes[v].kind is NodeKind.DETECTOR:
@@ -145,7 +153,7 @@ def backpropagate(
             trace(f"lottery node={u} winner={winner[0]} weights={competitors}")
         winner_at[u] = winner
         for loser, _ in losers:
-            _refuse(carriers[loser], void, plan, in_live, trace)
+            _refuse(carriers[loser], void, out_live, in_live, trace)
 
     source_entry = winner_at.get(plan.lattice.source)
     if source_entry is None:
@@ -160,11 +168,12 @@ def _confirmation_walk(
     void: set[tuple[int, int]],
     rng: SplitMix64,
 ) -> tuple[int, ...]:
+    out_live, _ = _live_maps(plan)
     path = [plan.lattice.source]
     u = plan.lattice.source
     while u != winner:
         candidates = []
-        for v in plan.out_live.get(u, ()):
+        for v in out_live.get(u, ()):
             if (u, v) in void:
                 continue
             if v == winner:

@@ -231,7 +231,7 @@ class TestPrepare:
         assert plan.intensities[live] == pytest.approx(1.0)
         assert plan.base_det[live] == live
         assert plan.base_det[dark] == -1
-        assert plan.live_edges and all(dark not in edge for edge in plan.live_edges)
+        assert plan.edges and all(dark not in edge for edge in plan.edges)
         for index in range(100):
             outcome = run_trial(lat, Mode.AGGREGATE, 4, index, plan=plan)
             assert outcome.winner == live
@@ -329,11 +329,8 @@ class TestLotterySelect:
     def test_zero_weight_never_wins(self):
         rng = random.Random(0)
         for _ in range(200):
-            index, _, degenerate = lottery_select(
-                _lottery({0: 2.0, 1: 0.0}), Mode.NAIVE, rng
-            )
+            index, _ = lottery_select(_lottery({0: 2.0, 1: 0.0}), Mode.NAIVE, rng)
             assert index == 0
-            assert not degenerate
 
     def test_equal_weights_split_evenly(self):
         rng = random.Random(1)
@@ -345,27 +342,13 @@ class TestLotterySelect:
 
     def test_aggregate_winner_inherits_total(self):
         rng = random.Random(2)
-        _, carried, _ = lottery_select(_lottery({0: 1.0, 1: 3.0}), Mode.AGGREGATE, rng)
+        _, carried = lottery_select(_lottery({0: 1.0, 1: 3.0}), Mode.AGGREGATE, rng)
         assert carried == pytest.approx(4.0)
 
     def test_naive_winner_keeps_own_weight(self):
         rng = random.Random(2)
-        _, carried, _ = lottery_select(_lottery({0: 1.0, 1: 3.0}), Mode.NAIVE, rng)
+        _, carried = lottery_select(_lottery({0: 1.0, 1: 3.0}), Mode.NAIVE, rng)
         assert carried in (1.0, 3.0)
-
-    def test_all_zero_weights_degenerate_uniform(self):
-        rng = random.Random(3)
-        lottery = _lottery({0: 0.0, 1: 0.0})
-        wins = Counter()
-        for _ in range(20_000):
-            index, _, degenerate = lottery_select(lottery, Mode.NAIVE, rng)
-            assert degenerate
-            wins[index] += 1
-        assert wins[0] / 20_000 == pytest.approx(0.5, abs=0.02)
-
-    def test_empty_competitors_rejected(self):
-        with pytest.raises(ValueError):
-            lottery_select(_lottery({}), Mode.NAIVE, random.Random(0))
 
     @given(
         weights=st.lists(
@@ -384,14 +367,14 @@ class TestLotterySelect:
             st.floats(min_value=0.0, max_value=1.0, exclude_max=True)
             | st.sampled_from(ratios or [0.0])
         )
-        index, _, _ = lottery_select(lottery, Mode.NAIVE, StubRandom(value))
+        index, _ = lottery_select(lottery, Mode.NAIVE, StubRandom(value))
         assert index == scan_index(ranked, value * total)
 
     def test_r_on_a_running_sum_takes_the_next_index(self):
         lottery = _lottery({0: 1.0, 1: 1.0, 2: 2.0})
         assert lottery[2:] == ([1.0, 2.0, 4.0], 4.0)
         for value, want in ((0.25, 1), (0.5, 2)):
-            index, _, _ = lottery_select(lottery, Mode.NAIVE, StubRandom(value))
+            index, _ = lottery_select(lottery, Mode.NAIVE, StubRandom(value))
             assert index == want == scan_index(lottery[1], value * 4.0)
 
     def test_r_past_the_last_running_sum_takes_the_last_index(self):
@@ -405,7 +388,7 @@ class TestLotterySelect:
         assert math.fsum(weights) == lottery[3]
         value = 1.0 - 2.0**-53
         assert value * lottery[3] >= 1.0
-        index, carried, _ = lottery_select(lottery, Mode.NAIVE, StubRandom(value))
+        index, carried = lottery_select(lottery, Mode.NAIVE, StubRandom(value))
         assert index == 2 == scan_index(weights, value * lottery[3])
         assert carried == 1e-16
 
@@ -450,6 +433,9 @@ class TestReferenceKernel:
                 if lottery is not None:
                     merged = sorted(_merge(kids, *base).items())
                     assert lottery[:2] == tuple(map(list, zip(*merged)))
+                    # lottery_select has no branch for fewer competitors
+                    # or a zero total
+                    assert len(lottery[0]) >= 2 and lottery[3] > 0.0
             stored, merged = lottery_kinds(plan)
             both += stored > 0 and merged > 0
             shared += shares_a_lottery(plan)
@@ -494,11 +480,7 @@ class TestReferenceKernel:
         )
         events: list[str] = []
         out = run_trial(lat, mode, master_seed, index, plan=plan, trace=events.append)
-        assert (out.winner, out.surviving_path, out.degenerate_lotteries) == (
-            winner,
-            path,
-            degenerate,
-        )
+        assert (out.winner, out.surviving_path) == (winner, path)
         assert events[:-1] == want_events
         # the engine's kernel also draws from the reference's own stream
         want = reference_backpropagate(plan, mode, trial_stream(master_seed, index))

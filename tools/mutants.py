@@ -110,6 +110,13 @@ MUTANTS: list[tuple[str, str, str, str, tuple[str, ...]]] = [
         ("tests/test_engine.py::TestLotterySelect",),
     ),
     (
+        "aggregate-carries-own-weight",
+        ENGINE,
+        "total if mode is _AGGREGATE else weights[index]",
+        "weights[index]",
+        ("tests/test_engine.py::TestLotterySelect", GOLDEN),
+    ),
+    (
         "lotteries-kept-across-trials",
         ENGINE,
         "held = list(plan.lotteries)",
