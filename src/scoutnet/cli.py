@@ -258,16 +258,20 @@ def _run_ensemble_scenario(config: RunConfig, out_dir: Path) -> int:
         critical = experiments.chi_square_critical(result.dof, config.chi_percentile)
     tv_threshold = config.tv_threshold
     if tv_threshold is None:
-        # TV = 1/2 sum|p^ - p| <= 1/2 sqrt(chi2 / n) by Cauchy-Schwarz, so a
-        # run that passes the chi-square gate cannot fail this TV gate on
-        # sampling noise alone, however few its trials.
+        # TV = 1/2 sum|p^ - p| <= 1/2 sqrt(chi2 / n) by Cauchy-Schwarz, with
+        # chi2 taken over every detector, unpooled: the bound uses that
+        # statistic's quantile, so a run is not failed on TV by sampling
+        # noise alone, however few its trials.
         tv_threshold = default_tv
-        if critical is not None:
-            tv_threshold = max(default_tv, 0.5 * math.sqrt(critical / result.trials))
+        cells = sum(p > 0.0 for p in result.reference.entries.values())
+        if cells > 1:
+            unpooled = experiments.chi_square_critical(cells - 1, config.chi_percentile)
+            tv_threshold = max(default_tv, 0.5 * math.sqrt(unpooled / result.trials))
     if result.underpowered:
         print(
-            f"warning: underpowered run: a detector expects fewer than 5 of "
-            f"{result.trials} trials, so the chi-square gate is approximate",
+            f"warning: underpowered run: pooling the detectors that expect "
+            f"fewer than 5 of {result.trials} trials leaves one cell, so no "
+            f"chi-square gate runs",
             file=sys.stderr,
         )
     if result.tv_distance > tv_threshold:

@@ -3,6 +3,11 @@
 DEFAULT_PATH_BUDGET = 1_000_000
 """Rib visits the oracle's path walk may make before ``PathBudgetError``."""
 
+DEFAULT_CLASS_BUDGET = 2_000_000
+"""Class updates the oracle's class sum may make before ``PathBudgetError``.
+Slit 12x9 needs 1.3M; slit 30x9 reaches the budget in about a second, with
+the process at about 60 MB."""
+
 
 class ScoutnetError(Exception):
     """Base class for every error raised by this package."""
@@ -17,16 +22,18 @@ class TopologyError(LatticeError):
 
 
 class PathBudgetError(ScoutnetError):
-    """The oracle's path enumeration crossed more ribs than its budget.
+    """A sum over paths needed more work than its budget.
 
-    ``count`` is the first rib visit past ``budget``.
+    ``unit`` names what the budget counts: the path walk's rib visits or
+    the class sum's class updates.  ``count`` is the first one past
+    ``budget``.
     """
 
-    def __init__(self, budget: int):
+    def __init__(self, budget: int, unit: str):
         self.budget = budget
         self.count = budget + 1
         super().__init__(
-            f"path budget exceeded: {self.count} rib visits with budget {budget}"
+            f"path budget exceeded: {self.count} {unit} with budget {budget}"
         )
 
 

@@ -48,23 +48,25 @@ class ChiSquareResult:
 def chi_square(
     counts: dict[int, int], reference: dict[int, float], trials: int
 ) -> ChiSquareResult:
-    """Pearson chi-square of observed counts against reference probabilities.
+    """Pearson chi-square of observed counts against reference probabilities,
+    over pooled cells.
 
-    Zero-probability cells are excluded from both the sum and the degrees
-    of freedom; any expected count below 5 flags the test as underpowered.
+    The two cells that expect the fewest draws are merged, and merged
+    again, until every cell expects at least 5 draws or one cell is left,
+    so that the chi-square quantile applies; a zero-probability cell is
+    merged like any other.  ``dof`` is the pooled cell count less one.  The
+    test is underpowered when pooling leaves one cell of two or more
+    positive ones: the run has too few trials to test anything.
     """
-    cells = [k for k, p in sorted(reference.items()) if p > 0.0]
-    if not cells:
+    positive = sum(p > 0.0 for p in reference.values())
+    if not positive:
         raise ValueError("reference distribution has no positive cells")
-    statistic = 0.0
-    underpowered = False
-    for k in cells:
-        expected = reference[k] * trials
-        observed = counts.get(k, 0)
-        if expected < 5.0:
-            underpowered = True
-        statistic += (observed - expected) ** 2 / expected
-    return ChiSquareResult(statistic, len(cells) - 1, underpowered)
+    cells = sorted((p * trials, counts.get(k, 0)) for k, p in reference.items())
+    while len(cells) > 1 and cells[0][0] < 5.0:
+        (e1, o1), (e2, o2), *rest = cells
+        cells = sorted([(e1 + e2, o1 + o2), *rest])
+    statistic = sum((obs - exp) ** 2 / exp for exp, obs in cells)
+    return ChiSquareResult(statistic, len(cells) - 1, len(cells) == 1 < positive)
 
 
 def _gamma_tails(a: float, x: float) -> tuple[float, float]:
@@ -226,13 +228,13 @@ def run_ensemble(
 def exact_selection_distribution(lattice: Lattice, mode: Mode) -> dict[int, float]:
     """Exact P(detector) by enumerating every lottery outcome sequence.
 
-    Built on the oracle's path enumeration (not the engine's traversal),
+    Built on the oracle's path walk (not the engine's traversal),
     with its own copy of the merge/lottery semantics, so it can
     cross-validate the engine's Monte-Carlo frequencies.  Refusal waves
     are left out: a wave voids only edges below the lottery that starts
     it, whose lotteries have already run, so it cannot change the winner.
     """
-    amplitudes = oracle.lattice_amplitudes(lattice)
+    amplitudes = oracle.path_amplitudes(lattice)
     intensities = {det: abs(a) ** 2 for det, a in amplitudes.items()}
     live = [
         det for det in lattice.detectors if intensities[det] > DEFAULT_EPS_INTENSITY
@@ -391,8 +393,11 @@ def summary_json(result: EnsembleResult) -> str:
         # 1 (no field): a --trace scout line per path, not per rib; 2:
         # independent lotteries in heap order, not reverse (hop distance, id);
         # 3: each trial draws from a Mersenne Twister seeded with its trial
-        # seed, not from the splitmix64 stream that starts there
-        "format": 4,
+        # seed, not from the splitmix64 stream that starts there; 4: the
+        # oracle adds one unit phasor per path, not one per class of paths
+        # (the born and oracle_intensity columns' last bits), and chi_square
+        # and dof keep cells that expect fewer than 5 draws unpooled
+        "format": 5,
         "lattice_id": result.lattice_id,
         "mode": result.mode.value,
         "trials": result.trials,

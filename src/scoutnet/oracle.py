@@ -1,17 +1,32 @@
-"""Brute-force reference for amplitudes and selection probabilities.
+"""Sums over paths, computed apart from the engine.
 
-Everything here is plain recursive path enumeration over the lattice,
-deliberately sharing no traversal code with the engine: agreement
-between the two is the artifact's main correctness check.
+Two sums over every admissible path, deliberately sharing no traversal
+code with the engine: agreement between them and the engine is the
+artifact's main correctness check.
+
+- ``path_amplitudes`` and ``enumerate_paths`` walk the paths one by one
+  and add one unit phasor per path.  They are the brute-force cross-check
+  and cost time in proportion to the paths.
+- ``lattice_amplitudes``, the Born reference of every ensemble, groups the
+  paths into classes: paths with the same number of ribs of each length
+  have the same total length, so the same phase.  It counts each class's
+  paths exactly and takes one phasor per class.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
+from operator import mul
 from typing import Callable
 
-from .errors import DEFAULT_PATH_BUDGET, DarkTrialError, PathBudgetError
+from .errors import (
+    DEFAULT_CLASS_BUDGET,
+    DEFAULT_PATH_BUDGET,
+    DarkTrialError,
+    PathBudgetError,
+)
 from .lattice import Lattice, NodeKind
 
 
@@ -35,6 +50,27 @@ class BornDistribution:
             raise ValueError(f"probabilities sum to {total}, not 1")
 
 
+def _forward_children(lattice: Lattice) -> dict[int, tuple[tuple[int, float], ...]]:
+    """Each passing node's admissible children, ``(child, rib length)``.
+
+    A rib is admissible when it raises the hop distance from the source by
+    one.  Only the source and void nodes pass a path on; they are the keys,
+    in ``(hop distance, id)`` order, so every node comes after its parents.
+    Children are in id order; a child that is not a key is a detector.
+    """
+    dist = lattice.hop_distances()
+    passing = [u for u in dist if lattice.nodes[u].kind is not NodeKind.DETECTOR]
+    passing.sort(key=lambda u: (dist[u], u))
+    return {
+        u: tuple(
+            (v, lattice.ribs[idx].length)
+            for v, idx in lattice.adjacency[u]
+            if dist.get(v) == dist[u] + 1
+        )
+        for u in passing
+    }
+
+
 def _walk_paths(
     lattice: Lattice,
     path_budget: int,
@@ -42,33 +78,17 @@ def _walk_paths(
 ) -> None:
     """Depth-first walk over every admissible path from the source.
 
-    A path is admissible when each rib raises the hop distance from the
-    source by one.  Charged nodes absorb: a path ends at the first
-    detector it meets, where ``arrive(trail, detector, length)`` is called
-    (``trail`` excludes the detector).  Children are taken in adjacency
-    order, which is by node id, so each detector's paths arrive in
+    A path ends at the first detector it meets, where ``arrive(trail,
+    detector, length)`` is called (``trail`` excludes the detector).
+    Children are taken in id order, so each detector's paths arrive in
     lexicographic order of their node ids.  A path's length is summed rib
     by rib from the source.
 
-    Each reached node's admissible children, ``(child, rib length, is
-    detector)``, are built once before the walk.  The budget counts every
-    rib the walk crosses; a node's ribs are charged when it is expanded,
-    all of which the walk then crosses, so the error names rib visit
-    ``budget + 1``.
+    The budget counts every rib the walk crosses; a node's ribs are
+    charged when it is expanded, all of which the walk then crosses, so
+    the error names rib visit ``budget + 1``.
     """
-    dist = lattice.hop_distances()
-    forward: list[tuple[tuple[int, float, bool], ...]] = [()] * len(lattice.nodes)
-    for u, du in dist.items():
-        if u == lattice.source or lattice.nodes[u].kind is NodeKind.VOID:
-            forward[u] = tuple(
-                (
-                    v,
-                    lattice.ribs[idx].length,
-                    lattice.nodes[v].kind is NodeKind.DETECTOR,
-                )
-                for v, idx in lattice.adjacency[u]
-                if dist.get(v) == du + 1
-            )
+    forward = _forward_children(lattice)
     budget_left = path_budget
 
     def walk(u: int, trail: list[int], length: float) -> None:
@@ -76,14 +96,14 @@ def _walk_paths(
         kids = forward[u]
         budget_left -= len(kids)
         if budget_left < 0:
-            raise PathBudgetError(path_budget)
-        for v, rib_len, is_detector in kids:
-            if is_detector:
-                arrive(trail, v, length + rib_len)
-            else:
+            raise PathBudgetError(path_budget, "rib visits")
+        for v, rib_len in kids:
+            if v in forward:
                 trail.append(v)
                 walk(v, trail, length + rib_len)
                 trail.pop()
+            else:
+                arrive(trail, v, length + rib_len)
 
     walk(lattice.source, [lattice.source], 0.0)
 
@@ -124,7 +144,7 @@ def born_distribution(amplitudes: dict[int, complex]) -> BornDistribution:
     )
 
 
-def lattice_amplitudes(lattice: Lattice) -> dict[int, complex]:
+def path_amplitudes(lattice: Lattice) -> dict[int, complex]:
     """Amplitude of every detector on the lattice, from one walk.
 
     Each path's unit vector is added as the path ends.  Paths reach a
@@ -148,3 +168,65 @@ def lattice_amplitudes(lattice: Lattice) -> dict[int, complex]:
 
     _walk_paths(lattice, DEFAULT_PATH_BUDGET, arrive)
     return {det: complex(re[det], im[det]) for det in lattice.detectors}
+
+
+def lattice_amplitudes(lattice: Lattice) -> dict[int, complex]:
+    """Amplitude of every detector on the lattice, summed class by class.
+
+    A path's class is its vector of rib counts, one per distinct rib
+    length, packed in one int: the count of length i sits in byte field i,
+    wide enough for any path, so a rib of length i adds the field's unit.
+    Each node holds ``{class: exact path count}``, built from its parents'
+    in ``(hop distance, id)`` order and dropped once passed on.
+
+    A detector's amplitude is the ``math.fsum`` over its classes of the
+    path count times ``cos(phase) + i sin(phase)``.  A class's phase is
+    the ``math.fsum`` of each length's turn, ``fmod(2*pi*l/lambda, 2*pi)``,
+    times its count.  Taken over the whole length L, ``2*pi*L/lambda``
+    reaches hundreds of radians on deep slit screens, and its rounding put
+    slit 12x9's amplitudes 4e-12 off (relative to the largest), against
+    2e-14 when turned per length.
+
+    ``DEFAULT_CLASS_BUDGET`` counts class updates, one per class of a node
+    and rib out of it; a node's are charged before it passes them on, so
+    the error names update ``budget + 1``.
+    """
+    forward = _forward_children(lattice)
+    lengths = sorted({length for kids in forward.values() for _, length in kids})
+    # no path crosses more ribs than there are passing nodes
+    width = next(w for w in (1, 2, 4, 8) if len(forward) < 256**w)
+    unit = {length: 1 << (8 * width * i) for i, length in enumerate(lengths)}
+    classes: dict[int, dict[int, int]] = {lattice.source: {0: 1}}
+    budget_left = DEFAULT_CLASS_BUDGET
+    for u, kids in forward.items():
+        here = classes.pop(u)
+        budget_left -= len(here) * len(kids)
+        if budget_left < 0:
+            raise PathBudgetError(DEFAULT_CLASS_BUDGET, "class updates")
+        for v, length in kids:
+            step = unit[length]
+            there = classes.setdefault(v, {})
+            get = there.get
+            for key, paths in here.items():
+                key += step
+                there[key] = get(key, 0) + paths
+
+    size = width * len(lengths)
+    fields = {1: "B", 2: "H", 4: "I", 8: "Q"}[width]
+    two_pi = 2.0 * math.pi
+    fmod, fsum, cos, sin = math.fmod, math.fsum, math.cos, math.sin
+    turns = [fmod(two_pi * length / lattice.wavelength, two_pi) for length in lengths]
+    phasors: dict[int, tuple[float, float]] = {}
+    amplitudes = {}
+    for det in lattice.detectors:
+        re, im = [], []
+        for key, paths in classes.get(det, {}).items():
+            phasor = phasors.get(key)
+            if phasor is None:
+                counts = memoryview(key.to_bytes(size, sys.byteorder)).cast(fields)
+                phase = fsum(map(mul, turns, counts))
+                phasor = phasors[key] = (cos(phase), sin(phase))
+            re.append(paths * phasor[0])
+            im.append(paths * phasor[1])
+        amplitudes[det] = complex(fsum(re), fsum(im))
+    return amplitudes

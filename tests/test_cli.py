@@ -185,7 +185,9 @@ class TestGateFlags:
         assert capsys.readouterr().err.startswith("error:")
 
     def test_default_tv_gate_scales_with_trials(self, tmp_path, capsys):
-        # tv 0.17 against the old fixed 0.01; chi2 1.6 passes its gate at dof 8
+        # tv 0.19 against the old fixed 0.01; the TV gate takes the unpooled
+        # chi-square quantile at dof 8, while pooling the 9 detectors' cells
+        # to expect 5 of 10 trials each leaves one cell and no chi-square gate
         code = run_cli(
             "--scenario", "grid", "--grid-w", "9", "--grid-h", "9",
             "--trials", "10", "--out", str(tmp_path),
@@ -193,10 +195,25 @@ class TestGateFlags:
         err = capsys.readouterr().err
         assert code == EXIT_OK, err
         assert "threshold failure" not in err
-        assert "warning: underpowered" in err
+        assert "warning: underpowered run: pooling" in err
+        assert "leaves one cell" in err
         summary = json.loads((tmp_path / "summary.json").read_text())
         assert summary["tv_distance"] > 0.1
         assert summary["underpowered"] is True
+        assert (summary["dof"], summary["chi_square"]) == (0, 0.0)
+
+    def test_pooled_cells_set_the_chi_square_dof(self, tmp_path, capsys):
+        # grid 4x4's corner detector expects 6.8 of 1000 trials and the next
+        # 61.6: no pooling, dof 3; at 300 trials the corner expects 2.1 and
+        # is pooled with its neighbour, dof 2
+        for trials, dof in (("1000", 3), ("300", 2)):
+            run_cli(
+                "--scenario", "grid", "--grid-w", "4", "--grid-h", "4",
+                "--trials", trials, "--out", str(tmp_path),
+            )
+            summary = json.loads((tmp_path / "summary.json").read_text())
+            assert (summary["dof"], summary["underpowered"]) == (dof, False)
+        assert "warning" not in capsys.readouterr().err
 
 
 README_TOPOLOGY = re.search(
@@ -413,6 +430,30 @@ class TestScenarios:
         assert code == EXIT_OK
         lines = (tmp_path / "clock.csv").read_text().strip().split("\n")
         assert lines[1:] == ["5,1,2,3", "10,1,2,5", "20,1,2,10"]
+
+    def test_large_grid_runs_past_the_path_walk(self, tmp_path, capsys):
+        # the class-summed oracle reaches grids the path walk's budget did
+        # not; grids are not Born-exact, so the gate fails (ROADMAP item 2)
+        code = run_cli(
+            "--scenario", "grid", "--grid-w", "20", "--grid-h", "20",
+            "--trials", "500", "--out", str(tmp_path),
+        )
+        assert code == EXIT_THRESHOLD
+        assert "threshold failure" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "ensemble.csv", "summary.json",
+        ]  # fmt: skip
+
+    def test_class_budget_ends_a_deep_slit_screen(self, tmp_path, capsys):
+        # slit 30x9's classes outgrow the budget within about a second
+        code = run_cli(
+            "--scenario", "double-slit", "--grid-w", "30", "--trials", "10",
+            "--out", str(tmp_path),
+        )
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("error: path budget exceeded: ")
+        assert "class updates" in err
 
     def test_double_slit_writes_profile(self, tmp_path):
         code = run_cli(

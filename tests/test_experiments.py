@@ -1,5 +1,7 @@
 import concurrent.futures
 import os
+import random
+from collections import Counter
 
 import pytest
 
@@ -62,13 +64,34 @@ class TestChiSquare:
         assert result.dof == 1
 
     def test_zero_probability_cells_excluded(self):
+        # pooled into the other cell: no degree of freedom, and one positive
+        # cell is nothing to lack power for
         result = chi_square({1: 0, 2: 100}, {1: 0.0, 2: 1.0}, 100)
         assert result.dof == 0
         assert result.statistic == 0.0
+        assert not result.underpowered
 
     def test_underpowered_flag(self):
+        # 1 expected draw is pooled with 9: one cell is left
         result = chi_square({1: 1, 2: 9}, {1: 0.1, 2: 0.9}, 10)
         assert result.underpowered
+        assert (result.dof, result.statistic) == (0, 0.0)
+
+    def test_small_cells_are_pooled(self):
+        # cell 1 expects 1 draw and is merged with cell 2; unpooled, its 3
+        # draws alone would add (3 - 1)^2 / 1 = 4
+        result = chi_square({1: 3, 2: 497, 3: 500}, {1: 0.001, 2: 0.499, 3: 0.5}, 1000)
+        assert (result.statistic, result.dof, result.underpowered) == (0.0, 1, False)
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_pooling_matches_test_suite_rule(self, seed):
+        rng = random.Random(seed)
+        weights = [rng.random() ** 4 for _ in range(rng.randint(1, 12))]
+        law = {det: w / sum(weights) for det, w in enumerate(weights)}
+        trials = rng.randint(1, 300)
+        counts = Counter(rng.choices(list(law), list(law.values()), k=trials))
+        result = chi_square(dict(counts), law, trials)
+        assert (result.statistic, result.dof) == pooled_chi_square(counts, law, trials)
 
     def test_critical_value_for_two_dof(self):
         assert chi_square_critical(2, 0.99) == pytest.approx(9.21034, abs=1e-4)

@@ -10,8 +10,15 @@ from hypothesis import strategies as st
 
 from conftest import random_layered_lattice
 from scoutnet import oracle
+from scoutnet.engine import prepare, propagate_scouts
 from scoutnet.errors import DarkTrialError, PathBudgetError
-from scoutnet.lattice import build_grid, build_slit_grid, build_star, build_two_path
+from scoutnet.lattice import (
+    build_grid,
+    build_intensity_star,
+    build_slit_grid,
+    build_star,
+    build_two_path,
+)
 
 PINNED = json.loads((Path(__file__).parent / "oracle_amplitudes.json").read_text())
 
@@ -59,11 +66,12 @@ class TestEnumeratePaths:
 
 
 class TestLatticeAmplitudes:
-    """The one-walk sums equal the per-detector path sums bit for bit."""
+    """The walk's sums, ``path_amplitudes``, equal the per-detector path
+    sums bit for bit."""
 
     @staticmethod
     def assert_equal_to_path_sums(lat):
-        amps = oracle.lattice_amplitudes(lat)
+        amps = oracle.path_amplitudes(lat)
         assert list(amps) == list(lat.detectors)
         for det in lat.detectors:
             paths = oracle.enumerate_paths(lat, det)
@@ -79,27 +87,115 @@ class TestLatticeAmplitudes:
 
 
 class TestPinnedAmplitudes:
-    """The oracle's sums, pinned by ``repr``.
+    """Both oracles' sums, pinned by ``repr``.
 
-    ``oracle_amplitudes.json`` holds the ``repr`` of ``lattice_amplitudes``
-    as written by the per-rib-lookup walk that preceded the prebuilt
-    forward children.  ``TestLatticeAmplitudes`` compares two callers of
-    one walk, so it cannot see a change to the walk itself; these pins can.
+    ``oracle_amplitudes.json`` holds the ``repr`` of ``path_amplitudes``
+    (under ``paths``) as written by the per-rib-lookup walk that preceded
+    the prebuilt forward children, and of the class sum
+    ``lattice_amplitudes`` (under ``classes``).  ``TestLatticeAmplitudes``
+    compares two callers of one walk, so it cannot see a change to the
+    walk itself; these pins can.
     """
 
+    @staticmethod
+    def assert_pinned(lat, key):
+        assert repr(oracle.path_amplitudes(lat)) == PINNED["paths"][key]
+        assert repr(oracle.lattice_amplitudes(lat)) == PINNED["classes"][key]
+
     def test_slit_screen_7x9(self):
-        amps = oracle.lattice_amplitudes(build_slit_grid(7, 9, [2, 6]))
-        assert repr(amps) == PINNED["slit-7x9"]
+        self.assert_pinned(build_slit_grid(7, 9, [2, 6]), "slit-7x9")
 
     @pytest.mark.parametrize("n", range(3, 9))
     def test_column_grid(self, n):
-        amps = oracle.lattice_amplitudes(build_grid(n, n, "column"))
-        assert repr(amps) == PINNED[f"grid-{n}x{n}-column"]
+        self.assert_pinned(build_grid(n, n, "column"), f"grid-{n}x{n}-column")
 
     def test_random_layered_lattices(self):
         for seed in range(50):
             lat = random_layered_lattice(random.Random(seed))
-            assert repr(oracle.lattice_amplitudes(lat)) == PINNED[f"random-{seed}"]
+            self.assert_pinned(lat, f"random-{seed}")
+
+
+def intensities(amplitudes: dict[int, complex]) -> dict[int, float]:
+    return {det: a.real * a.real + a.imag * a.imag for det, a in amplitudes.items()}
+
+
+def assert_close(got: dict[int, float], want: dict[int, float], rel: float) -> None:
+    """Equal within ``rel`` of the largest value; amplitudes are sums of
+    unit phasors, so the scale is at least 1."""
+    assert list(got) == list(want)
+    scale = max(1.0, *map(abs, want.values()))
+    for det, value in want.items():
+        assert abs(got[det] - value) <= rel * scale, (det, got[det], value)
+
+
+# the lattices the CLI scenarios and the benchmark build (the CLI's λ is 1), and
+# the slit and a grid at other wavelengths
+CANONICAL = {
+    "star": build_star(3, 2, [1.0, 1.0, 1.0]),
+    "star-1-1-2": build_intensity_star([1.0, 1.0, 2.0]),
+    "two-path": build_two_path(2.0, 2.0, 2),
+    "two-path-quarter": build_two_path(2.0, 2.25, 3),
+    "double-slit": build_slit_grid(3, 9, [2, 6], wavelength=1.0),
+    "slit-7x9": build_slit_grid(7, 9, [2, 6], wavelength=1.0),
+    "slit-7x9-0.7": build_slit_grid(7, 9, [2, 6]),
+    "grid-4x4": build_grid(4, 4, "column"),
+    "grid-8x8-0.73": build_grid(8, 8, "column", wavelength=0.73),
+}
+
+
+class TestClassAmplitudes:
+    """The class sum against the walk and the engine, and its budget."""
+
+    @staticmethod
+    def assert_three_way(lat):
+        classes = intensities(oracle.lattice_amplitudes(lat))
+        assert_close(classes, intensities(oracle.path_amplitudes(lat)), 1e-12)
+        assert_close(prepare(lat).intensities, classes, 1e-12)
+
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=100, deadline=None)
+    def test_three_way_on_random_layered_lattices(self, seed):
+        self.assert_three_way(random_layered_lattice(random.Random(seed)))
+
+    @pytest.mark.parametrize("name", sorted(CANONICAL))
+    def test_three_way_on_canonical_scenarios(self, name):
+        self.assert_three_way(CANONICAL[name])
+
+    @pytest.mark.parametrize(
+        "lat",
+        [
+            pytest.param(build_grid(12, 12, "column", 0.73), id="grid-12x12"),
+            pytest.param(build_grid(100, 100, "column", 0.73), id="grid-100x100"),
+            pytest.param(build_slit_grid(10, 9, [2, 6]), id="slit-10x9"),
+        ],
+    )
+    def test_engine_beyond_the_walk(self, lat):
+        # each has over a million path prefixes, past the walk's budget;
+        # test_engine's TestRecurrenceBeyondOracle has the column grids'
+        # closed form
+        want = oracle.lattice_amplitudes(lat)
+        got = propagate_scouts(lat).amplitudes
+        scale = max(map(abs, want.values()))
+        for det, amp in want.items():
+            assert abs(got[det] - amp) <= 1e-12 * scale
+
+    def test_budget_counts_class_updates(self, monkeypatch):
+        # unit ribs: each node of a corner grid holds one class, and every
+        # rib leaves a passing node, so there is one update per rib
+        lat = build_grid(4, 5, "corner")
+        updates = len(lat.ribs)
+        monkeypatch.setattr(oracle, "DEFAULT_CLASS_BUDGET", updates)
+        assert oracle.lattice_amplitudes(lat) == oracle.path_amplitudes(lat)
+        monkeypatch.setattr(oracle, "DEFAULT_CLASS_BUDGET", updates - 1)
+        with pytest.raises(PathBudgetError, match="path budget exceeded") as err:
+            oracle.lattice_amplitudes(lat)
+        assert (err.value.budget, err.value.count) == (updates - 1, updates)
+        assert "class updates" in str(err.value)
+
+    def test_classes_merge_paths_of_equal_length(self):
+        # two arms of two unit ribs each: one class of two paths
+        lat = build_two_path(2.0, 2.0, 2)
+        assert oracle.lattice_amplitudes(lat) == {lat.detectors[0]: 2 + 0j}
 
 
 class TestDetectorAmplitude:

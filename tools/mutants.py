@@ -33,6 +33,7 @@ COPIED = ("src", "tests", "README.md", "pyproject.toml")
 
 ENGINE = "src/scoutnet/engine.py"
 RNG = "src/scoutnet/rng.py"
+ORACLE = "src/scoutnet/oracle.py"
 SCOUTS = "tests/test_engine.py::TestPropagateScouts"
 BEYOND = "tests/test_engine.py::TestRecurrenceBeyondOracle"
 BOUNDARY = "tests/test_engine.py::TestPathBudgetBoundary"
@@ -41,6 +42,7 @@ PREPARE = "tests/test_engine.py::TestPrepare"
 GOLDEN = "tests/test_golden.py"
 STREAM = "tests/test_rng.py"
 STREAM_PROPERTY = "tests/test_rng.py::test_lane_batch_equals_sequential_generator"
+CLASSES = "tests/test_oracle.py::TestClassAmplitudes"
 
 MUTANTS: list[tuple[str, str, str, str, tuple[str, ...]]] = [
     # the rib-by-rib forward half
@@ -176,8 +178,23 @@ MUTANTS: list[tuple[str, str, str, str, tuple[str, ...]]] = [
         ("tests/test_experiments.py::TestExactSelectionOffTrees",),
     ),
     (
+        "class-merge-overwrites",
+        ORACLE,
+        "there[key] = get(key, 0) + paths",
+        "there[key] = paths",
+        (CLASSES,),
+    ),
+    (
+        "class-key-drops-a-length",
+        ORACLE,
+        "unit = {length: 1 << (8 * width * i) for i, length in enumerate(lengths)}",
+        "unit = {length: (1 << (8 * width * i)) * (i > 0) "
+        "for i, length in enumerate(lengths)}",
+        (CLASSES,),
+    ),
+    (
         "oracle-walk-child-order",
-        "src/scoutnet/oracle.py",
+        ORACLE,
         "for v, idx in lattice.adjacency[u]",
         "for v, idx in reversed(lattice.adjacency[u])",
         ("tests/test_oracle.py::TestPinnedAmplitudes",),
