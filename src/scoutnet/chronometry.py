@@ -31,12 +31,7 @@ class ClockScenario:
             raise ConfigError("laser_cadence must be >= 1 tick")
 
 
-@dataclass(frozen=True)
-class ClockReading:
-    laser_count: int
-
-
-def queue_clock_count(scenario: ClockScenario) -> ClockReading:
+def queue_clock_count(scenario: ClockScenario) -> int:
     """Count laser scouts queued at the detector during the probe's flight.
 
     The probe scout departs at tick 0 and arrives at tick ``source_distance``;
@@ -49,7 +44,7 @@ def queue_clock_count(scenario: ClockScenario) -> ClockReading:
     d_s = scenario.source_distance
     d_l = scenario.laser_distance
     m = scenario.laser_cadence
-    return ClockReading(laser_count=max(0, (d_s - d_l) // m + 1))
+    return max(0, (d_s - d_l) // m + 1)
 
 
 def dilation_time(tau: float, v: float) -> float:

@@ -294,10 +294,8 @@ def _run_clock(config: RunConfig, out_dir: Path) -> int:
     lines = ["source_distance,laser_distance,cadence,laser_count"]
     for d_s in _parse_int_list(config.distance, "--distance"):
         scenario = ClockScenario(d_s, config.laser_distance, config.cadence)
-        reading = queue_clock_count(scenario)
-        lines.append(
-            f"{d_s},{config.laser_distance},{config.cadence},{reading.laser_count}"
-        )
+        count = queue_clock_count(scenario)
+        lines.append(f"{d_s},{config.laser_distance},{config.cadence},{count}")
     _write(out_dir / "clock.csv", "\n".join(lines) + "\n")
     return EXIT_OK
 

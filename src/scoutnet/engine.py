@@ -21,18 +21,18 @@ reaches each node after all of its children: it is the barrier order.
 Everything that does not depend on the random stream is computed once
 by ``prepare``.  The scout report holds each detector's amplitude, summed
 rib by rib, and each expanded node's forward children in expansion
-order; one backward sweep over them builds the live trace graph and
-lowers it to integer-indexed arrays (a ``TrialPlan``).  Its per-node
+order; one backward sweep over them builds the live trace graph, each
+node's live children, and stores it in a ``TrialPlan``.  Its per-node
 query table is seeded with each live detector's own query and with the
 surviving query of every draw-free node, one whose live reach holds a
 single detector: such a node never holds a lottery.  Draw nodes with
 the same live children see the same competing queries in any one trial,
 so the plan groups them into one lottery; a lottery whose children are
 all seeded has fixed competitors, and the plan stores its record.  The
-reverse half is split in two.  The kernel, ``_reverse_half``, starts from the seeded
-table, builds each lottery once per trial and draws from it at every
-node of its group, in ``draw_order``; a refusal wave voids only edges
-below its lottery, which barrier order has already passed, so the
+reverse half is split in two.  The kernel, ``_reverse_half``, starts from
+the seeded table, builds each lottery once per trial and draws from it
+at every node of its group, in ``draw_order``; a refusal wave voids only
+edges below its lottery, which barrier order has already passed, so the
 lotteries alone fix the winner.  The replay, ``_refusals``, runs the
 waves from the kernel's result and draws nothing; only the voided-edge
 set and the ``--trace`` lines need it.  ``count_winners`` runs the
@@ -204,12 +204,10 @@ def lottery_select(
 class TrialPlan:
     """Everything about a trial that does not depend on the random stream.
 
-    ``process_order`` holds the nodes with live children, in reverse
-    ``(hop distance, id)`` order: every live child comes before its
-    parents.  The fields after it are the live trace graph lowered to
-    integer ids for the reverse-half kernel.  Edge ``e`` is ``edges[e]``,
-    in sorted ``(u, v)`` order, so each node's out-edges run in child
-    order.
+    ``out_live`` is the live trace graph: each node with live children
+    maps to them, in id order.  Its keys are ``process_order``, the same
+    nodes in reverse ``(hop distance, id)`` order, so every live child
+    comes before its parents.
 
     ``base_det``/``base_weight`` seed the per-node query table: a live
     detector holds its own query, ``(id, intensity)``.  A node whose live
@@ -221,40 +219,28 @@ class TrialPlan:
     keeps it, so draw nodes with the same live children see the same
     competitors in any one trial: they share one lottery.
     ``draw_lottery[i]`` is the lottery of ``draw_order[i]``, numbered in
-    order of first use, and ``lottery_children[k]`` holds lottery k's
-    live children, in the order of its nodes' out-edges.  When every
-    child of a lottery is seeded, its competitors are fixed too, and
-    ``lotteries[k]`` holds its record (see ``_lottery``); otherwise it is
-    None and the kernel merges once per trial.
+    order of first use.  When every child of a lottery is seeded, its
+    competitors are fixed too, and ``lotteries[k]`` holds its record (see
+    ``_lottery``); otherwise it is None and the kernel merges once per
+    trial.
     """
 
     lattice: Lattice
     scout_report: ScoutReport
     intensities: dict[int, float]
     process_order: tuple[int, ...]
-    edges: tuple[tuple[int, int], ...]
-    out_edges: tuple[tuple[int, ...], ...]
-    in_degree: tuple[int, ...]
+    out_live: dict[int, tuple[int, ...]]
     base_det: tuple[int, ...]
     base_weight: tuple[float, ...]
     draw_order: tuple[int, ...]
     draw_lottery: tuple[int, ...]
-    lottery_children: tuple[tuple[int, ...], ...]
     lotteries: tuple[Optional[Lottery], ...]
 
-    # views over ``edges``/``out_edges`` for perfbench's plan counters and
-    # the frozen reference kernel; the engine reads neither
+    # a view for perfbench's plan counters and the frozen reference
+    # kernel; the engine does not read it
     @cached_property
     def live_edges(self) -> frozenset[tuple[int, int]]:
-        return frozenset(self.edges)
-
-    @cached_property
-    def out_live(self) -> dict[int, tuple[int, ...]]:
-        return {
-            u: tuple(self.edges[e][1] for e in es)
-            for u, es in enumerate(self.out_edges)
-            if es
-        }
+        return frozenset((u, v) for u, kids in self.out_live.items() for v in kids)
 
 
 def prepare(lattice: Lattice, trace: Optional[TraceSink] = None) -> TrialPlan:
@@ -263,12 +249,18 @@ def prepare(lattice: Lattice, trace: Optional[TraceSink] = None) -> TrialPlan:
     A detector's intensity is ``|a|^2`` of its amplitude ``a``, taken as
     ``a.real**2 + a.imag**2``.  Detectors whose intensity does not exceed
     ``DEFAULT_EPS_INTENSITY`` are dark: they emit no query and no live edge
-    leads to them.
+    leads to them.  An intensity past the largest float (``inf``, or
+    ``nan`` once the amplitudes overflowed) raises ``ScoutnetError``.
     """
     report = propagate_scouts(lattice, trace=trace)
     intensities = {
         det: a.real * a.real + a.imag * a.imag for det, a in report.amplitudes.items()
     }
+    for d, intensity in intensities.items():
+        if not math.isfinite(intensity):
+            raise ScoutnetError(
+                f"intensity overflow: detector {d}'s intensity is {intensity}"
+            )
     live = {d for d in lattice.detectors if intensities[d] > DEFAULT_EPS_INTENSITY}
     if not live:
         raise DarkTrialError("dark trial: no detector intensity above threshold")
@@ -308,26 +300,16 @@ def prepare(lattice: Lattice, trace: Optional[TraceSink] = None) -> TrialPlan:
         if k == len(lotteries):
             lotteries.append(_lottery(weights) if seeded else None)
 
-    edges = tuple(sorted((u, v) for u, kids in live_children.items() for v in kids))
-    out_edges: list[list[int]] = [[] for _ in range(n)]
-    in_degree = [0] * n
-    for e, (u, v) in enumerate(edges):
-        out_edges[u].append(e)
-        in_degree[v] += 1
-
     return TrialPlan(
         lattice=lattice,
         scout_report=report,
         intensities=intensities,
         process_order=tuple(live_children),
-        edges=edges,
-        out_edges=tuple(tuple(es) for es in out_edges),
-        in_degree=tuple(in_degree),
+        out_live=live_children,
         base_det=tuple(base_det),
         base_weight=tuple(base_weight),
         draw_order=tuple(draw_order),
         draw_lottery=tuple(draw_lottery),
-        lottery_children=tuple(lottery_of),
         lotteries=tuple(lotteries),
     )
 
@@ -377,11 +359,11 @@ def _reverse_half(
     win_det = list(plan.base_det)
     win_weight = list(plan.base_weight)
     held = list(plan.lotteries)
-    children = plan.lottery_children
+    out_live = plan.out_live
     for u, k in zip(plan.draw_order, plan.draw_lottery):
         lottery = held[k]
         if lottery is None:
-            weights = _merge(children[k], win_det, win_weight)
+            weights = _merge(out_live[u], win_det, win_weight)
             if len(weights) == 1:
                 ((win_det[u], win_weight[u]),) = weights.items()
                 continue
@@ -400,20 +382,25 @@ def _refusals(
     win_det: list[int],
     win_weight: list[float],
     trace: Optional[TraceSink] = None,
-) -> bytearray:
-    """Replay the kernel's lotteries and return, per edge, 1 if it was voided.
+) -> set[tuple[int, int]]:
+    """Replay the kernel's lotteries and return the voided edges, as
+    ``(u, v)`` pairs.
 
     At every lottery the losing queries' edges are voided, and the refusal
     wave walks on from every node whose live inbound edges are all dead.
     Losers are taken in detector order and the wave pops edges from a
-    stack, so the ``lottery``/``refuse`` trace lines come out in protocol
-    order.  Draw-free nodes hold no lottery, so only ``draw_order`` is
-    visited.  Draws nothing from the random stream.
+    stack, children in id order, so the ``lottery``/``refuse`` trace lines
+    come out in protocol order.  Draw-free nodes hold no lottery, so only
+    ``draw_order`` is visited.  Draws nothing from the random stream.
+    Each node's live in-degree is counted here, not stored in the plan:
+    only ``backpropagate`` and a traced ``run_trial`` replay the waves.
     """
-    void = bytearray(len(plan.edges))
-    dead_in = [0] * len(plan.lattice.nodes)
-    for u, k in zip(plan.draw_order, plan.draw_lottery):
-        kids = plan.lottery_children[k]
+    out_live = plan.out_live
+    in_degree = Counter(v for kids in out_live.values() for v in kids)
+    dead_in: Counter = Counter()
+    void: set[tuple[int, int]] = set()
+    for u in plan.draw_order:
+        kids = out_live[u]
         weights = _merge(kids, win_det, win_weight)
         if len(weights) < 2:
             continue
@@ -424,20 +411,18 @@ def _refusals(
         for loser, _ in competitors:
             if loser == winner:
                 continue
-            stack = [
-                e for e, v in zip(plan.out_edges[u], kids) if win_det[v] == loser
-            ]
+            stack = [(u, v) for v in kids if win_det[v] == loser]
             while stack:
-                e = stack.pop()
-                if void[e]:
+                edge = stack.pop()
+                if edge in void:
                     continue
-                void[e] = 1
-                tail, v = plan.edges[e]
+                void.add(edge)
+                tail, v = edge
                 if trace:
                     trace(f"refuse rib=({tail},{v})")
                 dead_in[v] += 1
-                if dead_in[v] == plan.in_degree[v]:
-                    stack.extend(plan.out_edges[v])
+                if dead_in[v] == in_degree[v]:
+                    stack.extend((v, w) for w in out_live.get(v, ()))
     return void
 
 
@@ -476,9 +461,8 @@ def backpropagate(
     (all-zero-weight) lotteries, which no plan holds; it goes when that
     adapter does."""
     win_det, win_weight = _reverse_half(plan, mode, rng)
-    void = _refusals(plan, win_det, win_weight, trace)
+    voided = _refusals(plan, win_det, win_weight, trace)
     winner_at = {u: (win_det[u], win_weight[u]) for u in plan.process_order}
-    voided = {edge for edge, dead in zip(plan.edges, void) if dead}
     return win_det[plan.lattice.source], winner_at, voided, 0
 
 
@@ -499,7 +483,7 @@ def _confirmation_walk(
 ) -> tuple[int, ...]:
     """Source-to-winner walk through the nodes whose query is the winner's;
     a fork among k equivalent same-detector branches takes branch
-    ``int(rng.random() * k)`` in out-edge order, and a node with one such
+    ``int(rng.random() * k)`` in child order, and a node with one such
     branch draws nothing.  No refusal wave voids an edge it can take: every
     node on the walk holds the winner's query and keeps a live inbound
     edge."""
@@ -507,8 +491,7 @@ def _confirmation_walk(
     u = plan.lattice.source
     while u != winner:
         # the winner itself, or a void node holding its query
-        heads = (plan.edges[e][1] for e in plan.out_edges[u])
-        candidates = [v for v in heads if win_det[v] == winner]
+        candidates = [v for v in plan.out_live[u] if win_det[v] == winner]
         if not candidates:
             raise ScoutnetError(f"protocol bug: confirmation walk stuck at node {u}")
         k = len(candidates)

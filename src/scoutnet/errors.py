@@ -41,12 +41,5 @@ class DarkTrialError(ScoutnetError):
     """Every detector interfered to (near) zero intensity; no selection possible."""
 
 
-class DeadlockError(ScoutnetError):
-    """The exact lottery enumerator met a cycle in its reverse routes.
-
-    The engine never raises it: its trace graph follows the hop distance,
-    which every forward rib raises by one."""
-
-
 class ConfigError(ScoutnetError):
     """A run configuration is malformed or incomplete."""

@@ -11,7 +11,6 @@ naive-mode deviation.
 
 from __future__ import annotations
 
-import heapq
 import json
 import math
 import os
@@ -22,7 +21,7 @@ from typing import Optional
 from . import oracle
 from .engine import DEFAULT_EPS_INTENSITY, Mode, TrialPlan, count_winners, prepare
 from .engine import run_trial  # noqa: F401  (perfbench's traced run wraps this name)
-from .errors import DarkTrialError, DeadlockError, ScoutnetError
+from .errors import DarkTrialError, ScoutnetError
 from .lattice import Lattice, NodeKind
 from .oracle import BornDistribution
 
@@ -248,32 +247,14 @@ def exact_selection_distribution(lattice: Lattice, mode: Mode) -> dict[int, floa
             edges.update(zip(record.nodes, record.nodes[1:]))
 
     out_live: dict[int, list[int]] = defaultdict(list)
-    indeg: dict[int, int] = defaultdict(int)
-    nodes: set[int] = set()
-    for u, v in edges:
+    for u, v in sorted(edges):
         out_live[u].append(v)
-        indeg[v] += 1
-        nodes.add(u)
-        nodes.add(v)
-    for u in out_live:
-        out_live[u].sort()
-
-    ready = [n for n in nodes if indeg[n] == 0]
-    heapq.heapify(ready)
-    topo: list[int] = []
-    while ready:
-        u = heapq.heappop(ready)
-        topo.append(u)
-        for v in out_live.get(u, ()):
-            indeg[v] -= 1
-            if indeg[v] == 0:
-                heapq.heappush(ready, v)
-    if len(topo) != len(nodes):
-        raise DeadlockError("cyclic reverse routes; exact enumeration undefined")
-    order = [n for n in reversed(topo) if out_live.get(n)]
-
+    # every admissible rib raises the hop distance by one, so reverse
+    # (hop distance, id) order reaches each node after all of its children
+    dist = lattice.hop_distances()
+    order = sorted(out_live, key=lambda u: (dist[u], u), reverse=True)
     is_detector = {
-        n: lattice.nodes[n].kind is NodeKind.DETECTOR for n in nodes
+        v: lattice.nodes[v].kind is NodeKind.DETECTOR for _, v in edges
     }
     result: dict[int, float] = {det: 0.0 for det in lattice.detectors}
 

@@ -26,8 +26,12 @@ from .errors import (
     DEFAULT_PATH_BUDGET,
     DarkTrialError,
     PathBudgetError,
+    ScoutnetError,
 )
 from .lattice import Lattice, NodeKind
+
+
+_OVERFLOW = "intensity overflow: an amplitude or intensity is past the largest float"
 
 
 @dataclass(frozen=True)
@@ -128,14 +132,21 @@ def enumerate_paths(
             paths.append(PathRecord(tuple(trail + [det]), total, phase))
 
     _walk_paths(lattice, path_budget, arrive)
-    paths.sort(key=lambda p: p.nodes)
     return paths
 
 
 def born_distribution(amplitudes: dict[int, complex]) -> BornDistribution:
-    """Normalised intensities I_i / sum(I); the target selection statistics."""
-    intensities = {det: abs(amp) ** 2 for det, amp in amplitudes.items()}
+    """Normalised intensities I_i / sum(I); the target selection statistics.
+
+    An intensity or total past the largest float raises ``ScoutnetError``.
+    """
+    try:
+        intensities = {det: abs(amp) ** 2 for det, amp in amplitudes.items()}
+    except OverflowError:
+        raise ScoutnetError(_OVERFLOW) from None
     total = sum(intensities.values())
+    if not math.isfinite(total):
+        raise ScoutnetError(_OVERFLOW)
     if total <= 0.0:
         raise DarkTrialError("dark configuration: every detector amplitude is zero")
     return BornDistribution(
@@ -189,7 +200,8 @@ def lattice_amplitudes(lattice: Lattice) -> dict[int, complex]:
 
     ``DEFAULT_CLASS_BUDGET`` counts class updates, one per class of a node
     and rib out of it; a node's are charged before it passes them on, so
-    the error names update ``budget + 1``.
+    the error names update ``budget + 1``.  An amplitude past the largest
+    float raises ``ScoutnetError``.
     """
     forward = _forward_children(lattice)
     lengths = sorted({length for kids in forward.values() for _, length in kids})
@@ -218,15 +230,18 @@ def lattice_amplitudes(lattice: Lattice) -> dict[int, complex]:
     turns = [fmod(two_pi * length / lattice.wavelength, two_pi) for length in lengths]
     phasors: dict[int, tuple[float, float]] = {}
     amplitudes = {}
-    for det in lattice.detectors:
-        re, im = [], []
-        for key, paths in classes.get(det, {}).items():
-            phasor = phasors.get(key)
-            if phasor is None:
-                counts = memoryview(key.to_bytes(size, sys.byteorder)).cast(fields)
-                phase = fsum(map(mul, turns, counts))
-                phasor = phasors[key] = (cos(phase), sin(phase))
-            re.append(paths * phasor[0])
-            im.append(paths * phasor[1])
-        amplitudes[det] = complex(fsum(re), fsum(im))
+    try:
+        for det in lattice.detectors:
+            re, im = [], []
+            for key, paths in classes.get(det, {}).items():
+                phasor = phasors.get(key)
+                if phasor is None:
+                    counts = memoryview(key.to_bytes(size, sys.byteorder))
+                    phase = fsum(map(mul, turns, counts.cast(fields)))
+                    phasor = phasors[key] = (cos(phase), sin(phase))
+                re.append(paths * phasor[0])
+                im.append(paths * phasor[1])
+            amplitudes[det] = complex(fsum(re), fsum(im))
+    except OverflowError:
+        raise ScoutnetError(_OVERFLOW) from None
     return amplitudes

@@ -67,6 +67,27 @@ def chain_arm(
     return prev
 
 
+def diamond_chain(diamonds: int) -> Lattice:
+    """``diamonds`` unit diamonds in a row, then a detector, at wavelength 1.
+
+    Every rib has length 1, so every path arrives in phase and the
+    detector's amplitude is 2**diamonds.
+    """
+    nodes = [Node(0, (0.0, 0.0), NodeKind.SOURCE)]
+    ribs: list[Rib] = []
+    merge = 0
+    for i in range(diamonds):
+        for y in (1.0, -1.0):
+            nodes.append(Node(len(nodes), (2.0 * i + 1.0, y)))
+            ribs.append(Rib(merge, len(nodes) - 1, 1.0))
+        nodes.append(Node(len(nodes), (2.0 * i + 2.0, 0.0)))
+        ribs.extend(Rib(len(nodes) - k, len(nodes) - 1, 1.0) for k in (3, 2))
+        merge = len(nodes) - 1
+    nodes.append(Node(len(nodes), (2.0 * diamonds + 1.0, 0.0), NodeKind.DETECTOR))
+    ribs.append(Rib(merge, len(nodes) - 1, 1.0))
+    return Lattice(tuple(nodes), tuple(ribs), 1.0)
+
+
 def nested_tree_lattice() -> tuple[Lattice, dict[str, int]]:
     """Two-level lottery tree: (D1 vs D2) at an inner node, survivor vs D3.
 

@@ -1,13 +1,14 @@
-"""Frozen reference for the reverse half: the set-and-dict kernel as it was
-before the engine lowered its plan to integer arrays.
+"""Frozen reference for the reverse half: a set-and-dict kernel that
+runs every lottery and refusal wave in ``process_order``, with no seeded
+query table and no shared lotteries.
 
-Only the tests use it.  It reads the plan's ``edges``, ``process_order``
-and ``intensities``, builds its own child and parent maps from the edges,
-keeps its own copy of the lottery draw and of the random stream, a
-sequential splitmix64, and must agree with the engine's kernel per seed:
-winner, surviving path, voided edges and trace lines.  Its draw keeps an
-all-zero uniform fallback that the engine's lacks, and counts its uses;
-the tests assert that count stays 0.
+Only the tests use it.  It reads the plan's ``live_edges``,
+``process_order`` and ``intensities``, builds its own child and parent
+maps from the edges, keeps its own copy of the lottery draw and of the
+random stream, a sequential splitmix64, and must agree with the engine's
+kernel per seed: winner, surviving path, voided edges and trace lines.
+Its draw keeps an all-zero uniform fallback that the engine's lacks, and
+counts its uses; the tests assert that count stays 0.
 """
 
 from __future__ import annotations
@@ -80,11 +81,11 @@ def lottery_select(
 def _live_maps(
     plan: TrialPlan,
 ) -> tuple[dict[int, list[int]], dict[int, list[int]]]:
-    """Each node's live children and live parents, in ``plan.edges``
-    order: sorted ``(u, v)``, so children come in id order."""
+    """Each node's live children and live parents, in sorted ``(u, v)``
+    order, so children come in id order."""
     out_live: dict[int, list[int]] = defaultdict(list)
     in_live: dict[int, list[int]] = defaultdict(list)
-    for u, v in plan.edges:
+    for u, v in sorted(plan.live_edges):
         out_live[u].append(v)
         in_live[v].append(u)
     return out_live, in_live

@@ -9,7 +9,7 @@ from scoutnet.errors import ConfigError
 
 
 def count(d_s: int, d_l: int, m: int) -> int:
-    return queue_clock_count(ClockScenario(d_s, d_l, m)).laser_count
+    return queue_clock_count(ClockScenario(d_s, d_l, m))
 
 
 def count_by_ticks(d_s: int, d_l: int, m: int) -> int:

@@ -14,6 +14,7 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import diamond_chain
 from scoutnet import engine
 from scoutnet.cli import EXIT_CONFIG, EXIT_OK, EXIT_THRESHOLD, main
 from scoutnet.lattice import build_star, serialize_topology
@@ -216,10 +217,10 @@ class TestGateFlags:
         assert "warning" not in capsys.readouterr().err
 
 
-README_TOPOLOGY = re.search(
-    r"```yaml\n(.*?)```",
-    (Path(__file__).resolve().parents[1] / "README.md").read_text(),
-    re.S,
+README = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+README_TOPOLOGY = re.search(r"```yaml\n(.*?)```", README, re.S).group(1)
+README_TWO_PATH = re.search(
+    r"^scoutnet (--scenario two-path .*) --out results/$", README, re.M
 ).group(1)
 
 SCALARS = (
@@ -454,6 +455,25 @@ class TestScenarios:
         err = capsys.readouterr().err
         assert err.startswith("error: path budget exceeded: ")
         assert "class updates" in err
+
+    def test_readme_two_path_example_runs(self, tmp_path):
+        code = run_cli(*README_TWO_PATH.split(), "--out", str(tmp_path))
+        assert code == EXIT_OK
+        summary = json.loads((tmp_path / "summary.json").read_text())
+        assert summary["lattice_id"] == "two-path"
+
+    def test_intensity_overflow_is_config_error(self, tmp_path, capsys):
+        topo = tmp_path / "d600.yaml"
+        topo.write_text(serialize_topology(diamond_chain(600)))
+        code = run_cli(
+            "--scenario", "custom", "--topology", str(topo), "--trials", "10",
+            "--out", str(tmp_path),
+        )
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("error: intensity overflow: ")
+        assert "Traceback" not in err
+        assert not (tmp_path / "summary.json").exists()
 
     def test_double_slit_writes_profile(self, tmp_path):
         code = run_cli(

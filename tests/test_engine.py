@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from conftest import (
     chain_arm,
     diamond_arm,
+    diamond_chain,
     nested_tree_lattice,
     random_layered_lattice,
     shuffle_node_ids,
@@ -30,7 +31,7 @@ from scoutnet.engine import (
     propagate_scouts,
     run_trial,
 )
-from scoutnet.errors import DarkTrialError, PathBudgetError
+from scoutnet.errors import DarkTrialError, PathBudgetError, ScoutnetError
 from scoutnet.lattice import (
     Lattice,
     Node,
@@ -231,7 +232,7 @@ class TestPrepare:
         assert plan.intensities[live] == pytest.approx(1.0)
         assert plan.base_det[live] == live
         assert plan.base_det[dark] == -1
-        assert plan.edges and all(dark not in edge for edge in plan.edges)
+        assert plan.live_edges and all(dark not in edge for edge in plan.live_edges)
         for index in range(100):
             outcome = run_trial(lat, Mode.AGGREGATE, 4, index, plan=plan)
             assert outcome.winner == live
@@ -252,7 +253,7 @@ class TestPrepare:
     def test_intensity_star_source_competitors_are_stored(self):
         lat = build_intensity_star([1.0, 1.0, 2.0])
         plan = prepare(lat)
-        (kids,) = plan.lottery_children
+        kids = plan.out_live[lat.source]
         merged = _merge(kids, list(plan.base_det), list(plan.base_weight))
         dets = sorted(merged)
         (lottery,) = plan.lotteries
@@ -295,10 +296,18 @@ class TestPrepare:
             assert expanded == sorted(expanded, key=lambda u: (dist[u], u))
             off_id_order += expanded != sorted(expanded)
             rank = {u: i for i, u in enumerate(plan.process_order)}
-            assert set(rank) == {u for u, _ in plan.edges}
-            for u, v in plan.edges:
+            assert set(rank) == {u for u, _ in plan.live_edges}
+            for u, v in plan.live_edges:
                 assert rank.get(v, -1) < rank[u]
         assert off_id_order >= 20
+
+    @pytest.mark.parametrize("diamonds", [600, 1030])
+    def test_intensity_overflow_is_an_error(self, diamonds):
+        # 2**600 squared overflows to inf; by 2**1030 the amplitude itself
+        # overflows and turns nan, which once passed for a dark trial
+        with pytest.raises(ScoutnetError, match="intensity overflow"):
+            prepare(diamond_chain(diamonds))
+        assert prepare(diamond_chain(3)).intensities == {10: 64.0}
 
     def test_all_dark_is_an_error(self):
         with pytest.raises(DarkTrialError, match="dark trial"):
@@ -423,11 +432,12 @@ class TestReferenceKernel:
             except DarkTrialError:
                 continue
             base = list(plan.base_det), list(plan.base_weight)
+            children: dict[int, tuple[int, ...]] = {}
             for u, k in zip(plan.draw_order, plan.draw_lottery):
-                heads = tuple(plan.edges[e][1] for e in plan.out_edges[u])
-                assert plan.lottery_children[k] == heads
-            assert len(set(plan.lottery_children)) == len(plan.lotteries)
-            for kids, lottery in zip(plan.lottery_children, plan.lotteries):
+                assert children.setdefault(k, plan.out_live[u]) == plan.out_live[u]
+            assert len(set(children.values())) == len(plan.lotteries)
+            for k, lottery in enumerate(plan.lotteries):
+                kids = children[k]
                 seeded = all(plan.base_det[v] >= 0 for v in kids)
                 assert (lottery is not None) == seeded
                 if lottery is not None:

@@ -8,10 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_layered_lattice
+from conftest import diamond_chain, random_layered_lattice
 from scoutnet import oracle
 from scoutnet.engine import prepare, propagate_scouts
-from scoutnet.errors import DarkTrialError, PathBudgetError
+from scoutnet.errors import DarkTrialError, PathBudgetError, ScoutnetError
 from scoutnet.lattice import (
     build_grid,
     build_intensity_star,
@@ -249,6 +249,19 @@ class TestBornDistribution:
     def test_dark_configuration_rejected(self):
         with pytest.raises(DarkTrialError, match="dark configuration"):
             oracle.born_distribution({1: 0j, 2: 0j})
+
+    def test_overflow_is_an_error(self):
+        # each intensity is finite, their sum is not
+        with pytest.raises(ScoutnetError, match="intensity overflow"):
+            oracle.born_distribution({1: 1e154 + 0j, 2: 1e154 + 0j})
+        # the amplitude 2**600 is finite, its square is not
+        amplitudes = oracle.lattice_amplitudes(diamond_chain(600))
+        assert amplitudes == {1801: 2.0**600 + 0j}
+        with pytest.raises(ScoutnetError, match="intensity overflow"):
+            oracle.born_distribution(amplitudes)
+        # 2**1030 paths are past the largest float
+        with pytest.raises(ScoutnetError, match="intensity overflow"):
+            oracle.lattice_amplitudes(diamond_chain(1030))
 
     def test_probabilities_sum_to_one(self):
         rng = random.Random(3)

@@ -86,7 +86,7 @@ MUTANTS: list[tuple[str, str, str, str, tuple[str, ...]]] = [
     (
         "refusal-wave-on-first-dead-edge",
         ENGINE,
-        "if dead_in[v] == plan.in_degree[v]:",
+        "if dead_in[v] == in_degree[v]:",
         "if dead_in[v] >= 1:",
         ("tests/test_engine.py::TestRefusalInvariant", GOLDEN),
     ),
@@ -124,6 +124,13 @@ MUTANTS: list[tuple[str, str, str, str, tuple[str, ...]]] = [
         "held = list(plan.lotteries)",
         'held = plan.__dict__.setdefault("_held", list(plan.lotteries))',
         (REFERENCE,),
+    ),
+    (
+        "overflow-passes-as-intensity",
+        ENGINE,
+        "if not math.isfinite(intensity):",
+        "if False:",
+        (PREPARE,),
     ),
     (
         "intensity-from-abs",
@@ -176,6 +183,13 @@ MUTANTS: list[tuple[str, str, str, str, tuple[str, ...]]] = [
         "weights[det] = max(weights[det], w) if det in weights else w",
         "weights[det] = min(weights[det], w) if det in weights else w",
         ("tests/test_experiments.py::TestExactSelectionOffTrees",),
+    ),
+    (
+        "enumerator-lotteries-forward",
+        "src/scoutnet/experiments.py",
+        "order = sorted(out_live, key=lambda u: (dist[u], u), reverse=True)",
+        "order = sorted(out_live, key=lambda u: (dist[u], u))",
+        ("tests/test_experiments.py", GOLDEN),
     ),
     (
         "class-merge-overwrites",
