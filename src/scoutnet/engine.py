@@ -29,24 +29,30 @@ single detector: such a node never holds a lottery.  Draw nodes with
 the same live children see the same competing queries in any one trial,
 so the plan groups them into one lottery; a lottery whose children are
 all seeded has fixed competitors, and the plan stores its record.  The
-reverse half is split in two.  The kernel, ``_reverse_half``, starts from
-the seeded table, builds each lottery once per trial and draws from it
-at every node of its group, in ``draw_order``; a refusal wave voids only
-edges below its lottery, which barrier order has already passed, so the
-lotteries alone fix the winner.  The replay, ``_refusals``, runs the
-waves from the kernel's result and draws nothing; only the voided-edge
-set and the ``--trace`` lines need it.  ``count_winners`` runs the
-kernel alone over a span of trials (what an ensemble counts);
-``run_trial`` adds the confirmation walk, the full ``TrialOutcome`` and,
-under a trace, the replay; ``backpropagate`` returns the kernel's state
-keyed by node id with the replay's voided edges.
+reverse half is split in two.  The kernel, ``_columns``, runs a block of
+trials at once: every trial runs the same lotteries over the same
+traces, and only the draws differ.  It starts from the seeded table and
+visits ``draw_order``; each draw node gets a column holding each trial's
+surviving query.  A lottery is built once per trial, at the first node
+of its group, and draws at every node of the group, one
+``lottery_select`` call per node for the block; a refusal wave voids
+only edges below its lottery, which barrier order has already passed,
+so the lotteries alone fix the winner.  The replay, ``_refusals``, runs
+the waves from the kernel's result and draws nothing; only the
+voided-edge set and the ``--trace`` lines need it.  ``count_winners``
+runs the kernel alone over a span of trials, block by block (what an
+ensemble counts); ``run_trial`` runs it over a one-trial block and adds
+the confirmation walk, the full ``TrialOutcome`` and, under a trace,
+the replay; ``backpropagate`` returns the kernel's state keyed by node
+id with the replay's voided edges.
 
-Every draw comes from the trial's own splitmix64 stream (``rng``), and
-only through ``random()``: a lottery draws once, and a uniform choice
-among k options takes ``int(random() * k)``.  The kernel draws at most
-once per draw node and the walk at most once per node it leaves, so a
-trial needs at most ``len(draw_order)`` draws for its winner and
-``len(process_order)`` more for its path.
+Every draw comes from the trial's own splitmix64 stream (``rng``), which
+yields a block's draws draw-major.  A lottery takes one uniform draw,
+and a uniform choice among k options takes ``int(u * k)`` of one.  Each
+trial takes its draws in order, through its own cursor; the kernel draws
+at most once per draw node and the walk at most once per node it
+leaves, so a trial needs at most ``len(draw_order)`` draws for its
+winner and ``len(process_order)`` more for its path.
 """
 
 from __future__ import annotations
@@ -57,12 +63,13 @@ from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from itertools import accumulate
-from typing import Callable, Optional, Sequence
+from itertools import accumulate, compress, repeat
+from operator import add, getitem, itemgetter
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .errors import DarkTrialError, ScoutnetError
 from .lattice import Lattice, NodeKind
-from .rng import Draws, derive_trial_seed, trial_streams
+from .rng import Draws, derive_trial_seed, trial_blocks
 
 TWO_PI = 2.0 * math.pi
 DEFAULT_EPS_INTENSITY = 1e-12
@@ -148,10 +155,18 @@ def propagate_scouts(
     )
 
 
-# Read once per draw: looking the member up on ``Mode`` costs about 190 ns
-# on CPython 3.10 and 3.11, a module global about 30 ns.
+# Read once per column of draws: looking the member up on ``Mode`` costs
+# about 190 ns on CPython 3.10 and 3.11, a module global about 30 ns.
 _AGGREGATE = Mode.AGGREGATE
+# field getters: a lottery record's detectors, weights and total; a
+# query's detector; a kernel memo entry's record and query
+_DETS, _WEIGHTS, _TOTAL = itemgetter(0), itemgetter(1), itemgetter(3)
+_DET = _RECORD = itemgetter(0)
+_QUERY = itemgetter(1)
 
+
+# A query: the detector it comes from and its weight.
+Query = tuple[int, float]
 
 # A lottery's record: its competitors' detectors, sorted; their query
 # weights in that order; the running sums of those weights; their total.
@@ -174,30 +189,34 @@ def _lottery(weights_by_det: dict[int, float]) -> Lottery:
 
 
 def lottery_select(
-    lottery: Lottery,
+    lotteries: Sequence[Lottery],
     mode: Mode,
-    rng: Draws,
-) -> tuple[int, float]:
-    """Draw index i with probability weights[i] / total from a lottery record.
+    uniforms: Sequence[float],
+) -> tuple[list[int], list[float]]:
+    """Draw one index from each lottery record with the uniform draw in
+    [0, 1) at the same place: index i of a record with probability
+    weights[i] / total.
 
-    Returns the drawn index and the weight its query carries on.  The
-    index is the first i whose running sum exceeds
-    ``r = rng.random() * total``, or the last index if none does (``r``
-    can reach the last running sum when ``total`` is compensated), found
-    by bisection; it takes exactly one draw.  The winner keeps its own
-    weight in naive mode and inherits the total in aggregate mode.
+    Returns the drawn indices and the weights their queries carry on, in
+    order.  For a uniform u the index is the first i whose running sum
+    exceeds ``r = u * total``, or the last index if none does (``r`` can
+    reach the last running sum when ``total`` is compensated), found by
+    bisection.  The winner keeps its own weight in naive mode and
+    inherits the total in aggregate mode.
 
     A record has at least two competitors and a positive total: a plan's
     lotteries are merged from two or more live detectors' queries, and
     each weight is a live intensity, above ``DEFAULT_EPS_INTENSITY``, or
     is carried on from such intensities.
     """
-    _dets, weights, sums, total = lottery
-    index = bisect_right(sums, rng.random() * total)
-    if index == len(sums):
-        index -= 1
-    carried = total if mode is _AGGREGATE else weights[index]
-    return index, carried
+    # bisecting below the last index alone clamps r past the last sum to it
+    index = [
+        bisect_right(sums, u * total, 0, len(sums) - 1)
+        for (_dets, _weights, sums, total), u in zip(lotteries, uniforms)
+    ]
+    if mode is _AGGREGATE:
+        return index, [*map(_TOTAL, lotteries)]
+    return index, [*map(getitem, map(_WEIGHTS, lotteries), index)]
 
 
 @dataclass(frozen=True)
@@ -290,7 +309,9 @@ def prepare(lattice: Lattice, trace: Optional[TraceSink] = None) -> TrialPlan:
             continue
         live_children[u] = kids
         seeded = all(base_det[v] >= 0 for v in kids)
-        weights = _merge(kids, base_det, base_weight) if seeded else {}
+        weights = (
+            _merge([(base_det[v], base_weight[v]) for v in kids]) if seeded else {}
+        )
         if len(weights) == 1:
             ((base_det[u], base_weight[u]),) = weights.items()
             continue
@@ -314,67 +335,133 @@ def prepare(lattice: Lattice, trace: Optional[TraceSink] = None) -> TrialPlan:
     )
 
 
-def _merge(
-    kids: Sequence[int], win_det: list[int], win_weight: list[float]
-) -> dict[int, float]:
-    """The competitors at one node: detector -> weight of its query.
+def _merge(queries: Iterable[Query]) -> dict[int, float]:
+    """The competitors at one node: detector -> weight of its query, from
+    the ``(detector, weight)`` queries its live children deliver.
 
-    Each live child delivers the query it holds.  Queries from one
-    detector merge (no self-competition) and keep the larger weight.
+    Queries from one detector merge (no self-competition) and keep the
+    larger weight.
     """
     weights: dict[int, float] = {}
-    for v in kids:
-        det = win_det[v]
-        w = win_weight[v]
+    for det, w in queries:
         if det not in weights or w > weights[det]:
             weights[det] = w
     return weights
 
 
-def _reverse_half(
-    plan: TrialPlan,
-    mode: Mode,
-    rng: Draws,
-) -> tuple[list[int], list[float]]:
-    """The reverse-half kernel: every lottery in barrier order.
+# A lottery in one block: the trials that draw, in order (None if every
+# trial does), the record each of them draws from, and a column of the
+# query that each other trial's lottery merges to.
+Group = tuple[Optional[list[int]], list[Lottery], list[Query]]
+# The kernel's memo: a row of children's queries -> its record, or its
+# one query.
+Memo = dict[tuple[Query, ...], tuple[Optional[Lottery], Optional[Query]]]
 
-    Returns, per node, the detector whose query survived there (-1 if
-    none) and that query's weight.  Competitors are drawn in detector
-    order, which fixes the order of the RNG draws.
 
-    Starts from the plan's seeded query table and visits only
-    ``draw_order``: draw-free nodes hold no lottery, so skipping them
-    leaves the draws as they were.  Each trial starts from the plan's
-    stored lottery records; a lottery without one is merged from its
-    children's queries once, at its first node, and that record serves
-    every other node of its group in this trial, because those children
-    keep their queries.  A lottery that merges to a single competitor
-    gets no record and draws at none of its nodes: each merges again and
-    takes that query.
+def _merged_group(
+    kids: tuple[int, ...], queries: dict[int, list[Query]], plan: TrialPlan, memo: Memo
+) -> Group:
+    """A merged lottery in one block, merged once per distinct row of its
+    children's queries: row t holds them in trial t, and a merge reads
+    nothing else, so lotteries with equal rows share a memo entry."""
+    # a merged lottery has a drawn child, whose column ends the rows
+    rows = zip(
+        *[
+            queries.get(v) or repeat((plan.base_det[v], plan.base_weight[v]))
+            for v in kids
+        ]
+    )
+    entries = []
+    for row in rows:
+        entry = memo.get(row)
+        if entry is None:
+            merged = _merge(row)
+            if len(merged) == 1:
+                entry = None, next(iter(merged.items()))
+            else:
+                entry = _lottery(merged), None
+            memo[row] = entry
+        entries.append(entry)
+    lotteries = [*filter(None, map(_RECORD, entries))]
+    if len(lotteries) == len(entries):
+        return None, lotteries, []
+    drawing = [*compress(range(len(entries)), map(_RECORD, entries))]
+    return drawing, lotteries, [*map(_QUERY, entries)]
+
+
+def _columns(
+    plan: TrialPlan, mode: Mode, floats: list[float], trials: int, used: int
+) -> tuple[dict[int, list[Query]], list[int]]:
+    """The reverse-half kernel: every lottery in barrier order, for the
+    first ``used`` trials of a block of ``trials`` (``rng.trial_blocks``).
+
+    Returns, per draw node, the column of queries that survived there, one
+    per trial, and each trial's cursor: the index in ``floats`` of its next
+    draw.  Trial t's draws are ``floats[t]``, then every ``trials``-th; its
+    cursor moves only when it draws, so trials drift apart.
+
+    Only ``draw_order`` is visited: draw-free nodes keep their seeded
+    queries.  A stored lottery's record serves every trial.  A merged one
+    is built per trial at the first node of its group and serves the
+    group's other nodes, whose children keep their queries; a trial whose
+    lottery merges to one competitor takes that query at each of them and
+    draws nothing.  Each node draws for all its drawing trials in one
+    ``lottery_select`` call.  Nothing outlives the block.
 
     Refusal waves are left out.  A wave started at node u voids only edges
     whose tail is u or a descendant of u, whose lotteries barrier order has
     already run, so no later lottery reads a voided edge.
     """
+    queries: dict[int, list[Query]] = {}
+    pos = [*range(used)]
+    held: dict[int, Group] = {}
+    memo: Memo = {}
+    for u, k in zip(plan.draw_order, plan.draw_lottery):
+        group = held.get(k)
+        if group is None:
+            lottery = plan.lotteries[k]
+            if lottery is None:
+                group = _merged_group(plan.out_live[u], queries, plan, memo)
+            else:
+                group = None, [lottery] * used, []
+            held[k] = group
+        drawing, lotteries, column = group
+        if drawing is None:
+            index, carried = lottery_select(
+                lotteries, mode, [*map(floats.__getitem__, pos)]
+            )
+            queries[u] = [*zip(map(getitem, map(_DETS, lotteries), index), carried)]
+            pos = [*map(add, pos, repeat(trials))]
+        elif not drawing:
+            queries[u] = column
+        else:
+            uniforms = [floats[pos[t]] for t in drawing]
+            for t in drawing:
+                pos[t] += trials
+            index, carried = lottery_select(lotteries, mode, uniforms)
+            column = column.copy()
+            for t, lottery, i, w in zip(drawing, lotteries, index, carried):
+                column[t] = lottery[0][i], w
+            queries[u] = column
+
+    source = plan.lattice.source
+    if source not in queries and plan.base_det[source] < 0:
+        raise ScoutnetError("protocol bug: no query survived to the source")
+    return queries, pos
+
+
+def _one_trial(
+    plan: TrialPlan, mode: Mode, floats: list[float]
+) -> tuple[list[int], list[float], int]:
+    """The kernel over a one-trial block: per node, the surviving query's
+    detector (-1 if none) and weight, the seeded table overlaid with each
+    column's entry 0; and the index of the trial's next unused draw."""
+    queries, (cursor,) = _columns(plan, mode, floats, 1, 1)
     win_det = list(plan.base_det)
     win_weight = list(plan.base_weight)
-    held = list(plan.lotteries)
-    out_live = plan.out_live
-    for u, k in zip(plan.draw_order, plan.draw_lottery):
-        lottery = held[k]
-        if lottery is None:
-            weights = _merge(out_live[u], win_det, win_weight)
-            if len(weights) == 1:
-                ((win_det[u], win_weight[u]),) = weights.items()
-                continue
-            lottery = held[k] = _lottery(weights)
-        index, carried = lottery_select(lottery, mode, rng)
-        win_det[u] = lottery[0][index]
-        win_weight[u] = carried
-
-    if win_det[plan.lattice.source] < 0:
-        raise ScoutnetError("protocol bug: no query survived to the source")
-    return win_det, win_weight
+    for u, column in queries.items():
+        win_det[u], win_weight[u] = column[0]
+    return win_det, win_weight, cursor
 
 
 def _refusals(
@@ -401,7 +488,7 @@ def _refusals(
     void: set[tuple[int, int]] = set()
     for u in plan.draw_order:
         kids = out_live[u]
-        weights = _merge(kids, win_det, win_weight)
+        weights = _merge([(win_det[v], win_weight[v]) for v in kids])
         if len(weights) < 2:
             continue
         winner = win_det[u]
@@ -434,16 +521,24 @@ def count_winners(
     Each trial's winner equals ``run_trial(...).winner``: the kernel alone
     fixes the winner, and the confirmation walk draws from the stream only
     after the last lottery, so skipping the walk and the refusal replay
-    cannot change it.  ``trial_streams`` computes the span's draws a block
+    cannot change it.  ``trial_blocks`` computes the span's draws a block
     of trials at a time, each trial's first ``len(draw_order)``, the most
-    its kernel can take.  Draw j of a trial does not depend on how many
-    are computed, nor on the block it falls in, so these are the draws
+    its kernel can take, and the kernel runs once per block; the source's
+    column holds the block's winners.  Draw j of a trial does not depend
+    on how many are computed, nor on the block it falls in, and no trial's
+    winner on the other trials of its block, so these are the draws
     ``run_trial`` takes too, and any split of a span counts the same.
     """
     source = plan.lattice.source
     counts: Counter = Counter()
-    for rng in trial_streams(master_seed, len(plan.draw_order), start, stop):
-        counts[_reverse_half(plan, mode, rng)[0][source]] += 1
+    for floats, trials, used in trial_blocks(
+        master_seed, len(plan.draw_order), start, stop
+    ):
+        column = _columns(plan, mode, floats, trials, used)[0].get(source)
+        if column is None:
+            counts[plan.base_det[source]] += used
+        else:
+            counts.update(map(_DET, column))
     return counts
 
 
@@ -455,12 +550,14 @@ def backpropagate(
 ) -> tuple[int, dict[int, tuple[int, float]], set[tuple[int, int]], int]:
     """The kernel's result by node id, with the refusal waves replayed: the
     winning detector, the surviving query per node, the voided edges, and
-    0.  ``trace`` gets the ``lottery`` and ``refuse`` lines.
+    0.  ``trace`` gets the ``lottery`` and ``refuse`` lines.  The kernel
+    runs over a one-trial block of ``len(draw_order)`` draws from ``rng``.
 
     perfbench's backprop counter unpacks the 0 as its count of degenerate
     (all-zero-weight) lotteries, which no plan holds; it goes when that
     adapter does."""
-    win_det, win_weight = _reverse_half(plan, mode, rng)
+    floats = [rng.random() for _ in plan.draw_order]
+    win_det, win_weight, _ = _one_trial(plan, mode, floats)
     voided = _refusals(plan, win_det, win_weight, trace)
     winner_at = {u: (win_det[u], win_weight[u]) for u in plan.process_order}
     return win_det[plan.lattice.source], winner_at, voided, 0
@@ -479,11 +576,11 @@ def _confirmation_walk(
     plan: TrialPlan,
     winner: int,
     win_det: list[int],
-    rng: Draws,
+    uniforms: Iterator[float],
 ) -> tuple[int, ...]:
     """Source-to-winner walk through the nodes whose query is the winner's;
     a fork among k equivalent same-detector branches takes branch
-    ``int(rng.random() * k)`` in child order, and a node with one such
+    ``int(next(uniforms) * k)`` in child order, and a node with one such
     branch draws nothing.  No refusal wave voids an edge it can take: every
     node on the walk holds the winner's query and keeps a live inbound
     edge."""
@@ -495,7 +592,7 @@ def _confirmation_walk(
         if not candidates:
             raise ScoutnetError(f"protocol bug: confirmation walk stuck at node {u}")
         k = len(candidates)
-        u = candidates[0] if k == 1 else candidates[int(rng.random() * k)]
+        u = candidates[0] if k == 1 else candidates[int(next(uniforms) * k)]
         path.append(u)
     return tuple(path)
 
@@ -512,21 +609,23 @@ def run_trial(
 
     A precomputed ``TrialPlan`` may be passed to amortise the forward half
     over an ensemble; the outcome is identical either way.  The trial's
-    stream is the one-trial span of ``trial_streams``, the code
-    ``count_winners`` draws through, and holds ``len(draw_order) +
+    draws are the one-trial block of ``trial_blocks``, the code
+    ``count_winners`` draws through; it holds ``len(draw_order) +
     len(process_order)`` draws, enough for the kernel and the walk's forks.
+    The kernel runs over that block, and the walk continues from the
+    trial's cursor.
     """
     if plan is None:
         plan = prepare(lattice, trace)
     seed = derive_trial_seed(master_seed, trial_index)
     draws = len(plan.draw_order) + len(plan.process_order)
-    (rng,) = trial_streams(master_seed, draws, trial_index, trial_index + 1)
+    ((floats, _, _),) = trial_blocks(master_seed, draws, trial_index, trial_index + 1)
 
-    win_det, win_weight = _reverse_half(plan, mode, rng)
+    win_det, win_weight, cursor = _one_trial(plan, mode, floats)
     if trace:
         _refusals(plan, win_det, win_weight, trace)
     winner = win_det[lattice.source]
-    path = _confirmation_walk(plan, winner, win_det, rng)
+    path = _confirmation_walk(plan, winner, win_det, iter(floats[cursor:]))
     if trace:
         trace(f"confirm winner={winner} path={list(path)}")
 

@@ -9,12 +9,15 @@ independent, an ensemble's statistics do not depend on the order in which
 trials execute, and draw j does not depend on how many draws a caller
 asks for.
 
-Draws are computed per block of trials, not per trial: one Python int
-holds one 128-bit lane per trial state, or per draw, each lane is masked
-to 64 bits before every multiply, so that no product carries into the
-next lane, and the lanes are unpacked little-endian on every host.  A
-block holds about ``BLOCK_DRAWS`` draws; no draw depends on the block it
-falls in.
+Draws are computed a block of trials at a time: one Python int holds one
+128-bit lane per trial state, or per draw, each lane is masked to 64
+bits before every multiply, so that no product carries into the next
+lane, and the lanes are unpacked little-endian on every host.  A block
+lies draw-major, for the reverse half's column kernel: draw j of trial t
+is ``floats[j * trials + t]``.  A trial of n draws gets a block of
+``max(MIN_TRIALS, BLOCK_DRAWS // n)`` trials, so a block holds about
+``BLOCK_DRAWS`` draws, or ``MIN_TRIALS`` trials' worth when n is large.
+No draw depends on the block it falls in.
 """
 
 from __future__ import annotations
@@ -27,11 +30,16 @@ from typing import Iterable, Iterator, Protocol
 _MASK = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 _UNIT = 2.0**-53
-# draws per block: big enough to spread the per-block Python calls over
-# many trials, small enough that the block's ints stay cheap to allocate
-# (about 80 KB at the peak; four times as many draws take 300 KB and no
-# less time)
-BLOCK_DRAWS = 256
+# draws per block: the reverse half's column kernel runs each lottery once
+# per block, so a block must hold enough trials to spread its per-node
+# Python calls; on the 1,1,2 star 1024 took 0.98 us per trial, 512 1.12
+# and 2048 1.21
+BLOCK_DRAWS = 1024
+# the floor on a block's trials, for lattices of many draw nodes: on grid
+# 30x30 (841 draw nodes) blocks of 16 trials counted winners about as
+# fast as the former per-trial kernel, blocks of 32 about 5-25 % faster,
+# at a tracemalloc peak of 3.1 and 6.3 MB
+MIN_TRIALS = 32
 
 
 def _mix(z: int, mask: int) -> int:
@@ -60,43 +68,43 @@ def derive_trial_seed(master_seed: int, trial_index: int) -> int:
 
 
 class Draws(Protocol):
-    """What a lottery draws from: a trial's stream, or a test's stand-in."""
+    """A sequential stream of uniform draws, such as ``random.Random``:
+    what ``engine.backpropagate`` reads a trial's draws from."""
 
     def random(self) -> float: ...
 
 
-class _Stream:
-    __slots__ = ("random",)
-
-
-def _lanes(values: Iterable[int]) -> int:
+def _lanes(values: Iterable[int], copies: int = 1) -> int:
+    """One lane per value, each value ``copies`` times in a row."""
     # built from bytes: summing shifted ints would take time quadratic in
     # the lane count
-    return int.from_bytes(b"".join(v.to_bytes(16, "little") for v in values), "little")
+    lanes = b"".join(v.to_bytes(16, "little") * copies for v in values)
+    return int.from_bytes(lanes, "little")
 
 
-def trial_streams(master_seed: int, n: int, start: int, stop: int) -> Iterator[Draws]:
-    """The streams of trials ``start``..``stop - 1``, in order, each holding
-    its trial's first ``n`` draws: ``random()`` returns them as floats in
-    [0, 1), each ``k * 2**-53`` with k the word's top 53 bits, then raises
-    ``StopIteration``.  One object is yielded for every trial, so it holds
-    a trial's draws only until the next is yielded.
+def trial_blocks(
+    master_seed: int, n: int, start: int, stop: int
+) -> Iterator[tuple[list[float], int, int]]:
+    """The first ``n`` draws of trials ``start``..``stop - 1``, a block of
+    trials at a time: each block is ``(floats, trials, used)``, where
+    draw j of the block's trial t is ``floats[j * trials + t]``, a float
+    in [0, 1), ``k * 2**-53`` with k the word's top 53 bits.  The block
+    holds ``trials`` trials, ``max(MIN_TRIALS, BLOCK_DRAWS // n)`` or the
+    span's length if that is shorter; only the first ``used`` lie in the
+    span, fewer than ``trials`` in the last block alone.
 
-    A block of ``max(1, BLOCK_DRAWS // n)`` trials (fewer if the span is
-    shorter) mixes its trial states in one int, copies that int once per
-    draw, adds each draw's Weyl offset and mixes again.  Its draws lie
-    draw-major: trial t takes every ``trials``-th float from the t-th on.
+    A block mixes its trial states in one int, copies that int once per
+    draw, adds each draw's Weyl offset and mixes again.
     """
     _check(master_seed)
-    trials = max(1, min(BLOCK_DRAWS // max(n, 1), stop - start))
-    ones = _lanes(repeat(1, trials))
+    trials = max(1, min(max(MIN_TRIALS, BLOCK_DRAWS // max(n, 1)), stop - start))
+    ones = _lanes([1], trials)
     state_mask = _MASK * ones
     steps = _lanes(t * _GOLDEN & _MASK for t in range(trials))
-    weyl = _lanes((j + 1) * _GOLDEN & _MASK for j in range(n) for _ in range(trials))
-    draw_mask = _lanes(repeat(_MASK, trials * n))
+    weyl = _lanes(((j + 1) * _GOLDEN & _MASK for j in range(n)), trials)
+    draw_mask = _lanes([_MASK], trials * n)
     unpack = struct.Struct("<" + "Q8x" * (trials * n)).unpack
     size = 16 * trials
-    stream = _Stream()
     for first in range(start, stop, trials):
         # lane t: the state of trial first + t
         c = (master_seed + (first + 1) * _GOLDEN) & _MASK
@@ -109,7 +117,4 @@ def trial_streams(master_seed: int, n: int, start: int, stop: int) -> Iterator[D
         words = unpack((z >> 11).to_bytes(size * n, "little"))
         # ``mul`` takes a fast call, ``_UNIT.__mul__`` builds an argument
         # tuple per draw
-        floats = [*map(mul, repeat(_UNIT), words)]
-        for t in range(min(trials, stop - first)):
-            stream.random = iter(floats[t::trials]).__next__
-            yield stream
+        yield [*map(mul, repeat(_UNIT), words)], trials, min(trials, stop - first)

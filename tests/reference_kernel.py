@@ -45,6 +45,18 @@ class SplitMix64:
         return (self.next_word() >> 11) * 2.0**-53
 
 
+class CountingStream:
+    """A stream that counts the draws taken from it."""
+
+    def __init__(self, stream: SplitMix64):
+        self.stream = stream
+        self.draws = 0
+
+    def random(self) -> float:
+        self.draws += 1
+        return self.stream.random()
+
+
 def trial_stream(master_seed: int, trial_index: int) -> SplitMix64:
     """Trial ``trial_index``'s stream: its state is word ``trial_index`` of
     the master seed's own splitmix64 sequence."""

@@ -1,6 +1,7 @@
 import math
 import random
 import re
+import tracemalloc
 from collections import Counter
 from itertools import accumulate
 
@@ -17,11 +18,12 @@ from conftest import (
     shuffle_node_ids,
 )
 from reference_kernel import backpropagate as reference_backpropagate
-from reference_kernel import reference_trial, trial_stream
+from reference_kernel import CountingStream, reference_trial, trial_stream
 from scoutnet import oracle
 from scoutnet.engine import (
     Mode,
     RibState,
+    _columns,
     _lottery,
     _merge,
     backpropagate,
@@ -42,7 +44,7 @@ from scoutnet.lattice import (
     build_star,
     build_two_path,
 )
-from scoutnet.rng import BLOCK_DRAWS
+from scoutnet.rng import BLOCK_DRAWS, MIN_TRIALS, trial_blocks
 
 
 class TestPropagateScouts:
@@ -254,7 +256,7 @@ class TestPrepare:
         lat = build_intensity_star([1.0, 1.0, 2.0])
         plan = prepare(lat)
         kids = plan.out_live[lat.source]
-        merged = _merge(kids, list(plan.base_det), list(plan.base_weight))
+        merged = _merge([(plan.base_det[v], plan.base_weight[v]) for v in kids])
         dets = sorted(merged)
         (lottery,) = plan.lotteries
         assert lottery[:2] == (dets, [merged[d] for d in dets])
@@ -314,16 +316,6 @@ class TestPrepare:
             prepare(build_two_path(2.0, 2.5, 2))
 
 
-class StubRandom:
-    """Returns one fixed ``random()`` value."""
-
-    def __init__(self, value: float):
-        self.value = value
-
-    def random(self) -> float:
-        return self.value
-
-
 def scan_index(weights, r: float) -> int:
     """The draw as a linear scan: the first i with r < acc_i, else the last."""
     acc = 0.0
@@ -338,25 +330,30 @@ class TestLotterySelect:
     def test_zero_weight_never_wins(self):
         rng = random.Random(0)
         for _ in range(200):
-            index, _ = lottery_select(_lottery({0: 2.0, 1: 0.0}), Mode.NAIVE, rng)
+            (index,), _ = lottery_select(
+                [_lottery({0: 2.0, 1: 0.0})], Mode.NAIVE, [rng.random()]
+            )
             assert index == 0
 
     def test_equal_weights_split_evenly(self):
         rng = random.Random(1)
         lottery = _lottery({0: 1.0, 1: 1.0})
-        wins = Counter(
-            lottery_select(lottery, Mode.NAIVE, rng)[0] for _ in range(100_000)
-        )
+        uniforms = [rng.random() for _ in range(100_000)]
+        wins = Counter(lottery_select([lottery] * 100_000, Mode.NAIVE, uniforms)[0])
         assert wins[0] / 100_000 == pytest.approx(0.5, abs=0.01)
 
     def test_aggregate_winner_inherits_total(self):
         rng = random.Random(2)
-        _, carried = lottery_select(_lottery({0: 1.0, 1: 3.0}), Mode.AGGREGATE, rng)
+        _, (carried,) = lottery_select(
+            [_lottery({0: 1.0, 1: 3.0})], Mode.AGGREGATE, [rng.random()]
+        )
         assert carried == pytest.approx(4.0)
 
     def test_naive_winner_keeps_own_weight(self):
         rng = random.Random(2)
-        _, carried = lottery_select(_lottery({0: 1.0, 1: 3.0}), Mode.NAIVE, rng)
+        _, (carried,) = lottery_select(
+            [_lottery({0: 1.0, 1: 3.0})], Mode.NAIVE, [rng.random()]
+        )
         assert carried in (1.0, 3.0)
 
     @given(
@@ -376,14 +373,29 @@ class TestLotterySelect:
             st.floats(min_value=0.0, max_value=1.0, exclude_max=True)
             | st.sampled_from(ratios or [0.0])
         )
-        index, _ = lottery_select(lottery, Mode.NAIVE, StubRandom(value))
+        (index,), _ = lottery_select([lottery], Mode.NAIVE, [value])
         assert index == scan_index(ranked, value * total)
+
+    def test_a_column_draws_each_record_with_its_own_uniform(self):
+        rng = random.Random(3)
+        lotteries = [_lottery({0: 1.0, 1: 3.0}), _lottery({2: 2.0, 5: 1.0, 7: 1.0})]
+        lotteries *= 50
+        uniforms = [rng.random() for _ in lotteries]
+        for mode in Mode:
+            index, carried = lottery_select(lotteries, mode, uniforms)
+            pairs = zip(lotteries, uniforms)
+            alone = [lottery_select([x], mode, [u]) for x, u in pairs]
+            assert index == [i for (i,), _ in alone]
+            assert carried == [w for _, (w,) in alone]
+            assert index == [
+                scan_index(x[1], u * x[3]) for x, u in zip(lotteries, uniforms)
+            ]
 
     def test_r_on_a_running_sum_takes_the_next_index(self):
         lottery = _lottery({0: 1.0, 1: 1.0, 2: 2.0})
         assert lottery[2:] == ([1.0, 2.0, 4.0], 4.0)
         for value, want in ((0.25, 1), (0.5, 2)):
-            index, _ = lottery_select(lottery, Mode.NAIVE, StubRandom(value))
+            (index,), _ = lottery_select([lottery], Mode.NAIVE, [value])
             assert index == want == scan_index(lottery[1], value * 4.0)
 
     def test_r_past_the_last_running_sum_takes_the_last_index(self):
@@ -397,7 +409,7 @@ class TestLotterySelect:
         assert math.fsum(weights) == lottery[3]
         value = 1.0 - 2.0**-53
         assert value * lottery[3] >= 1.0
-        index, carried = lottery_select(lottery, Mode.NAIVE, StubRandom(value))
+        (index,), (carried,) = lottery_select([lottery], Mode.NAIVE, [value])
         assert index == 2 == scan_index(weights, value * lottery[3])
         assert carried == 1e-16
 
@@ -431,7 +443,7 @@ class TestReferenceKernel:
                 plan = prepare(random_layered_lattice(random.Random(seed)))
             except DarkTrialError:
                 continue
-            base = list(plan.base_det), list(plan.base_weight)
+            base = [*zip(plan.base_det, plan.base_weight)]
             children: dict[int, tuple[int, ...]] = {}
             for u, k in zip(plan.draw_order, plan.draw_lottery):
                 assert children.setdefault(k, plan.out_live[u]) == plan.out_live[u]
@@ -441,7 +453,7 @@ class TestReferenceKernel:
                 seeded = all(plan.base_det[v] >= 0 for v in kids)
                 assert (lottery is not None) == seeded
                 if lottery is not None:
-                    merged = sorted(_merge(kids, *base).items())
+                    merged = sorted(_merge(map(base.__getitem__, kids)).items())
                     assert lottery[:2] == tuple(map(list, zip(*merged)))
                     # lottery_select has no branch for fewer competitors
                     # or a zero total
@@ -552,6 +564,9 @@ class TestSpanSplits:
     LATTICES = {
         "star-1-1-2": lambda: build_intensity_star([1.0, 1.0, 2.0]),
         "slit-7x9": lambda: build_slit_grid(7, 9, (2, 6), wavelength=1.0),
+        # 100 draw nodes: BLOCK_DRAWS // n < MIN_TRIALS, so the floor sets
+        # the block
+        "grid-11x11": lambda: build_grid(11, 11, "column"),
         # one detector, no lottery: each trial holds no draws
         "two-path": lambda: build_two_path(2.0, 2.0, 2),
     }
@@ -563,7 +578,9 @@ class TestSpanSplits:
         n = len(plan.draw_order)
         if name == "two-path":
             assert n == 0
-        block = max(1, BLOCK_DRAWS // max(n, 1))
+        if name == "grid-11x11":
+            assert BLOCK_DRAWS // n < MIN_TRIALS
+        block = max(MIN_TRIALS, BLOCK_DRAWS // max(n, 1))
         start = 7
         stop = start + 2 * block + 5
         k = start + (block if where == "on-a-block-edge" else block // 2 + 1)
@@ -573,6 +590,84 @@ class TestSpanSplits:
             halves = count_winners(plan, mode, 2**64 - 1, start, k)
             halves += count_winners(plan, mode, 2**64 - 1, k, stop)
             assert whole == halves
+
+    @pytest.mark.parametrize("name", list(LATTICES))
+    def test_empty_span_counts_nothing(self, name):
+        plan = prepare(self.LATTICES[name]())
+        for mode in Mode:
+            # not even a 0 entry, which Counter equality would forgive
+            assert dict(count_winners(plan, mode, 1, 5, 5)) == {}
+
+    def test_draw_free_plan_counts_every_trial(self):
+        lat = build_two_path(2.0, 2.0, 2)
+        plan = prepare(lat)
+        assert plan.draw_order == ()
+        for mode in Mode:
+            assert dict(count_winners(plan, mode, 3, 10, 2500)) == {
+                lat.detectors[0]: 2490
+            }
+
+
+class TestColumnKernel:
+    """The kernel runs a block of trials at once; each trial keeps its own
+    cursor into the block's draws, and nothing outlives the block."""
+
+    def test_trials_of_one_block_drift_apart(self):
+        # a lottery that merges to one competitor draws nothing, so the
+        # trials of one block take different numbers of draws
+        lat = build_slit_grid(7, 9, (2, 6), wavelength=1.0)
+        plan = prepare(lat)
+        n = len(plan.draw_order)
+        trials = max(MIN_TRIALS, BLOCK_DRAWS // n)
+        for mode in Mode:
+            drifted = False
+            for first in range(0, 40 * trials, trials):
+                span = range(first, first + trials)
+                taken = []
+                for index in span:
+                    stream = CountingStream(trial_stream(31, index))
+                    reference_backpropagate(plan, mode, stream)
+                    taken.append(stream.draws)
+                if len(set(taken)) == 1:
+                    continue
+                drifted = True
+                ((floats, size, used),) = trial_blocks(31, n, first, first + trials)
+                assert (size, used) == (trials, trials)
+                queries, cursors = _columns(plan, mode, floats, trials, used)
+                assert [p // trials for p in cursors] == taken
+                winners = [reference_trial(plan, mode, 31, i)[0] for i in span]
+                assert [det for det, _ in queries[lat.source]] == winners
+                assert count_winners(plan, mode, 31, first, first + trials) == Counter(
+                    winners
+                )
+                break
+            assert drifted, mode
+
+    @staticmethod
+    def peak_bytes(plan, mode: Mode, trials: int) -> int:
+        tracemalloc.start()
+        try:
+            count_winners(plan, mode, 5, 0, trials)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_memory_does_not_grow_with_the_span(self):
+        # in aggregate mode slit 7x9's merged lotteries meet new rows of
+        # queries in almost every trial: a memo or column kept past its
+        # block would grow with the span
+        plan = prepare(build_slit_grid(7, 9, (2, 6), wavelength=1.0))
+        block = max(MIN_TRIALS, BLOCK_DRAWS // len(plan.draw_order))
+        short = self.peak_bytes(plan, Mode.AGGREGATE, 2 * block)
+        long = self.peak_bytes(plan, Mode.AGGREGATE, 40 * block)
+        assert long < 1.5 * short, (short, long)
+
+    def test_deep_grid_block_stays_small(self):
+        # grid 30x30 has 841 draw nodes: a block of MIN_TRIALS trials
+        plan = prepare(build_grid(30, 30, "column"))
+        assert len(plan.draw_order) * MIN_TRIALS > BLOCK_DRAWS
+        for mode in Mode:
+            assert self.peak_bytes(plan, mode, MIN_TRIALS) < 8e6
 
 
 class TestRunTrial:

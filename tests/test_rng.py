@@ -1,4 +1,4 @@
-"""The per-trial splitmix64 streams: known answers, the block of trials
+"""The per-trial splitmix64 streams: known answers, the blocks of trials
 against the sequential generator, and the independence of successive
 draws."""
 
@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from conftest import pooled_chi_square
 from reference_kernel import trial_stream
 from scoutnet.experiments import chi_square_critical
-from scoutnet.rng import BLOCK_DRAWS, derive_trial_seed, trial_streams
+from scoutnet.rng import BLOCK_DRAWS, MIN_TRIALS, derive_trial_seed, trial_blocks
 
 
 def test_trial_seeds_are_splitmix64_outputs():
@@ -23,25 +23,24 @@ def test_trial_seeds_are_splitmix64_outputs():
 @given(
     master_seed=st.integers(min_value=0, max_value=2**64 - 1),
     start=st.integers(min_value=0, max_value=2**64),
-    n=st.sampled_from([0, 1, 2, 39, BLOCK_DRAWS + 1]),
+    n=st.sampled_from([0, 1, 2, 39, BLOCK_DRAWS // MIN_TRIALS + 1, BLOCK_DRAWS + 1]),
     extra=st.integers(min_value=1, max_value=40),
 )
 @settings(max_examples=100, deadline=None)
 def test_lane_batch_equals_sequential_generator(master_seed, start, n, extra):
-    # a span that crosses two block boundaries; past BLOCK_DRAWS draws a
-    # block holds one trial
-    block = max(1, BLOCK_DRAWS // max(n, 1))
+    # a span that crosses two block boundaries; past BLOCK_DRAWS //
+    # MIN_TRIALS draws a block holds MIN_TRIALS trials
+    block = max(MIN_TRIALS, BLOCK_DRAWS // max(n, 1))
     stop = start + 2 * block + extra
-    streams = trial_streams(master_seed, n, start, stop)
-    for index, stream in zip(range(start, stop), streams, strict=True):
-        sequential = trial_stream(master_seed, index)
-        # draw j does not depend on how many draws a trial holds, nor on
-        # the block it falls in
-        assert [stream.random() for _ in range(n)] == [
-            sequential.random() for _ in range(n)
-        ]
-        with pytest.raises(StopIteration):
-            stream.random()
+    index = start
+    for floats, trials, used in trial_blocks(master_seed, n, start, stop):
+        for t in range(used):
+            sequential = trial_stream(master_seed, index)
+            # draw j does not depend on how many draws a trial holds, nor
+            # on the block it falls in; the block holds n draws per trial
+            assert floats[t::trials] == [sequential.random() for _ in range(n)]
+            index += 1
+    assert index == stop
 
 
 def serial_pair_chi_square(pairs: list[tuple[float, float]]) -> tuple[float, int]:
@@ -56,8 +55,10 @@ class TestSerialPairs:
 
     @pytest.fixture(scope="class")
     def first_two(self) -> list[tuple[float, float]]:
-        streams = trial_streams(20_241_018, 2, 0, self.TRIALS)
-        return [(stream.random(), stream.random()) for stream in streams]
+        pairs: list[tuple[float, float]] = []
+        for floats, trials, used in trial_blocks(20_241_018, 2, 0, self.TRIALS):
+            pairs += zip(floats[:used], floats[trials : trials + used])
+        return pairs
 
     def test_consecutive_draws_within_a_trial(self, first_two):
         statistic, dof = serial_pair_chi_square(first_two)

@@ -39,6 +39,7 @@ BEYOND = "tests/test_engine.py::TestRecurrenceBeyondOracle"
 BOUNDARY = "tests/test_engine.py::TestPathBudgetBoundary"
 REFERENCE = "tests/test_engine.py::TestReferenceKernel"
 PREPARE = "tests/test_engine.py::TestPrepare"
+COLUMNS = "tests/test_engine.py::TestColumnKernel"
 GOLDEN = "tests/test_golden.py"
 STREAM = "tests/test_rng.py"
 STREAM_PROPERTY = "tests/test_rng.py::test_lane_batch_equals_sequential_generator"
@@ -107,23 +108,58 @@ MUTANTS: list[tuple[str, str, str, str, tuple[str, ...]]] = [
     (
         "biased-lottery-select",
         ENGINE,
-        "index = bisect_right(sums, rng.random() * total)",
-        "index = bisect_right(sums, rng.random() * total * 0.9)",
+        "bisect_right(sums, u * total, 0, len(sums) - 1)",
+        "bisect_right(sums, u * total * 0.9, 0, len(sums) - 1)",
         ("tests/test_engine.py::TestLotterySelect",),
     ),
     (
         "aggregate-carries-own-weight",
         ENGINE,
-        "total if mode is _AGGREGATE else weights[index]",
-        "weights[index]",
+        "return index, [*map(_TOTAL, lotteries)]",
+        "return index, [*map(getitem, map(_WEIGHTS, lotteries), index)]",
         ("tests/test_engine.py::TestLotterySelect", GOLDEN),
     ),
     (
         "lotteries-kept-across-trials",
         ENGINE,
-        "held = list(plan.lotteries)",
-        'held = plan.__dict__.setdefault("_held", list(plan.lotteries))',
+        "held: dict[int, Group] = {}",
+        'held = plan.__dict__.setdefault("_held", {})',
         (REFERENCE,),
+    ),
+    (
+        "cursor-advanced-for-every-trial",
+        ENGINE,
+        "for t in drawing:\n                pos[t] += trials",
+        "for t in range(used):\n                pos[t] += trials",
+        (COLUMNS, REFERENCE),
+    ),
+    (
+        "memo-kept-across-blocks",
+        ENGINE,
+        "memo: Memo = {}",
+        'memo = plan.__dict__.setdefault("_memo", {})',
+        (COLUMNS,),
+    ),
+    (
+        "memo-keyed-without-weights",
+        ENGINE,
+        "entry = memo.get(row)\n"
+        "        if entry is None:\n"
+        "            merged = _merge(row)\n"
+        "            if len(merged) == 1:\n"
+        "                entry = None, next(iter(merged.items()))\n"
+        "            else:\n"
+        "                entry = _lottery(merged), None\n"
+        "            memo[row] = entry",
+        "entry = memo.get(tuple(map(_DET, row)))\n"
+        "        if entry is None:\n"
+        "            merged = _merge(row)\n"
+        "            if len(merged) == 1:\n"
+        "                entry = None, next(iter(merged.items()))\n"
+        "            else:\n"
+        "                entry = _lottery(merged), None\n"
+        "            memo[tuple(map(_DET, row))] = entry",
+        (REFERENCE, GOLDEN),
     ),
     (
         "overflow-passes-as-intensity",
@@ -171,10 +207,10 @@ MUTANTS: list[tuple[str, str, str, str, tuple[str, ...]]] = [
     ),
     (
         "trial-takes-next-trials-draws",
-        RNG,
-        "iter(floats[t::trials])",
-        "iter(floats[t + 1 :: trials])",
-        (STREAM_PROPERTY, GOLDEN),
+        ENGINE,
+        "pos = [*range(used)]",
+        "pos = [*range(1, used + 1)]",
+        (REFERENCE, GOLDEN),
     ),
     # the cross-checks and the statistics
     (
