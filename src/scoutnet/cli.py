@@ -155,16 +155,9 @@ def _checked_value(key: object, value: object, hint: object) -> object:
     raise ConfigError(f"config key {key!r} must be {expected}, got {value!r}")
 
 
-def _parse_float_list(text: str, flag: str) -> list[float]:
+def _parse_list(text: str, flag: str, kind: type) -> list:
     try:
-        return [float(part) for part in str(text).split(",") if part != ""]
-    except ValueError as exc:
-        raise ConfigError(f"malformed {flag} value {text!r}") from exc
-
-
-def _parse_int_list(text: str, flag: str) -> list[int]:
-    try:
-        return [int(part) for part in str(text).split(",") if part != ""]
+        return [kind(part) for part in str(text).split(",") if part != ""]
     except ValueError as exc:
         raise ConfigError(f"malformed {flag} value {text!r}") from exc
 
@@ -172,7 +165,7 @@ def _parse_int_list(text: str, flag: str) -> list[int]:
 def _scenario_lattice(config: RunConfig) -> Lattice:
     if config.scenario == "star":
         if config.intensities:
-            targets = _parse_float_list(config.intensities, "--intensities")
+            targets = _parse_list(config.intensities, "--intensities", float)
             return build_intensity_star(targets, wavelength=config.wavelength)
         return build_star(
             config.detectors,
@@ -188,7 +181,7 @@ def _scenario_lattice(config: RunConfig) -> Lattice:
         return build_slit_grid(
             config.grid_w,
             config.grid_h,
-            _parse_int_list(config.slits, "--slits"),
+            _parse_list(config.slits, "--slits", int),
             screen_detectors=config.screen_detectors,
             wavelength=config.wavelength,
         )
@@ -292,7 +285,7 @@ def _run_ensemble_scenario(config: RunConfig, out_dir: Path) -> int:
 
 def _run_clock(config: RunConfig, out_dir: Path) -> int:
     lines = ["source_distance,laser_distance,cadence,laser_count"]
-    for d_s in _parse_int_list(config.distance, "--distance"):
+    for d_s in _parse_list(config.distance, "--distance", int):
         scenario = ClockScenario(d_s, config.laser_distance, config.cadence)
         count = queue_clock_count(scenario)
         lines.append(f"{d_s},{config.laser_distance},{config.cadence},{count}")
@@ -302,7 +295,7 @@ def _run_clock(config: RunConfig, out_dir: Path) -> int:
 
 def _run_dilation(config: RunConfig, out_dir: Path) -> int:
     if config.v is not None:
-        speeds = _parse_float_list(config.v, "--v")
+        speeds = _parse_list(config.v, "--v", float)
     else:
         speeds = [i / 100.0 for i in range(0, 100)]
     lines = ["v,t"]

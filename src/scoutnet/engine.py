@@ -44,7 +44,9 @@ runs the kernel alone over a span of trials, block by block (what an
 ensemble counts); ``run_trial`` runs it over a one-trial block and adds
 the confirmation walk, the full ``TrialOutcome`` and, under a trace,
 the replay; ``backpropagate`` returns the kernel's state keyed by node
-id with the replay's voided edges.
+id with the replay's voided edges.  A query is one ``(detector,
+weight)`` pair wherever it is held: in the plan's seeded table, in the
+kernel's columns and memo, and in what ``lottery_select`` returns.
 
 Every draw comes from the trial's own splitmix64 stream (``rng``), which
 yields a block's draws draw-major.  A lottery takes one uniform draw,
@@ -64,7 +66,7 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from itertools import accumulate, compress, repeat
-from operator import add, getitem, itemgetter
+from operator import add, itemgetter
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .errors import DarkTrialError, ScoutnetError
@@ -158,9 +160,7 @@ def propagate_scouts(
 # Read once per column of draws: looking the member up on ``Mode`` costs
 # about 190 ns on CPython 3.10 and 3.11, a module global about 30 ns.
 _AGGREGATE = Mode.AGGREGATE
-# field getters: a lottery record's detectors, weights and total; a
-# query's detector; a kernel memo entry's record and query
-_DETS, _WEIGHTS, _TOTAL = itemgetter(0), itemgetter(1), itemgetter(3)
+# field getters: a query's detector; a kernel memo entry's record and query
 _DET = _RECORD = itemgetter(0)
 _QUERY = itemgetter(1)
 
@@ -192,31 +192,30 @@ def lottery_select(
     lotteries: Sequence[Lottery],
     mode: Mode,
     uniforms: Sequence[float],
-) -> tuple[list[int], list[float]]:
-    """Draw one index from each lottery record with the uniform draw in
-    [0, 1) at the same place: index i of a record with probability
+) -> list[Query]:
+    """Draw one competitor from each lottery record with the uniform draw
+    in [0, 1) at the same place: index i of a record with probability
     weights[i] / total.
 
-    Returns the drawn indices and the weights their queries carry on, in
-    order.  For a uniform u the index is the first i whose running sum
-    exceeds ``r = u * total``, or the last index if none does (``r`` can
-    reach the last running sum when ``total`` is compensated), found by
-    bisection.  The winner keeps its own weight in naive mode and
-    inherits the total in aggregate mode.
+    Returns the surviving queries in order: each drawn detector with the
+    weight its query carries on.  For a uniform u the index is the first
+    i whose running sum exceeds ``r = u * total``, or the last index if
+    none does (``r`` can reach the last running sum when ``total`` is
+    compensated), found by bisection.  The winner keeps its own weight in
+    naive mode and inherits the total in aggregate mode.
 
     A record has at least two competitors and a positive total: a plan's
     lotteries are merged from two or more live detectors' queries, and
     each weight is a live intensity, above ``DEFAULT_EPS_INTENSITY``, or
     is carried on from such intensities.
     """
+    aggregate = mode is _AGGREGATE
     # bisecting below the last index alone clamps r past the last sum to it
-    index = [
-        bisect_right(sums, u * total, 0, len(sums) - 1)
-        for (_dets, _weights, sums, total), u in zip(lotteries, uniforms)
+    return [
+        (dets[i], total if aggregate else weights[i])
+        for (dets, weights, sums, total), u in zip(lotteries, uniforms)
+        for i in (bisect_right(sums, u * total, 0, len(sums) - 1),)
     ]
-    if mode is _AGGREGATE:
-        return index, [*map(_TOTAL, lotteries)]
-    return index, [*map(getitem, map(_WEIGHTS, lotteries), index)]
 
 
 @dataclass(frozen=True)
@@ -228,11 +227,11 @@ class TrialPlan:
     nodes in reverse ``(hop distance, id)`` order, so every live child
     comes before its parents.
 
-    ``base_det``/``base_weight`` seed the per-node query table: a live
+    ``base`` seeds the per-node query table, indexed by node id: a live
     detector holds its own query, ``(id, intensity)``.  A node whose live
     reach holds a single detector is draw-free: it never holds a lottery,
     and its surviving query is a fixed function of the forward half, so it
-    is seeded too.  Every other node holds -1 and 0.0.  ``draw_order`` is
+    is seeded too.  Every other node holds ``(-1, 0.0)``.  ``draw_order`` is
     the rest of ``process_order``, the nodes whose query depends on a draw.
     Every live child holds a query by the time its parents read it, and
     keeps it, so draw nodes with the same live children see the same
@@ -249,8 +248,7 @@ class TrialPlan:
     intensities: dict[int, float]
     process_order: tuple[int, ...]
     out_live: dict[int, tuple[int, ...]]
-    base_det: tuple[int, ...]
-    base_weight: tuple[float, ...]
+    base: tuple[Query, ...]
     draw_order: tuple[int, ...]
     draw_lottery: tuple[int, ...]
     lotteries: tuple[Optional[Lottery], ...]
@@ -291,11 +289,9 @@ def prepare(lattice: Lattice, trace: Optional[TraceSink] = None) -> TrialPlan:
     # are all seeded and merge to one detector is draw-free and seeded too;
     # every other node with live children draws.
     n = len(lattice.nodes)
-    base_det = [-1] * n
-    base_weight = [0.0] * n
+    base: list[Query] = [(-1, 0.0)] * n
     for d in live:
-        base_det[d] = d
-        base_weight[d] = intensities[d]
+        base[d] = d, intensities[d]
     live_children: dict[int, tuple[int, ...]] = {}
     draw_order: list[int] = []
     draw_lottery: list[int] = []
@@ -308,12 +304,10 @@ def prepare(lattice: Lattice, trace: Optional[TraceSink] = None) -> TrialPlan:
         if not kids:
             continue
         live_children[u] = kids
-        seeded = all(base_det[v] >= 0 for v in kids)
-        weights = (
-            _merge([(base_det[v], base_weight[v]) for v in kids]) if seeded else {}
-        )
+        seeded = all(base[v][0] >= 0 for v in kids)
+        weights = _merge(map(base.__getitem__, kids)) if seeded else {}
         if len(weights) == 1:
-            ((base_det[u], base_weight[u]),) = weights.items()
+            (base[u],) = weights.items()
             continue
         draw_order.append(u)
         k = lottery_of.setdefault(kids, len(lottery_of))
@@ -327,8 +321,7 @@ def prepare(lattice: Lattice, trace: Optional[TraceSink] = None) -> TrialPlan:
         intensities=intensities,
         process_order=tuple(live_children),
         out_live=live_children,
-        base_det=tuple(base_det),
-        base_weight=tuple(base_weight),
+        base=tuple(base),
         draw_order=tuple(draw_order),
         draw_lottery=tuple(draw_lottery),
         lotteries=tuple(lotteries),
@@ -365,12 +358,7 @@ def _merged_group(
     children's queries: row t holds them in trial t, and a merge reads
     nothing else, so lotteries with equal rows share a memo entry."""
     # a merged lottery has a drawn child, whose column ends the rows
-    rows = zip(
-        *[
-            queries.get(v) or repeat((plan.base_det[v], plan.base_weight[v]))
-            for v in kids
-        ]
-    )
+    rows = zip(*[queries.get(v) or repeat(plan.base[v]) for v in kids])
     entries = []
     for row in rows:
         entry = memo.get(row)
@@ -390,10 +378,10 @@ def _merged_group(
 
 
 def _columns(
-    plan: TrialPlan, mode: Mode, floats: list[float], trials: int, used: int
+    plan: TrialPlan, mode: Mode, floats: list[float], trials: int
 ) -> tuple[dict[int, list[Query]], list[int]]:
-    """The reverse-half kernel: every lottery in barrier order, for the
-    first ``used`` trials of a block of ``trials`` (``rng.trial_blocks``).
+    """The reverse-half kernel: every lottery in barrier order, for a
+    block of ``trials`` trials (``rng.trial_blocks``).
 
     Returns, per draw node, the column of queries that survived there, one
     per trial, and each trial's cursor: the index in ``floats`` of its next
@@ -413,7 +401,7 @@ def _columns(
     already run, so no later lottery reads a voided edge.
     """
     queries: dict[int, list[Query]] = {}
-    pos = [*range(used)]
+    pos = [*range(trials)]
     held: dict[int, Group] = {}
     memo: Memo = {}
     for u, k in zip(plan.draw_order, plan.draw_lottery):
@@ -423,14 +411,12 @@ def _columns(
             if lottery is None:
                 group = _merged_group(plan.out_live[u], queries, plan, memo)
             else:
-                group = None, [lottery] * used, []
+                group = None, [lottery] * trials, []
             held[k] = group
         drawing, lotteries, column = group
         if drawing is None:
-            index, carried = lottery_select(
-                lotteries, mode, [*map(floats.__getitem__, pos)]
-            )
-            queries[u] = [*zip(map(getitem, map(_DETS, lotteries), index), carried)]
+            uniforms = [*map(floats.__getitem__, pos)]
+            queries[u] = lottery_select(lotteries, mode, uniforms)
             pos = [*map(add, pos, repeat(trials))]
         elif not drawing:
             queries[u] = column
@@ -438,37 +424,32 @@ def _columns(
             uniforms = [floats[pos[t]] for t in drawing]
             for t in drawing:
                 pos[t] += trials
-            index, carried = lottery_select(lotteries, mode, uniforms)
             column = column.copy()
-            for t, lottery, i, w in zip(drawing, lotteries, index, carried):
-                column[t] = lottery[0][i], w
+            for t, query in zip(drawing, lottery_select(lotteries, mode, uniforms)):
+                column[t] = query
             queries[u] = column
 
     source = plan.lattice.source
-    if source not in queries and plan.base_det[source] < 0:
+    if source not in queries and plan.base[source][0] < 0:
         raise ScoutnetError("protocol bug: no query survived to the source")
     return queries, pos
 
 
 def _one_trial(
     plan: TrialPlan, mode: Mode, floats: list[float]
-) -> tuple[list[int], list[float], int]:
-    """The kernel over a one-trial block: per node, the surviving query's
-    detector (-1 if none) and weight, the seeded table overlaid with each
-    column's entry 0; and the index of the trial's next unused draw."""
-    queries, (cursor,) = _columns(plan, mode, floats, 1, 1)
-    win_det = list(plan.base_det)
-    win_weight = list(plan.base_weight)
-    for u, column in queries.items():
-        win_det[u], win_weight[u] = column[0]
-    return win_det, win_weight, cursor
+) -> tuple[list[Query], int]:
+    """The kernel over a one-trial block: per node, the surviving query
+    (``(-1, 0.0)`` if none), the seeded table overlaid with each column's
+    one entry; and the index of the trial's next unused draw."""
+    queries, (cursor,) = _columns(plan, mode, floats, 1)
+    won = list(plan.base)
+    for u, (query,) in queries.items():
+        won[u] = query
+    return won, cursor
 
 
 def _refusals(
-    plan: TrialPlan,
-    win_det: list[int],
-    win_weight: list[float],
-    trace: Optional[TraceSink] = None,
+    plan: TrialPlan, won: list[Query], trace: Optional[TraceSink] = None
 ) -> set[tuple[int, int]]:
     """Replay the kernel's lotteries and return the voided edges, as
     ``(u, v)`` pairs.
@@ -488,17 +469,17 @@ def _refusals(
     void: set[tuple[int, int]] = set()
     for u in plan.draw_order:
         kids = out_live[u]
-        weights = _merge([(win_det[v], win_weight[v]) for v in kids])
+        weights = _merge(map(won.__getitem__, kids))
         if len(weights) < 2:
             continue
-        winner = win_det[u]
+        winner = won[u][0]
         competitors = sorted(weights.items())
         if trace:
             trace(f"lottery node={u} winner={winner} weights={competitors}")
         for loser, _ in competitors:
             if loser == winner:
                 continue
-            stack = [(u, v) for v in kids if win_det[v] == loser]
+            stack = [(u, v) for v in kids if won[v][0] == loser]
             while stack:
                 edge = stack.pop()
                 if edge in void:
@@ -523,20 +504,19 @@ def count_winners(
     after the last lottery, so skipping the walk and the refusal replay
     cannot change it.  ``trial_blocks`` computes the span's draws a block
     of trials at a time, each trial's first ``len(draw_order)``, the most
-    its kernel can take, and the kernel runs once per block; the source's
-    column holds the block's winners.  Draw j of a trial does not depend
-    on how many are computed, nor on the block it falls in, and no trial's
-    winner on the other trials of its block, so these are the draws
-    ``run_trial`` takes too, and any split of a span counts the same.
+    its kernel can take; the blocks cover the span exactly.  The kernel
+    runs once per block, and the source's column holds the block's
+    winners.  Draw j of a trial does not depend on how many are computed,
+    nor on the block it falls in, and no trial's winner on the other
+    trials of its block, so these are the draws ``run_trial`` takes too,
+    and any split of a span counts the same.
     """
     source = plan.lattice.source
     counts: Counter = Counter()
-    for floats, trials, used in trial_blocks(
-        master_seed, len(plan.draw_order), start, stop
-    ):
-        column = _columns(plan, mode, floats, trials, used)[0].get(source)
+    for floats, trials in trial_blocks(master_seed, len(plan.draw_order), start, stop):
+        column = _columns(plan, mode, floats, trials)[0].get(source)
         if column is None:
-            counts[plan.base_det[source]] += used
+            counts[plan.base[source][0]] += trials
         else:
             counts.update(map(_DET, column))
     return counts
@@ -557,10 +537,10 @@ def backpropagate(
     (all-zero-weight) lotteries, which no plan holds; it goes when that
     adapter does."""
     floats = [rng.random() for _ in plan.draw_order]
-    win_det, win_weight, _ = _one_trial(plan, mode, floats)
-    voided = _refusals(plan, win_det, win_weight, trace)
-    winner_at = {u: (win_det[u], win_weight[u]) for u in plan.process_order}
-    return win_det[plan.lattice.source], winner_at, voided, 0
+    won, _ = _one_trial(plan, mode, floats)
+    voided = _refusals(plan, won, trace)
+    winner_at = {u: won[u] for u in plan.process_order}
+    return won[plan.lattice.source][0], winner_at, voided, 0
 
 
 @dataclass(frozen=True)
@@ -575,7 +555,7 @@ class TrialOutcome:
 def _confirmation_walk(
     plan: TrialPlan,
     winner: int,
-    win_det: list[int],
+    won: list[Query],
     uniforms: Iterator[float],
 ) -> tuple[int, ...]:
     """Source-to-winner walk through the nodes whose query is the winner's;
@@ -588,7 +568,7 @@ def _confirmation_walk(
     u = plan.lattice.source
     while u != winner:
         # the winner itself, or a void node holding its query
-        candidates = [v for v in plan.out_live[u] if win_det[v] == winner]
+        candidates = [v for v in plan.out_live[u] if won[v][0] == winner]
         if not candidates:
             raise ScoutnetError(f"protocol bug: confirmation walk stuck at node {u}")
         k = len(candidates)
@@ -619,13 +599,13 @@ def run_trial(
         plan = prepare(lattice, trace)
     seed = derive_trial_seed(master_seed, trial_index)
     draws = len(plan.draw_order) + len(plan.process_order)
-    ((floats, _, _),) = trial_blocks(master_seed, draws, trial_index, trial_index + 1)
+    ((floats, _),) = trial_blocks(master_seed, draws, trial_index, trial_index + 1)
 
-    win_det, win_weight, cursor = _one_trial(plan, mode, floats)
+    won, cursor = _one_trial(plan, mode, floats)
     if trace:
-        _refusals(plan, win_det, win_weight, trace)
-    winner = win_det[lattice.source]
-    path = _confirmation_walk(plan, winner, win_det, iter(floats[cursor:]))
+        _refusals(plan, won, trace)
+    winner = won[lattice.source][0]
+    path = _confirmation_walk(plan, winner, won, iter(floats[cursor:]))
     if trace:
         trace(f"confirm winner={winner} path={list(path)}")
 

@@ -76,9 +76,7 @@ def _forward_children(lattice: Lattice) -> dict[int, tuple[tuple[int, float], ..
 
 
 def _walk_paths(
-    lattice: Lattice,
-    path_budget: int,
-    arrive: Callable[[list[int], int, float], None],
+    lattice: Lattice, arrive: Callable[[list[int], int, float], None]
 ) -> None:
     """Depth-first walk over every admissible path from the source.
 
@@ -88,19 +86,19 @@ def _walk_paths(
     lexicographic order of their node ids.  A path's length is summed rib
     by rib from the source.
 
-    The budget counts every rib the walk crosses; a node's ribs are
-    charged when it is expanded, all of which the walk then crosses, so
-    the error names rib visit ``budget + 1``.
+    ``DEFAULT_PATH_BUDGET`` counts every rib the walk crosses; a node's
+    ribs are charged when it is expanded, all of which the walk then
+    crosses, so the error names rib visit ``budget + 1``.
     """
     forward = _forward_children(lattice)
-    budget_left = path_budget
+    budget_left = DEFAULT_PATH_BUDGET
 
     def walk(u: int, trail: list[int], length: float) -> None:
         nonlocal budget_left
         kids = forward[u]
         budget_left -= len(kids)
         if budget_left < 0:
-            raise PathBudgetError(path_budget, "rib visits")
+            raise PathBudgetError(DEFAULT_PATH_BUDGET, "rib visits")
         for v, rib_len in kids:
             if v in forward:
                 trail.append(v)
@@ -116,11 +114,7 @@ def _phase(total_length: float, wavelength: float) -> float:
     return math.fmod(2.0 * math.pi * total_length / wavelength, 2.0 * math.pi)
 
 
-def enumerate_paths(
-    lattice: Lattice,
-    detector: int,
-    path_budget: int = DEFAULT_PATH_BUDGET,
-) -> list[PathRecord]:
+def enumerate_paths(lattice: Lattice, detector: int) -> list[PathRecord]:
     """All admissible simple paths source -> detector, lexicographic by node ids."""
     if detector not in lattice.detectors:
         raise ValueError(f"node {detector} is not a detector")
@@ -131,7 +125,7 @@ def enumerate_paths(
             phase = _phase(total, lattice.wavelength)
             paths.append(PathRecord(tuple(trail + [det]), total, phase))
 
-    _walk_paths(lattice, path_budget, arrive)
+    _walk_paths(lattice, arrive)
     return paths
 
 
@@ -177,7 +171,7 @@ def path_amplitudes(lattice: Lattice) -> dict[int, complex]:
         re[det] += cos(phase)
         im[det] += sin(phase)
 
-    _walk_paths(lattice, DEFAULT_PATH_BUDGET, arrive)
+    _walk_paths(lattice, arrive)
     return {det: complex(re[det], im[det]) for det in lattice.detectors}
 
 

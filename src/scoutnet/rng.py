@@ -17,7 +17,8 @@ lies draw-major, for the reverse half's column kernel: draw j of trial t
 is ``floats[j * trials + t]``.  A trial of n draws gets a block of
 ``max(MIN_TRIALS, BLOCK_DRAWS // n)`` trials, so a block holds about
 ``BLOCK_DRAWS`` draws, or ``MIN_TRIALS`` trials' worth when n is large.
-No draw depends on the block it falls in.
+The blocks cover a span exactly: what is left after its full blocks is
+one shorter block.  No draw depends on the block it falls in.
 """
 
 from __future__ import annotations
@@ -84,20 +85,21 @@ def _lanes(values: Iterable[int], copies: int = 1) -> int:
 
 def trial_blocks(
     master_seed: int, n: int, start: int, stop: int
-) -> Iterator[tuple[list[float], int, int]]:
+) -> Iterator[tuple[list[float], int]]:
     """The first ``n`` draws of trials ``start``..``stop - 1``, a block of
-    trials at a time: each block is ``(floats, trials, used)``, where
-    draw j of the block's trial t is ``floats[j * trials + t]``, a float
-    in [0, 1), ``k * 2**-53`` with k the word's top 53 bits.  The block
-    holds ``trials`` trials, ``max(MIN_TRIALS, BLOCK_DRAWS // n)`` or the
-    span's length if that is shorter; only the first ``used`` lie in the
-    span, fewer than ``trials`` in the last block alone.
+    trials at a time: each block is ``(floats, trials)``, where draw j of
+    the block's trial t is ``floats[j * trials + t]``, a float in [0, 1),
+    ``k * 2**-53`` with k the word's top 53 bits.  A block holds
+    ``max(MIN_TRIALS, BLOCK_DRAWS // n)`` trials, or the span's length if
+    that is shorter; the span's remainder after its full blocks is one
+    last, shorter block, so the blocks' trials sum to the span.
 
     A block mixes its trial states in one int, copies that int once per
     draw, adds each draw's Weyl offset and mixes again.
     """
     _check(master_seed)
     trials = max(1, min(max(MIN_TRIALS, BLOCK_DRAWS // max(n, 1)), stop - start))
+    tail = (stop - start) % trials
     ones = _lanes([1], trials)
     state_mask = _MASK * ones
     steps = _lanes(t * _GOLDEN & _MASK for t in range(trials))
@@ -105,7 +107,7 @@ def trial_blocks(
     draw_mask = _lanes([_MASK], trials * n)
     unpack = struct.Struct("<" + "Q8x" * (trials * n)).unpack
     size = 16 * trials
-    for first in range(start, stop, trials):
+    for first in range(start, stop - tail, trials):
         # lane t: the state of trial first + t
         c = (master_seed + (first + 1) * _GOLDEN) & _MASK
         states = _mix((c * ones + steps) & state_mask, state_mask) & state_mask
@@ -117,4 +119,6 @@ def trial_blocks(
         words = unpack((z >> 11).to_bytes(size * n, "little"))
         # ``mul`` takes a fast call, ``_UNIT.__mul__`` builds an argument
         # tuple per draw
-        yield [*map(mul, repeat(_UNIT), words)], trials, min(trials, stop - first)
+        yield [*map(mul, repeat(_UNIT), words)], trials
+    if tail:
+        yield from trial_blocks(master_seed, n, stop - tail, stop)

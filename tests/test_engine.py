@@ -122,15 +122,17 @@ class TestPathBudgetBoundary:
             if (i, j) != (0, 0)
         ]
 
-    def test_oracle_rib_visits(self):
+    def test_oracle_rib_visits(self, monkeypatch):
         lat = build_grid(self.W, self.H, "corner")
         (det,) = lat.detectors
         visits = sum(self.prefix_counts())
-        assert len(oracle.enumerate_paths(lat, det, path_budget=visits)) == (
+        monkeypatch.setattr(oracle, "DEFAULT_PATH_BUDGET", visits)
+        assert len(oracle.enumerate_paths(lat, det)) == (
             math.comb(self.W + self.H - 2, self.W - 1)
         )
+        monkeypatch.setattr(oracle, "DEFAULT_PATH_BUDGET", visits - 1)
         with pytest.raises(PathBudgetError, match="path budget exceeded") as err:
-            oracle.enumerate_paths(lat, det, path_budget=visits - 1)
+            oracle.enumerate_paths(lat, det)
         assert (err.value.budget, err.value.count) == (visits - 1, visits)
         assert "rib visits" in str(err.value)
 
@@ -232,8 +234,8 @@ class TestPrepare:
         plan = prepare(lat)
         assert plan.intensities[dark] == pytest.approx(0.0, abs=1e-12)
         assert plan.intensities[live] == pytest.approx(1.0)
-        assert plan.base_det[live] == live
-        assert plan.base_det[dark] == -1
+        assert plan.base[live][0] == live
+        assert plan.base[dark][0] == -1
         assert plan.live_edges and all(dark not in edge for edge in plan.live_edges)
         for index in range(100):
             outcome = run_trial(lat, Mode.AGGREGATE, 4, index, plan=plan)
@@ -247,16 +249,16 @@ class TestPrepare:
         # each arm node's query is fixed: its own arm's detector and intensity
         for u in plan.process_order:
             if u != lat.source:
-                det = plan.base_det[u]
+                det, weight = plan.base[u]
                 assert det in lat.detectors
-                assert plan.base_weight[u] == plan.intensities[det]
-        assert plan.base_det[lat.source] == -1
+                assert weight == plan.intensities[det]
+        assert plan.base[lat.source][0] == -1
 
     def test_intensity_star_source_competitors_are_stored(self):
         lat = build_intensity_star([1.0, 1.0, 2.0])
         plan = prepare(lat)
         kids = plan.out_live[lat.source]
-        merged = _merge([(plan.base_det[v], plan.base_weight[v]) for v in kids])
+        merged = _merge([plan.base[v] for v in kids])
         dets = sorted(merged)
         (lottery,) = plan.lotteries
         assert lottery[:2] == (dets, [merged[d] for d in dets])
@@ -330,28 +332,30 @@ class TestLotterySelect:
     def test_zero_weight_never_wins(self):
         rng = random.Random(0)
         for _ in range(200):
-            (index,), _ = lottery_select(
+            ((det, _),) = lottery_select(
                 [_lottery({0: 2.0, 1: 0.0})], Mode.NAIVE, [rng.random()]
             )
-            assert index == 0
+            assert det == 0
 
     def test_equal_weights_split_evenly(self):
         rng = random.Random(1)
         lottery = _lottery({0: 1.0, 1: 1.0})
         uniforms = [rng.random() for _ in range(100_000)]
-        wins = Counter(lottery_select([lottery] * 100_000, Mode.NAIVE, uniforms)[0])
+        wins = Counter(
+            det for det, _ in lottery_select([lottery] * 100_000, Mode.NAIVE, uniforms)
+        )
         assert wins[0] / 100_000 == pytest.approx(0.5, abs=0.01)
 
     def test_aggregate_winner_inherits_total(self):
         rng = random.Random(2)
-        _, (carried,) = lottery_select(
+        ((_, carried),) = lottery_select(
             [_lottery({0: 1.0, 1: 3.0})], Mode.AGGREGATE, [rng.random()]
         )
         assert carried == pytest.approx(4.0)
 
     def test_naive_winner_keeps_own_weight(self):
         rng = random.Random(2)
-        _, (carried,) = lottery_select(
+        ((_, carried),) = lottery_select(
             [_lottery({0: 1.0, 1: 3.0})], Mode.NAIVE, [rng.random()]
         )
         assert carried in (1.0, 3.0)
@@ -373,8 +377,8 @@ class TestLotterySelect:
             st.floats(min_value=0.0, max_value=1.0, exclude_max=True)
             | st.sampled_from(ratios or [0.0])
         )
-        (index,), _ = lottery_select([lottery], Mode.NAIVE, [value])
-        assert index == scan_index(ranked, value * total)
+        ((det, _),) = lottery_select([lottery], Mode.NAIVE, [value])
+        assert det == scan_index(ranked, value * total)
 
     def test_a_column_draws_each_record_with_its_own_uniform(self):
         rng = random.Random(3)
@@ -382,21 +386,21 @@ class TestLotterySelect:
         lotteries *= 50
         uniforms = [rng.random() for _ in lotteries]
         for mode in Mode:
-            index, carried = lottery_select(lotteries, mode, uniforms)
+            queries = lottery_select(lotteries, mode, uniforms)
             pairs = zip(lotteries, uniforms)
             alone = [lottery_select([x], mode, [u]) for x, u in pairs]
-            assert index == [i for (i,), _ in alone]
-            assert carried == [w for _, (w,) in alone]
-            assert index == [
-                scan_index(x[1], u * x[3]) for x, u in zip(lotteries, uniforms)
+            assert [det for det, _ in queries] == [d for ((d, _),) in alone]
+            assert [w for _, w in queries] == [w for ((_, w),) in alone]
+            assert [det for det, _ in queries] == [
+                x[0][scan_index(x[1], u * x[3])] for x, u in zip(lotteries, uniforms)
             ]
 
     def test_r_on_a_running_sum_takes_the_next_index(self):
         lottery = _lottery({0: 1.0, 1: 1.0, 2: 2.0})
         assert lottery[2:] == ([1.0, 2.0, 4.0], 4.0)
         for value, want in ((0.25, 1), (0.5, 2)):
-            (index,), _ = lottery_select([lottery], Mode.NAIVE, [value])
-            assert index == want == scan_index(lottery[1], value * 4.0)
+            ((det, _),) = lottery_select([lottery], Mode.NAIVE, [value])
+            assert det == want == scan_index(lottery[1], value * 4.0)
 
     def test_r_past_the_last_running_sum_takes_the_last_index(self):
         # CPython 3.12+ compensates sum(): 1.0 + 1e-16 + 1e-16 totals
@@ -409,8 +413,8 @@ class TestLotterySelect:
         assert math.fsum(weights) == lottery[3]
         value = 1.0 - 2.0**-53
         assert value * lottery[3] >= 1.0
-        (index,), (carried,) = lottery_select([lottery], Mode.NAIVE, [value])
-        assert index == 2 == scan_index(weights, value * lottery[3])
+        ((det, carried),) = lottery_select([lottery], Mode.NAIVE, [value])
+        assert det == 2 == scan_index(weights, value * lottery[3])
         assert carried == 1e-16
 
 
@@ -443,17 +447,16 @@ class TestReferenceKernel:
                 plan = prepare(random_layered_lattice(random.Random(seed)))
             except DarkTrialError:
                 continue
-            base = [*zip(plan.base_det, plan.base_weight)]
             children: dict[int, tuple[int, ...]] = {}
             for u, k in zip(plan.draw_order, plan.draw_lottery):
                 assert children.setdefault(k, plan.out_live[u]) == plan.out_live[u]
             assert len(set(children.values())) == len(plan.lotteries)
             for k, lottery in enumerate(plan.lotteries):
                 kids = children[k]
-                seeded = all(plan.base_det[v] >= 0 for v in kids)
+                seeded = all(plan.base[v][0] >= 0 for v in kids)
                 assert (lottery is not None) == seeded
                 if lottery is not None:
-                    merged = sorted(_merge(map(base.__getitem__, kids)).items())
+                    merged = sorted(_merge(map(plan.base.__getitem__, kids)).items())
                     assert lottery[:2] == tuple(map(list, zip(*merged)))
                     # lottery_select has no branch for fewer competitors
                     # or a zero total
@@ -631,9 +634,9 @@ class TestColumnKernel:
                 if len(set(taken)) == 1:
                     continue
                 drifted = True
-                ((floats, size, used),) = trial_blocks(31, n, first, first + trials)
-                assert (size, used) == (trials, trials)
-                queries, cursors = _columns(plan, mode, floats, trials, used)
+                ((floats, size),) = trial_blocks(31, n, first, first + trials)
+                assert size == trials
+                queries, cursors = _columns(plan, mode, floats, trials)
                 assert [p // trials for p in cursors] == taken
                 winners = [reference_trial(plan, mode, 31, i)[0] for i in span]
                 assert [det for det, _ in queries[lat.source]] == winners

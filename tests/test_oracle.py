@@ -59,10 +59,11 @@ class TestEnumeratePaths:
             )
             assert p.phase == pytest.approx(expected, abs=1e-12)
 
-    def test_budget_exceeded(self):
+    def test_budget_exceeded(self, monkeypatch):
         lat = build_grid(4, 4, "corner")
+        monkeypatch.setattr(oracle, "DEFAULT_PATH_BUDGET", 3)
         with pytest.raises(PathBudgetError, match="path budget exceeded"):
-            oracle.enumerate_paths(lat, lat.detectors[0], path_budget=3)
+            oracle.enumerate_paths(lat, lat.detectors[0])
 
 
 class TestLatticeAmplitudes:

@@ -33,13 +33,19 @@ def test_lane_batch_equals_sequential_generator(master_seed, start, n, extra):
     block = max(MIN_TRIALS, BLOCK_DRAWS // max(n, 1))
     stop = start + 2 * block + extra
     index = start
-    for floats, trials, used in trial_blocks(master_seed, n, start, stop):
-        for t in range(used):
+    sizes = []
+    for floats, trials in trial_blocks(master_seed, n, start, stop):
+        # the blocks cover the span exactly: none computes a trial past it
+        assert trials <= block
+        assert len(floats) == n * trials
+        sizes.append(trials)
+        for t in range(trials):
             sequential = trial_stream(master_seed, index)
             # draw j does not depend on how many draws a trial holds, nor
             # on the block it falls in; the block holds n draws per trial
             assert floats[t::trials] == [sequential.random() for _ in range(n)]
             index += 1
+    assert sum(sizes) == stop - start
     assert index == stop
 
 
@@ -56,8 +62,8 @@ class TestSerialPairs:
     @pytest.fixture(scope="class")
     def first_two(self) -> list[tuple[float, float]]:
         pairs: list[tuple[float, float]] = []
-        for floats, trials, used in trial_blocks(20_241_018, 2, 0, self.TRIALS):
-            pairs += zip(floats[:used], floats[trials : trials + used])
+        for floats, trials in trial_blocks(20_241_018, 2, 0, self.TRIALS):
+            pairs += zip(floats[:trials], floats[trials:])
         return pairs
 
     def test_consecutive_draws_within_a_trial(self, first_two):

@@ -40,6 +40,7 @@ BOUNDARY = "tests/test_engine.py::TestPathBudgetBoundary"
 REFERENCE = "tests/test_engine.py::TestReferenceKernel"
 PREPARE = "tests/test_engine.py::TestPrepare"
 COLUMNS = "tests/test_engine.py::TestColumnKernel"
+SPANS = "tests/test_engine.py::TestSpanSplits"
 GOLDEN = "tests/test_golden.py"
 STREAM = "tests/test_rng.py"
 STREAM_PROPERTY = "tests/test_rng.py::test_lane_batch_equals_sequential_generator"
@@ -79,7 +80,7 @@ MUTANTS: list[tuple[str, str, str, str, tuple[str, ...]]] = [
     (
         "seed-without-all-seeded-guard",
         ENGINE,
-        "seeded = all(base_det[v] >= 0 for v in kids)",
+        "seeded = all(base[v][0] >= 0 for v in kids)",
         "seeded = True",
         (PREPARE, REFERENCE),
     ),
@@ -115,8 +116,8 @@ MUTANTS: list[tuple[str, str, str, str, tuple[str, ...]]] = [
     (
         "aggregate-carries-own-weight",
         ENGINE,
-        "return index, [*map(_TOTAL, lotteries)]",
-        "return index, [*map(getitem, map(_WEIGHTS, lotteries), index)]",
+        "(dets[i], total if aggregate else weights[i])",
+        "(dets[i], weights[i])",
         ("tests/test_engine.py::TestLotterySelect", GOLDEN),
     ),
     (
@@ -130,7 +131,7 @@ MUTANTS: list[tuple[str, str, str, str, tuple[str, ...]]] = [
         "cursor-advanced-for-every-trial",
         ENGINE,
         "for t in drawing:\n                pos[t] += trials",
-        "for t in range(used):\n                pos[t] += trials",
+        "for t in range(trials):\n                pos[t] += trials",
         (COLUMNS, REFERENCE),
     ),
     (
@@ -206,10 +207,17 @@ MUTANTS: list[tuple[str, str, str, str, tuple[str, ...]]] = [
         (STREAM_PROPERTY, GOLDEN),
     ),
     (
+        "tail-block-dropped",
+        RNG,
+        "    if tail:\n        yield from trial_blocks(master_seed, n, stop - tail, stop)\n",
+        "",
+        (STREAM_PROPERTY, SPANS),
+    ),
+    (
         "trial-takes-next-trials-draws",
         ENGINE,
-        "pos = [*range(used)]",
-        "pos = [*range(1, used + 1)]",
+        "pos = [*range(trials)]",
+        "pos = [*range(1, trials + 1)]",
         (REFERENCE, GOLDEN),
     ),
     # the cross-checks and the statistics
