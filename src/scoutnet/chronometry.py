@@ -9,26 +9,31 @@ hidden speed, so the count is proportional to the source distance.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import ConfigError
 
 
-@dataclass(frozen=True)
-class ClockScenario:
+class ClockScenario(
+    NamedTuple(
+        "ClockScenario",
+        [("source_distance", int), ("laser_distance", int), ("laser_cadence", int)],
+    )
+):
     """Chain distances in hops and the laser emission cadence in ticks."""
 
-    source_distance: int
-    laser_distance: int
-    laser_cadence: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.source_distance < 1:
+    def __new__(
+        cls, source_distance: int, laser_distance: int, laser_cadence: int
+    ) -> ClockScenario:
+        if source_distance < 1:
             raise ConfigError("source_distance must be >= 1 hop")
-        if self.laser_distance < 1:
+        if laser_distance < 1:
             raise ConfigError("laser_distance must be >= 1 hop")
-        if self.laser_cadence < 1:
+        if laser_cadence < 1:
             raise ConfigError("laser_cadence must be >= 1 tick")
+        return super().__new__(cls, source_distance, laser_distance, laser_cadence)
 
 
 def queue_clock_count(scenario: ClockScenario) -> int:

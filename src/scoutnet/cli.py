@@ -13,12 +13,10 @@ import argparse
 import math
 import os
 import sys
-from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import Optional, get_args, get_type_hints
+from typing import Optional
 
 from . import experiments
-from .chronometry import ClockScenario, dilation_time, queue_clock_count
 from .engine import Mode, prepare, run_trial
 from .errors import ConfigError, ScoutnetError, TopologyError
 from .lattice import (
@@ -39,33 +37,49 @@ EXIT_CONFIG = 1
 EXIT_THRESHOLD = 2
 
 
-@dataclass
+_NONE = type(None)
+# Each option: its default and the types a config file may give it.
+OPTIONS: dict[str, tuple[object, tuple[type, ...]]] = {
+    "scenario": ("star", (str,)),
+    "mode": ("aggregate", (str,)),
+    "wavelength": (1.0, (float,)),
+    "trials": (10_000, (int,)),
+    "seed": (42, (int,)),
+    "jobs": (1, (int,)),
+    "topology": (None, (str, _NONE)),
+    "out": (".", (str,)),
+    "trace": (False, (bool,)),
+    "tv_threshold": (None, (float, _NONE)),
+    "chi_percentile": (0.99, (float,)),
+    "detectors": (3, (int,)),
+    "arm_hops": (2, (int,)),
+    "intensities": (None, (str, _NONE)),
+    "len_a": (2.0, (float,)),
+    "len_b": (2.0, (float,)),
+    "hops": (2, (int,)),
+    "grid_w": (3, (int,)),
+    "grid_h": (9, (int,)),
+    "slits": ("2,6", (str,)),
+    "screen_detectors": (None, (int, _NONE)),
+    "v": (None, (str, _NONE)),
+    "distance": ("10", (str,)),
+    "laser_distance": (1, (int,)),
+    "cadence": (1, (int,)),
+}
+# The comma-list options and their items' type.  ``_merge_config`` parses
+# each one given, whatever the scenario, so every malformed list exits 1.
+LIST_OPTIONS = {"intensities": float, "slits": int, "v": float, "distance": int}
+
+
 class RunConfig:
-    scenario: str = "star"
-    mode: str = "aggregate"
-    wavelength: float = 1.0
-    trials: int = 10_000
-    seed: int = 42
-    jobs: int = 1
-    topology: Optional[str] = None
-    out: str = "."
-    trace: bool = False
-    tv_threshold: Optional[float] = None
-    chi_percentile: float = 0.99
-    detectors: int = 3
-    arm_hops: int = 2
-    intensities: Optional[str] = None
-    len_a: float = 2.0
-    len_b: float = 2.0
-    hops: int = 2
-    grid_w: int = 3
-    grid_h: int = 9
-    slits: str = "2,6"
-    screen_detectors: Optional[int] = None
-    v: Optional[str] = None
-    distance: str = "10"
-    laser_distance: int = 1
-    cadence: int = 1
+    """One run's options, each at its ``OPTIONS`` default unless given.
+    After ``_merge_config``, a list option holds its parsed list."""
+
+    __slots__ = tuple(OPTIONS)
+
+    def __init__(self) -> None:
+        for name, (default, _) in OPTIONS.items():
+            setattr(self, name, default)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -127,31 +141,33 @@ def _merge_config(args: argparse.Namespace) -> RunConfig:
             raise ConfigError(f"config file {path} is not UTF-8: {exc}") from exc
         if not isinstance(loaded, dict):
             raise ConfigError("config file must be a mapping")
-        hints = get_type_hints(RunConfig)
         for key, value in loaded.items():
             name = str(key).replace("-", "_")
-            if name not in hints:
+            if name not in OPTIONS:
                 raise ConfigError(f"unknown config key {key!r}")
-            setattr(config, name, _checked_value(key, value, hints[name]))
+            setattr(config, name, _checked_value(key, value, OPTIONS[name][1]))
     env_out = os.environ.get(OUT_ENV_VAR)
     if env_out and args.out is None and config.out == ".":
         config.out = env_out
-    for f in fields(RunConfig):
-        value = getattr(args, f.name, None)
+    for name in OPTIONS:
+        value = getattr(args, name, None)
         if value is not None:
-            setattr(config, f.name, value)
+            setattr(config, name, value)
+    for name, kind in LIST_OPTIONS.items():
+        text = getattr(config, name)
+        if text is not None:
+            setattr(config, name, _parse_list(text, f"--{name}", kind))
     return config
 
 
-def _checked_value(key: object, value: object, hint: object) -> object:
-    """A config-file value of the field's type; an int may stand for a float,
-    and a number for text (list options such as ``distance: 10``)."""
-    kinds = get_args(hint) or (hint,)
+def _checked_value(key: object, value: object, kinds: tuple[type, ...]) -> object:
+    """A config-file value of one of the option's types; an int may stand for
+    a float, and a number for text (list options such as ``distance: 10``)."""
     if str in kinds and type(value) in (int, float):
         return str(value)
     if type(value) in kinds or (float in kinds and type(value) is int):
         return value
-    expected = " or ".join(k.__name__ for k in kinds if k is not type(None))
+    expected = " or ".join(k.__name__ for k in kinds if k is not _NONE)
     raise ConfigError(f"config key {key!r} must be {expected}, got {value!r}")
 
 
@@ -165,8 +181,9 @@ def _parse_list(text: str, flag: str, kind: type) -> list:
 def _scenario_lattice(config: RunConfig) -> Lattice:
     if config.scenario == "star":
         if config.intensities:
-            targets = _parse_list(config.intensities, "--intensities", float)
-            return build_intensity_star(targets, wavelength=config.wavelength)
+            return build_intensity_star(
+                config.intensities, wavelength=config.wavelength
+            )
         return build_star(
             config.detectors,
             config.arm_hops,
@@ -181,7 +198,7 @@ def _scenario_lattice(config: RunConfig) -> Lattice:
         return build_slit_grid(
             config.grid_w,
             config.grid_h,
-            _parse_list(config.slits, "--slits", int),
+            config.slits,
             screen_detectors=config.screen_detectors,
             wavelength=config.wavelength,
         )
@@ -284,8 +301,10 @@ def _run_ensemble_scenario(config: RunConfig, out_dir: Path) -> int:
 
 
 def _run_clock(config: RunConfig, out_dir: Path) -> int:
+    from .chronometry import ClockScenario, queue_clock_count  # only clock runs
+
     lines = ["source_distance,laser_distance,cadence,laser_count"]
-    for d_s in _parse_list(config.distance, "--distance", int):
+    for d_s in config.distance:
         scenario = ClockScenario(d_s, config.laser_distance, config.cadence)
         count = queue_clock_count(scenario)
         lines.append(f"{d_s},{config.laser_distance},{config.cadence},{count}")
@@ -294,8 +313,10 @@ def _run_clock(config: RunConfig, out_dir: Path) -> int:
 
 
 def _run_dilation(config: RunConfig, out_dir: Path) -> int:
+    from .chronometry import dilation_time  # only dilation runs need it
+
     if config.v is not None:
-        speeds = _parse_list(config.v, "--v", float)
+        speeds = config.v
     else:
         speeds = [i / 100.0 for i in range(0, 100)]
     lines = ["v,t"]

@@ -62,12 +62,10 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from collections import Counter
-from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
 from itertools import accumulate, compress, repeat
 from operator import add, itemgetter
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .errors import DarkTrialError, ScoutnetError
 from .lattice import Lattice, NodeKind
@@ -89,8 +87,7 @@ class RibState(str, Enum):
     CONFIRMED = "confirmed"
 
 
-@dataclass(frozen=True)
-class ScoutReport:
+class ScoutReport(NamedTuple):
     """The forward half: each detector's amplitude (0j if no scout lands),
     each expanded node's forward children, the hidden ticks, and
     ``fronts``, the number of scouts ever created: one at the source plus
@@ -218,8 +215,7 @@ def lottery_select(
     ]
 
 
-@dataclass(frozen=True)
-class TrialPlan:
+class TrialPlan(NamedTuple):
     """Everything about a trial that does not depend on the random stream.
 
     ``out_live`` is the live trace graph: each node with live children
@@ -255,7 +251,7 @@ class TrialPlan:
 
     # a view for perfbench's plan counters and the frozen reference
     # kernel; the engine does not read it
-    @cached_property
+    @property
     def live_edges(self) -> frozenset[tuple[int, int]]:
         return frozenset((u, v) for u, kids in self.out_live.items() for v in kids)
 
@@ -543,8 +539,7 @@ def backpropagate(
     return won[plan.lattice.source][0], winner_at, voided, 0
 
 
-@dataclass(frozen=True)
-class TrialOutcome:
+class TrialOutcome(NamedTuple):
     winner: int
     surviving_path: tuple[int, ...]
     hidden_ticks: int

@@ -11,12 +11,10 @@ naive-mode deviation.
 
 from __future__ import annotations
 
-import json
 import math
 import os
 from collections import Counter, defaultdict
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from . import oracle
 from .engine import DEFAULT_EPS_INTENSITY, Mode, TrialPlan, count_winners, prepare
@@ -37,8 +35,7 @@ def tv_distance(p: dict[int, float], q: dict[int, float]) -> float:
     return 0.5 * sum(abs(p[k] - q[k]) for k in p)
 
 
-@dataclass(frozen=True)
-class ChiSquareResult:
+class ChiSquareResult(NamedTuple):
     statistic: float
     dof: int
     underpowered: bool
@@ -144,8 +141,7 @@ def chi_square_critical(dof: int, percentile: float = 0.99) -> float:
     return 0.5 * (lo + hi)
 
 
-@dataclass(frozen=True)
-class EnsembleResult:
+class EnsembleResult(NamedTuple):
     lattice_id: str
     mode: Mode
     trials: int
@@ -302,8 +298,7 @@ def exact_selection_distribution(lattice: Lattice, mode: Mode) -> dict[int, floa
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class InterferenceProfile:
+class InterferenceProfile(NamedTuple):
     detector_ids: tuple[int, ...]
     positions: tuple[float, ...]
     oracle_intensity: tuple[float, ...]
@@ -370,6 +365,8 @@ def profile_csv(profile: InterferenceProfile) -> str:
 
 
 def summary_json(result: EnsembleResult) -> str:
+    import json  # imported on use: only a run that writes artifacts needs it
+
     payload = {
         # 1 (no field): a --trace scout line per path, not per rib; 2:
         # independent lotteries in heap order, not reverse (hop distance, id);

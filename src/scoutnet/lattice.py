@@ -15,9 +15,8 @@ round-trip arbitrary user topologies through a YAML document.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .errors import LatticeError, TopologyError
 
@@ -28,43 +27,71 @@ class NodeKind(str, Enum):
     DETECTOR = "detector"
 
 
-@dataclass(frozen=True)
-class Node:
+class Node(NamedTuple):
     id: int
     position: tuple[float, ...]
     kind: NodeKind = NodeKind.VOID
 
 
-@dataclass(frozen=True)
-class Rib:
+class Rib(NamedTuple("Rib", [("a", int), ("b", int), ("length", float)])):
     """Undirected edge; endpoints stored sorted so (a, b) == (b, a)."""
 
-    a: int
-    b: int
-    length: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.a == self.b:
-            raise LatticeError(f"self-loop rib at node {self.a}")
-        if self.a > self.b:
-            a, b = self.b, self.a
-            object.__setattr__(self, "a", a)
-            object.__setattr__(self, "b", b)
-        if not (self.length > 0) or not math.isfinite(self.length):
-            raise LatticeError(
-                f"rib ({self.a},{self.b}) has non-positive length {self.length}"
-            )
+    def __new__(cls, a: int, b: int, length: float) -> Rib:
+        if a == b:
+            raise LatticeError(f"self-loop rib at node {a}")
+        if a > b:
+            a, b = b, a
+        if not (length > 0) or not math.isfinite(length):
+            raise LatticeError(f"rib ({a},{b}) has non-positive length {length}")
+        return super().__new__(cls, a, b, length)
 
     @property
     def endpoints(self) -> tuple[int, int]:
         return (self.a, self.b)
 
 
-@dataclass(frozen=True, eq=False)
 class Lattice:
+    """Nodes, ribs and wavelength, validated on construction, which also
+    computes each node's ``adjacency`` (``(neighbour, rib index)`` pairs in
+    order), the ``source`` and the sorted ``detectors``.  Immutable."""
+
+    __slots__ = ("nodes", "ribs", "wavelength", "adjacency", "source", "detectors")
     nodes: tuple[Node, ...]
     ribs: tuple[Rib, ...]
     wavelength: float
+    adjacency: dict[int, tuple[tuple[int, int], ...]]
+    source: int
+    detectors: tuple[int, ...]
+
+    def __init__(
+        self, nodes: Iterable[Node], ribs: Iterable[Rib], wavelength: float
+    ) -> None:
+        object.__setattr__(self, "nodes", tuple(nodes))
+        object.__setattr__(self, "ribs", tuple(ribs))
+        object.__setattr__(self, "wavelength", wavelength)
+        self._validate()
+
+    def __setattr__(self, name: str, value: object = None) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    __delattr__ = __setattr__
+
+    # pickling stores the validated fields and restores them unchecked:
+    # the process pool ships each worker the plan's lattice
+    def __getstate__(self) -> tuple:
+        return tuple(map(self.__getattribute__, self.__slots__))
+
+    def __setstate__(self, state: tuple) -> None:
+        for name, value in zip(self.__slots__, state):
+            object.__setattr__(self, name, value)
+
+    def __repr__(self) -> str:
+        return (
+            f"Lattice(nodes={self.nodes!r}, ribs={self.ribs!r}, "
+            f"wavelength={self.wavelength!r})"
+        )
 
     def __eq__(self, other) -> bool:
         # rib storage order is presentation detail; compare canonically
@@ -85,16 +112,6 @@ class Lattice:
                 self.wavelength,
             )
         )
-    adjacency: dict[int, tuple[tuple[int, int], ...]] = field(
-        init=False, compare=False, repr=False
-    )
-    source: int = field(init=False, compare=False, repr=False)
-    detectors: tuple[int, ...] = field(init=False, compare=False, repr=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "nodes", tuple(self.nodes))
-        object.__setattr__(self, "ribs", tuple(self.ribs))
-        self._validate()
 
     def _validate(self) -> None:
         if not (self.wavelength > 0) or not math.isfinite(self.wavelength):

@@ -17,9 +17,8 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 from operator import mul
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .errors import (
     DEFAULT_CLASS_BUDGET,
@@ -34,8 +33,7 @@ from .lattice import Lattice, NodeKind
 _OVERFLOW = "intensity overflow: an amplitude or intensity is past the largest float"
 
 
-@dataclass(frozen=True)
-class PathRecord:
+class PathRecord(NamedTuple):
     """One admissible source-to-detector path with its accumulated phase."""
 
     nodes: tuple[int, ...]
@@ -43,15 +41,23 @@ class PathRecord:
     phase: float
 
 
-@dataclass(frozen=True)
-class BornDistribution:
-    entries: dict[int, float]
-    intensities: dict[int, float]
+class BornDistribution(
+    NamedTuple(
+        "BornDistribution",
+        [("entries", dict[int, float]), ("intensities", dict[int, float])],
+    )
+):
+    """Each detector's Born probability and the intensity it comes from."""
 
-    def __post_init__(self):
-        total = sum(self.entries.values())
+    __slots__ = ()
+
+    def __new__(
+        cls, entries: dict[int, float], intensities: dict[int, float]
+    ) -> BornDistribution:
+        total = sum(entries.values())
         if abs(total - 1.0) > 1e-12:
             raise ValueError(f"probabilities sum to {total}, not 1")
+        return super().__new__(cls, entries, intensities)
 
 
 def _forward_children(lattice: Lattice) -> dict[int, tuple[tuple[int, float], ...]]:

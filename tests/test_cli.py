@@ -65,6 +65,32 @@ class TestExitCodes:
         assert err.startswith("error:")
         assert "--trials" in err
 
+    @pytest.mark.parametrize(
+        "argv,flag",
+        [
+            (("--scenario", "clock", "--v", "0,x"), "--v"),
+            (("--scenario", "star", "--slits", "2,y", "--trials", "10"), "--slits"),
+            (("--scenario", "dilation", "--distance", "1.5"), "--distance"),
+            (("--scenario", "double-slit", "--intensities", "1,z"), "--intensities"),
+            (("--scenario", "double-slit", "--slits", "2,,x"), "--slits"),
+        ],
+    )
+    def test_malformed_list_flag_is_config_error_in_every_scenario(
+        self, tmp_path, capsys, argv, flag
+    ):
+        # a list flag is parsed whether or not the scenario reads it
+        assert run_cli(*argv, "--out", str(tmp_path)) == EXIT_CONFIG
+        value = argv[argv.index(flag) + 1]
+        assert capsys.readouterr().err == f"error: malformed {flag} value {value!r}\n"
+        assert not any(tmp_path.iterdir())
+
+    def test_malformed_list_in_config_file_is_config_error(self, tmp_path, capsys):
+        cfg = tmp_path / "run.yaml"
+        cfg.write_text(f"scenario: star\nv: 0,x\nout: {tmp_path / 'out'}\n")
+        assert run_cli("--config", str(cfg)) == EXIT_CONFIG
+        assert capsys.readouterr().err == "error: malformed --v value '0,x'\n"
+        assert not (tmp_path / "out").exists()
+
     def test_unknown_flag_is_config_error(self, tmp_path, capsys):
         code = run_cli("--scenario", "star", "--no-such-flag", "--out", str(tmp_path))
         assert code == EXIT_CONFIG
@@ -403,6 +429,33 @@ def test_cli_import_loads_no_optional_dependency(tmp_path):
         check=True,
     )
     assert done.stdout.split("\n") == ["", "", ""]
+
+
+def test_cli_import_loads_only_what_start_up_needs():
+    # dataclasses pulls in inspect, dis, ast and tokenize; json serves only
+    # summary.json, and chronometry only the clock and dilation scenarios
+    src = Path(__file__).resolve().parents[1] / "src"
+    unneeded = (
+        "dataclasses", "inspect", "ast", "dis", "tokenize", "json",
+        "scoutnet.chronometry",
+    )  # fmt: skip
+    script = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import scoutnet.cli\n"
+        f"print(','.join(m for m in {unneeded!r} if m in sys.modules))\n"
+        f"print(','.join(m for m in {unneeded!r} if m in before))\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", script],
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    loaded, preloaded = done.stdout.split("\n")[:2]
+    # a module the interpreter loads before scoutnet is not scoutnet's cost
+    assert loaded == preloaded == ""
 
 
 class TestScenarios:

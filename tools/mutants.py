@@ -124,7 +124,7 @@ MUTANTS: list[tuple[str, str, str, str, tuple[str, ...]]] = [
         "lotteries-kept-across-trials",
         ENGINE,
         "held: dict[int, Group] = {}",
-        'held = plan.__dict__.setdefault("_held", {})',
+        'held = _columns.__dict__.setdefault(("held", id(plan)), {})',
         (REFERENCE,),
     ),
     (
@@ -138,7 +138,7 @@ MUTANTS: list[tuple[str, str, str, str, tuple[str, ...]]] = [
         "memo-kept-across-blocks",
         ENGINE,
         "memo: Memo = {}",
-        'memo = plan.__dict__.setdefault("_memo", {})',
+        'memo = _columns.__dict__.setdefault(("memo", id(plan)), {})',
         (COLUMNS,),
     ),
     (
@@ -270,6 +270,21 @@ MUTANTS: list[tuple[str, str, str, str, tuple[str, ...]]] = [
         "from . import experiments\n",
         "import yaml\nfrom . import experiments\n",
         ("tests/test_cli.py::test_cli_import_loads_no_optional_dependency",),
+    ),
+    (
+        "top-level-json-import",
+        "src/scoutnet/experiments.py",
+        "from . import oracle\n",
+        "import json\nfrom . import oracle\n",
+        ("tests/test_cli.py::test_cli_import_loads_only_what_start_up_needs",),
+    ),
+    # the value classes
+    (
+        "rib-endpoints-unsorted",
+        "src/scoutnet/lattice.py",
+        "        if a > b:\n            a, b = b, a\n",
+        "",
+        ("tests/test_lattice.py::TestRib::test_endpoints_are_normalized",),
     ),
 ]
 
