@@ -33,28 +33,33 @@ reverse half is split in two.  The kernel, ``_columns``, runs a block of
 trials at once: every trial runs the same lotteries over the same
 traces, and only the draws differ.  It starts from the seeded table and
 visits ``draw_order``; each draw node gets a column holding each trial's
-surviving query.  A lottery is built once per trial, at the first node
-of its group, and draws at every node of the group, one
-``lottery_select`` call per node for the block; a refusal wave voids
-only edges below its lottery, which barrier order has already passed,
-so the lotteries alone fix the winner.  The replay, ``_refusals``, runs
-the waves from the kernel's result and draws nothing; only the
-voided-edge set and the ``--trace`` lines need it.  ``count_winners``
-runs the kernel alone over a span of trials, block by block (what an
-ensemble counts); ``run_trial`` runs it over a one-trial block and adds
-the confirmation walk, the full ``TrialOutcome`` and, under a trace,
-the replay; ``backpropagate`` returns the kernel's state keyed by node
-id with the replay's voided edges.  A query is one ``(detector,
+surviving query.  A stored lottery's record serves the whole block: a
+node draws its column in one pass of C-level maps (``_stored_select``).
+A merged lottery is built once per trial, at the first node of its
+group, and draws at every node of the group, one ``lottery_select``
+call per node for the block.  A refusal wave voids only edges below its
+lottery, which barrier order has already passed, so the lotteries alone
+fix the winner.  The replay, ``_refusals``, runs the waves from the
+kernel's result and draws nothing; only the voided-edge set and the
+``--trace`` lines need it.  ``count_winners`` runs the kernel alone
+over a span of trials, block by block (what an ensemble counts);
+``run_trial`` runs it over a one-trial block and adds the confirmation
+walk, the full ``TrialOutcome`` and, under a trace, the replay;
+``backpropagate`` returns the kernel's state keyed by node id with the
+replay's voided edges.  A query is one ``(detector,
 weight)`` pair wherever it is held: in the plan's seeded table, in the
 kernel's columns and memo, and in what ``lottery_select`` returns.
 
 Every draw comes from the trial's own splitmix64 stream (``rng``), which
 yields a block's draws draw-major.  A lottery takes one uniform draw,
 and a uniform choice among k options takes ``int(u * k)`` of one.  Each
-trial takes its draws in order, through its own cursor; the kernel draws
-at most once per draw node and the walk at most once per node it
-leaves, so a trial needs at most ``len(draw_order)`` draws for its
-winner and ``len(process_order)`` more for its path.
+trial takes its draws in order.  While the trials of a block have drawn
+at the same draw nodes, they share one offset into the block's draws;
+from the first node where some trials draw and others do not, each
+trial keeps its own cursor.  The kernel draws at most once per draw
+node and the walk at most once per node it leaves, so a trial needs at
+most ``len(draw_order)`` draws for its winner and ``len(process_order)``
+more for its path.
 """
 
 from __future__ import annotations
@@ -64,12 +69,12 @@ from bisect import bisect_right
 from collections import Counter
 from enum import Enum
 from itertools import accumulate, compress, repeat
-from operator import add, itemgetter
+from operator import add, itemgetter, mul
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .errors import DarkTrialError, ScoutnetError
 from .lattice import Lattice, NodeKind
-from .rng import Draws, derive_trial_seed, trial_blocks
+from .rng import Draws, check_seed, derive_trial_seed, trial_blocks
 
 TWO_PI = 2.0 * math.pi
 DEFAULT_EPS_INTENSITY = 1e-12
@@ -373,6 +378,31 @@ def _merged_group(
     return drawing, lotteries, [*map(_QUERY, entries)]
 
 
+def _stored_select(
+    lottery: Lottery, survivors: list[Query], uniforms: Sequence[float]
+) -> list[Query]:
+    """``lottery_select([lottery] * len(uniforms), mode, uniforms)``, where
+    ``survivors`` is ``_survivors(lottery, mode)``: the same bisection of
+    the same ``u * total`` products, run in C-level maps, with no tuple
+    built per draw."""
+    _, _, sums, total = lottery
+    indices = map(
+        bisect_right,
+        repeat(sums),
+        map(mul, uniforms, repeat(total)),
+        repeat(0),
+        repeat(len(sums) - 1),
+    )
+    return [*map(survivors.__getitem__, indices)]
+
+
+def _survivors(lottery: Lottery, mode: Mode) -> list[Query]:
+    """Each competitor's query as it survives a lottery: the winner's own
+    weight in naive mode, the total in aggregate mode."""
+    dets, weights, _, total = lottery
+    return [*zip(dets, repeat(total) if mode is _AGGREGATE else weights)]
+
+
 def _columns(
     plan: TrialPlan, mode: Mode, floats: list[float], trials: int
 ) -> tuple[dict[int, list[Query]], list[int]]:
@@ -382,41 +412,62 @@ def _columns(
     Returns, per draw node, the column of queries that survived there, one
     per trial, and each trial's cursor: the index in ``floats`` of its next
     draw.  Trial t's draws are ``floats[t]``, then every ``trials``-th; its
-    cursor moves only when it draws, so trials drift apart.
+    cursor moves only when it draws, so trials drift apart.  While the
+    trials have drawn at the same draw nodes, they are in lockstep: trial
+    t's next draw is ``floats[step + t]``, so a node takes its uniforms as
+    one slice and advances one int.  The per-trial cursors are built at
+    the first node where some trials draw and others do not, or on
+    return.
 
     Only ``draw_order`` is visited: draw-free nodes keep their seeded
-    queries.  A stored lottery's record serves every trial.  A merged one
-    is built per trial at the first node of its group and serves the
-    group's other nodes, whose children keep their queries; a trial whose
-    lottery merges to one competitor takes that query at each of them and
-    draws nothing.  Each node draws for all its drawing trials in one
-    ``lottery_select`` call.  Nothing outlives the block.
+    queries.  A stored lottery's record serves every trial: its surviving
+    queries are built once per block and each node draws its whole column
+    in ``_stored_select``.  A merged one is built per trial at the first
+    node of its group and serves the group's other nodes, whose children
+    keep their queries; a trial whose lottery merges to one competitor
+    takes that query at each of them and draws nothing.  Each such node
+    draws for all its drawing trials in one ``lottery_select`` call.
+    Nothing outlives the block.
 
     Refusal waves are left out.  A wave started at node u voids only edges
     whose tail is u or a descendant of u, whose lotteries barrier order has
     already run, so no later lottery reads a voided edge.
     """
     queries: dict[int, list[Query]] = {}
-    pos = [*range(trials)]
+    step = 0
+    pos: Optional[list[int]] = None
     held: dict[int, Group] = {}
+    survivors: dict[int, list[Query]] = {}
     memo: Memo = {}
     for u, k in zip(plan.draw_order, plan.draw_lottery):
-        group = held.get(k)
-        if group is None:
-            lottery = plan.lotteries[k]
-            if lottery is None:
+        stored = plan.lotteries[k]
+        if stored is not None:
+            drawing = None
+        else:
+            group = held.get(k)
+            if group is None:
                 group = _merged_group(plan.out_live[u], queries, plan, memo)
-            else:
-                group = None, [lottery] * trials, []
-            held[k] = group
-        drawing, lotteries, column = group
+                held[k] = group
+            drawing, lotteries, column = group
         if drawing is None:
-            uniforms = [*map(floats.__getitem__, pos)]
-            queries[u] = lottery_select(lotteries, mode, uniforms)
-            pos = [*map(add, pos, repeat(trials))]
+            if pos is None:
+                uniforms = floats[step : step + trials]
+                step += trials
+            else:
+                uniforms = [*map(floats.__getitem__, pos)]
+                pos = [*map(add, pos, repeat(trials))]
+            if stored is None:
+                queries[u] = lottery_select(lotteries, mode, uniforms)
+            else:
+                kept = survivors.get(k)
+                if kept is None:
+                    kept = survivors[k] = _survivors(stored, mode)
+                queries[u] = _stored_select(stored, kept, uniforms)
         elif not drawing:
             queries[u] = column
         else:
+            if pos is None:
+                pos = [*range(step, step + trials)]
             uniforms = [floats[pos[t]] for t in drawing]
             for t in drawing:
                 pos[t] += trials
@@ -428,7 +479,7 @@ def _columns(
     source = plan.lattice.source
     if source not in queries and plan.base[source][0] < 0:
         raise ScoutnetError("protocol bug: no query survived to the source")
-    return queries, pos
+    return queries, [*range(step, step + trials)] if pos is None else pos
 
 
 def _one_trial(
@@ -506,15 +557,21 @@ def count_winners(
     nor on the block it falls in, and no trial's winner on the other
     trials of its block, so these are the draws ``run_trial`` takes too,
     and any split of a span counts the same.
+
+    A plan without draw nodes holds its one live detector's query at the
+    source in every trial, so its span is counted without a draw.  Any
+    other plan draws at the source: a node above a draw node sees two or
+    more detectors.
     """
     source = plan.lattice.source
     counts: Counter = Counter()
+    if not plan.draw_order:
+        check_seed(master_seed)
+        if stop > start:
+            counts[plan.base[source][0]] = stop - start
+        return counts
     for floats, trials in trial_blocks(master_seed, len(plan.draw_order), start, stop):
-        column = _columns(plan, mode, floats, trials)[0].get(source)
-        if column is None:
-            counts[plan.base[source][0]] += trials
-        else:
-            counts.update(map(_DET, column))
+        counts.update(map(_DET, _columns(plan, mode, floats, trials)[0][source]))
     return counts
 
 

@@ -19,13 +19,15 @@ from conftest import (
 )
 from reference_kernel import backpropagate as reference_backpropagate
 from reference_kernel import CountingStream, reference_trial, trial_stream
-from scoutnet import oracle
+from scoutnet import engine, oracle
 from scoutnet.engine import (
     Mode,
     RibState,
     _columns,
     _lottery,
     _merge,
+    _stored_select,
+    _survivors,
     backpropagate,
     count_winners,
     lottery_select,
@@ -417,6 +419,41 @@ class TestLotterySelect:
         assert det == 2 == scan_index(weights, value * lottery[3])
         assert carried == 1e-16
 
+    @given(
+        weights=st.lists(
+            st.floats(min_value=0.0, max_value=1e300, exclude_min=True),
+            min_size=2,
+            max_size=8,
+        ),
+        compensated=st.booleans(),
+        data=st.data(),
+    )
+    def test_stored_column_equals_lottery_select(self, weights, compensated, data):
+        # one stored record drawn for a whole column: element for element
+        # what lottery_select returns for that record repeated, in both
+        # modes
+        lottery = _lottery(dict(enumerate(weights)))
+        if compensated:
+            # the record of test_r_past_the_last_running_sum_takes_the_last_index
+            weights = [1.0, 1e-16, 1e-16]
+            lottery = ([0, 1, 2], weights, [1.0, 1.0, 1.0], 1.0000000000000002)
+        _, _, sums, total = lottery
+        # free draws, draws that land r on a running sum, and the largest
+        # draw, whose r reaches the last running sum on the compensated
+        # record: the clamp to the last index
+        edges = [s / total for s in sums if s / total < 1.0] + [1.0 - 2.0**-53]
+        uniforms = data.draw(
+            st.lists(
+                st.floats(min_value=0.0, max_value=1.0, exclude_max=True)
+                | st.sampled_from(edges),
+                min_size=1,
+                max_size=40,
+            )
+        )
+        for mode in Mode:
+            want = lottery_select([lottery] * len(uniforms), mode, uniforms)
+            assert _stored_select(lottery, _survivors(lottery, mode), uniforms) == want
+
 
 def lottery_kinds(plan) -> tuple[int, int]:
     """How many of a plan's lotteries have stored and merged competitors."""
@@ -601,19 +638,51 @@ class TestSpanSplits:
             # not even a 0 entry, which Counter equality would forgive
             assert dict(count_winners(plan, mode, 1, 5, 5)) == {}
 
-    def test_draw_free_plan_counts_every_trial(self):
+    def test_draw_free_plan_counts_every_trial(self, monkeypatch):
         lat = build_two_path(2.0, 2.0, 2)
         plan = prepare(lat)
         assert plan.draw_order == ()
+
+        def no_draws(*args):
+            raise AssertionError("a draw-free plan computed draws")
+
+        # the span is counted without computing a draw
+        monkeypatch.setattr(engine, "trial_blocks", no_draws)
         for mode in Mode:
             assert dict(count_winners(plan, mode, 3, 10, 2500)) == {
                 lat.detectors[0]: 2490
             }
+            for master_seed in (-1, 2**64):
+                with pytest.raises(ValueError, match="master seed"):
+                    count_winners(plan, mode, master_seed, 10, 2500)
 
 
 class TestColumnKernel:
-    """The kernel runs a block of trials at once; each trial keeps its own
-    cursor into the block's draws, and nothing outlives the block."""
+    """The kernel runs a block of trials at once; its trials share one
+    offset into the block's draws while they draw alike, then each keeps
+    its own cursor, and nothing outlives the block."""
+
+    @pytest.mark.parametrize(
+        "build, draws",
+        [
+            # the star draws at its source, its one draw node
+            (lambda: build_intensity_star([1.0, 1.0, 2.0]), 1),
+            # the nested tree draws at its inner node and junction, not at
+            # its source, whose one live child hands it the junction's
+            # survivor
+            (lambda: nested_tree_lattice()[0], 2),
+        ],
+        ids=["star-1-1-2", "nested-tree"],
+    )
+    def test_trials_that_draw_alike_stay_in_lockstep(self, build, draws):
+        plan = prepare(build())
+        n = len(plan.draw_order)
+        for mode in Mode:
+            for trials in (1, MIN_TRIALS, 37):
+                ((floats, size),) = trial_blocks(8, n, 3, 3 + trials)
+                assert size == trials
+                _, cursors = _columns(plan, mode, floats, trials)
+                assert cursors == [draws * trials + t for t in range(trials)]
 
     def test_trials_of_one_block_drift_apart(self):
         # a lottery that merges to one competitor draws nothing, so the
@@ -621,6 +690,9 @@ class TestColumnKernel:
         lat = build_slit_grid(7, 9, (2, 6), wavelength=1.0)
         plan = prepare(lat)
         n = len(plan.draw_order)
+        # the first draw node holds a stored lottery, where every trial
+        # draws: a block starts in lockstep and drifts at a later node
+        assert plan.lotteries[plan.draw_lottery[0]] is not None
         trials = max(MIN_TRIALS, BLOCK_DRAWS // n)
         for mode in Mode:
             drifted = False

@@ -121,6 +121,13 @@ MUTANTS: list[tuple[str, str, str, str, tuple[str, ...]]] = [
         ("tests/test_engine.py::TestLotterySelect", GOLDEN),
     ),
     (
+        "stored-path-carries-total-in-naive-mode",
+        ENGINE,
+        "repeat(total) if mode is _AGGREGATE else weights",
+        "repeat(total)",
+        (REFERENCE, GOLDEN),
+    ),
+    (
         "lotteries-kept-across-trials",
         ENGINE,
         "held: dict[int, Group] = {}",
@@ -216,8 +223,15 @@ MUTANTS: list[tuple[str, str, str, str, tuple[str, ...]]] = [
     (
         "trial-takes-next-trials-draws",
         ENGINE,
-        "pos = [*range(trials)]",
-        "pos = [*range(1, trials + 1)]",
+        "uniforms = floats[step : step + trials]",
+        "uniforms = floats[step + 1 : step + trials + 1]",
+        (REFERENCE, GOLDEN),
+    ),
+    (
+        "lockstep-offset-never-advances",
+        ENGINE,
+        "\n                step += trials\n",
+        "\n",
         (REFERENCE, GOLDEN),
     ),
     # the cross-checks and the statistics
