@@ -3,8 +3,9 @@
 Selects a scenario, runs it, writes CSV/JSON artifacts to the output
 directory, and exits 0 on success, 2 when a statistical threshold fails,
 and 1 on configuration or validation errors (CI can tell "broken" from
-"statistically failing").  Every flag has a config-file equivalent
-(YAML, same key with underscores); explicit flags override file values.
+"statistically failing").  A YAML config file keys each option by its
+name in ``OPTIONS`` (the key for ``--lambda`` is ``wavelength``).  Flags
+override the file, which overrides ``$SCOUTNET_OUT`` as the output directory.
 """
 
 from __future__ import annotations
@@ -37,38 +38,45 @@ EXIT_CONFIG = 1
 EXIT_THRESHOLD = 2
 
 
-_NONE = type(None)
-# Each option: its default and the types a config file may give it.
-OPTIONS: dict[str, tuple[object, tuple[type, ...]]] = {
-    "scenario": ("star", (str,)),
-    "mode": ("aggregate", (str,)),
-    "wavelength": (1.0, (float,)),
-    "trials": (10_000, (int,)),
-    "seed": (42, (int,)),
-    "jobs": (1, (int,)),
-    "topology": (None, (str, _NONE)),
-    "out": (".", (str,)),
-    "trace": (False, (bool,)),
-    "tv_threshold": (None, (float, _NONE)),
-    "chi_percentile": (0.99, (float,)),
-    "detectors": (3, (int,)),
-    "arm_hops": (2, (int,)),
-    "intensities": (None, (str, _NONE)),
-    "len_a": (2.0, (float,)),
-    "len_b": (2.0, (float,)),
-    "hops": (2, (int,)),
-    "grid_w": (3, (int,)),
-    "grid_h": (9, (int,)),
-    "slits": ("2,6", (str,)),
-    "screen_detectors": (None, (int, _NONE)),
-    "v": (None, (str, _NONE)),
-    "distance": ("10", (str,)),
-    "laser_distance": (1, (int,)),
-    "cadence": (1, (int,)),
+_MODES = tuple(m.value for m in Mode)
+# Each option: its default, its value type and its flag's help.  The type is
+# int, float, bool or str; a tuple of the values it may take; or a one-item
+# list: a comma list of that item type, given as text, which ``_merge_config``
+# parses whatever the scenario, so every malformed list exits 1.  A ``None``
+# default lets a config file give ``null``.
+OPTIONS: dict[str, tuple[object, object, Optional[str]]] = {
+    "scenario": ("star", SCENARIOS, None),
+    "mode": ("aggregate", _MODES, None),
+    "wavelength": (1.0, float, "photon wavelength"),
+    "trials": (10_000, int, None),
+    "seed": (42, int, "master seed in [0, 2**64)"),
+    "jobs": (1, int, "parallel trial workers (results identical)"),
+    "topology": (None, str, "topology document (custom scenario)"),
+    "out": (".", str, f"output directory (default ${OUT_ENV_VAR} or cwd)"),
+    "trace": (False, bool, "write a trial event log"),
+    "tv_threshold": (None, float, None),
+    "chi_percentile": (0.99, float, None),
+    "detectors": (3, int, "star detector count"),
+    "arm_hops": (2, int, "star arm hop count"),
+    "intensities": (None, [float], "comma list of star arm target intensities"),
+    "len_a": (2.0, float, "two-path: first path length"),
+    "len_b": (2.0, float, "two-path: second path length"),
+    "hops": (2, int, "two-path: hops per path"),
+    "grid_w": (3, int, None),
+    "grid_h": (9, int, None),
+    "slits": ("2,6", [int], "comma list of open barrier rows"),
+    "screen_detectors": (None, int, None),
+    "v": (None, [float], "dilation: comma list of speeds in units of c"),
+    "distance": ("10", [int], "clock: comma list of source distances in hops"),
+    "laser_distance": (1, int, None),
+    "cadence": (1, int, "clock: ticks between laser emissions"),
 }
-# The comma-list options and their items' type.  ``_merge_config`` parses
-# each one given, whatever the scenario, so every malformed list exits 1.
-LIST_OPTIONS = {"intensities": float, "slits": int, "v": float, "distance": int}
+
+
+def _flag(name: str) -> str:
+    """The option's flag: ``--`` and its name with dashes, except that
+    ``wavelength`` is ``--lambda``."""
+    return "--lambda" if name == "wavelength" else "--" + name.replace("_", "-")
 
 
 class RunConfig:
@@ -78,7 +86,7 @@ class RunConfig:
     __slots__ = tuple(OPTIONS)
 
     def __init__(self) -> None:
-        for name, (default, _) in OPTIONS.items():
+        for name, (default, _, _) in OPTIONS.items():
             setattr(self, name, default)
 
 
@@ -95,38 +103,22 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="scoutnet",
         description="Deterministic scout/query/lottery protocol simulator",
     )
-    add = parser.add_argument
-    add("--config", help="YAML config file; flags override its values")
-    add("--scenario", choices=SCENARIOS)
-    add("--mode", choices=[m.value for m in Mode])
-    add("--lambda", dest="wavelength", type=float, help="photon wavelength")
-    add("--trials", type=int)
-    add("--seed", type=int, help="master seed in [0, 2**64)")
-    add("--jobs", type=int, help="parallel trial workers (results identical)")
-    add("--topology", help="topology document (custom scenario)")
-    add("--out", help=f"output directory (default ${OUT_ENV_VAR} or cwd)")
-    add("--trace", action="store_true", default=None, help="write a trial event log")
-    add("--tv-threshold", dest="tv_threshold", type=float)
-    add("--chi-percentile", dest="chi_percentile", type=float)
-    add("--detectors", type=int, help="star detector count")
-    add("--arm-hops", dest="arm_hops", type=int, help="star arm hop count")
-    add("--intensities", help="comma list of star arm target intensities")
-    add("--len-a", dest="len_a", type=float, help="two-path: first path length")
-    add("--len-b", dest="len_b", type=float, help="two-path: second path length")
-    add("--hops", type=int, help="two-path: hops per path")
-    add("--grid-w", dest="grid_w", type=int)
-    add("--grid-h", dest="grid_h", type=int)
-    add("--slits", help="comma list of open barrier rows")
-    add("--screen-detectors", dest="screen_detectors", type=int)
-    add("--v", help="dilation: comma list of speeds in units of c")
-    add("--distance", help="clock: comma list of source distances in hops")
-    add("--laser-distance", dest="laser_distance", type=int)
-    add("--cadence", type=int, help="clock: ticks between laser emissions")
+    parser.add_argument("--config", help="YAML config file; flags override its values")
+    for name, (_, kind, text) in OPTIONS.items():
+        if kind is bool:
+            spec = {"action": "store_true"}
+        elif isinstance(kind, tuple):
+            spec = {"choices": kind}
+        else:
+            spec = {"type": str if isinstance(kind, list) else kind}
+        # default None: a flag not given leaves the config file's value
+        parser.add_argument(_flag(name), dest=name, default=None, help=text, **spec)
     return parser
 
 
 def _merge_config(args: argparse.Namespace) -> RunConfig:
     config = RunConfig()
+    config.out = os.environ.get(OUT_ENV_VAR) or config.out
     if args.config:
         path = Path(args.config)
         if not path.is_file():
@@ -145,37 +137,34 @@ def _merge_config(args: argparse.Namespace) -> RunConfig:
             name = str(key).replace("-", "_")
             if name not in OPTIONS:
                 raise ConfigError(f"unknown config key {key!r}")
-            setattr(config, name, _checked_value(key, value, OPTIONS[name][1]))
-    env_out = os.environ.get(OUT_ENV_VAR)
-    if env_out and args.out is None and config.out == ".":
-        config.out = env_out
-    for name in OPTIONS:
+            setattr(config, name, _checked_value(key, value, name))
+    for name, (_, kind, _) in OPTIONS.items():
         value = getattr(args, name, None)
         if value is not None:
             setattr(config, name, value)
-    for name, kind in LIST_OPTIONS.items():
         text = getattr(config, name)
-        if text is not None:
-            setattr(config, name, _parse_list(text, f"--{name}", kind))
+        if isinstance(kind, list) and text is not None:
+            try:
+                setattr(config, name, [kind[0](x) for x in str(text).split(",") if x])
+            except ValueError as exc:
+                raise ConfigError(f"malformed {_flag(name)} value {text!r}") from exc
     return config
 
 
-def _checked_value(key: object, value: object, kinds: tuple[type, ...]) -> object:
-    """A config-file value of one of the option's types; an int may stand for
-    a float, and a number for text (list options such as ``distance: 10``)."""
-    if str in kinds and type(value) in (int, float):
-        return str(value)
-    if type(value) in kinds or (float in kinds and type(value) is int):
+def _checked_value(key: object, value: object, name: str) -> object:
+    """A config-file value of option ``name``'s type, or ``null`` where its
+    default is ``None``.  Fixed-set and list options take text; an int may
+    stand for a float, and a number for text (such as ``distance: 10``)."""
+    default, kind, _ = OPTIONS[name]
+    if not isinstance(kind, type):
+        kind = str
+    if value is None and default is None:
         return value
-    expected = " or ".join(k.__name__ for k in kinds if k is not _NONE)
-    raise ConfigError(f"config key {key!r} must be {expected}, got {value!r}")
-
-
-def _parse_list(text: str, flag: str, kind: type) -> list:
-    try:
-        return [kind(part) for part in str(text).split(",") if part != ""]
-    except ValueError as exc:
-        raise ConfigError(f"malformed {flag} value {text!r}") from exc
+    if kind is str and type(value) in (int, float):
+        return str(value)
+    if type(value) is kind or (kind is float and type(value) is int):
+        return value
+    raise ConfigError(f"config key {key!r} must be {kind.__name__}, got {value!r}")
 
 
 def _scenario_lattice(config: RunConfig) -> Lattice:
@@ -329,7 +318,7 @@ def _run_dilation(config: RunConfig, out_dir: Path) -> int:
 def run(config: RunConfig) -> int:
     if config.scenario not in SCENARIOS:
         raise ConfigError(f"unknown scenario {config.scenario!r}")
-    if config.mode not in {m.value for m in Mode}:
+    if config.mode not in _MODES:
         raise ConfigError(f"unknown mode {config.mode!r}")
     if config.trials < 1:
         raise ConfigError("trials must be >= 1")

@@ -240,18 +240,21 @@ def build_star(
     return Lattice(tuple(nodes), tuple(ribs), wavelength)
 
 
+# the intensity star's shorter branch and detector tail
+STAR_ARM_LENGTH = 1.0
+STAR_TAIL_LENGTH = 1.0
+
+
 def build_intensity_star(
-    intensities: Sequence[float],
-    base_length: float = 1.0,
-    tail_length: float = 1.0,
-    wavelength: float = 1.0,
+    intensities: Sequence[float], wavelength: float = 1.0
 ) -> Lattice:
     """Star whose arm geometries realise prescribed detector intensities.
 
     A single-chain arm always yields unit intensity (one path, one unit
     vector), so each arm here is a two-branch diamond whose branch-length
     difference sets the phase offset: I = 2 + 2*cos(2*pi*delta/wavelength).
-    Targets must lie in (0, 4].
+    The shorter branch is ``STAR_ARM_LENGTH`` long and the tail to the
+    detector ``STAR_TAIL_LENGTH``.  Targets must lie in (0, 4].
     """
     if not intensities:
         raise LatticeError("star needs at least one detector")
@@ -270,8 +273,8 @@ def build_intensity_star(
             return (x * cos_t - y * sin_t, x * sin_t + y * cos_t)
 
         delta = wavelength / (2.0 * math.pi) * math.acos((target - 2.0) / 2.0)
-        len_a = base_length
-        len_b = base_length + delta
+        len_a = STAR_ARM_LENGTH
+        len_b = STAR_ARM_LENGTH + delta
         span = 0.9 * len_a  # merge node distance; < len_a <= len_b
         ha = math.sqrt((len_a / 2.0) ** 2 - (span / 2.0) ** 2)
         hb = math.sqrt((len_b / 2.0) ** 2 - (span / 2.0) ** 2)
@@ -283,13 +286,13 @@ def build_intensity_star(
         merge = len(nodes)
         nodes.append(Node(merge, rot(span, 0.0), NodeKind.VOID))
         det = len(nodes)
-        nodes.append(Node(det, rot(span + tail_length, 0.0), NodeKind.DETECTOR))
+        nodes.append(Node(det, rot(span + STAR_TAIL_LENGTH, 0.0), NodeKind.DETECTOR))
 
         ribs.append(Rib(0, p1, len_a / 2.0))
         ribs.append(Rib(p1, merge, len_a / 2.0))
         ribs.append(Rib(0, p2, len_b / 2.0))
         ribs.append(Rib(p2, merge, len_b / 2.0))
-        ribs.append(Rib(merge, det, tail_length))
+        ribs.append(Rib(merge, det, STAR_TAIL_LENGTH))
     return Lattice(tuple(nodes), tuple(ribs), wavelength)
 
 
@@ -337,23 +340,26 @@ def build_two_path(
     return Lattice(tuple(nodes), tuple(ribs), wavelength)
 
 
+SLIT_COLUMN_SPACING = 4.0
+SLIT_ROW_SPACING = 1.0
+
+
 def build_slit_grid(
     grid_w: int,
     grid_h: int,
     open_rows: Iterable[int],
     screen_detectors: Optional[int] = None,
-    col_spacing: float = 4.0,
-    row_spacing: float = 1.0,
     wavelength: float = 0.7,
 ) -> Lattice:
     """Layered slit geometry: source column, interior columns, barrier, screen.
 
-    Columns are ``col_spacing`` apart.  Column 0 holds the source at the
-    center row; the next-to-last column is the barrier, fully blocked
-    except for the rows listed in ``open_rows`` (blocked nodes are simply
-    not created); the last column is the screen, every node a detector.
-    Consecutive columns are completely connected with Euclidean rib
-    lengths, so admissible paths differ in metric length and interfere.
+    Columns are ``SLIT_COLUMN_SPACING`` apart and rows ``SLIT_ROW_SPACING``.
+    Column 0 holds the source at the center row; the next-to-last column is
+    the barrier, fully blocked except for the rows listed in ``open_rows``
+    (blocked nodes are simply not created); the last column is the screen,
+    every node a detector.  Consecutive columns are completely connected
+    with Euclidean rib lengths, so admissible paths differ in metric length
+    and interfere.
     """
     if grid_w < 3:
         raise LatticeError("slit grid needs at least 3 columns")
@@ -370,7 +376,7 @@ def build_slit_grid(
         raise LatticeError(f"screen_detectors must be in [1, {grid_h}]")
 
     def row_y(row: int, count: int) -> float:
-        return (row - (count - 1) / 2.0) * row_spacing
+        return (row - (count - 1) / 2.0) * SLIT_ROW_SPACING
 
     barrier_col = grid_w - 2
     nodes: list[Node] = []
@@ -380,7 +386,7 @@ def build_slit_grid(
     nodes.append(Node(0, (0.0, 0.0), NodeKind.SOURCE))
     columns.append([0])
     for col in range(1, grid_w):
-        x = col * col_spacing
+        x = col * SLIT_COLUMN_SPACING
         ids = []
         if col == barrier_col:
             rows = open_rows

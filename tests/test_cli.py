@@ -16,7 +16,8 @@ from hypothesis import strategies as st
 
 from conftest import diamond_chain
 from scoutnet import engine
-from scoutnet.cli import EXIT_CONFIG, EXIT_OK, EXIT_THRESHOLD, main
+from scoutnet import cli
+from scoutnet.cli import EXIT_CONFIG, EXIT_OK, EXIT_THRESHOLD, OPTIONS, main
 from scoutnet.lattice import build_star, serialize_topology
 
 
@@ -606,6 +607,63 @@ class TestConfigPrecedence:
         monkeypatch.setenv("SCOUTNET_OUT", str(tmp_path))
         assert run_cli("--scenario", "dilation", "--v", "0") == EXIT_OK
         assert (tmp_path / "dilation.csv").is_file()
+
+    def test_config_file_out_beats_env_var_even_when_it_is_cwd(
+        self, tmp_path, monkeypatch
+    ):
+        # flag > config file > $SCOUTNET_OUT > current directory
+        work, elsewhere = tmp_path / "work", tmp_path / "elsewhere"
+        work.mkdir()
+        monkeypatch.chdir(work)
+        monkeypatch.setenv("SCOUTNET_OUT", str(elsewhere))
+        Path("c.yaml").write_text("scenario: dilation\nv: '0'\nout: .\n")
+        assert run_cli("--config", "c.yaml") == EXIT_OK
+        assert (work / "dilation.csv").is_file()
+        assert not elsewhere.exists()
+        assert run_cli("--config", "c.yaml", "--out", "flag") == EXIT_OK
+        assert (work / "flag" / "dilation.csv").is_file()
+
+
+def sample_value(name: str) -> object:
+    """A value of option ``name``'s type other than its default, as a
+    config file gives it."""
+    default, kind, _ = OPTIONS[name]
+    if isinstance(kind, tuple):
+        return next(v for v in kind if v != default)
+    if isinstance(kind, list):
+        return "3,5"
+    return {bool: True, int: 7, float: 0.25, str: "somewhere"}[kind]
+
+
+@pytest.mark.parametrize("name", OPTIONS)
+def test_flag_and_config_key_set_the_same_value(tmp_path, monkeypatch, name):
+    # a config file keys each option by its name; the flag is that name with
+    # dashes, except --lambda for wavelength
+    monkeypatch.delenv("SCOUTNET_OUT", raising=False)
+    flag = "--lambda" if name == "wavelength" else "--" + name.replace("_", "-")
+    value = sample_value(name)
+    cfg = tmp_path / "run.yaml"
+    cfg.write_text(yaml.safe_dump({name: value}))
+    merged = [
+        getattr(cli._merge_config(cli._build_parser().parse_args(argv)), name)
+        for argv in (
+            [flag] if value is True else [flag, str(value)],
+            ["--config", str(cfg)],
+            [],
+        )
+    ]
+    assert merged[0] == merged[1] != merged[2]
+    help_lines = re.findall(
+        rf"^  ({re.escape(flag)})\b", cli._build_parser().format_help(), re.M
+    )
+    assert help_lines == [flag]
+
+
+def test_lambda_is_not_a_config_key(tmp_path, capsys):
+    cfg = tmp_path / "run.yaml"
+    cfg.write_text("lambda: 1.0\n")
+    assert run_cli("--config", str(cfg)) == EXIT_CONFIG
+    assert capsys.readouterr().err == "error: unknown config key 'lambda'\n"
 
 
 class TestDeterminism:

@@ -34,6 +34,7 @@ COPIED = ("src", "tests", "README.md", "pyproject.toml")
 ENGINE = "src/scoutnet/engine.py"
 RNG = "src/scoutnet/rng.py"
 ORACLE = "src/scoutnet/oracle.py"
+CLI = "src/scoutnet/cli.py"
 SCOUTS = "tests/test_engine.py::TestPropagateScouts"
 BEYOND = "tests/test_engine.py::TestRecurrenceBeyondOracle"
 BOUNDARY = "tests/test_engine.py::TestPathBudgetBoundary"
@@ -45,6 +46,7 @@ GOLDEN = "tests/test_golden.py"
 STREAM = "tests/test_rng.py"
 STREAM_PROPERTY = "tests/test_rng.py::test_lane_batch_equals_sequential_generator"
 CLASSES = "tests/test_oracle.py::TestClassAmplitudes"
+PRECEDENCE = "tests/test_cli.py::TestConfigPrecedence"
 
 MUTANTS: list[tuple[str, str, str, str, tuple[str, ...]]] = [
     # the rib-by-rib forward half
@@ -280,7 +282,7 @@ MUTANTS: list[tuple[str, str, str, str, tuple[str, ...]]] = [
     ),
     (
         "top-level-yaml-import",
-        "src/scoutnet/cli.py",
+        CLI,
         "from . import experiments\n",
         "import yaml\nfrom . import experiments\n",
         ("tests/test_cli.py::test_cli_import_loads_no_optional_dependency",),
@@ -291,6 +293,27 @@ MUTANTS: list[tuple[str, str, str, str, tuple[str, ...]]] = [
         "from . import oracle\n",
         "import json\nfrom . import oracle\n",
         ("tests/test_cli.py::test_cli_import_loads_only_what_start_up_needs",),
+    ),
+    # the option table
+    (
+        "env-out-only-when-out-is-cwd",
+        CLI,
+        "    for name, (_, kind, _) in OPTIONS.items():\n        value = getattr(args",
+        "    if args.out is None and config.out == '.':\n"
+        "        config.out = os.environ.get(OUT_ENV_VAR) or '.'\n"
+        "    for name, (_, kind, _) in OPTIONS.items():\n        value = getattr(args",
+        (PRECEDENCE,),
+    ),
+    (
+        "config-file-lists-left-as-text",
+        CLI,
+        "        text = getattr(config, name)\n",
+        "        text = getattr(args, name, None)\n",
+        (
+            "tests/test_cli.py::test_flag_and_config_key_set_the_same_value",
+            "tests/test_cli.py::TestExitCodes::"
+            "test_malformed_list_in_config_file_is_config_error",
+        ),
     ),
     # the value classes
     (
