@@ -28,6 +28,7 @@ from .lattice import (
     build_star,
     build_two_path,
     load_topology,
+    load_yaml,
 )
 
 SCENARIOS = ("star", "two-path", "double-slit", "grid", "clock", "dilation", "custom")
@@ -123,20 +124,23 @@ def _merge_config(args: argparse.Namespace) -> RunConfig:
         path = Path(args.config)
         if not path.is_file():
             raise ConfigError(f"config file not found: {path}")
-        import yaml  # imported on use: most runs have no config file
-
         try:
-            loaded = yaml.safe_load(path.read_text(encoding="utf-8")) or {}
-        except yaml.YAMLError as exc:
-            raise ConfigError(f"unparseable config file: {exc}") from exc
+            document = path.read_text(encoding="utf-8")
         except UnicodeDecodeError as exc:
             raise ConfigError(f"config file {path} is not UTF-8: {exc}") from exc
+        loaded = load_yaml(document, ConfigError, "config file") or {}
         if not isinstance(loaded, dict):
             raise ConfigError("config file must be a mapping")
+        keys: dict[str, object] = {}
         for key, value in loaded.items():
             name = str(key).replace("-", "_")
             if name not in OPTIONS:
                 raise ConfigError(f"unknown config key {key!r}")
+            if name in keys:
+                raise ConfigError(
+                    f"config keys {keys[name]!r} and {key!r} set one option"
+                )
+            keys[name] = key
             setattr(config, name, _checked_value(key, value, name))
     for name, (_, kind, _) in OPTIONS.items():
         value = getattr(args, name, None)
@@ -145,7 +149,7 @@ def _merge_config(args: argparse.Namespace) -> RunConfig:
         text = getattr(config, name)
         if isinstance(kind, list) and text is not None:
             try:
-                setattr(config, name, [kind[0](x) for x in str(text).split(",") if x])
+                setattr(config, name, [kind[0](x) for x in str(text).split(",")])
             except ValueError as exc:
                 raise ConfigError(f"malformed {_flag(name)} value {text!r}") from exc
     return config

@@ -43,23 +43,23 @@ fix the winner.  The replay, ``_refusals``, runs the waves from the
 kernel's result and draws nothing; only the voided-edge set and the
 ``--trace`` lines need it.  ``count_winners`` runs the kernel alone
 over a span of trials, block by block (what an ensemble counts);
-``run_trial`` runs it over a one-trial block and adds the confirmation
-walk, the full ``TrialOutcome`` and, under a trace, the replay;
-``backpropagate`` returns the kernel's state keyed by node id with the
-replay's voided edges.  A query is one ``(detector,
+``_one_trial`` runs it over one trial's own block; ``run_trial`` adds
+the confirmation walk, the full ``TrialOutcome`` and, under a trace, the
+replay; ``backpropagate`` returns the one-trial kernel's state keyed by
+node id with the replay's voided edges.  A query is one ``(detector,
 weight)`` pair wherever it is held: in the plan's seeded table, in the
 kernel's columns and memo, and in what ``lottery_select`` returns.
 
-Every draw comes from the trial's own splitmix64 stream (``rng``), which
-yields a block's draws draw-major.  A lottery takes one uniform draw,
-and a uniform choice among k options takes ``int(u * k)`` of one.  Each
-trial takes its draws in order.  While the trials of a block have drawn
-at the same draw nodes, they share one offset into the block's draws;
-from the first node where some trials draw and others do not, each
-trial keeps its own cursor.  The kernel draws at most once per draw
-node and the walk at most once per node it leaves, so a trial needs at
-most ``len(draw_order)`` draws for its winner and ``len(process_order)``
-more for its path.
+Every draw comes from ``rng.trial_blocks``, the trial's own splitmix64
+stream, which yields a block's draws draw-major.  A lottery takes one
+uniform draw, and a uniform choice among k options takes ``int(u * k)``
+of one.  Each trial takes its draws in order.  While the trials of a
+block have drawn at the same draw nodes, they share one offset into the
+block's draws; from the first node where some trials draw and others do
+not, each trial keeps its own cursor.  The kernel draws at most once per
+draw node and the walk at most once per node it leaves, so a trial needs
+at most ``len(draw_order)`` draws for its winner and
+``len(process_order)`` more for its path.
 """
 
 from __future__ import annotations
@@ -74,7 +74,7 @@ from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .errors import DarkTrialError, ScoutnetError
 from .lattice import Lattice, NodeKind
-from .rng import Draws, check_seed, derive_trial_seed, trial_blocks
+from .rng import check_seed, trial_blocks
 
 TWO_PI = 2.0 * math.pi
 DEFAULT_EPS_INTENSITY = 1e-12
@@ -483,16 +483,21 @@ def _columns(
 
 
 def _one_trial(
-    plan: TrialPlan, mode: Mode, floats: list[float]
-) -> tuple[list[Query], int]:
-    """The kernel over a one-trial block: per node, the surviving query
-    (``(-1, 0.0)`` if none), the seeded table overlaid with each column's
-    one entry; and the index of the trial's next unused draw."""
+    plan: TrialPlan, mode: Mode, master_seed: int, trial_index: int
+) -> tuple[list[Query], Iterator[float]]:
+    """The kernel over trial ``trial_index``'s one-trial block of
+    ``trial_blocks``: per node, the surviving query (``(-1, 0.0)`` if
+    none), the seeded table overlaid with each column's one entry; and the
+    trial's draws after its cursor, for the confirmation walk.  The block
+    holds ``len(draw_order) + len(process_order)`` draws, enough for the
+    kernel and the walk's forks."""
+    draws = len(plan.draw_order) + len(plan.process_order)
+    ((floats, _),) = trial_blocks(master_seed, draws, trial_index, trial_index + 1)
     queries, (cursor,) = _columns(plan, mode, floats, 1)
     won = list(plan.base)
     for u, (query,) in queries.items():
         won[u] = query
-    return won, cursor
+    return won, iter(floats[cursor:])
 
 
 def _refusals(
@@ -506,7 +511,7 @@ def _refusals(
     Losers are taken in detector order and the wave pops edges from a
     stack, children in id order, so the ``lottery``/``refuse`` trace lines
     come out in protocol order.  Draw-free nodes hold no lottery, so only
-    ``draw_order`` is visited.  Draws nothing from the random stream.
+    ``draw_order`` is visited.  Takes no draw from the random stream.
     Each node's live in-degree is counted here, not stored in the plan:
     only ``backpropagate`` and a traced ``run_trial`` replay the waves.
     """
@@ -578,19 +583,19 @@ def count_winners(
 def backpropagate(
     plan: TrialPlan,
     mode: Mode,
-    rng: Draws,
+    master_seed: int,
+    trial_index: int,
     trace: Optional[TraceSink] = None,
 ) -> tuple[int, dict[int, tuple[int, float]], set[tuple[int, int]], int]:
     """The kernel's result by node id, with the refusal waves replayed: the
     winning detector, the surviving query per node, the voided edges, and
     0.  ``trace`` gets the ``lottery`` and ``refuse`` lines.  The kernel
-    runs over a one-trial block of ``len(draw_order)`` draws from ``rng``.
+    runs over the draws ``run_trial`` takes for the same trial.
 
     perfbench's backprop counter unpacks the 0 as its count of degenerate
     (all-zero-weight) lotteries, which no plan holds; it goes when that
     adapter does."""
-    floats = [rng.random() for _ in plan.draw_order]
-    won, _ = _one_trial(plan, mode, floats)
+    won, _ = _one_trial(plan, mode, master_seed, trial_index)
     voided = _refusals(plan, won, trace)
     winner_at = {u: won[u] for u in plan.process_order}
     return won[plan.lattice.source][0], winner_at, voided, 0
@@ -600,7 +605,6 @@ class TrialOutcome(NamedTuple):
     winner: int
     surviving_path: tuple[int, ...]
     hidden_ticks: int
-    seed: int
     rib_states: dict[tuple[int, int], RibState]
 
 
@@ -641,23 +645,17 @@ def run_trial(
 
     A precomputed ``TrialPlan`` may be passed to amortise the forward half
     over an ensemble; the outcome is identical either way.  The trial's
-    draws are the one-trial block of ``trial_blocks``, the code
-    ``count_winners`` draws through; it holds ``len(draw_order) +
-    len(process_order)`` draws, enough for the kernel and the walk's forks.
-    The kernel runs over that block, and the walk continues from the
-    trial's cursor.
+    draws are its one-trial block of ``trial_blocks``, the code
+    ``count_winners`` draws through (``_one_trial``); the walk continues
+    from the trial's cursor.
     """
     if plan is None:
         plan = prepare(lattice, trace)
-    seed = derive_trial_seed(master_seed, trial_index)
-    draws = len(plan.draw_order) + len(plan.process_order)
-    ((floats, _),) = trial_blocks(master_seed, draws, trial_index, trial_index + 1)
-
-    won, cursor = _one_trial(plan, mode, floats)
+    won, rest = _one_trial(plan, mode, master_seed, trial_index)
     if trace:
         _refusals(plan, won, trace)
     winner = won[lattice.source][0]
-    path = _confirmation_walk(plan, winner, won, iter(floats[cursor:]))
+    path = _confirmation_walk(plan, winner, won, rest)
     if trace:
         trace(f"confirm winner={winner} path={list(path)}")
 
@@ -675,6 +673,5 @@ def run_trial(
         winner=winner,
         surviving_path=path,
         hidden_ticks=hidden_ticks,
-        seed=seed,
         rib_states=rib_states,
     )

@@ -16,9 +16,9 @@ from __future__ import annotations
 
 import math
 from enum import Enum
-from typing import Iterable, NamedTuple, Optional, Sequence
+from typing import Any, Iterable, NamedTuple, Optional, Sequence
 
-from .errors import LatticeError, TopologyError
+from .errors import LatticeError, ScoutnetError, TopologyError
 
 
 class NodeKind(str, Enum):
@@ -480,18 +480,48 @@ def serialize_topology(lattice: Lattice) -> str:
     return yaml.safe_dump(data, sort_keys=False)
 
 
+def load_yaml(document: str, error: type[ScoutnetError], what: str) -> object:
+    """``yaml.safe_load`` of ``document``, except that a mapping that
+    repeats a key raises ``error``, where PyYAML keeps the last value; so
+    does a document PyYAML cannot parse.  ``what`` names the document in
+    the message.  Reads topology documents and the CLI's config files."""
+    import yaml  # imported on use: a CLI run without a YAML file never needs it
+
+    class Loader(yaml.SafeLoader):
+        def construct_mapping(self, node, deep=False):
+            mapping = super().construct_mapping(node, deep)
+            # keys equal as Python values count as one, as they do in a dict
+            if len(mapping) < len(node.value):
+                seen = set()
+                for key_node, _ in node.value:
+                    key = self.construct_object(key_node)
+                    if key in seen:
+                        raise error(f"{what} repeats key {key!r}")
+                    seen.add(key)
+            return mapping
+
+    try:
+        return yaml.load(document, Loader=Loader)
+    except yaml.YAMLError as exc:
+        raise error(f"unparseable {what}: {exc}") from exc
+
+
+def _exactly(kind: type, value: object) -> Any:
+    """``value`` if YAML read it as a ``kind``: a bool, a float or text is
+    no int, and text is no list."""
+    if type(value) is not kind:
+        raise TypeError(f"{value!r} is not {kind.__name__}")
+    return value
+
+
 def load_topology(document: str) -> Lattice:
     """Parse and fully validate a topology document.
 
+    Node ids and rib endpoints are ints, positions and endpoints lists.
     Omitted rib lengths default to the Euclidean distance between the
     endpoint positions.
     """
-    import yaml  # imported on use: a CLI run without a topology never needs it
-
-    try:
-        data = yaml.safe_load(document)
-    except yaml.YAMLError as exc:
-        raise TopologyError(f"unparseable topology document: {exc}") from exc
+    data = load_yaml(document, TopologyError, "topology document")
     if not isinstance(data, dict):
         raise TopologyError("topology document must be a mapping")
     if "wavelength" not in data:
@@ -513,8 +543,8 @@ def load_topology(document: str) -> Lattice:
     nodes = []
     for entry in raw_nodes:
         try:
-            nid = int(entry["id"])
-            position = tuple(float(c) for c in entry["position"])
+            nid = _exactly(int, entry["id"])
+            position = tuple(float(c) for c in _exactly(list, entry["position"]))
             kind = NodeKind(str(entry.get("kind", "void")).lower())
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise TopologyError(f"malformed node entry {entry!r}: {exc}") from exc
@@ -527,7 +557,7 @@ def load_topology(document: str) -> Lattice:
     ribs = []
     for entry in raw_ribs:
         try:
-            u, v = (int(e) for e in entry["endpoints"])
+            u, v = (_exactly(int, e) for e in _exactly(list, entry["endpoints"]))
             for end in (u, v):
                 if end not in by_id:
                     raise TopologyError(f"dangling rib endpoint {end}")

@@ -1,15 +1,16 @@
 """Per-trial random streams: splitmix64, one stream per trial.
 
-Trial i of master seed m starts from the state s = ``derive_trial_seed(m,
-i)`` and draws the splitmix64 sequence of that state (Steele, Lea &
-Flood, "Fast splittable pseudorandom number generators", OOPSLA 2014):
+Trial i of master seed m starts from the state s = ``mix(m + (i+1)*GAMMA
+mod 2**64)`` and draws the splitmix64 sequence of that state (Steele, Lea
+& Flood, "Fast splittable pseudorandom number generators", OOPSLA 2014):
 draw j is ``mix(s + (j+1)*GAMMA mod 2**64) >> 11``, times 2**-53, where
-``mix`` is the splitmix64 finalizer below.  Trials are therefore mutually
-independent, an ensemble's statistics do not depend on the order in which
-trials execute, and draw j does not depend on how many draws a caller
-asks for.
+``mix`` is the splitmix64 finalizer below and GAMMA the golden-ratio
+constant.  Trials are therefore mutually independent, an ensemble's
+statistics do not depend on the order in which trials execute, and draw
+j does not depend on how many draws a caller asks for.  ``trial_blocks``
+is the only way the package draws.
 
-Draws are computed a block of trials at a time: one Python int holds one
+The draws are computed a block of trials at a time: one Python int holds one
 128-bit lane per trial state, or per draw, each lane is masked to 64
 bits before every multiply, so that no product carries into the next
 lane, and the lanes are unpacked little-endian on every host.  A block
@@ -26,7 +27,7 @@ from __future__ import annotations
 import struct
 from itertools import repeat
 from operator import mul
-from typing import Iterable, Iterator, Protocol
+from typing import Iterable, Iterator
 
 _MASK = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -60,21 +61,6 @@ def check_seed(master_seed: int) -> None:
     # run some in-range seed's streams
     if not 0 <= master_seed <= _MASK:
         raise ValueError(f"master seed must lie in [0, 2**64), got {master_seed}")
-
-
-def derive_trial_seed(master_seed: int, trial_index: int) -> int:
-    """splitmix64 finalizer applied to master_seed + (index+1)*golden-ratio:
-    the state trial ``trial_index``'s stream starts from.  The master seed
-    must lie in [0, 2**64)."""
-    check_seed(master_seed)
-    return _mix((master_seed + (trial_index + 1) * _GOLDEN) & _MASK, _MASK)
-
-
-class Draws(Protocol):
-    """A sequential stream of uniform draws, such as ``random.Random``:
-    what ``engine.backpropagate`` reads a trial's draws from."""
-
-    def random(self) -> float: ...
 
 
 def _lanes(values: Iterable[int], copies: int = 1) -> int:

@@ -6,7 +6,6 @@ program would break the traced run without failing any other test.
 """
 
 import importlib.util
-import random
 from collections import Counter
 from pathlib import Path
 
@@ -45,6 +44,6 @@ def test_counters_read_the_plan_and_results(tracing, lattice):
     assert counts["engine.fronts"] == plan.scout_report.fronts > 0
     assert counts["engine.live_edges"] == len(plan.live_edges) > 0
     assert counts["engine.lottery_nodes"] > 0
-    tracing._count_backprop(counts, backpropagate(plan, Mode.AGGREGATE, random.Random(1)))
+    tracing._count_backprop(counts, backpropagate(plan, Mode.AGGREGATE, 1, 0))
     tracing._count_outcome(counts, run_trial(lattice, Mode.AGGREGATE, 1, 0, plan=plan))
     assert counts["engine.path_hops"] > 0

@@ -74,6 +74,11 @@ class TestExitCodes:
             (("--scenario", "dilation", "--distance", "1.5"), "--distance"),
             (("--scenario", "double-slit", "--intensities", "1,z"), "--intensities"),
             (("--scenario", "double-slit", "--slits", "2,,x"), "--slits"),
+            # an empty item, a trailing comma's included, is no default
+            (("--scenario", "star", "--intensities", ""), "--intensities"),
+            (("--scenario", "star", "--intensities", "1,,2"), "--intensities"),
+            (("--scenario", "dilation", "--v", ""), "--v"),
+            (("--scenario", "double-slit", "--slits", "2,6,"), "--slits"),
         ],
     )
     def test_malformed_list_flag_is_config_error_in_every_scenario(
@@ -90,6 +95,25 @@ class TestExitCodes:
         cfg.write_text(f"scenario: star\nv: 0,x\nout: {tmp_path / 'out'}\n")
         assert run_cli("--config", str(cfg)) == EXIT_CONFIG
         assert capsys.readouterr().err == "error: malformed --v value '0,x'\n"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "lines,message",
+        [
+            (
+                "scenario: clock\nlaser_distance: 2\nlaser-distance: 3\n",
+                "config keys 'laser_distance' and 'laser-distance' set one option",
+            ),
+            ('scenario: dilation\nv: "0.5"\nv: "0.6"\n', "config file repeats key 'v'"),
+        ],
+    )
+    def test_option_set_twice_in_config_file_is_config_error(
+        self, tmp_path, capsys, lines, message
+    ):
+        cfg = tmp_path / "run.yaml"
+        cfg.write_text(f"{lines}out: {tmp_path / 'out'}\n")
+        assert run_cli("--config", str(cfg)) == EXIT_CONFIG
+        assert capsys.readouterr().err == f"error: {message}\n"
         assert not (tmp_path / "out").exists()
 
     def test_unknown_flag_is_config_error(self, tmp_path, capsys):
@@ -306,6 +330,13 @@ class TestTopologyDocuments:
             # finite values whose phase 2*pi*length/wavelength is not
             (("ribs", 1, "length"), 1.0e308),
             (("wavelength",), 1.0e-310),
+            # each once loaded as the well-formed value it resembles
+            (("nodes", 1, "id"), 1.9),
+            (("nodes", 1, "id"), "1"),
+            (("nodes", 1, "id"), True),
+            (("ribs", 0, "endpoints"), [0.7, 1]),
+            (("ribs", 0, "endpoints"), "01"),
+            (("nodes", 0, "position"), "00"),
         ],
     )
     def test_malformed_value_is_config_error(self, path, value):

@@ -544,15 +544,14 @@ class TestReferenceKernel:
         out = run_trial(lat, mode, master_seed, index, plan=plan, trace=events.append)
         assert (out.winner, out.surviving_path) == (winner, path)
         assert events[:-1] == want_events
-        # the engine's kernel also draws from the reference's own stream
+        # the reference kernel on the trial's sequential stream; the
+        # engine's draws from the trial's block, as run_trial does
         want = reference_backpropagate(plan, mode, trial_stream(master_seed, index))
         assert (want[0], want[2], want[3]) == (winner, void, degenerate)
         # every competitor weight is a live intensity or carried from them
         assert degenerate == 0
         events = []
-        got = backpropagate(
-            plan, mode, trial_stream(master_seed, index), trace=events.append
-        )
+        got = backpropagate(plan, mode, master_seed, index, trace=events.append)
         # the reference interleaves the waves with the lotteries; the
         # engine replays them afterwards: same per-node winners, same lines
         assert got == want

@@ -225,6 +225,27 @@ class TestTopologyDocuments:
         with pytest.raises(TopologyError, match="laser"):
             load_topology(doc)
 
+    def test_repeated_key_rejected(self):
+        doc = CHAIN_DOC.replace("wavelength: 1.0", "wavelength: 1.0\nwavelength: 2.0")
+        with pytest.raises(TopologyError, match="repeats key 'wavelength'"):
+            load_topology(doc)
+
+    @pytest.mark.parametrize(
+        "old,new",
+        [
+            ("id: 1,", "id: 1.9,"),
+            ("id: 1,", "id: '1',"),
+            ("id: 1,", "id: true,"),
+            ("[0, 1]", "[0.7, 1]"),
+            ("[0, 1]", "'01'"),
+            ("position: [0.0, 0.0]", "position: '00'"),
+        ],
+    )
+    def test_id_endpoints_and_position_are_not_coerced(self, old, new):
+        # each once loaded as the well-formed value it resembles
+        with pytest.raises(TopologyError, match=r"is not (int|list)$"):
+            load_topology(CHAIN_DOC.replace(old, new))
+
     def test_readme_example_loads_as_written(self):
         readme = (Path(__file__).parent.parent / "README.md").read_text()
         block = re.search(r"```yaml\n(.*?)```", readme, re.S).group(1)

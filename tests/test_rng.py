@@ -11,13 +11,14 @@ from hypothesis import strategies as st
 from conftest import pooled_chi_square
 from reference_kernel import trial_stream
 from scoutnet.experiments import chi_square_critical
-from scoutnet.rng import BLOCK_DRAWS, MIN_TRIALS, derive_trial_seed, trial_blocks
+from scoutnet.rng import BLOCK_DRAWS, MIN_TRIALS, trial_blocks
 
 
 def test_trial_seeds_are_splitmix64_outputs():
-    # Vigna's splitmix64 seeded with 0: its first three outputs
+    # Vigna's splitmix64 seeded with 0: its first three outputs are the
+    # states that trials 0, 1 and 2 of master seed 0 start from
     want = [0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F]
-    assert [derive_trial_seed(0, i) for i in range(3)] == want
+    assert [trial_stream(0, i).state for i in range(3)] == want
 
 
 @given(

@@ -47,6 +47,10 @@ STREAM = "tests/test_rng.py"
 STREAM_PROPERTY = "tests/test_rng.py::test_lane_batch_equals_sequential_generator"
 CLASSES = "tests/test_oracle.py::TestClassAmplitudes"
 PRECEDENCE = "tests/test_cli.py::TestConfigPrecedence"
+TWICE = (
+    "tests/test_cli.py::TestExitCodes::"
+    "test_option_set_twice_in_config_file_is_config_error"
+)
 
 MUTANTS: list[tuple[str, str, str, str, tuple[str, ...]]] = [
     # the rib-by-rib forward half
@@ -127,7 +131,11 @@ MUTANTS: list[tuple[str, str, str, str, tuple[str, ...]]] = [
         ENGINE,
         "repeat(total) if mode is _AGGREGATE else weights",
         "repeat(total)",
-        (REFERENCE, GOLDEN),
+        (
+            "tests/test_engine.py::TestLotterySelect::"
+            "test_stored_column_equals_lottery_select",
+            GOLDEN,
+        ),
     ),
     (
         "lotteries-kept-across-trials",
@@ -236,6 +244,21 @@ MUTANTS: list[tuple[str, str, str, str, tuple[str, ...]]] = [
         "\n",
         (REFERENCE, GOLDEN),
     ),
+    # one trial's block, shared by run_trial and backpropagate
+    (
+        "walk-starts-at-first-draw",
+        ENGINE,
+        "return won, iter(floats[cursor:])",
+        "return won, iter(floats)",
+        (GOLDEN,),
+    ),
+    (
+        "backprop-reads-next-trial",
+        ENGINE,
+        "won, _ = _one_trial(plan, mode, master_seed, trial_index)",
+        "won, _ = _one_trial(plan, mode, master_seed, trial_index + 1)",
+        (REFERENCE,),
+    ),
     # the cross-checks and the statistics
     (
         "enumerator-merge-min",
@@ -313,6 +336,33 @@ MUTANTS: list[tuple[str, str, str, str, tuple[str, ...]]] = [
             "tests/test_cli.py::test_flag_and_config_key_set_the_same_value",
             "tests/test_cli.py::TestExitCodes::"
             "test_malformed_list_in_config_file_is_config_error",
+        ),
+    ),
+    (
+        "config-repeats-allowed",
+        CLI,
+        "            if name in keys:\n",
+        "            if False:\n",
+        (TWICE,),
+    ),
+    (
+        "yaml-repeats-allowed",
+        "src/scoutnet/lattice.py",
+        "if len(mapping) < len(node.value):",
+        "if False:",
+        (
+            TWICE,
+            "tests/test_lattice.py::TestTopologyDocuments::test_repeated_key_rejected",
+        ),
+    ),
+    (
+        "empty-list-item-dropped",
+        CLI,
+        'for x in str(text).split(",")]',
+        'for x in str(text).split(",") if x]',
+        (
+            "tests/test_cli.py::TestExitCodes::"
+            "test_malformed_list_flag_is_config_error_in_every_scenario",
         ),
     ),
     # the value classes
