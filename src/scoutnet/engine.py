@@ -34,7 +34,8 @@ trials at once: every trial runs the same lotteries over the same
 traces, and only the draws differ.  It starts from the seeded table and
 visits ``draw_order``; each draw node gets a column holding each trial's
 surviving query.  A stored lottery's record serves the whole block: a
-node draws its column in one pass of C-level maps (``_stored_select``).
+node draws its column in one pass of C-level maps (``_stored_select``),
+bisecting the plan's word cuts with each trial's word.
 A merged lottery is built once per trial, at the first node of its
 group, and draws at every node of the group, one ``lottery_select``
 call per node for the block.  A refusal wave voids only edges below its
@@ -51,12 +52,15 @@ weight)`` pair wherever it is held: in the plan's seeded table, in the
 kernel's columns and memo, and in what ``lottery_select`` returns.
 
 Every draw comes from ``rng.trial_blocks``, the trial's own splitmix64
-stream, which yields a block's draws draw-major.  A lottery takes one
-uniform draw, and a uniform choice among k options takes ``int(u * k)``
-of one.  Each trial takes its draws in order.  While the trials of a
-block have drawn at the same draw nodes, they share one offset into the
-block's draws; from the first node where some trials draw and others do
-not, each trial keeps its own cursor.  The kernel draws at most once per
+stream, which yields a block's draws draw-major, as 53-bit words.  A
+lottery takes one draw, and a uniform choice among k options takes
+``int(u * k)`` of one, where ``u = w * 2**-53`` is the uniform of word
+w.  Only a merged lottery and the confirmation walk form u; a stored
+lottery compares the word itself with its cuts.  Each trial takes its
+draws in order.  While the trials of a block have drawn at the same draw
+nodes, they share one offset into the block's draws; from the first node
+where some trials draw and others do not, each trial keeps its own
+cursor.  The kernel draws at most once per
 draw node and the walk at most once per node it leaves, so a trial needs
 at most ``len(draw_order)`` draws for its winner and
 ``len(process_order)`` more for its path.
@@ -65,16 +69,16 @@ at most ``len(draw_order)`` draws for its winner and
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from collections import Counter
 from enum import Enum
 from itertools import accumulate, compress, repeat
-from operator import add, itemgetter, mul
+from operator import add, itemgetter
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .errors import DarkTrialError, ScoutnetError
 from .lattice import Lattice, NodeKind
-from .rng import check_seed, trial_blocks
+from .rng import _UNIT, check_seed, trial_blocks
 
 TWO_PI = 2.0 * math.pi
 DEFAULT_EPS_INTENSITY = 1e-12
@@ -193,18 +197,19 @@ def _lottery(weights_by_det: dict[int, float]) -> Lottery:
 def lottery_select(
     lotteries: Sequence[Lottery],
     mode: Mode,
-    uniforms: Sequence[float],
+    words: Sequence[int],
 ) -> list[Query]:
-    """Draw one competitor from each lottery record with the uniform draw
-    in [0, 1) at the same place: index i of a record with probability
+    """Draw one competitor from each lottery record with the 53-bit word
+    at the same place: index i of a record with probability
     weights[i] / total.
 
     Returns the surviving queries in order: each drawn detector with the
-    weight its query carries on.  For a uniform u the index is the first
-    i whose running sum exceeds ``r = u * total``, or the last index if
-    none does (``r`` can reach the last running sum when ``total`` is
-    compensated), found by bisection.  The winner keeps its own weight in
-    naive mode and inherits the total in aggregate mode.
+    weight its query carries on.  For a word k, whose uniform is
+    ``u = k * 2**-53``, the index is the first i whose running sum
+    exceeds ``r = u * total``, or the last index if none does (``r`` can
+    reach the last running sum when ``total`` is compensated), found by
+    bisection.  The winner keeps its own weight in naive mode and
+    inherits the total in aggregate mode.
 
     A record has at least two competitors and a positive total: a plan's
     lotteries are merged from two or more live detectors' queries, and
@@ -215,8 +220,8 @@ def lottery_select(
     # bisecting below the last index alone clamps r past the last sum to it
     return [
         (dets[i], total if aggregate else weights[i])
-        for (dets, weights, sums, total), u in zip(lotteries, uniforms)
-        for i in (bisect_right(sums, u * total, 0, len(sums) - 1),)
+        for (dets, weights, sums, total), k in zip(lotteries, words)
+        for i in (bisect_right(sums, k * _UNIT * total, 0, len(sums) - 1),)
     ]
 
 
@@ -240,8 +245,8 @@ class TrialPlan(NamedTuple):
     ``draw_lottery[i]`` is the lottery of ``draw_order[i]``, numbered in
     order of first use.  When every child of a lottery is seeded, its
     competitors are fixed too, and ``lotteries[k]`` holds its record (see
-    ``_lottery``); otherwise it is None and the kernel merges once per
-    trial.
+    ``_lottery``) and ``cuts[k]`` its word cuts (see ``_cuts``); otherwise
+    both are None and the kernel merges once per trial.
     """
 
     lattice: Lattice
@@ -253,6 +258,7 @@ class TrialPlan(NamedTuple):
     draw_order: tuple[int, ...]
     draw_lottery: tuple[int, ...]
     lotteries: tuple[Optional[Lottery], ...]
+    cuts: tuple[Optional[list[int]], ...]
 
     # a view for perfbench's plan counters and the frozen reference
     # kernel; the engine does not read it
@@ -298,6 +304,7 @@ def prepare(lattice: Lattice, trace: Optional[TraceSink] = None) -> TrialPlan:
     draw_lottery: list[int] = []
     lottery_of: dict[tuple[int, ...], int] = {}
     lotteries: list[Optional[Lottery]] = []
+    cuts: list[Optional[list[int]]] = []
     for u in reversed(report.children):
         kids = tuple(
             v for v in report.children[u] if v in live or v in live_children
@@ -315,6 +322,7 @@ def prepare(lattice: Lattice, trace: Optional[TraceSink] = None) -> TrialPlan:
         draw_lottery.append(k)
         if k == len(lotteries):
             lotteries.append(_lottery(weights) if seeded else None)
+            cuts.append(_cuts(lotteries[k]) if seeded else None)
 
     return TrialPlan(
         lattice=lattice,
@@ -326,6 +334,7 @@ def prepare(lattice: Lattice, trace: Optional[TraceSink] = None) -> TrialPlan:
         draw_order=tuple(draw_order),
         draw_lottery=tuple(draw_lottery),
         lotteries=tuple(lotteries),
+        cuts=tuple(cuts),
     )
 
 
@@ -378,22 +387,32 @@ def _merged_group(
     return drawing, lotteries, [*map(_QUERY, entries)]
 
 
-def _stored_select(
-    lottery: Lottery, survivors: list[Query], uniforms: Sequence[float]
-) -> list[Query]:
-    """``lottery_select([lottery] * len(uniforms), mode, uniforms)``, where
-    ``survivors`` is ``_survivors(lottery, mode)``: the same bisection of
-    the same ``u * total`` products, run in C-level maps, with no tuple
-    built per draw."""
+def _cuts(lottery: Lottery) -> list[int]:
+    """A stored lottery's word cuts: cut i is the least word k in
+    [0, 2**53) with ``k * _UNIT * total >= sums[i]`` (2**53 if none), for
+    every running sum but the last.
+
+    ``k * _UNIT * total`` is the ``r`` that ``lottery_select`` forms, and
+    it never decreases as k grows, so running sum i is at most r exactly
+    when k reaches cut i: ``bisect_right(cuts, k)`` is the index that
+    ``lottery_select`` bisects for word k, its clamp to the last index
+    included.  Each cut is found by bisecting the words on that product,
+    53 steps."""
     _, _, sums, total = lottery
-    indices = map(
-        bisect_right,
-        repeat(sums),
-        map(mul, uniforms, repeat(total)),
-        repeat(0),
-        repeat(len(sums) - 1),
-    )
-    return [*map(survivors.__getitem__, indices)]
+    words = range(1 << 53)
+    return [
+        bisect_left(words, s, key=lambda k: k * _UNIT * total) for s in sums[:-1]
+    ]
+
+
+def _stored_select(
+    cuts: list[int], survivors: list[Query], words: Sequence[int]
+) -> list[Query]:
+    """``lottery_select([lottery] * len(words), mode, words)``, where
+    ``cuts`` is ``_cuts(lottery)`` and ``survivors`` is
+    ``_survivors(lottery, mode)``: each word bisects the cuts, in C-level
+    maps, with no float formed and no tuple built per draw."""
+    return [*map(survivors.__getitem__, map(bisect_right, repeat(cuts), words))]
 
 
 def _survivors(lottery: Lottery, mode: Mode) -> list[Query]:
@@ -404,30 +423,30 @@ def _survivors(lottery: Lottery, mode: Mode) -> list[Query]:
 
 
 def _columns(
-    plan: TrialPlan, mode: Mode, floats: list[float], trials: int
+    plan: TrialPlan, mode: Mode, words: Sequence[int], trials: int
 ) -> tuple[dict[int, list[Query]], list[int]]:
     """The reverse-half kernel: every lottery in barrier order, for a
     block of ``trials`` trials (``rng.trial_blocks``).
 
     Returns, per draw node, the column of queries that survived there, one
-    per trial, and each trial's cursor: the index in ``floats`` of its next
-    draw.  Trial t's draws are ``floats[t]``, then every ``trials``-th; its
+    per trial, and each trial's cursor: the index in ``words`` of its next
+    draw.  Trial t's draws are ``words[t]``, then every ``trials``-th; its
     cursor moves only when it draws, so trials drift apart.  While the
     trials have drawn at the same draw nodes, they are in lockstep: trial
-    t's next draw is ``floats[step + t]``, so a node takes its uniforms as
-    one slice and advances one int.  The per-trial cursors are built at
+    t's next draw is ``words[step + t]``, so a node takes its words as one
+    slice and advances one int.  The per-trial cursors are built at
     the first node where some trials draw and others do not, or on
     return.
 
     Only ``draw_order`` is visited: draw-free nodes keep their seeded
     queries.  A stored lottery's record serves every trial: its surviving
     queries are built once per block and each node draws its whole column
-    in ``_stored_select``.  A merged one is built per trial at the first
-    node of its group and serves the group's other nodes, whose children
-    keep their queries; a trial whose lottery merges to one competitor
-    takes that query at each of them and draws nothing.  Each such node
-    draws for all its drawing trials in one ``lottery_select`` call.
-    Nothing outlives the block.
+    in ``_stored_select``, from the plan's cuts.  A merged one is built
+    per trial at the first node of its group and serves the group's other
+    nodes, whose children keep their queries; a trial whose lottery merges
+    to one competitor takes that query at each of them and draws nothing.
+    Each such node draws for all its drawing trials in one
+    ``lottery_select`` call.  Nothing outlives the block.
 
     Refusal waves are left out.  A wave started at node u voids only edges
     whose tail is u or a descendant of u, whose lotteries barrier order has
@@ -451,28 +470,28 @@ def _columns(
             drawing, lotteries, column = group
         if drawing is None:
             if pos is None:
-                uniforms = floats[step : step + trials]
+                drawn = words[step : step + trials]
                 step += trials
             else:
-                uniforms = [*map(floats.__getitem__, pos)]
+                drawn = [*map(words.__getitem__, pos)]
                 pos = [*map(add, pos, repeat(trials))]
             if stored is None:
-                queries[u] = lottery_select(lotteries, mode, uniforms)
+                queries[u] = lottery_select(lotteries, mode, drawn)
             else:
                 kept = survivors.get(k)
                 if kept is None:
                     kept = survivors[k] = _survivors(stored, mode)
-                queries[u] = _stored_select(stored, kept, uniforms)
+                queries[u] = _stored_select(plan.cuts[k], kept, drawn)
         elif not drawing:
             queries[u] = column
         else:
             if pos is None:
                 pos = [*range(step, step + trials)]
-            uniforms = [floats[pos[t]] for t in drawing]
+            drawn = [words[pos[t]] for t in drawing]
             for t in drawing:
                 pos[t] += trials
             column = column.copy()
-            for t, query in zip(drawing, lottery_select(lotteries, mode, uniforms)):
+            for t, query in zip(drawing, lottery_select(lotteries, mode, drawn)):
                 column[t] = query
             queries[u] = column
 
@@ -484,7 +503,7 @@ def _columns(
 
 def _one_trial(
     plan: TrialPlan, mode: Mode, master_seed: int, trial_index: int
-) -> tuple[list[Query], Iterator[float]]:
+) -> tuple[list[Query], Iterator[int]]:
     """The kernel over trial ``trial_index``'s one-trial block of
     ``trial_blocks``: per node, the surviving query (``(-1, 0.0)`` if
     none), the seeded table overlaid with each column's one entry; and the
@@ -492,12 +511,12 @@ def _one_trial(
     holds ``len(draw_order) + len(process_order)`` draws, enough for the
     kernel and the walk's forks."""
     draws = len(plan.draw_order) + len(plan.process_order)
-    ((floats, _),) = trial_blocks(master_seed, draws, trial_index, trial_index + 1)
-    queries, (cursor,) = _columns(plan, mode, floats, 1)
+    ((words, _),) = trial_blocks(master_seed, draws, trial_index, trial_index + 1)
+    queries, (cursor,) = _columns(plan, mode, words, 1)
     won = list(plan.base)
     for u, (query,) in queries.items():
         won[u] = query
-    return won, iter(floats[cursor:])
+    return won, iter(words[cursor:])
 
 
 def _refusals(
@@ -575,8 +594,8 @@ def count_winners(
         if stop > start:
             counts[plan.base[source][0]] = stop - start
         return counts
-    for floats, trials in trial_blocks(master_seed, len(plan.draw_order), start, stop):
-        counts.update(map(_DET, _columns(plan, mode, floats, trials)[0][source]))
+    for words, trials in trial_blocks(master_seed, len(plan.draw_order), start, stop):
+        counts.update(map(_DET, _columns(plan, mode, words, trials)[0][source]))
     return counts
 
 
@@ -612,14 +631,14 @@ def _confirmation_walk(
     plan: TrialPlan,
     winner: int,
     won: list[Query],
-    uniforms: Iterator[float],
+    words: Iterator[int],
 ) -> tuple[int, ...]:
     """Source-to-winner walk through the nodes whose query is the winner's;
     a fork among k equivalent same-detector branches takes branch
-    ``int(next(uniforms) * k)`` in child order, and a node with one such
-    branch draws nothing.  No refusal wave voids an edge it can take: every
-    node on the walk holds the winner's query and keeps a live inbound
-    edge."""
+    ``int(u * k)`` in child order, u the uniform of the trial's next word,
+    and a node with one such branch draws nothing.  No refusal wave voids
+    an edge it can take: every node on the walk holds the winner's query
+    and keeps a live inbound edge."""
     path = [plan.lattice.source]
     u = plan.lattice.source
     while u != winner:
@@ -628,7 +647,7 @@ def _confirmation_walk(
         if not candidates:
             raise ScoutnetError(f"protocol bug: confirmation walk stuck at node {u}")
         k = len(candidates)
-        u = candidates[0] if k == 1 else candidates[int(next(uniforms) * k)]
+        u = candidates[0] if k == 1 else candidates[int(next(words) * _UNIT * k)]
         path.append(u)
     return tuple(path)
 

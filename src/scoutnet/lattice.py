@@ -44,7 +44,9 @@ class Rib(NamedTuple("Rib", [("a", int), ("b", int), ("length", float)])):
         if a > b:
             a, b = b, a
         if not (length > 0) or not math.isfinite(length):
-            raise LatticeError(f"rib ({a},{b}) has non-positive length {length}")
+            raise LatticeError(
+                f"rib ({a},{b}) length must be positive and finite: {length}"
+            )
         return super().__new__(cls, a, b, length)
 
     @property
@@ -514,10 +516,20 @@ def _exactly(kind: type, value: object) -> Any:
     return value
 
 
+def _number(value: object) -> float:
+    """``value`` as a float if YAML read it as an int or a float: a bool or
+    text is no number, as in a config file.  PyYAML reads 1e-3 as text."""
+    if type(value) not in (int, float):
+        hint = " (write numbers unquoted, as in 1.0e-3)" if type(value) is str else ""
+        raise TypeError(f"{value!r} is not a number{hint}")
+    return float(value)
+
+
 def load_topology(document: str) -> Lattice:
     """Parse and fully validate a topology document.
 
-    Node ids and rib endpoints are ints, positions and endpoints lists.
+    Node ids and rib endpoints are ints, positions and endpoints lists,
+    and the wavelength, coordinates and lengths numbers (``_number``).
     Omitted rib lengths default to the Euclidean distance between the
     endpoint positions.
     """
@@ -527,9 +539,9 @@ def load_topology(document: str) -> Lattice:
     if "wavelength" not in data:
         raise TopologyError("missing wavelength")
     try:
-        wavelength = float(data["wavelength"])
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise TopologyError(f"malformed wavelength {data['wavelength']!r}") from exc
+        wavelength = _number(data["wavelength"])
+    except (TypeError, OverflowError) as exc:
+        raise TopologyError(f"malformed wavelength: {exc}") from exc
     raw_nodes = data.get("nodes")
     if not raw_nodes:
         raise TopologyError("missing nodes section")
@@ -544,7 +556,7 @@ def load_topology(document: str) -> Lattice:
     for entry in raw_nodes:
         try:
             nid = _exactly(int, entry["id"])
-            position = tuple(float(c) for c in _exactly(list, entry["position"]))
+            position = tuple(map(_number, _exactly(list, entry["position"])))
             kind = NodeKind(str(entry.get("kind", "void")).lower())
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise TopologyError(f"malformed node entry {entry!r}: {exc}") from exc
@@ -564,10 +576,9 @@ def load_topology(document: str) -> Lattice:
             length = entry.get("length")
             if length is None:
                 length = math.dist(by_id[u].position, by_id[v].position)
-            length = float(length)
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            ribs.append(Rib(u, v, _number(length)))
+        except (KeyError, TypeError, ValueError, OverflowError, LatticeError) as exc:
             raise TopologyError(f"malformed rib entry {entry!r}: {exc}") from exc
-        ribs.append(Rib(u, v, length))
 
     try:
         return Lattice(tuple(nodes), tuple(ribs), wavelength)

@@ -3,21 +3,25 @@
 Trial i of master seed m starts from the state s = ``mix(m + (i+1)*GAMMA
 mod 2**64)`` and draws the splitmix64 sequence of that state (Steele, Lea
 & Flood, "Fast splittable pseudorandom number generators", OOPSLA 2014):
-draw j is ``mix(s + (j+1)*GAMMA mod 2**64) >> 11``, times 2**-53, where
-``mix`` is the splitmix64 finalizer below and GAMMA the golden-ratio
+draw j is the 53-bit word k = ``mix(s + (j+1)*GAMMA mod 2**64) >> 11``,
+where ``mix`` is the splitmix64 finalizer below and GAMMA the golden-ratio
 constant.  Trials are therefore mutually independent, an ensemble's
 statistics do not depend on the order in which trials execute, and draw
-j does not depend on how many draws a caller asks for.  ``trial_blocks``
-is the only way the package draws.
+j does not depend on how many draws a caller asks for.  Word k stands
+for the uniform u = k * ``_UNIT``, k * 2**-53 in [0, 1).
+``trial_blocks`` is the only way the package draws.
 
 The draws are computed a block of trials at a time: one Python int holds one
 128-bit lane per trial state, or per draw, each lane is masked to 64
 bits before every multiply, so that no product carries into the next
 lane, and the lanes are unpacked little-endian on every host.  A block
 lies draw-major, for the reverse half's column kernel: draw j of trial t
-is ``floats[j * trials + t]``.  A trial of n draws gets a block of
-``max(MIN_TRIALS, BLOCK_DRAWS // n)`` trials, so a block holds about
-``BLOCK_DRAWS`` draws, or ``MIN_TRIALS`` trials' worth when n is large.
+is ``words[j * trials + t]``.  A block holds the words, not their
+uniforms: the engine compares a stored lottery's words with precomputed
+cuts, and forms u only where a merged lottery or the confirmation walk
+needs it.  A trial of n draws gets a block of ``max(MIN_TRIALS,
+BLOCK_DRAWS // n)`` trials, so a block holds about ``BLOCK_DRAWS``
+draws, or ``MIN_TRIALS`` trials' worth when n is large.
 The blocks cover a span exactly: what is left after its full blocks is
 one shorter block.  No draw depends on the block it falls in.
 """
@@ -25,23 +29,26 @@ one shorter block.  No draw depends on the block it falls in.
 from __future__ import annotations
 
 import struct
-from itertools import repeat
-from operator import mul
 from typing import Iterable, Iterator
 
 _MASK = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
+# the uniform of word k is k * _UNIT, exact for every k below 2**53
 _UNIT = 2.0**-53
 # draws per block: the reverse half's column kernel runs each lottery once
 # per block, so a block must hold enough trials to spread its per-node
-# Python calls; counting 20480 trials of the 1,1,2 star (a 2-core Xeon,
-# CPython 3.11, medians of 40 interleaved runs) took 0.74 us per trial at
-# 1024, 0.76 at 512 and 2048, and 0.80 at 256 and 4096
+# Python calls; counting 20000 trials of the 1,1,2 star (a 2-core Xeon,
+# CPython 3.11, medians of 12 interleaved rounds, each the best of 15)
+# took 0.32 us per trial at 512 and 1024, 0.34 at 2048 and 0.38 at 4096,
+# and 1000 trials of slit 7x9 (39 draw nodes; medians of 5 rounds) 28.5,
+# 29.5, 27.9 and 33.2 ms, within the rounds' noise up to 2048
 BLOCK_DRAWS = 1024
-# the floor on a block's trials, for lattices of many draw nodes: on grid
-# 30x30 (841 draw nodes) blocks of 16 trials counted winners about as
-# fast as the former per-trial kernel, blocks of 32 about 5-25 % faster,
-# at a tracemalloc peak of 3.1 and 6.3 MB
+# the floor on a block's trials, for lattices of many draw nodes: counting
+# 100 trials of grid 30x30 (column detectors, wavelength 0.73, 841 draw
+# nodes; same box, medians of 5 interleaved rounds) took 59.8 ms with
+# blocks of 16, 54.7 with 32 and 54.9 with 64, at a tracemalloc peak of
+# 2.6, 4.9 and 9.1 MB; 1000 trials of slit 7x9 (39 draw nodes) took 29.2,
+# 29.5 and 29.7 ms
 MIN_TRIALS = 32
 
 
@@ -73,17 +80,18 @@ def _lanes(values: Iterable[int], copies: int = 1) -> int:
 
 def trial_blocks(
     master_seed: int, n: int, start: int, stop: int
-) -> Iterator[tuple[list[float], int]]:
+) -> Iterator[tuple[tuple[int, ...], int]]:
     """The first ``n`` draws of trials ``start``..``stop - 1``, a block of
-    trials at a time: each block is ``(floats, trials)``, where draw j of
-    the block's trial t is ``floats[j * trials + t]``, a float in [0, 1),
-    ``k * 2**-53`` with k the word's top 53 bits.  A block holds
+    trials at a time: each block is ``(words, trials)``, where draw j of
+    the block's trial t is ``words[j * trials + t]``, the top 53 bits of
+    its splitmix64 word, an int in [0, 2**53).  A block holds
     ``max(MIN_TRIALS, BLOCK_DRAWS // n)`` trials, or the span's length if
     that is shorter; the span's remainder after its full blocks is one
     last, shorter block, so the blocks' trials sum to the span.
 
     A block mixes its trial states in one int, copies that int once per
-    draw, adds each draw's Weyl offset and mixes again.
+    draw (a block of one-draw trials uses it as it is), adds each draw's
+    Weyl offset and mixes again.
     """
     check_seed(master_seed)
     trials = max(1, min(max(MIN_TRIALS, BLOCK_DRAWS // max(n, 1)), stop - start))
@@ -103,13 +111,11 @@ def trial_blocks(
         c = (master_seed + (first + 1) * _GOLDEN) & _MASK
         states = _mix((c * ones + steps) & state_mask, state_mask) & state_mask
         # lane j * trials + t: draw j of trial first + t
-        copies = states.to_bytes(size, "little") * n
-        z = _mix((int.from_bytes(copies, "little") + weyl) & draw_mask, draw_mask)
+        if n > 1:
+            states = int.from_bytes(states.to_bytes(size, "little") * n, "little")
+        z = _mix((states + weyl) & draw_mask, draw_mask)
         # bits 64..74 of every lane are clear, so after the shift each
         # lane's low 64 bits hold the top 53 bits of its word
-        words = unpack((z >> 11).to_bytes(size * n, "little"))
-        # ``mul`` takes a fast call, ``_UNIT.__mul__`` builds an argument
-        # tuple per draw
-        yield [*map(mul, repeat(_UNIT), words)], trials
+        yield unpack((z >> 11).to_bytes(size * n, "little")), trials
     if tail:
         yield from trial_blocks(master_seed, n, stop - tail, stop)

@@ -337,6 +337,13 @@ class TestTopologyDocuments:
             (("ribs", 0, "endpoints"), [0.7, 1]),
             (("ribs", 0, "endpoints"), "01"),
             (("nodes", 0, "position"), "00"),
+            (("wavelength",), True),
+            (("wavelength",), "1.5"),
+            (("wavelength",), "1e-3"),
+            (("nodes", 1, "position"), [True, "0"]),
+            (("ribs", 1, "length"), "2"),
+            (("ribs", 1, "length"), True),
+            (("ribs", 1, "length"), math.inf),
         ],
     )
     def test_malformed_value_is_config_error(self, path, value):

@@ -2,6 +2,7 @@ import math
 import random
 import re
 import tracemalloc
+from bisect import bisect_right
 from collections import Counter
 from itertools import accumulate
 
@@ -24,6 +25,7 @@ from scoutnet.engine import (
     Mode,
     RibState,
     _columns,
+    _cuts,
     _lottery,
     _merge,
     _stored_select,
@@ -46,7 +48,10 @@ from scoutnet.lattice import (
     build_star,
     build_two_path,
 )
-from scoutnet.rng import BLOCK_DRAWS, MIN_TRIALS, trial_blocks
+from scoutnet.rng import _UNIT, BLOCK_DRAWS, MIN_TRIALS, trial_blocks
+
+# the largest 53-bit word, whose uniform is 1 - 2**-53
+TOP = 2**53 - 1
 
 
 class TestPropagateScouts:
@@ -331,34 +336,37 @@ def scan_index(weights, r: float) -> int:
 
 
 class TestLotterySelect:
+    """A lottery draws with 53-bit words, k standing for the uniform
+    ``k * 2**-53``; a stored lottery bisects its word cuts instead."""
+
     def test_zero_weight_never_wins(self):
         rng = random.Random(0)
         for _ in range(200):
             ((det, _),) = lottery_select(
-                [_lottery({0: 2.0, 1: 0.0})], Mode.NAIVE, [rng.random()]
+                [_lottery({0: 2.0, 1: 0.0})], Mode.NAIVE, [rng.getrandbits(53)]
             )
             assert det == 0
 
     def test_equal_weights_split_evenly(self):
         rng = random.Random(1)
         lottery = _lottery({0: 1.0, 1: 1.0})
-        uniforms = [rng.random() for _ in range(100_000)]
+        words = [rng.getrandbits(53) for _ in range(100_000)]
         wins = Counter(
-            det for det, _ in lottery_select([lottery] * 100_000, Mode.NAIVE, uniforms)
+            det for det, _ in lottery_select([lottery] * 100_000, Mode.NAIVE, words)
         )
         assert wins[0] / 100_000 == pytest.approx(0.5, abs=0.01)
 
     def test_aggregate_winner_inherits_total(self):
         rng = random.Random(2)
         ((_, carried),) = lottery_select(
-            [_lottery({0: 1.0, 1: 3.0})], Mode.AGGREGATE, [rng.random()]
+            [_lottery({0: 1.0, 1: 3.0})], Mode.AGGREGATE, [rng.getrandbits(53)]
         )
         assert carried == pytest.approx(4.0)
 
     def test_naive_winner_keeps_own_weight(self):
         rng = random.Random(2)
         ((_, carried),) = lottery_select(
-            [_lottery({0: 1.0, 1: 3.0})], Mode.NAIVE, [rng.random()]
+            [_lottery({0: 1.0, 1: 3.0})], Mode.NAIVE, [rng.getrandbits(53)]
         )
         assert carried in (1.0, 3.0)
 
@@ -374,35 +382,35 @@ class TestLotterySelect:
         lottery = _lottery(dict(enumerate(weights)))
         _, ranked, sums, total = lottery
         # a free draw, or one that lands r on a running sum when it can
-        ratios = [s / total for s in sums if s / total < 1.0]
-        value = data.draw(
-            st.floats(min_value=0.0, max_value=1.0, exclude_max=True)
-            | st.sampled_from(ratios or [0.0])
-        )
+        ratios = [int(s / total * 2**53) for s in sums if s / total < 1.0]
+        value = data.draw(st.integers(0, TOP) | st.sampled_from(ratios or [0]))
         ((det, _),) = lottery_select([lottery], Mode.NAIVE, [value])
-        assert det == scan_index(ranked, value * total)
+        assert det == scan_index(ranked, value * 2.0**-53 * total)
 
     def test_a_column_draws_each_record_with_its_own_uniform(self):
         rng = random.Random(3)
         lotteries = [_lottery({0: 1.0, 1: 3.0}), _lottery({2: 2.0, 5: 1.0, 7: 1.0})]
         lotteries *= 50
-        uniforms = [rng.random() for _ in lotteries]
+        words = [rng.getrandbits(53) for _ in lotteries]
         for mode in Mode:
-            queries = lottery_select(lotteries, mode, uniforms)
-            pairs = zip(lotteries, uniforms)
-            alone = [lottery_select([x], mode, [u]) for x, u in pairs]
+            queries = lottery_select(lotteries, mode, words)
+            pairs = zip(lotteries, words)
+            alone = [lottery_select([x], mode, [k]) for x, k in pairs]
             assert [det for det, _ in queries] == [d for ((d, _),) in alone]
             assert [w for _, w in queries] == [w for ((_, w),) in alone]
             assert [det for det, _ in queries] == [
-                x[0][scan_index(x[1], u * x[3])] for x, u in zip(lotteries, uniforms)
+                x[0][scan_index(x[1], k * 2.0**-53 * x[3])]
+                for x, k in zip(lotteries, words)
             ]
 
     def test_r_on_a_running_sum_takes_the_next_index(self):
         lottery = _lottery({0: 1.0, 1: 1.0, 2: 2.0})
         assert lottery[2:] == ([1.0, 2.0, 4.0], 4.0)
-        for value, want in ((0.25, 1), (0.5, 2)):
+        # the words of the uniforms 0.25 and 0.5, which are the cuts
+        assert _cuts(lottery) == [2**51, 2**52]
+        for value, want in ((2**51, 1), (2**52, 2)):
             ((det, _),) = lottery_select([lottery], Mode.NAIVE, [value])
-            assert det == want == scan_index(lottery[1], value * 4.0)
+            assert det == want == scan_index(lottery[1], value * 2.0**-53 * 4.0)
 
     def test_r_past_the_last_running_sum_takes_the_last_index(self):
         # CPython 3.12+ compensates sum(): 1.0 + 1e-16 + 1e-16 totals
@@ -413,10 +421,11 @@ class TestLotterySelect:
         lottery = ([0, 1, 2], weights, [1.0, 1.0, 1.0], 1.0000000000000002)
         assert list(accumulate(weights)) == lottery[2]
         assert math.fsum(weights) == lottery[3]
-        value = 1.0 - 2.0**-53
-        assert value * lottery[3] >= 1.0
+        # the largest word, whose uniform is 1 - 2**-53
+        value = TOP
+        assert value * 2.0**-53 * lottery[3] >= 1.0
         ((det, carried),) = lottery_select([lottery], Mode.NAIVE, [value])
-        assert det == 2 == scan_index(weights, value * lottery[3])
+        assert det == 2 == scan_index(weights, value * 2.0**-53 * lottery[3])
         assert carried == 1e-16
 
     @given(
@@ -438,21 +447,48 @@ class TestLotterySelect:
             weights = [1.0, 1e-16, 1e-16]
             lottery = ([0, 1, 2], weights, [1.0, 1.0, 1.0], 1.0000000000000002)
         _, _, sums, total = lottery
-        # free draws, draws that land r on a running sum, and the largest
-        # draw, whose r reaches the last running sum on the compensated
-        # record: the clamp to the last index
-        edges = [s / total for s in sums if s / total < 1.0] + [1.0 - 2.0**-53]
-        uniforms = data.draw(
+        # free draws, draws that land r on a running sum when they can, and
+        # the largest draw, whose r reaches the last running sum on the
+        # compensated record: the clamp to the last index
+        edges = [int(s / total * 2**53) for s in sums if s / total < 1.0] + [TOP]
+        words = data.draw(
             st.lists(
-                st.floats(min_value=0.0, max_value=1.0, exclude_max=True)
-                | st.sampled_from(edges),
+                st.integers(0, TOP) | st.sampled_from(edges),
                 min_size=1,
                 max_size=40,
             )
         )
+        cuts = _cuts(lottery)
         for mode in Mode:
-            want = lottery_select([lottery] * len(uniforms), mode, uniforms)
-            assert _stored_select(lottery, _survivors(lottery, mode), uniforms) == want
+            want = lottery_select([lottery] * len(words), mode, words)
+            assert _stored_select(cuts, _survivors(lottery, mode), words) == want
+
+    @given(
+        weights=st.lists(
+            st.floats(min_value=0.0, max_value=1e300, exclude_min=True),
+            min_size=2,
+            max_size=8,
+        ),
+        compensated=st.booleans(),
+        data=st.data(),
+    )
+    def test_cuts_bisect_as_lottery_select_does(self, weights, compensated, data):
+        # a word's place among the cuts is the index lottery_select bisects
+        # from its r: at both ends of the words, on either side of every
+        # cut, and at random words
+        lottery = _lottery(dict(enumerate(weights)))
+        if compensated:
+            # the record of test_r_past_the_last_running_sum_takes_the_last_index
+            weights = [1.0, 1e-16, 1e-16]
+            lottery = ([0, 1, 2], weights, [1.0, 1.0, 1.0], 1.0000000000000002)
+        _, _, sums, total = lottery
+        cuts = _cuts(lottery)
+        assert len(cuts) == len(sums) - 1
+        near = {k + d for k in cuts for d in (-1, 0, 1) if 0 <= k + d <= TOP}
+        words = {0, TOP, *near, *data.draw(st.lists(st.integers(0, TOP), max_size=20))}
+        for k in sorted(words):
+            want = bisect_right(sums, k * _UNIT * total, 0, len(sums) - 1)
+            assert bisect_right(cuts, k) == want, k
 
 
 def lottery_kinds(plan) -> tuple[int, int]:
@@ -678,9 +714,9 @@ class TestColumnKernel:
         n = len(plan.draw_order)
         for mode in Mode:
             for trials in (1, MIN_TRIALS, 37):
-                ((floats, size),) = trial_blocks(8, n, 3, 3 + trials)
+                ((words, size),) = trial_blocks(8, n, 3, 3 + trials)
                 assert size == trials
-                _, cursors = _columns(plan, mode, floats, trials)
+                _, cursors = _columns(plan, mode, words, trials)
                 assert cursors == [draws * trials + t for t in range(trials)]
 
     def test_trials_of_one_block_drift_apart(self):
@@ -705,9 +741,9 @@ class TestColumnKernel:
                 if len(set(taken)) == 1:
                     continue
                 drifted = True
-                ((floats, size),) = trial_blocks(31, n, first, first + trials)
+                ((words, size),) = trial_blocks(31, n, first, first + trials)
                 assert size == trials
-                queries, cursors = _columns(plan, mode, floats, trials)
+                queries, cursors = _columns(plan, mode, words, trials)
                 assert [p // trials for p in cursors] == taken
                 winners = [reference_trial(plan, mode, 31, i)[0] for i in span]
                 assert [det for det, _ in queries[lat.source]] == winners

@@ -246,6 +246,44 @@ class TestTopologyDocuments:
         with pytest.raises(TopologyError, match=r"is not (int|list)$"):
             load_topology(CHAIN_DOC.replace(old, new))
 
+    @pytest.mark.parametrize(
+        "old,new,named",
+        [
+            ("wavelength: 1.0", "wavelength: true", "True"),
+            ("wavelength: 1.0", "wavelength: '1.5'", "'1.5'"),
+            ("position: [1.0, 0.0]", "position: [true, '0']", "True"),
+            ("length: 1.0}", "length: '2'}", "'2'"),
+            ("length: 1.0}", "length: true}", "True"),
+            # PyYAML reads an exponent without a dot as text
+            ("wavelength: 1.0", "wavelength: 1e-3", "'1e-3'"),
+        ],
+    )
+    def test_numbers_are_not_coerced(self, old, new, named):
+        # each once loaded as the float it resembles
+        with pytest.raises(TopologyError, match="not a number") as info:
+            load_topology(CHAIN_DOC.replace(old, new))
+        assert named in str(info.value)
+        if named.startswith("'"):
+            assert "1.0e-3" in str(info.value)
+
+    def test_infinite_length_is_a_topology_error(self):
+        doc = CHAIN_DOC.replace("length: 1.0}", "length: .inf}")
+        with pytest.raises(TopologyError, match="positive and finite: inf"):
+            load_topology(doc)
+
+    def test_tiny_and_huge_floats_round_trip(self):
+        # serialize_topology writes 1e-05 as 1.0e-05, which PyYAML reads as
+        # a float
+        lat = load_topology(CHAIN_DOC)
+        nodes = tuple(
+            node._replace(position=(i * 1e-5, 1e300)) for i, node in enumerate(lat.nodes)
+        )
+        ribs = (Rib(0, 1, 1e-5), Rib(1, 2, 1e300))
+        tiny = Lattice(nodes, ribs, 1e-5)
+        doc = serialize_topology(tiny)
+        assert "1.0e-05" in doc and "1.0e+300" in doc
+        assert load_topology(doc) == tiny
+
     def test_readme_example_loads_as_written(self):
         readme = (Path(__file__).parent.parent / "README.md").read_text()
         block = re.search(r"```yaml\n(.*?)```", readme, re.S).group(1)

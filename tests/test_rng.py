@@ -35,24 +35,42 @@ def test_lane_batch_equals_sequential_generator(master_seed, start, n, extra):
     stop = start + 2 * block + extra
     index = start
     sizes = []
-    for floats, trials in trial_blocks(master_seed, n, start, stop):
+    for words, trials in trial_blocks(master_seed, n, start, stop):
         # the blocks cover the span exactly: none computes a trial past it
         assert trials <= block
-        assert len(floats) == n * trials
+        assert len(words) == n * trials
         sizes.append(trials)
         for t in range(trials):
             sequential = trial_stream(master_seed, index)
             # draw j does not depend on how many draws a trial holds, nor
-            # on the block it falls in; the block holds n draws per trial
-            assert floats[t::trials] == [sequential.random() for _ in range(n)]
+            # on the block it falls in; the block holds n draws per trial,
+            # each the top 53 bits of the sequential word
+            want = [sequential.next_word() >> 11 for _ in range(n)]
+            assert list(words[t::trials]) == want
             index += 1
     assert sum(sizes) == stop - start
     assert index == stop
 
 
-def serial_pair_chi_square(pairs: list[tuple[float, float]]) -> tuple[float, int]:
-    """Pooled Pearson statistic of ``pairs`` over an 8 x 8 grid of equal cells."""
-    cells = Counter((int(8 * a), int(8 * b)) for a, b in pairs)
+def test_one_draw_blocks_equal_sequential_generator():
+    # a block of one-draw trials mixes its trial states' int as it is,
+    # with no copy per draw; seeded near 2**64 so the Weyl offset carries
+    master_seed = 2**64 - 3
+    start = 2**64 - BLOCK_DRAWS
+    stop = start + 2 * BLOCK_DRAWS + 3
+    index = start
+    for words, trials in trial_blocks(master_seed, 1, start, stop):
+        assert len(words) == trials
+        streams = [trial_stream(master_seed, index + t) for t in range(trials)]
+        assert list(words) == [stream.next_word() >> 11 for stream in streams]
+        index += trials
+    assert index == stop
+
+
+def serial_pair_chi_square(pairs: list[tuple[int, int]]) -> tuple[float, int]:
+    """Pooled Pearson statistic of ``pairs`` of 53-bit words over an 8 x 8
+    grid of equal cells."""
+    cells = Counter((a >> 50, b >> 50) for a, b in pairs)
     law = {(i, j): 1 / 64 for i in range(8) for j in range(8)}
     return pooled_chi_square(cells, law, len(pairs))
 
@@ -61,10 +79,10 @@ class TestSerialPairs:
     TRIALS = 20_000
 
     @pytest.fixture(scope="class")
-    def first_two(self) -> list[tuple[float, float]]:
-        pairs: list[tuple[float, float]] = []
-        for floats, trials in trial_blocks(20_241_018, 2, 0, self.TRIALS):
-            pairs += zip(floats[:trials], floats[trials:])
+    def first_two(self) -> list[tuple[int, int]]:
+        pairs: list[tuple[int, int]] = []
+        for words, trials in trial_blocks(20_241_018, 2, 0, self.TRIALS):
+            pairs += zip(words[:trials], words[trials:])
         return pairs
 
     def test_consecutive_draws_within_a_trial(self, first_two):

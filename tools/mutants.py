@@ -115,9 +115,31 @@ MUTANTS: list[tuple[str, str, str, str, tuple[str, ...]]] = [
     (
         "biased-lottery-select",
         ENGINE,
-        "bisect_right(sums, u * total, 0, len(sums) - 1)",
-        "bisect_right(sums, u * total * 0.9, 0, len(sums) - 1)",
+        "bisect_right(sums, k * _UNIT * total, 0, len(sums) - 1)",
+        "bisect_right(sums, k * _UNIT * total * 0.9, 0, len(sums) - 1)",
         ("tests/test_engine.py::TestLotterySelect",),
+    ),
+    (
+        "merged-r-skips-unit",
+        ENGINE,
+        "bisect_right(sums, k * _UNIT * total, 0,",
+        "bisect_right(sums, k * total, 0,",
+        (
+            "tests/test_engine.py::TestLotterySelect::"
+            "test_r_on_a_running_sum_takes_the_next_index",
+        ),
+    ),
+    (
+        "cut-strict",
+        ENGINE,
+        "bisect_left(words, s, key=lambda k: k * _UNIT * total)",
+        "bisect_right(words, s, key=lambda k: k * _UNIT * total)",
+        (
+            "tests/test_engine.py::TestLotterySelect::"
+            "test_r_on_a_running_sum_takes_the_next_index",
+            "tests/test_engine.py::TestLotterySelect::"
+            "test_cuts_bisect_as_lottery_select_does",
+        ),
     ),
     (
         "aggregate-carries-own-weight",
@@ -233,8 +255,8 @@ MUTANTS: list[tuple[str, str, str, str, tuple[str, ...]]] = [
     (
         "trial-takes-next-trials-draws",
         ENGINE,
-        "uniforms = floats[step : step + trials]",
-        "uniforms = floats[step + 1 : step + trials + 1]",
+        "drawn = words[step : step + trials]",
+        "drawn = words[step + 1 : step + trials + 1]",
         (REFERENCE, GOLDEN),
     ),
     (
@@ -248,8 +270,15 @@ MUTANTS: list[tuple[str, str, str, str, tuple[str, ...]]] = [
     (
         "walk-starts-at-first-draw",
         ENGINE,
-        "return won, iter(floats[cursor:])",
-        "return won, iter(floats)",
+        "return won, iter(words[cursor:])",
+        "return won, iter(words)",
+        (GOLDEN,),
+    ),
+    (
+        "walk-reads-raw-words",
+        ENGINE,
+        "candidates[int(next(words) * _UNIT * k)]",
+        "candidates[int(next(words) * k)]",
         (GOLDEN,),
     ),
     (
