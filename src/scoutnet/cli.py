@@ -19,7 +19,7 @@ from typing import Optional
 
 from . import experiments
 from .engine import Mode, prepare, run_trial
-from .errors import ConfigError, ScoutnetError, TopologyError
+from .errors import ConfigError, ScoutnetError
 from .lattice import (
     Lattice,
     build_grid,
@@ -117,17 +117,22 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _read(path: Path, what: str) -> str:
+    """The text of an input file; a missing or non-UTF-8 file ends the run
+    as a configuration error.  ``what`` names the file in the message."""
+    if not path.is_file():
+        raise ConfigError(f"{what} not found: {path}")
+    try:
+        return path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{what} {path} is not UTF-8: {exc}") from exc
+
+
 def _merge_config(args: argparse.Namespace) -> RunConfig:
     config = RunConfig()
     config.out = os.environ.get(OUT_ENV_VAR) or config.out
     if args.config:
-        path = Path(args.config)
-        if not path.is_file():
-            raise ConfigError(f"config file not found: {path}")
-        try:
-            document = path.read_text(encoding="utf-8")
-        except UnicodeDecodeError as exc:
-            raise ConfigError(f"config file {path} is not UTF-8: {exc}") from exc
+        document = _read(Path(args.config), "config file")
         loaded = load_yaml(document, ConfigError, "config file") or {}
         if not isinstance(loaded, dict):
             raise ConfigError("config file must be a mapping")
@@ -205,14 +210,7 @@ def _scenario_lattice(config: RunConfig) -> Lattice:
     if config.scenario == "custom":
         if not config.topology:
             raise ConfigError("custom scenario requires --topology")
-        path = Path(config.topology)
-        if not path.is_file():
-            raise ConfigError(f"topology file not found: {path}")
-        try:
-            document = path.read_text(encoding="utf-8")
-        except UnicodeDecodeError as exc:
-            raise TopologyError(f"topology file {path} is not UTF-8: {exc}") from exc
-        return load_topology(document)
+        return load_topology(_read(Path(config.topology), "topology file"))
     raise ConfigError(f"scenario {config.scenario!r} has no lattice")
 
 

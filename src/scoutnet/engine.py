@@ -34,22 +34,23 @@ trials at once: every trial runs the same lotteries over the same
 traces, and only the draws differ.  It starts from the seeded table and
 visits ``draw_order``; each draw node gets a column holding each trial's
 surviving query.  A stored lottery's record serves the whole block: a
-node draws its column in one pass of C-level maps (``_stored_select``),
-bisecting the plan's word cuts with each trial's word.
-A merged lottery is built once per trial, at the first node of its
-group, and draws at every node of the group, one ``lottery_select``
-call per node for the block.  A refusal wave voids only edges below its
-lottery, which barrier order has already passed, so the lotteries alone
-fix the winner.  The replay, ``_refusals``, runs the waves from the
-kernel's result and draws nothing; only the voided-edge set and the
-``--trace`` lines need it.  ``count_winners`` runs the kernel alone
-over a span of trials, block by block (what an ensemble counts);
-``_one_trial`` runs it over one trial's own block; ``run_trial`` adds
-the confirmation walk, the full ``TrialOutcome`` and, under a trace, the
-replay; ``backpropagate`` returns the one-trial kernel's state keyed by
-node id with the replay's voided edges.  A query is one ``(detector,
-weight)`` pair wherever it is held: in the plan's seeded table, in the
-kernel's columns and memo, and in what ``lottery_select`` returns.
+node builds its surviving queries and draws its column in one pass of
+C-level maps (``_stored_select``), bisecting the plan's word cuts with
+each trial's word.  A merged lottery is built once per trial, at the
+first node of its group, and draws at every node of the group, one
+``lottery_select`` call per node for the trials that draw.  A refusal
+wave voids only edges below its lottery, which barrier order has
+already passed, so the lotteries alone fix the winner.  The replay,
+``_refusals``, runs the waves from the kernel's result and draws
+nothing; only the voided-edge set and the ``--trace`` lines need it.
+``count_winners`` runs the kernel alone over a span of trials, block by
+block (what an ensemble counts); ``_one_trial`` runs it over one trial's
+own block; ``run_trial`` adds the confirmation walk, the full
+``TrialOutcome`` and, under a trace, the replay; ``backpropagate``
+returns the one-trial kernel's state keyed by node id with the replay's
+voided edges.  A query is one ``(detector, weight)`` pair wherever it is
+held: in the plan's seeded table, in the kernel's columns and memo, and
+in what ``lottery_select`` returns.
 
 Every draw comes from ``rng.trial_blocks``, the trial's own splitmix64
 stream, which yields a block's draws draw-major, as 53-bit words.  A
@@ -57,13 +58,13 @@ lottery takes one draw, and a uniform choice among k options takes
 ``int(u * k)`` of one, where ``u = w * 2**-53`` is the uniform of word
 w.  Only a merged lottery and the confirmation walk form u; a stored
 lottery compares the word itself with its cuts.  Each trial takes its
-draws in order.  While the trials of a block have drawn at the same draw
-nodes, they share one offset into the block's draws; from the first node
-where some trials draw and others do not, each trial keeps its own
-cursor.  The kernel draws at most once per
-draw node and the walk at most once per node it leaves, so a trial needs
-at most ``len(draw_order)`` draws for its winner and
-``len(process_order)`` more for its path.
+draws in order.  Every trial draws at a stored lottery, so the trials of
+a block share one offset into the block's draws until the first merged
+lottery where any trial draws; from there each trial keeps its own
+cursor.  The kernel draws at most once per draw node and the walk at
+most once per node it leaves, so a trial needs at most
+``len(draw_order)`` draws for its winner and ``len(process_order)``
+more for its path.
 """
 
 from __future__ import annotations
@@ -352,10 +353,10 @@ def _merge(queries: Iterable[Query]) -> dict[int, float]:
     return weights
 
 
-# A lottery in one block: the trials that draw, in order (None if every
-# trial does), the record each of them draws from, and a column of the
-# query that each other trial's lottery merges to.
-Group = tuple[Optional[list[int]], list[Lottery], list[Query]]
+# A lottery in one block: the trials that draw, in order, the record each
+# of them draws from, and a column of the query that each other trial's
+# lottery merges to.
+Group = tuple[list[int], list[Lottery], list[Query]]
 # The kernel's memo: a row of children's queries -> its record, or its
 # one query.
 Memo = dict[tuple[Query, ...], tuple[Optional[Lottery], Optional[Query]]]
@@ -381,8 +382,6 @@ def _merged_group(
             memo[row] = entry
         entries.append(entry)
     lotteries = [*filter(None, map(_RECORD, entries))]
-    if len(lotteries) == len(entries):
-        return None, lotteries, []
     drawing = [*compress(range(len(entries)), map(_RECORD, entries))]
     return drawing, lotteries, [*map(_QUERY, entries)]
 
@@ -406,20 +405,16 @@ def _cuts(lottery: Lottery) -> list[int]:
 
 
 def _stored_select(
-    cuts: list[int], survivors: list[Query], words: Sequence[int]
+    lottery: Lottery, cuts: list[int], mode: Mode, words: Sequence[int]
 ) -> list[Query]:
     """``lottery_select([lottery] * len(words), mode, words)``, where
-    ``cuts`` is ``_cuts(lottery)`` and ``survivors`` is
-    ``_survivors(lottery, mode)``: each word bisects the cuts, in C-level
-    maps, with no float formed and no tuple built per draw."""
-    return [*map(survivors.__getitem__, map(bisect_right, repeat(cuts), words))]
-
-
-def _survivors(lottery: Lottery, mode: Mode) -> list[Query]:
-    """Each competitor's query as it survives a lottery: the winner's own
-    weight in naive mode, the total in aggregate mode."""
+    ``cuts`` is ``_cuts(lottery)``: each competitor's query as it survives
+    (its own weight in naive mode, the total in aggregate mode) is built
+    once, and each word bisects the cuts, in C-level maps, with no float
+    formed and no tuple built per draw."""
     dets, weights, _, total = lottery
-    return [*zip(dets, repeat(total) if mode is _AGGREGATE else weights)]
+    survivors = [*zip(dets, repeat(total) if mode is _AGGREGATE else weights)]
+    return [*map(survivors.__getitem__, map(bisect_right, repeat(cuts), words))]
 
 
 def _columns(
@@ -431,22 +426,24 @@ def _columns(
     Returns, per draw node, the column of queries that survived there, one
     per trial, and each trial's cursor: the index in ``words`` of its next
     draw.  Trial t's draws are ``words[t]``, then every ``trials``-th; its
-    cursor moves only when it draws, so trials drift apart.  While the
-    trials have drawn at the same draw nodes, they are in lockstep: trial
-    t's next draw is ``words[step + t]``, so a node takes its words as one
-    slice and advances one int.  The per-trial cursors are built at
-    the first node where some trials draw and others do not, or on
-    return.
+    cursor moves only when it draws, so trials drift apart.  Every trial
+    draws at a stored lottery, so until the first merged lottery where any
+    trial draws, the trials are in lockstep: trial t's next draw is
+    ``words[step + t]``, so a node takes its words as one slice and
+    advances one int.  The per-trial cursors are built at that merged
+    lottery, or on return.
 
     Only ``draw_order`` is visited: draw-free nodes keep their seeded
-    queries.  A stored lottery's record serves every trial: its surviving
-    queries are built once per block and each node draws its whole column
-    in ``_stored_select``, from the plan's cuts.  A merged one is built
-    per trial at the first node of its group and serves the group's other
+    queries.  A stored lottery's record serves every trial: each node
+    builds its surviving queries and draws its whole column in
+    ``_stored_select``, from the plan's cuts.  A merged one is built per
+    trial at the first node of its group and serves the group's other
     nodes, whose children keep their queries; a trial whose lottery merges
     to one competitor takes that query at each of them and draws nothing.
-    Each such node draws for all its drawing trials in one
-    ``lottery_select`` call.  Nothing outlives the block.
+    Each such node copies the group's column and overlays it with its
+    drawing trials' survivors, from one ``lottery_select`` call; a node
+    where no trial draws takes the column as it is.  Nothing outlives the
+    block.
 
     Refusal waves are left out.  A wave started at node u voids only edges
     whose tail is u or a descendant of u, whose lotteries barrier order has
@@ -456,35 +453,23 @@ def _columns(
     step = 0
     pos: Optional[list[int]] = None
     held: dict[int, Group] = {}
-    survivors: dict[int, list[Query]] = {}
     memo: Memo = {}
     for u, k in zip(plan.draw_order, plan.draw_lottery):
         stored = plan.lotteries[k]
         if stored is not None:
-            drawing = None
-        else:
-            group = held.get(k)
-            if group is None:
-                group = _merged_group(plan.out_live[u], queries, plan, memo)
-                held[k] = group
-            drawing, lotteries, column = group
-        if drawing is None:
             if pos is None:
                 drawn = words[step : step + trials]
                 step += trials
             else:
                 drawn = [*map(words.__getitem__, pos)]
                 pos = [*map(add, pos, repeat(trials))]
-            if stored is None:
-                queries[u] = lottery_select(lotteries, mode, drawn)
-            else:
-                kept = survivors.get(k)
-                if kept is None:
-                    kept = survivors[k] = _survivors(stored, mode)
-                queries[u] = _stored_select(plan.cuts[k], kept, drawn)
-        elif not drawing:
-            queries[u] = column
-        else:
+            queries[u] = _stored_select(stored, plan.cuts[k], mode, drawn)
+            continue
+        group = held.get(k)
+        if group is None:
+            group = held[k] = _merged_group(plan.out_live[u], queries, plan, memo)
+        drawing, lotteries, column = group
+        if drawing:
             if pos is None:
                 pos = [*range(step, step + trials)]
             drawn = [words[pos[t]] for t in drawing]
@@ -493,7 +478,7 @@ def _columns(
             column = column.copy()
             for t, query in zip(drawing, lottery_select(lotteries, mode, drawn)):
                 column[t] = query
-            queries[u] = column
+        queries[u] = column
 
     source = plan.lattice.source
     if source not in queries and plan.base[source][0] < 0:

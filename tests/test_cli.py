@@ -150,8 +150,8 @@ class TestExitCodes:
         assert code == EXIT_CONFIG
 
     @pytest.mark.parametrize(
-        "case", ["config-not-utf8", "topology-not-utf8", "out-is-a-file",
-                 "out-under-a-file"],
+        "case", ["config-missing", "config-not-utf8", "topology-not-utf8",
+                 "out-is-a-file", "out-under-a-file"],
     )
     def test_unreadable_input_or_unwritable_out_is_config_error(
         self, tmp_path, capsys, case
@@ -162,6 +162,7 @@ class TestExitCodes:
         plain.write_text("")
         out = str(tmp_path / "out")
         argv = {
+            "config-missing": ["--config", str(tmp_path / "nope.yaml"), "--out", out],
             "config-not-utf8": ["--config", str(binary), "--out", out],
             "topology-not-utf8": [
                 "--scenario", "custom", "--topology", str(binary), "--out", out,

@@ -29,7 +29,6 @@ from scoutnet.engine import (
     _lottery,
     _merge,
     _stored_select,
-    _survivors,
     backpropagate,
     count_winners,
     lottery_select,
@@ -461,7 +460,7 @@ class TestLotterySelect:
         cuts = _cuts(lottery)
         for mode in Mode:
             want = lottery_select([lottery] * len(words), mode, words)
-            assert _stored_select(cuts, _survivors(lottery, mode), words) == want
+            assert _stored_select(lottery, cuts, mode, words) == want
 
     @given(
         weights=st.lists(
@@ -694,8 +693,9 @@ class TestSpanSplits:
 
 class TestColumnKernel:
     """The kernel runs a block of trials at once; its trials share one
-    offset into the block's draws while they draw alike, then each keeps
-    its own cursor, and nothing outlives the block."""
+    offset into the block's draws until the first merged lottery where any
+    trial draws, then each keeps its own cursor, and nothing outlives the
+    block."""
 
     @pytest.mark.parametrize(
         "build, draws",
@@ -752,6 +752,26 @@ class TestColumnKernel:
                 )
                 break
             assert drifted, mode
+
+    @pytest.mark.parametrize("size", [6, 11])
+    def test_reconvergent_grid_blocks_match_reference(self, size):
+        # a column grid's paths reconverge, so merged lotteries meet trials
+        # that all draw there, both while a block is in lockstep and after
+        # it has drifted apart
+        plan = prepare(build_grid(size, size, "column", wavelength=0.73))
+        n = len(plan.draw_order)
+        source = plan.lattice.source
+        span = range(5, 77)
+        for mode in Mode:
+            winners = [reference_trial(plan, mode, 3, i)[0] for i in span]
+            got = []
+            for words, trials in trial_blocks(3, n, span.start, span.stop):
+                queries, _ = _columns(plan, mode, words, trials)
+                got += [det for det, _ in queries[source]]
+            assert got == winners, mode
+            assert count_winners(plan, mode, 3, span.start, span.stop) == Counter(
+                winners
+            )
 
     @staticmethod
     def peak_bytes(plan, mode: Mode, trials: int) -> int:

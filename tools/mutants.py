@@ -174,6 +174,13 @@ MUTANTS: list[tuple[str, str, str, str, tuple[str, ...]]] = [
         (COLUMNS, REFERENCE),
     ),
     (
+        "group-column-shared",
+        ENGINE,
+        "\n            column = column.copy()\n",
+        "\n",
+        (REFERENCE, COLUMNS),
+    ),
+    (
         "memo-kept-across-blocks",
         ENGINE,
         "memo: Memo = {}",
