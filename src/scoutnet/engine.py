@@ -185,14 +185,14 @@ Lottery = tuple[list[int], list[float], list[float], float]
 def _lottery(weights_by_det: dict[int, float]) -> Lottery:
     """The record of a lottery among ``weights_by_det``'s competitors.
 
-    The running sums are ``acc += w`` in detector order and the total is
-    ``sum(weights)``.  On CPython 3.12+ ``sum`` is compensated, so the
-    total may differ from the last running sum in its final bits;
-    ``lottery_select`` allows for that.
+    The running sums are ``acc += w`` in detector order, and the total is
+    the last of them: not ``sum(weights)``, which CPython 3.12+ adds with
+    compensation, so that no interpreter moves a draw.
     """
     dets = sorted(weights_by_det)
     weights = [*map(weights_by_det.__getitem__, dets)]
-    return dets, weights, [*accumulate(weights)], sum(weights)
+    sums = [*accumulate(weights)]
+    return dets, weights, sums, sums[-1]
 
 
 def lottery_select(
@@ -207,9 +207,10 @@ def lottery_select(
     Returns the surviving queries in order: each drawn detector with the
     weight its query carries on.  For a word k, whose uniform is
     ``u = k * 2**-53``, the index is the first i whose running sum
-    exceeds ``r = u * total``, or the last index if none does (``r`` can
-    reach the last running sum when ``total`` is compensated), found by
-    bisection.  The winner keeps its own weight in naive mode and
+    exceeds ``r = u * total``, or the last index if none does, found by
+    bisection.  ``_lottery``'s total is its last running sum, which ``r``
+    stays below since ``u < 1``; the clamp serves records built with a
+    larger total.  The winner keeps its own weight in naive mode and
     inherits the total in aggregate mode.
 
     A record has at least two competitors and a positive total: a plan's

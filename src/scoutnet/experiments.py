@@ -2,25 +2,27 @@
 
 The engine's empirical selection frequencies are compared against the
 oracle's Born distribution with total-variation distance and a
-chi-square goodness-of-fit statistic.  For small instances the exact
-selection distribution of the protocol is also computed by brute-force
-enumeration of every lottery outcome sequence, which is the reference
-for the aggregate-mode tree exactness claim and for quantifying the
-naive-mode deviation.
+chi-square goodness-of-fit statistic; both add their terms left to right
+in a plain loop, so every CPython writes the same bytes.  For small
+instances the exact selection distribution of the protocol is also
+computed by brute-force enumeration of every lottery outcome sequence,
+over a live graph cut from the oracle's forward DAG, not the engine's
+plan.  It is the reference for the aggregate-mode tree exactness claim
+and for quantifying the naive-mode deviation.
 """
 
 from __future__ import annotations
 
 import math
 import os
-from collections import Counter, defaultdict
+from collections import Counter
 from typing import NamedTuple, Optional
 
 from . import oracle
 from .engine import DEFAULT_EPS_INTENSITY, Mode, TrialPlan, count_winners, prepare
 from .engine import run_trial  # noqa: F401  (perfbench's traced run wraps this name)
-from .errors import DarkTrialError, ScoutnetError
-from .lattice import Lattice, NodeKind
+from .errors import DarkTrialError
+from .lattice import Lattice
 from .oracle import BornDistribution
 
 
@@ -32,7 +34,10 @@ def tv_distance(p: dict[int, float], q: dict[int, float]) -> float:
         total = sum(dist.values())
         if abs(total - 1.0) > 1e-9:
             raise ValueError(f"{name} sums to {total}, not 1")
-    return 0.5 * sum(abs(p[k] - q[k]) for k in p)
+    distance = 0.0
+    for k in p:
+        distance += abs(p[k] - q[k])
+    return 0.5 * distance
 
 
 class ChiSquareResult(NamedTuple):
@@ -61,7 +66,9 @@ def chi_square(
     while len(cells) > 1 and cells[0][0] < 5.0:
         (e1, o1), (e2, o2), *rest = cells
         cells = sorted([(e1 + e2, o1 + o2), *rest])
-    statistic = sum((obs - exp) ** 2 / exp for exp, obs in cells)
+    statistic = 0.0
+    for exp, obs in cells:
+        statistic += (obs - exp) ** 2 / exp
     return ChiSquareResult(statistic, len(cells) - 1, len(cells) == 1 < positive)
 
 
@@ -220,38 +227,48 @@ def run_ensemble(
 # ---------------------------------------------------------------------------
 
 
+def _live_graph(lattice: Lattice) -> tuple[dict[int, float], dict[int, list[int]]]:
+    """The live detectors' intensities, and the live trace graph.
+
+    A detector is live when its intensity, from ``oracle.lattice_amplitudes``,
+    is above ``DEFAULT_EPS_INTENSITY``.  One backward pass over
+    ``oracle._forward_children`` keeps a rib when its head is a live
+    detector or has a live rib out: when it lies on an admissible path to
+    a live detector.  The graph maps each node with a live rib out to its
+    live children, in id order; its keys are in reverse ``(hop distance,
+    id)`` order, so every node comes after all of its live children.
+    """
+    intensities = {
+        det: abs(amp) ** 2 for det, amp in oracle.lattice_amplitudes(lattice).items()
+    }
+    live = {det: i for det, i in intensities.items() if i > DEFAULT_EPS_INTENSITY}
+    if not live:
+        raise DarkTrialError("dark configuration: nothing to select")
+    forward = oracle._forward_children(lattice)
+    children: dict[int, list[int]] = {}
+    for u in reversed(forward):
+        kids = [v for v, _ in forward[u] if v in children or v in live]
+        if kids:
+            children[u] = kids
+    return live, children
+
+
 def exact_selection_distribution(lattice: Lattice, mode: Mode) -> dict[int, float]:
     """Exact P(detector) by enumerating every lottery outcome sequence.
 
-    Built on the oracle's path walk (not the engine's traversal),
+    Built on the oracle's side, ``_live_graph``, not the engine's plan,
     with its own copy of the merge/lottery semantics, so it can
-    cross-validate the engine's Monte-Carlo frequencies.  Refusal waves
-    are left out: a wave voids only edges below the lottery that starts
-    it, whose lotteries have already run, so it cannot change the winner.
+    cross-validate the engine's Monte-Carlo frequencies.  The live graph's
+    nodes run in its order, each merging its live children's queries and
+    drawing among them.  Refusal waves are left out: a wave voids only
+    edges below the lottery that starts it, whose lotteries have already
+    run, so it cannot change the winner.
+
+    The enumeration branches on every outcome of every lottery and has no
+    budget of its own, only the oracle's: it is meant for small lattices.
     """
-    amplitudes = oracle.path_amplitudes(lattice)
-    intensities = {det: abs(a) ** 2 for det, a in amplitudes.items()}
-    live = [
-        det for det in lattice.detectors if intensities[det] > DEFAULT_EPS_INTENSITY
-    ]
-    if not live:
-        raise DarkTrialError("dark configuration: nothing to select")
-
-    edges: set[tuple[int, int]] = set()
-    for det in live:
-        for record in oracle.enumerate_paths(lattice, det):
-            edges.update(zip(record.nodes, record.nodes[1:]))
-
-    out_live: dict[int, list[int]] = defaultdict(list)
-    for u, v in sorted(edges):
-        out_live[u].append(v)
-    # every admissible rib raises the hop distance by one, so reverse
-    # (hop distance, id) order reaches each node after all of its children
-    dist = lattice.hop_distances()
-    order = sorted(out_live, key=lambda u: (dist[u], u), reverse=True)
-    is_detector = {
-        v: lattice.nodes[v].kind is NodeKind.DETECTOR for _, v in edges
-    }
+    live, children = _live_graph(lattice)
+    order = [*children.items()]
     result: dict[int, float] = {det: 0.0 for det in lattice.detectors}
 
     def descend(
@@ -260,28 +277,15 @@ def exact_selection_distribution(lattice: Lattice, mode: Mode) -> dict[int, floa
         prob: float,
     ) -> None:
         if idx == len(order):
-            entry = winner_at.get(lattice.source)
-            if entry is None:
-                raise ScoutnetError("protocol bug: source received no query")
-            result[entry[0]] += prob
+            result[winner_at[lattice.source][0]] += prob
             return
-        u = order[idx]
+        u, kids = order[idx]
         weights: dict[int, float] = {}
-        for v in out_live[u]:
-            if is_detector[v]:
-                entry = (v, intensities[v])
-            else:
-                entry = winner_at.get(v)
-                if entry is None:
-                    continue
-            det, w = entry
+        for v in kids:
+            det, w = winner_at[v] if v in children else (v, live[v])
             weights[det] = max(weights[det], w) if det in weights else w
-        if not weights:
-            descend(idx + 1, winner_at, prob)
-            return
         if len(weights) == 1:
-            det, w = next(iter(weights.items()))
-            descend(idx + 1, {**winner_at, u: (det, w)}, prob)
+            descend(idx + 1, {**winner_at, u: next(iter(weights.items()))}, prob)
             return
         total = sum(weights.values())
         for det in sorted(weights):

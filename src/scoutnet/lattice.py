@@ -89,12 +89,6 @@ class Lattice:
         for name, value in zip(self.__slots__, state):
             object.__setattr__(self, name, value)
 
-    def __repr__(self) -> str:
-        return (
-            f"Lattice(nodes={self.nodes!r}, ribs={self.ribs!r}, "
-            f"wavelength={self.wavelength!r})"
-        )
-
     def __eq__(self, other) -> bool:
         # rib storage order is presentation detail; compare canonically
         if not isinstance(other, Lattice):
@@ -104,15 +98,6 @@ class Lattice:
             and sorted(self.ribs, key=lambda r: r.endpoints)
             == sorted(other.ribs, key=lambda r: r.endpoints)
             and self.wavelength == other.wavelength
-        )
-
-    def __hash__(self) -> int:
-        return hash(
-            (
-                self.nodes,
-                tuple(sorted(self.ribs, key=lambda r: r.endpoints)),
-                self.wavelength,
-            )
         )
 
     def _validate(self) -> None:

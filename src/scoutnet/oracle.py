@@ -1,16 +1,21 @@
 """Sums over paths, computed apart from the engine.
 
-Two sums over every admissible path, deliberately sharing no traversal
-code with the engine: agreement between them and the engine is the
-artifact's main correctness check.
+Both ways through the admissible paths below deliberately share no
+traversal code with the engine: agreement between the class sum, the
+path-by-path sum over the walk and the engine is the artifact's main
+correctness check.
 
-- ``path_amplitudes`` and ``enumerate_paths`` walk the paths one by one
-  and add one unit phasor per path.  They are the brute-force cross-check
-  and cost time in proportion to the paths.
-- ``lattice_amplitudes``, the Born reference of every ensemble, groups the
-  paths into classes: paths with the same number of ribs of each length
-  have the same total length, so the same phase.  It counts each class's
-  paths exactly and takes one phasor per class.
+- ``lattice_amplitudes``, the Born reference of every ensemble and the
+  intensities of ``experiments``' exact enumerator, groups the paths into
+  classes: paths with the same number of ribs of each length have the
+  same total length, so the same phase.  It counts each class's paths
+  exactly and takes one phasor per class.
+- ``enumerate_paths`` walks one detector's paths one by one.  Tests add
+  one unit phasor per path to cross-check the class sum; it costs time in
+  proportion to the paths.
+
+Both read ``_forward_children``, the admissible DAG, which the exact
+enumerator also cuts down to its live graph.
 """
 
 from __future__ import annotations
@@ -18,7 +23,7 @@ from __future__ import annotations
 import math
 import sys
 from operator import mul
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 from .errors import (
     DEFAULT_CLASS_BUDGET,
@@ -81,22 +86,22 @@ def _forward_children(lattice: Lattice) -> dict[int, tuple[tuple[int, float], ..
     }
 
 
-def _walk_paths(
-    lattice: Lattice, arrive: Callable[[list[int], int, float], None]
-) -> None:
-    """Depth-first walk over every admissible path from the source.
+def enumerate_paths(lattice: Lattice, detector: int) -> list[PathRecord]:
+    """All admissible simple paths source -> detector, lexicographic by node ids.
 
-    A path ends at the first detector it meets, where ``arrive(trail,
-    detector, length)`` is called (``trail`` excludes the detector).
-    Children are taken in id order, so each detector's paths arrive in
-    lexicographic order of their node ids.  A path's length is summed rib
-    by rib from the source.
+    A depth-first walk over every admissible path from the source; a path
+    ends at the first detector it meets.  Children are taken in id order,
+    so the paths come in lexicographic order of their node ids.  A path's
+    length is summed rib by rib from the source.
 
-    ``DEFAULT_PATH_BUDGET`` counts every rib the walk crosses; a node's
-    ribs are charged when it is expanded, all of which the walk then
-    crosses, so the error names rib visit ``budget + 1``.
+    ``DEFAULT_PATH_BUDGET`` counts every rib the walk crosses, towards any
+    detector; a node's ribs are charged when it is expanded, all of which
+    the walk then crosses, so the error names rib visit ``budget + 1``.
     """
+    if detector not in lattice.detectors:
+        raise ValueError(f"node {detector} is not a detector")
     forward = _forward_children(lattice)
+    paths: list[PathRecord] = []
     budget_left = DEFAULT_PATH_BUDGET
 
     def walk(u: int, trail: list[int], length: float) -> None:
@@ -110,28 +115,14 @@ def _walk_paths(
                 trail.append(v)
                 walk(v, trail, length + rib_len)
                 trail.pop()
-            else:
-                arrive(trail, v, length + rib_len)
+            elif v == detector:
+                total = length + rib_len
+                phase = math.fmod(
+                    2.0 * math.pi * total / lattice.wavelength, 2.0 * math.pi
+                )
+                paths.append(PathRecord((*trail, v), total, phase))
 
     walk(lattice.source, [lattice.source], 0.0)
-
-
-def _phase(total_length: float, wavelength: float) -> float:
-    return math.fmod(2.0 * math.pi * total_length / wavelength, 2.0 * math.pi)
-
-
-def enumerate_paths(lattice: Lattice, detector: int) -> list[PathRecord]:
-    """All admissible simple paths source -> detector, lexicographic by node ids."""
-    if detector not in lattice.detectors:
-        raise ValueError(f"node {detector} is not a detector")
-    paths: list[PathRecord] = []
-
-    def arrive(trail: list[int], det: int, total: float) -> None:
-        if det == detector:
-            phase = _phase(total, lattice.wavelength)
-            paths.append(PathRecord(tuple(trail + [det]), total, phase))
-
-    _walk_paths(lattice, arrive)
     return paths
 
 
@@ -144,7 +135,9 @@ def born_distribution(amplitudes: dict[int, complex]) -> BornDistribution:
         intensities = {det: abs(amp) ** 2 for det, amp in amplitudes.items()}
     except OverflowError:
         raise ScoutnetError(_OVERFLOW) from None
-    total = sum(intensities.values())
+    total = 0.0
+    for intensity in intensities.values():  # left to right on every CPython
+        total += intensity
     if not math.isfinite(total):
         raise ScoutnetError(_OVERFLOW)
     if total <= 0.0:
@@ -153,32 +146,6 @@ def born_distribution(amplitudes: dict[int, complex]) -> BornDistribution:
         entries={det: i / total for det, i in sorted(intensities.items())},
         intensities=intensities,
     )
-
-
-def path_amplitudes(lattice: Lattice) -> dict[int, complex]:
-    """Amplitude of every detector on the lattice, from one walk.
-
-    Each path's unit vector is added as the path ends.  Paths reach a
-    detector in the order ``enumerate_paths`` returns them, so every sum
-    equals the sum of ``cmath.exp(1j * p.phase)`` over those paths
-    exactly: the phase is ``_phase``'s expression with its constants
-    hoisted, ``cmath.exp(1j * phase)`` is ``cos(phase) + i sin(phase)``
-    to the bit, and a complex sum adds its real and imaginary parts
-    separately.
-    """
-    re = [0.0] * len(lattice.nodes)
-    im = [0.0] * len(lattice.nodes)
-    two_pi = 2.0 * math.pi
-    wavelength = lattice.wavelength
-    fmod, cos, sin = math.fmod, math.cos, math.sin
-
-    def arrive(trail: list[int], det: int, total: float) -> None:
-        phase = fmod(two_pi * total / wavelength, two_pi)
-        re[det] += cos(phase)
-        im[det] += sin(phase)
-
-    _walk_paths(lattice, arrive)
-    return {det: complex(re[det], im[det]) for det in lattice.detectors}
 
 
 def lattice_amplitudes(lattice: Lattice) -> dict[int, complex]:

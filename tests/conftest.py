@@ -2,11 +2,26 @@
 
 from __future__ import annotations
 
+import cmath
 import math
 import random
 from collections.abc import Hashable, Mapping
 
+from scoutnet import oracle
 from scoutnet.lattice import Lattice, Node, NodeKind, Rib
+
+
+def path_sum(paths: list[oracle.PathRecord]) -> complex:
+    """The sum of unit vectors, one per path, added in the order given."""
+    total = 0j
+    for p in paths:
+        total += cmath.exp(1j * p.phase)
+    return total
+
+
+def path_amplitudes(lat: Lattice) -> dict[int, complex]:
+    """Every detector's amplitude, path by path from ``enumerate_paths``."""
+    return {det: path_sum(oracle.enumerate_paths(lat, det)) for det in lat.detectors}
 
 
 def diamond_arm(

@@ -412,10 +412,10 @@ class TestLotterySelect:
             assert det == want == scan_index(lottery[1], value * 2.0**-53 * 4.0)
 
     def test_r_past_the_last_running_sum_takes_the_last_index(self):
-        # CPython 3.12+ compensates sum(): 1.0 + 1e-16 + 1e-16 totals
+        # CPython 3.12+'s compensated sum() totals 1.0 + 1e-16 + 1e-16 as
         # 1.0000000000000002 while every running sum stays 1.0, so r can
-        # reach the last running sum; the record is built by hand so the
-        # case runs on every version
+        # reach the last running sum; _lottery takes the last running sum
+        # as its total, so the record is built by hand
         weights = [1.0, 1e-16, 1e-16]
         lottery = ([0, 1, 2], weights, [1.0, 1.0, 1.0], 1.0000000000000002)
         assert list(accumulate(weights)) == lottery[2]

@@ -5,9 +5,16 @@ from collections import Counter
 
 import pytest
 
-from conftest import nested_tree_lattice, pooled_chi_square, tree_merge_instances
+from conftest import (
+    nested_tree_lattice,
+    path_amplitudes,
+    pooled_chi_square,
+    random_layered_lattice,
+    shuffle_node_ids,
+    tree_merge_instances,
+)
 from scoutnet import experiments, oracle
-from scoutnet.engine import Mode, count_winners, prepare
+from scoutnet.engine import DEFAULT_EPS_INTENSITY, Mode, count_winners, prepare
 from scoutnet.experiments import (
     chi_square,
     chi_square_critical,
@@ -27,6 +34,7 @@ from scoutnet.lattice import (
     build_intensity_star,
     build_slit_grid,
     build_star,
+    build_two_path,
 )
 
 
@@ -195,6 +203,88 @@ class TestRunEnsemble:
         lat = build_star(1, 1, [1.0])
         with pytest.raises(ValueError):
             run_ensemble(lat, Mode.AGGREGATE, 0, 1)
+
+
+def walked_live_graph(lat: Lattice) -> tuple[set[int], set[tuple[int, int]]]:
+    """The live detectors, by their path-by-path intensities, and the union
+    of the ribs of their ``enumerate_paths`` paths."""
+    live = {
+        det
+        for det, amp in path_amplitudes(lat).items()
+        if abs(amp) ** 2 > DEFAULT_EPS_INTENSITY
+    }
+    edges = {
+        edge
+        for det in live
+        for path in oracle.enumerate_paths(lat, det)
+        for edge in zip(path.nodes, path.nodes[1:])
+    }
+    return live, edges
+
+
+def dark_beside_live() -> Lattice:
+    """Detector 3's two paths are half a wavelength apart, so it is dark;
+    detector 4 beside it is lit by one path, and void node 2 leads only to
+    the dark detector."""
+    nodes = [
+        Node(0, (0.0, 0.0), NodeKind.SOURCE),
+        Node(1, (1.0, 0.5), NodeKind.VOID),
+        Node(2, (1.0, -0.5), NodeKind.VOID),
+        Node(3, (2.0, 0.0), NodeKind.DETECTOR),
+        Node(4, (2.0, 1.0), NodeKind.DETECTOR),
+    ]
+    ribs = [Rib(0, 1, 1.0), Rib(0, 2, 1.0), Rib(1, 3, 1.0), Rib(2, 3, 1.5)]
+    return Lattice(tuple(nodes), tuple([*ribs, Rib(1, 4, 1.0)]), 1.0)
+
+
+class TestLiveGraph:
+    """``_live_graph``'s one backward pass over the forward DAG keeps what
+    the path walk reaches: the same live detectors and live ribs, each
+    node after all of its live children."""
+
+    @staticmethod
+    def assert_matches_path_walk(lat):
+        live, children = experiments._live_graph(lat)
+        heads = {v for kids in children.values() for v in kids}
+        edges = {(u, v) for u, kids in children.items() for v in kids}
+        assert (set(live), edges) == walked_live_graph(lat)
+        assert set(live) == heads - set(children)
+        assert all(kids == sorted(kids) for kids in children.values())
+        dist = lat.hop_distances()
+        assert list(children) == sorted(
+            children, key=lambda u: (dist[u], u), reverse=True
+        )
+
+    def test_random_layered_lattices_with_shuffled_ids(self):
+        rng = random.Random(11)
+        for i in range(60):
+            lat = random_layered_lattice(rng)
+            if i % 2:
+                lat, _ = shuffle_node_ids(lat, rng)
+            self.assert_matches_path_walk(lat)
+
+    @pytest.mark.parametrize(
+        "lat",
+        [
+            pytest.param(build_grid(4, 4, "column"), id="grid-4x4"),
+            pytest.param(build_grid(6, 6, "column", 0.73), id="grid-6x6-0.73"),
+            pytest.param(build_slit_grid(7, 9, [2, 6]), id="slit-7x9"),
+            pytest.param(build_star(3, 2, [1.0, 1.0, 1.0]), id="star-3"),
+            pytest.param(build_two_path(2.0, 2.0, 2), id="two-path"),
+            pytest.param(build_two_path(2.0, 2.25, 3), id="two-path-quarter"),
+        ],
+    )
+    def test_builder_lattices(self, lat):
+        self.assert_matches_path_walk(lat)
+
+    def test_dark_detector_beside_live_ones(self):
+        lat = dark_beside_live()
+        self.assert_matches_path_walk(lat)
+        live, children = experiments._live_graph(lat)
+        assert list(live) == [4]
+        assert children == {1: [4], 0: [1]}
+        law = exact_selection_distribution(lat, Mode.AGGREGATE)
+        assert law == {3: 0.0, 4: 1.0}
 
 
 class TestExactSelection:

@@ -3,10 +3,14 @@
 ``tests/golden/<case>/`` holds the files one CLI run wrote; every rerun,
 at any job count, must exit the same way and write exactly those bytes.
 Each case's counts must also follow the protocol's exact law, so that
-regenerated goldens cannot pin a biased stream.
+regenerated goldens cannot pin a biased stream.  The cases are rerun
+under ``compensated_sum``, CPython 3.12's ``sum``, so that any interpreter
+catches a float sum whose order depends on the version.
 """
 
+import builtins
 import csv
+import math
 from pathlib import Path
 
 import pytest
@@ -61,6 +65,68 @@ def test_artifacts_match_golden_bytes(tmp_path, case, jobs):
     for name in expected:
         want = (GOLDEN / case / name).read_bytes()
         assert (tmp_path / name).read_bytes() == want, name
+
+
+_builtin_sum = builtins.sum
+
+
+def compensated_sum(iterable, /, start=0):
+    """A transcription of CPython 3.12's ``sum`` (``bltinmodule.c``).
+
+    Exact ints add exactly until another type arrives.  A run of floats is
+    then added with Neumaier's compensation (Neumaier 1974, ZAMM 54:39-51)
+    and the compensation is added at the end when it is finite and
+    nonzero; an int in the run is added without it.  Anything else goes
+    to the built-in ``sum``.  On CPython 3.10 and 3.11 ``sum`` adds floats
+    left to right.
+    """
+    items = iter(iterable)
+    result = start
+    if type(result) is int:
+        for item in items:
+            if type(item) in (int, bool):
+                result += item
+                continue
+            result = result + item
+            break
+        else:
+            return result
+    if type(result) is not float:
+        return _builtin_sum(items, result)
+    c = 0.0
+    for item in items:
+        if type(item) is float:
+            t = result + item
+            if abs(result) >= abs(item):
+                c += (result - t) + item
+            else:
+                c += (item - t) + result
+            result = t
+        elif type(item) in (int, bool):
+            result += float(item)
+        else:
+            return _builtin_sum(items, result + c + item)
+    if c and math.isfinite(c):
+        result += c
+    return result
+
+
+def test_compensated_sum_differs_from_left_to_right():
+    weights = [1.0, 1e-16, 1e-16]
+    left_to_right = 0.0
+    for w in weights:
+        left_to_right += w
+    assert left_to_right == 1.0
+    assert compensated_sum(weights) == math.fsum(weights) == 1.0000000000000002
+    assert compensated_sum([1, True, 2]) == 4
+    assert compensated_sum([1, 0.5, 2]) == 3.5
+    assert compensated_sum([0.5j, 1.0]) == 1 + 0.5j
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_golden_bytes_under_compensated_sum(monkeypatch, tmp_path, case):
+    monkeypatch.setattr(builtins, "sum", compensated_sum)
+    test_artifacts_match_golden_bytes(tmp_path, case, "1")
 
 
 @pytest.mark.parametrize("case", sorted(CASES))

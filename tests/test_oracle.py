@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import diamond_chain, random_layered_lattice
+from conftest import diamond_chain, path_amplitudes, path_sum, random_layered_lattice
 from scoutnet import oracle
 from scoutnet.engine import prepare, propagate_scouts
 from scoutnet.errors import DarkTrialError, PathBudgetError, ScoutnetError
@@ -21,11 +21,6 @@ from scoutnet.lattice import (
 )
 
 PINNED = json.loads((Path(__file__).parent / "oracle_amplitudes.json").read_text())
-
-
-def path_sum(paths: list[oracle.PathRecord]) -> complex:
-    """The sum of unit vectors, one per path, in the order given."""
-    return sum((cmath.exp(1j * p.phase) for p in paths), 0j)
 
 
 class TestEnumeratePaths:
@@ -66,41 +61,20 @@ class TestEnumeratePaths:
             oracle.enumerate_paths(lat, lat.detectors[0])
 
 
-class TestLatticeAmplitudes:
-    """The walk's sums, ``path_amplitudes``, equal the per-detector path
-    sums bit for bit."""
-
-    @staticmethod
-    def assert_equal_to_path_sums(lat):
-        amps = oracle.path_amplitudes(lat)
-        assert list(amps) == list(lat.detectors)
-        for det in lat.detectors:
-            paths = oracle.enumerate_paths(lat, det)
-            assert amps[det] == path_sum(paths)
-
-    def test_random_layered_lattices(self):
-        rng = random.Random(29)
-        for _ in range(100):
-            self.assert_equal_to_path_sums(random_layered_lattice(rng))
-
-    def test_slit_screen_7x9(self):
-        self.assert_equal_to_path_sums(build_slit_grid(7, 9, [2, 6]))
-
-
 class TestPinnedAmplitudes:
-    """Both oracles' sums, pinned by ``repr``.
+    """Both sums over paths, pinned by ``repr``.
 
-    ``oracle_amplitudes.json`` holds the ``repr`` of ``path_amplitudes``
+    ``oracle_amplitudes.json`` holds the ``repr`` of the path-by-path sum
     (under ``paths``) as written by the per-rib-lookup walk that preceded
     the prebuilt forward children, and of the class sum
-    ``lattice_amplitudes`` (under ``classes``).  ``TestLatticeAmplitudes``
-    compares two callers of one walk, so it cannot see a change to the
-    walk itself; these pins can.
+    ``lattice_amplitudes`` (under ``classes``).  ``path_amplitudes`` adds
+    each detector's unit phasors in the walk's order, so a change to the
+    walk's order, lengths or phases moves its last bits.
     """
 
     @staticmethod
     def assert_pinned(lat, key):
-        assert repr(oracle.path_amplitudes(lat)) == PINNED["paths"][key]
+        assert repr(path_amplitudes(lat)) == PINNED["paths"][key]
         assert repr(oracle.lattice_amplitudes(lat)) == PINNED["classes"][key]
 
     def test_slit_screen_7x9(self):
@@ -150,7 +124,7 @@ class TestClassAmplitudes:
     @staticmethod
     def assert_three_way(lat):
         classes = intensities(oracle.lattice_amplitudes(lat))
-        assert_close(classes, intensities(oracle.path_amplitudes(lat)), 1e-12)
+        assert_close(classes, intensities(path_amplitudes(lat)), 1e-12)
         assert_close(prepare(lat).intensities, classes, 1e-12)
 
     @given(st.integers(0, 2**32 - 1))
@@ -186,7 +160,7 @@ class TestClassAmplitudes:
         lat = build_grid(4, 5, "corner")
         updates = len(lat.ribs)
         monkeypatch.setattr(oracle, "DEFAULT_CLASS_BUDGET", updates)
-        assert oracle.lattice_amplitudes(lat) == oracle.path_amplitudes(lat)
+        assert oracle.lattice_amplitudes(lat) == path_amplitudes(lat)
         monkeypatch.setattr(oracle, "DEFAULT_CLASS_BUDGET", updates - 1)
         with pytest.raises(PathBudgetError, match="path budget exceeded") as err:
             oracle.lattice_amplitudes(lat)
@@ -200,7 +174,7 @@ class TestClassAmplitudes:
 
 
 class TestDetectorAmplitude:
-    """The per-path sum ``TestLatticeAmplitudes`` checks the walk against."""
+    """The per-path sum that ``path_amplitudes`` adds for each detector."""
 
     @pytest.mark.parametrize(
         "phases,expected",

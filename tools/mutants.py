@@ -306,9 +306,25 @@ MUTANTS: list[tuple[str, str, str, str, tuple[str, ...]]] = [
     (
         "enumerator-lotteries-forward",
         "src/scoutnet/experiments.py",
-        "order = sorted(out_live, key=lambda u: (dist[u], u), reverse=True)",
-        "order = sorted(out_live, key=lambda u: (dist[u], u))",
+        "order = [*children.items()]",
+        "order = [*children.items()][::-1]",
         ("tests/test_experiments.py", GOLDEN),
+    ),
+    (
+        "live-pass-walks-forward",
+        "src/scoutnet/experiments.py",
+        "for u in reversed(forward):",
+        "for u in forward:",
+        ("tests/test_experiments.py::TestLiveGraph",),
+    ),
+    (
+        "chi-square-builtin-sum",
+        "src/scoutnet/experiments.py",
+        "    statistic = 0.0\n"
+        "    for exp, obs in cells:\n"
+        "        statistic += (obs - exp) ** 2 / exp\n",
+        "    statistic = sum((obs - exp) ** 2 / exp for exp, obs in cells)\n",
+        ("tests/test_golden.py::test_golden_bytes_under_compensated_sum",),
     ),
     (
         "class-merge-overwrites",
