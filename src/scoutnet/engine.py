@@ -27,8 +27,8 @@ query table is seeded with each live detector's own query and with the
 surviving query of every draw-free node, one whose live reach holds a
 single detector: such a node never holds a lottery.  Draw nodes with
 the same live children see the same competing queries in any one trial,
-so the plan groups them into one lottery; a lottery whose children are
-all seeded has fixed competitors, and the plan stores its record.  The
+so they share one lottery, named by those children; the plan stores the
+record of each lottery whose children are all seeded.  The
 reverse half is split in two.  The kernel, ``_columns``, runs a block of
 trials at once: every trial runs the same lotteries over the same
 traces, and only the draws differ.  It starts from the seeded table and
@@ -243,12 +243,11 @@ class TrialPlan(NamedTuple):
     the rest of ``process_order``, the nodes whose query depends on a draw.
     Every live child holds a query by the time its parents read it, and
     keeps it, so draw nodes with the same live children see the same
-    competitors in any one trial: they share one lottery.
-    ``draw_lottery[i]`` is the lottery of ``draw_order[i]``, numbered in
-    order of first use.  When every child of a lottery is seeded, its
-    competitors are fixed too, and ``lotteries[k]`` holds its record (see
-    ``_lottery``) and ``cuts[k]`` its word cuts (see ``_cuts``); otherwise
-    both are None and the kernel merges once per trial.
+    competitors in any one trial: they share one lottery, named by those
+    children.  When every child of a lottery is seeded, its competitors
+    are fixed too, and ``stored`` maps its children to its record (see
+    ``_lottery``) and its word cuts (see ``_cuts``); the kernel merges any
+    other lottery once per trial.
     """
 
     lattice: Lattice
@@ -258,9 +257,7 @@ class TrialPlan(NamedTuple):
     out_live: dict[int, tuple[int, ...]]
     base: tuple[Query, ...]
     draw_order: tuple[int, ...]
-    draw_lottery: tuple[int, ...]
-    lotteries: tuple[Optional[Lottery], ...]
-    cuts: tuple[Optional[list[int]], ...]
+    stored: dict[tuple[int, ...], tuple[Lottery, list[int]]]
 
     # a view for perfbench's plan counters and the frozen reference
     # kernel; the engine does not read it
@@ -303,10 +300,7 @@ def prepare(lattice: Lattice, trace: Optional[TraceSink] = None) -> TrialPlan:
         base[d] = d, intensities[d]
     live_children: dict[int, tuple[int, ...]] = {}
     draw_order: list[int] = []
-    draw_lottery: list[int] = []
-    lottery_of: dict[tuple[int, ...], int] = {}
-    lotteries: list[Optional[Lottery]] = []
-    cuts: list[Optional[list[int]]] = []
+    stored: dict[tuple[int, ...], tuple[Lottery, list[int]]] = {}
     for u in reversed(report.children):
         kids = tuple(
             v for v in report.children[u] if v in live or v in live_children
@@ -320,11 +314,9 @@ def prepare(lattice: Lattice, trace: Optional[TraceSink] = None) -> TrialPlan:
             (base[u],) = weights.items()
             continue
         draw_order.append(u)
-        k = lottery_of.setdefault(kids, len(lottery_of))
-        draw_lottery.append(k)
-        if k == len(lotteries):
-            lotteries.append(_lottery(weights) if seeded else None)
-            cuts.append(_cuts(lotteries[k]) if seeded else None)
+        if seeded and kids not in stored:
+            lottery = _lottery(weights)
+            stored[kids] = lottery, _cuts(lottery)
 
     return TrialPlan(
         lattice=lattice,
@@ -334,9 +326,7 @@ def prepare(lattice: Lattice, trace: Optional[TraceSink] = None) -> TrialPlan:
         out_live=live_children,
         base=tuple(base),
         draw_order=tuple(draw_order),
-        draw_lottery=tuple(draw_lottery),
-        lotteries=tuple(lotteries),
-        cuts=tuple(cuts),
+        stored=stored,
     )
 
 
@@ -453,10 +443,11 @@ def _columns(
     queries: dict[int, list[Query]] = {}
     step = 0
     pos: Optional[list[int]] = None
-    held: dict[int, Group] = {}
+    held: dict[tuple[int, ...], Group] = {}
     memo: Memo = {}
-    for u, k in zip(plan.draw_order, plan.draw_lottery):
-        stored = plan.lotteries[k]
+    for u in plan.draw_order:
+        kids = plan.out_live[u]
+        stored = plan.stored.get(kids)
         if stored is not None:
             if pos is None:
                 drawn = words[step : step + trials]
@@ -464,11 +455,11 @@ def _columns(
             else:
                 drawn = [*map(words.__getitem__, pos)]
                 pos = [*map(add, pos, repeat(trials))]
-            queries[u] = _stored_select(stored, plan.cuts[k], mode, drawn)
+            queries[u] = _stored_select(*stored, mode, drawn)
             continue
-        group = held.get(k)
+        group = held.get(kids)
         if group is None:
-            group = held[k] = _merged_group(plan.out_live[u], queries, plan, memo)
+            group = held[kids] = _merged_group(kids, queries, plan, memo)
         drawing, lotteries, column = group
         if drawing:
             if pos is None:

@@ -174,31 +174,29 @@ def run_ensemble(
     """``trials`` independent trials with indices 0..trials-1.
 
     Trials are seeded individually, so the aggregate is identical for any
-    job count or execution order.  ``plan``, if given, is the lattice's
-    prebuilt forward half; otherwise it is built here.
+    job count or execution order.  The run takes ``min(jobs, trials,
+    os.cpu_count())`` workers: one counts every trial inline, and more
+    start a pool, which counts one span of consecutive trials per worker
+    and so pickles the plan once per worker.  ``plan``, if given, is the
+    lattice's prebuilt forward half; otherwise it is built here.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     if plan is None:
         plan = prepare(lattice)
-    if jobs <= 1:
+    workers = min(jobs, trials, os.cpu_count() or 1)
+    if workers <= 1:
         counts = count_winners(plan, mode, master_seed, 0, trials)
     else:
-        chunk = (trials + jobs - 1) // jobs
-        spans = [
-            (start, min(start + chunk, trials)) for start in range(0, trials, chunk)
-        ]
-        # imported here, so that a run at --jobs 1 never loads the pool
+        # imported here, so that a run in one worker never loads the pool
         from concurrent.futures import ProcessPoolExecutor
 
-        # the pool starts all its workers at the first submit: no more of
-        # them than there are spans to run or cores to run them on
-        workers = min(len(spans), os.cpu_count() or 1)
+        bounds = [trials * i // workers for i in range(workers + 1)]
         counts = Counter()
         with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = [
                 pool.submit(count_winners, plan, mode, master_seed, start, stop)
-                for start, stop in spans
+                for start, stop in zip(bounds, bounds[1:])
             ]
             for future in futures:
                 counts += future.result()
@@ -287,7 +285,9 @@ def exact_selection_distribution(lattice: Lattice, mode: Mode) -> dict[int, floa
         if len(weights) == 1:
             descend(idx + 1, {**winner_at, u: next(iter(weights.items()))}, prob)
             return
-        total = sum(weights.values())
+        total = 0.0
+        for w in weights.values():
+            total += w
         for det in sorted(weights):
             share = weights[det] / total
             new_weight = total if mode is Mode.AGGREGATE else weights[det]

@@ -1,7 +1,9 @@
-"""Shared lattice factories and statistics for the unit and acceptance suites."""
+"""Shared lattice factories, statistics and a transcription of CPython
+3.12's ``sum`` for the unit and acceptance suites."""
 
 from __future__ import annotations
 
+import builtins
 import cmath
 import math
 import random
@@ -245,3 +247,47 @@ def pooled_chi_square(
         cells = sorted([(e1 + e2, o1 + o2)] + cells[2:])
     statistic = sum((obs - exp) ** 2 / exp for exp, obs in cells)
     return statistic, len(cells) - 1
+
+
+_builtin_sum = builtins.sum
+
+
+def compensated_sum(iterable, /, start=0):
+    """A transcription of CPython 3.12's ``sum`` (``bltinmodule.c``).
+
+    Exact ints add exactly until another type arrives.  A run of floats is
+    then added with Neumaier's compensation (Neumaier 1974, ZAMM 54:39-51)
+    and the compensation is added at the end when it is finite and
+    nonzero; an int in the run is added without it.  Anything else goes
+    to the built-in ``sum``.  On CPython 3.10 and 3.11 ``sum`` adds floats
+    left to right.
+    """
+    items = iter(iterable)
+    result = start
+    if type(result) is int:
+        for item in items:
+            if type(item) in (int, bool):
+                result += item
+                continue
+            result = result + item
+            break
+        else:
+            return result
+    if type(result) is not float:
+        return _builtin_sum(items, result)
+    c = 0.0
+    for item in items:
+        if type(item) is float:
+            t = result + item
+            if abs(result) >= abs(item):
+                c += (result - t) + item
+            else:
+                c += (item - t) + result
+            result = t
+        elif type(item) in (int, bool):
+            result += float(item)
+        else:
+            return _builtin_sum(items, result + c + item)
+    if c and math.isfinite(c):
+        result += c
+    return result

@@ -266,7 +266,9 @@ class TestPrepare:
         kids = plan.out_live[lat.source]
         merged = _merge([plan.base[v] for v in kids])
         dets = sorted(merged)
-        (lottery,) = plan.lotteries
+        ((stored_kids, (lottery, cuts)),) = plan.stored.items()
+        assert stored_kids == kids
+        assert cuts == _cuts(lottery)
         assert lottery[:2] == (dets, [merged[d] for d in dets])
         assert lottery == _lottery(merged)
         assert tuple(dets) == lat.detectors
@@ -278,9 +280,11 @@ class TestPrepare:
         lat = build_slit_grid(7, 9, (2, 6), wavelength=1.0)
         plan = prepare(lat)
         assert len(plan.draw_order) == 39
-        assert len(plan.lotteries) == 6
-        assert sum(lottery is not None for lottery in plan.lotteries) == 1
-        assert [plan.draw_lottery.count(k) for k in range(6)] == [2, 9, 9, 9, 9, 1]
+        # draw nodes per live-children tuple, in order of first use
+        groups = Counter(plan.out_live[u] for u in plan.draw_order)
+        assert len(groups) == 6
+        assert len(plan.stored) == 1
+        assert [*groups.values()] == [2, 9, 9, 9, 9, 1]
         for mode in Mode:
             want = [reference_trial(plan, mode, 77, i)[0] for i in range(500)]
             got = [count_winners(plan, mode, 77, i, i + 1) for i in range(500)]
@@ -490,15 +494,19 @@ class TestLotterySelect:
             assert bisect_right(cuts, k) == want, k
 
 
+def lottery_children(plan) -> set[tuple[int, ...]]:
+    """A plan's lotteries, each named by its draw nodes' live children."""
+    return {plan.out_live[u] for u in plan.draw_order}
+
+
 def lottery_kinds(plan) -> tuple[int, int]:
     """How many of a plan's lotteries have stored and merged competitors."""
-    stored = sum(lottery is not None for lottery in plan.lotteries)
-    return stored, len(plan.lotteries) - stored
+    return len(plan.stored), len(lottery_children(plan)) - len(plan.stored)
 
 
 def shares_a_lottery(plan) -> bool:
     """Whether two draw nodes of the plan hold the same lottery."""
-    return len(plan.lotteries) < len(plan.draw_order)
+    return len(lottery_children(plan)) < len(plan.draw_order)
 
 
 class TestReferenceKernel:
@@ -519,20 +527,20 @@ class TestReferenceKernel:
                 plan = prepare(random_layered_lattice(random.Random(seed)))
             except DarkTrialError:
                 continue
-            children: dict[int, tuple[int, ...]] = {}
-            for u, k in zip(plan.draw_order, plan.draw_lottery):
-                assert children.setdefault(k, plan.out_live[u]) == plan.out_live[u]
-            assert len(set(children.values())) == len(plan.lotteries)
-            for k, lottery in enumerate(plan.lotteries):
-                kids = children[k]
-                seeded = all(plan.base[v][0] >= 0 for v in kids)
-                assert (lottery is not None) == seeded
-                if lottery is not None:
-                    merged = sorted(_merge(map(plan.base.__getitem__, kids)).items())
-                    assert lottery[:2] == tuple(map(list, zip(*merged)))
-                    # lottery_select has no branch for fewer competitors
-                    # or a zero total
-                    assert len(lottery[0]) >= 2 and lottery[3] > 0.0
+            # a lottery is stored under its live children exactly when they
+            # are all seeded, with the record and word cuts of their queries
+            assert set(plan.stored) == {
+                kids
+                for kids in lottery_children(plan)
+                if all(plan.base[v][0] >= 0 for v in kids)
+            }
+            for kids, (lottery, cuts) in plan.stored.items():
+                merged = _merge(map(plan.base.__getitem__, kids))
+                assert (lottery, cuts) == (_lottery(merged), _cuts(lottery))
+                assert lottery[:2] == tuple(map(list, zip(*sorted(merged.items()))))
+                # lottery_select has no branch for fewer competitors or a
+                # zero total
+                assert len(lottery[0]) >= 2 and lottery[3] > 0.0
             stored, merged = lottery_kinds(plan)
             both += stored > 0 and merged > 0
             shared += shares_a_lottery(plan)
@@ -727,7 +735,7 @@ class TestColumnKernel:
         n = len(plan.draw_order)
         # the first draw node holds a stored lottery, where every trial
         # draws: a block starts in lockstep and drifts at a later node
-        assert plan.lotteries[plan.draw_lottery[0]] is not None
+        assert plan.out_live[plan.draw_order[0]] in plan.stored
         trials = max(MIN_TRIALS, BLOCK_DRAWS // n)
         for mode in Mode:
             drifted = False

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import pooled_chi_square
+from conftest import compensated_sum, pooled_chi_square
 from scoutnet import cli
 from scoutnet.cli import EXIT_OK, EXIT_THRESHOLD, main
 from scoutnet.engine import Mode
@@ -65,50 +65,6 @@ def test_artifacts_match_golden_bytes(tmp_path, case, jobs):
     for name in expected:
         want = (GOLDEN / case / name).read_bytes()
         assert (tmp_path / name).read_bytes() == want, name
-
-
-_builtin_sum = builtins.sum
-
-
-def compensated_sum(iterable, /, start=0):
-    """A transcription of CPython 3.12's ``sum`` (``bltinmodule.c``).
-
-    Exact ints add exactly until another type arrives.  A run of floats is
-    then added with Neumaier's compensation (Neumaier 1974, ZAMM 54:39-51)
-    and the compensation is added at the end when it is finite and
-    nonzero; an int in the run is added without it.  Anything else goes
-    to the built-in ``sum``.  On CPython 3.10 and 3.11 ``sum`` adds floats
-    left to right.
-    """
-    items = iter(iterable)
-    result = start
-    if type(result) is int:
-        for item in items:
-            if type(item) in (int, bool):
-                result += item
-                continue
-            result = result + item
-            break
-        else:
-            return result
-    if type(result) is not float:
-        return _builtin_sum(items, result)
-    c = 0.0
-    for item in items:
-        if type(item) is float:
-            t = result + item
-            if abs(result) >= abs(item):
-                c += (result - t) + item
-            else:
-                c += (item - t) + result
-            result = t
-        elif type(item) in (int, bool):
-            result += float(item)
-        else:
-            return _builtin_sum(items, result + c + item)
-    if c and math.isfinite(c):
-        result += c
-    return result
 
 
 def test_compensated_sum_differs_from_left_to_right():

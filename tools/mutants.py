@@ -84,6 +84,16 @@ MUTANTS: list[tuple[str, str, str, str, tuple[str, ...]]] = [
         (PREPARE, REFERENCE),
     ),
     (
+        "stores-first-lottery-only",
+        ENGINE,
+        "if seeded and kids not in stored:",
+        "if seeded and not stored:",
+        (
+            "tests/test_engine.py::TestReferenceKernel::"
+            "test_lattice_family_holds_both_lottery_kinds",
+        ),
+    ),
+    (
         "seed-without-all-seeded-guard",
         ENGINE,
         "seeded = all(base[v][0] >= 0 for v in kids)",
@@ -162,7 +172,7 @@ MUTANTS: list[tuple[str, str, str, str, tuple[str, ...]]] = [
     (
         "lotteries-kept-across-trials",
         ENGINE,
-        "held: dict[int, Group] = {}",
+        "held: dict[tuple[int, ...], Group] = {}",
         'held = _columns.__dict__.setdefault(("held", id(plan)), {})',
         (REFERENCE,),
     ),
@@ -327,6 +337,30 @@ MUTANTS: list[tuple[str, str, str, str, tuple[str, ...]]] = [
         ("tests/test_golden.py::test_golden_bytes_under_compensated_sum",),
     ),
     (
+        "enumerator-builtin-sum",
+        "src/scoutnet/experiments.py",
+        "        total = 0.0\n"
+        "        for w in weights.values():\n"
+        "            total += w\n",
+        "        total = sum(weights.values())\n",
+        (
+            "tests/test_experiments.py::TestExactSelection::"
+            "test_law_is_the_same_under_compensated_sum",
+        ),
+    ),
+    (
+        "pool-ignores-cores",
+        "src/scoutnet/experiments.py",
+        "workers = min(jobs, trials, os.cpu_count() or 1)",
+        "workers = min(jobs, trials)",
+        (
+            "tests/test_experiments.py::TestRunEnsemble::"
+            "test_pool_never_outgrows_spans_or_cores",
+            "tests/test_experiments.py::TestRunEnsemble::"
+            "test_each_worker_counts_one_span",
+        ),
+    ),
+    (
         "class-merge-overwrites",
         ORACLE,
         "there[key] = get(key, 0) + paths",
@@ -442,6 +476,8 @@ def run_tests(tree: Path, tests: tuple[str, ...]) -> int:
     """pytest's exit status for ``tests`` run inside ``tree``."""
     env = dict(os.environ, PYTHONPATH=str(tree / "src"))
     command = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider"]
+    # a fixed seed: each run draws the same Hypothesis examples
+    command.append("--hypothesis-seed=0")
     done = subprocess.run(
         [*command, *tests], cwd=tree, env=env, capture_output=True, text=True
     )
