@@ -131,12 +131,12 @@ def _read(path: Path, what: str) -> str:
 def _merge_config(args: argparse.Namespace) -> RunConfig:
     config = RunConfig()
     config.out = os.environ.get(OUT_ENV_VAR) or config.out
+    keys: dict[str, object] = {}
     if args.config:
         document = _read(Path(args.config), "config file")
         loaded = load_yaml(document, ConfigError, "config file") or {}
         if not isinstance(loaded, dict):
             raise ConfigError("config file must be a mapping")
-        keys: dict[str, object] = {}
         for key, value in loaded.items():
             name = str(key).replace("-", "_")
             if name not in OPTIONS:
@@ -157,6 +157,20 @@ def _merge_config(args: argparse.Namespace) -> RunConfig:
                 setattr(config, name, [kind[0](x) for x in str(text).split(",")])
             except ValueError as exc:
                 raise ConfigError(f"malformed {_flag(name)} value {text!r}") from exc
+    # the intensities set the star's detectors; a count given beside them
+    # must agree, or it would be dropped without a word.  No other
+    # scenario reads either.
+    given = args.detectors is not None or "detectors" in keys
+    if (
+        config.scenario == "star"
+        and given
+        and config.intensities
+        and config.detectors != len(config.intensities)
+    ):
+        raise ConfigError(
+            f"--detectors {config.detectors} differs from the "
+            f"{len(config.intensities)} values of --intensities"
+        )
     return config
 
 

@@ -44,16 +44,20 @@ already passed, so the lotteries alone fix the winner.  The replay,
 ``_refusals``, runs the waves from the kernel's result and draws
 nothing; only the voided-edge set and the ``--trace`` lines need it.
 ``count_winners`` runs the kernel alone over a span of trials, block by
-block (what an ensemble counts); ``_one_trial`` runs it over one trial's
-own block; ``run_trial`` adds the confirmation walk, the full
+block (what an ensemble counts); where the source holds the plan's one
+lottery, stored, it counts the winners in the draw lanes instead, with
+no kernel and no word unpacked.  ``_one_trial`` runs the kernel over one
+trial's own block; ``run_trial`` adds the confirmation walk, the full
 ``TrialOutcome`` and, under a trace, the replay; ``backpropagate``
 returns the one-trial kernel's state keyed by node id with the replay's
-voided edges.  A query is one ``(detector, weight)`` pair wherever it is
-held: in the plan's seeded table, in the kernel's columns and memo, and
-in what ``lottery_select`` returns.
+voided edges.  A query is one ``(detector,
+weight)`` pair wherever it is held: in the plan's seeded table, in the
+kernel's columns and memo, and in what ``lottery_select`` returns.
 
-Every draw comes from ``rng.trial_blocks``, the trial's own splitmix64
-stream, which yields a block's draws draw-major, as 53-bit words.  A
+Every draw comes from the trial's own splitmix64 stream, through
+``rng.trial_blocks``, which yields a block's draws draw-major, as 53-bit
+words, or through ``rng.count_first_words``, which counts the trials'
+first words at each place among a stored lottery's cuts.  A
 lottery takes one draw, and a uniform choice among k options takes
 ``int(u * k)`` of one, where ``u = w * 2**-53`` is the uniform of word
 w.  Only a merged lottery and the confirmation walk form u; a stored
@@ -79,7 +83,7 @@ from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .errors import DarkTrialError, ScoutnetError
 from .lattice import Lattice, NodeKind
-from .rng import _UNIT, check_seed, trial_blocks
+from .rng import _UNIT, check_seed, count_first_words, trial_blocks
 
 TWO_PI = 2.0 * math.pi
 DEFAULT_EPS_INTENSITY = 1e-12
@@ -562,7 +566,12 @@ def count_winners(
     A plan without draw nodes holds its one live detector's query at the
     source in every trial, so its span is counted without a draw.  Any
     other plan draws at the source: a node above a draw node sees two or
-    more detectors.
+    more detectors.  Where the source's lottery is stored, its children
+    are all seeded, so no other node draws (an ancestor of a draw node has
+    a child that is not seeded): each trial's winner is competitor
+    ``bisect_right(cuts, w)`` of the record, w the trial's first word, in
+    either mode, and ``rng.count_first_words`` counts those indices in
+    the draw lanes, without the kernel.
     """
     source = plan.lattice.source
     counts: Counter = Counter()
@@ -570,6 +579,13 @@ def count_winners(
         check_seed(master_seed)
         if stop > start:
             counts[plan.base[source][0]] = stop - start
+        return counts
+    stored = plan.stored.get(plan.out_live[source])
+    if stored is not None:
+        (dets, _, _, _), cuts = stored
+        for det, won in zip(dets, count_first_words(master_seed, cuts, start, stop)):
+            if won:
+                counts[det] = won
         return counts
     for words, trials in trial_blocks(master_seed, len(plan.draw_order), start, stop):
         counts.update(map(_DET, _columns(plan, mode, words, trials)[0][source]))

@@ -9,17 +9,23 @@ constant.  Trials are therefore mutually independent, an ensemble's
 statistics do not depend on the order in which trials execute, and draw
 j does not depend on how many draws a caller asks for.  Word k stands
 for the uniform u = k * ``_UNIT``, k * 2**-53 in [0, 1).
-``trial_blocks`` is the only way the package draws.
 
-The draws are computed a block of trials at a time: one Python int holds one
-128-bit lane per trial state, or per draw, each lane is masked to 64
-bits before every multiply, so that no product carries into the next
-lane, and the lanes are unpacked little-endian on every host.  A block
-lies draw-major, for the reverse half's column kernel: draw j of trial t
-is ``words[j * trials + t]``.  A block holds the words, not their
-uniforms: the engine compares a stored lottery's words with precomputed
-cuts, and forms u only where a merged lottery or the confirmation walk
-needs it.  A trial of n draws gets a block of ``max(MIN_TRIALS,
+The draws are computed a block of trials at a time, in one generator,
+``_draw_lanes``: one Python int holds one 128-bit lane per trial state,
+or per draw, and each lane is masked to 64 bits before every multiply, so
+that no product carries into the next lane.  The states are built once
+per span and carried from block to block, one lane-wise add of ``trials
+* GAMMA`` and a mask per block.  A shifted lane holds its word in bits
+0..52 and has bits 53..85 clear; above them are bits of the next lane.
+Two readers share the generator.  ``trial_blocks`` unpacks the lanes,
+little-endian on every host, into a block's words, draw-major for the
+reverse half's column kernel: draw j of trial t is ``words[j * trials +
+t]``.  A block holds the words, not their uniforms: the engine compares
+a stored lottery's words with precomputed cuts, and forms u only where a
+merged lottery or the confirmation walk needs it.  ``count_first_words``
+unpacks nothing: it counts each trial's first word against sorted cuts
+with a few whole-int operations per cut, which bits 53..85 being clear
+allows.  A trial of n draws gets a block of ``max(MIN_TRIALS,
 BLOCK_DRAWS // n)`` trials, so a block holds about ``BLOCK_DRAWS``
 draws, or ``MIN_TRIALS`` trials' worth when n is large.
 The blocks cover a span exactly: what is left after its full blocks is
@@ -29,7 +35,8 @@ one shorter block.  No draw depends on the block it falls in.
 from __future__ import annotations
 
 import struct
-from typing import Iterable, Iterator
+from operator import sub
+from typing import Iterable, Iterator, Sequence
 
 _MASK = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -55,8 +62,8 @@ MIN_TRIALS = 32
 def _mix(z: int, mask: int) -> int:
     """The splitmix64 finalizer, applied to every 64-bit lane of ``z``;
     ``mask`` holds all ones in each lane's low 64 bits.  Each lane of the
-    result holds its word in its low 64 bits and, above them, bits shifted
-    down from the next lane."""
+    result holds its word in bits 0..63, has bits 64..96 clear, and holds
+    bits shifted down from the next lane above them."""
     z = ((z ^ (z >> 30)) & mask) * 0xBF58476D1CE4E5B9 & mask
     z = ((z ^ (z >> 27)) & mask) * 0x94D049BB133111EB & mask
     return z ^ (z >> 31)
@@ -78,20 +85,23 @@ def _lanes(values: Iterable[int], copies: int = 1) -> int:
     return int.from_bytes(lanes, "little")
 
 
-def trial_blocks(
+def _draw_lanes(
     master_seed: int, n: int, start: int, stop: int
-) -> Iterator[tuple[tuple[int, ...], int]]:
+) -> Iterator[tuple[int, int]]:
     """The first ``n`` draws of trials ``start``..``stop - 1``, a block of
-    trials at a time: each block is ``(words, trials)``, where draw j of
-    the block's trial t is ``words[j * trials + t]``, the top 53 bits of
-    its splitmix64 word, an int in [0, 2**53).  A block holds
+    trials at a time: each block is ``(w, trials)``, where lane ``j *
+    trials + t`` of the int ``w`` holds draw j of the block's trial t, the
+    top 53 bits of its splitmix64 word, in bits 0..52, and has bits 53..85
+    clear; the bits above them come from the next lane.  A block holds
     ``max(MIN_TRIALS, BLOCK_DRAWS // n)`` trials, or the span's length if
     that is shorter; the span's remainder after its full blocks is one
     last, shorter block, so the blocks' trials sum to the span.
 
     A block mixes its trial states in one int, copies that int once per
     draw (a block of one-draw trials uses it as it is), adds each draw's
-    Weyl offset and mixes again.
+    Weyl offset and mixes again.  The states are built once and carried
+    from block to block: the next block starts ``trials`` trials later,
+    so every lane adds ``trials * GAMMA`` and is masked.
     """
     check_seed(master_seed)
     trials = max(1, min(max(MIN_TRIALS, BLOCK_DRAWS // max(n, 1)), stop - start))
@@ -102,20 +112,62 @@ def trial_blocks(
     # lane
     ramp = struct.Struct("<" + "Q8x" * trials).pack(*range(trials))
     steps = _GOLDEN * int.from_bytes(ramp, "little") & state_mask
+    advance = (trials * _GOLDEN & _MASK) * ones
     weyl = _lanes(((j + 1) * _GOLDEN & _MASK for j in range(n)), trials)
     draw_mask = _lanes([_MASK], trials * n)
-    unpack = struct.Struct("<" + "Q8x" * (trials * n)).unpack
     size = 16 * trials
-    for first in range(start, stop - tail, trials):
-        # lane t: the state of trial first + t
-        c = (master_seed + (first + 1) * _GOLDEN) & _MASK
-        states = _mix((c * ones + steps) & state_mask, state_mask) & state_mask
-        # lane j * trials + t: draw j of trial first + t
+    # lane t: the state of trial start + t, before its mix
+    c = (master_seed + (start + 1) * _GOLDEN) & _MASK
+    states = (c * ones + steps) & state_mask
+    for _ in range((stop - start) // trials):
+        # unmasked: adding the Weyl offset carries into bit 64 at most, and
+        # the mask after the add clears what the next lane shifted down
+        mixed = _mix(states, state_mask)
         if n > 1:
-            states = int.from_bytes(states.to_bytes(size, "little") * n, "little")
-        z = _mix((states + weyl) & draw_mask, draw_mask)
-        # bits 64..74 of every lane are clear, so after the shift each
-        # lane's low 64 bits hold the top 53 bits of its word
-        yield unpack((z >> 11).to_bytes(size * n, "little")), trials
+            mixed = int.from_bytes(mixed.to_bytes(size, "little") * n, "little")
+        yield _mix((mixed + weyl) & draw_mask, draw_mask) >> 11, trials
+        states = (states + advance) & state_mask
     if tail:
-        yield from trial_blocks(master_seed, n, stop - tail, stop)
+        yield from _draw_lanes(master_seed, n, stop - tail, stop)
+
+
+def trial_blocks(
+    master_seed: int, n: int, start: int, stop: int
+) -> Iterator[tuple[tuple[int, ...], int]]:
+    """The first ``n`` draws of trials ``start``..``stop - 1``, in the
+    blocks of ``_draw_lanes``: each block is ``(words, trials)``, where
+    draw j of the block's trial t is ``words[j * trials + t]``, the top 53
+    bits of its splitmix64 word, an int in [0, 2**53)."""
+    unpack, size = None, 0
+    for w, trials in _draw_lanes(master_seed, n, start, stop):
+        if trials != size:
+            unpack, size = struct.Struct("<" + "Q8x" * (trials * n)).unpack, trials
+        # each lane's low 64 bits hold its word
+        yield unpack(w.to_bytes(16 * trials * n, "little")), trials
+
+
+def count_first_words(
+    master_seed: int, cuts: Sequence[int], start: int, stop: int
+) -> list[int]:
+    """How many of trials ``start``..``stop - 1`` have their first word w
+    at each index ``bisect_right(cuts, w)``: a list of ``len(cuts) + 1``
+    counts.  The cuts are sorted and lie in [0, 2**53].
+
+    No word is unpacked.  Each lane of a block of ``_draw_lanes`` holds
+    its word in bits 0..52 and has bits 53..85 clear, so adding ``2**53 -
+    cut`` to every lane sets bit 53 of the lanes whose word is at least
+    the cut, and carries no further; ``bit_count`` of the sum masked to
+    bit 53 counts them.  A cut's lane constant is built once per block
+    size.
+    """
+    above = [0] * len(cuts)
+    size = 0
+    for w, trials in _draw_lanes(master_seed, 1, start, stop):
+        if trials != size:
+            size = trials
+            ones = _lanes([1], trials)
+            carry = ones << 53
+            offsets = [((1 << 53) - cut) * ones for cut in cuts]
+        for i, offset in enumerate(offsets):
+            above[i] += ((w + offset) & carry).bit_count()
+    return [*map(sub, [max(stop - start, 0), *above], [*above, 0])]

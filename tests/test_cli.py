@@ -116,6 +116,47 @@ class TestExitCodes:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize(
+        "argv,lines,count",
+        [
+            (("--detectors", "5", "--arm-hops", "4", "--intensities", "1,1,2"), "", 5),
+            (("--intensities", "1,1,2"), "detectors: 2\n", 2),
+            (("--detectors", "4"), "intensities: 1,1,2\n", 4),
+        ],
+    )
+    def test_detector_count_beside_intensities_must_match(
+        self, tmp_path, capsys, argv, lines, count
+    ):
+        # the intensities set the star's arms, so a detector count given
+        # beside them is checked, not dropped
+        cfg = tmp_path / "run.yaml"
+        cfg.write_text(f"scenario: star\ntrials: 10\n{lines}out: {tmp_path / 'out'}\n")
+        assert run_cli("--config", str(cfg), *argv) == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            f"error: --detectors {count} differs from the 3 values of --intensities\n"
+        )
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("argv", [("--detectors", "3"), ()])
+    def test_agreeing_detector_count_beside_intensities_runs(self, tmp_path, argv):
+        # README's star gives the count that the intensities imply
+        code = run_cli(
+            "--scenario", "star", *argv, "--intensities", "1,1,2",
+            "--trials", "10", "--tv-threshold", "1", "--out", str(tmp_path),
+        )  # fmt: skip
+        assert code == EXIT_OK
+
+    @pytest.mark.parametrize("scenario", ["two-path", "double-slit", "grid"])
+    def test_other_scenarios_ignore_star_detector_keys(self, tmp_path, scenario):
+        # only the star reads the detector count and the intensities, so
+        # a config file that holds both, disagreeing, runs other scenarios
+        cfg = tmp_path / "run.yaml"
+        cfg.write_text(
+            f"scenario: {scenario}\ntrials: 10\ntv-threshold: 1\n"
+            f"detectors: 5\nintensities: 1,1,2\nout: {tmp_path / 'out'}\n"
+        )
+        assert run_cli("--config", str(cfg)) == EXIT_OK
+
     def test_unknown_flag_is_config_error(self, tmp_path, capsys):
         code = run_cli("--scenario", "star", "--no-such-flag", "--out", str(tmp_path))
         assert code == EXIT_CONFIG

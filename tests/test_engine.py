@@ -4,7 +4,7 @@ import re
 import tracemalloc
 from bisect import bisect_right
 from collections import Counter
-from itertools import accumulate
+from itertools import accumulate, repeat
 
 import pytest
 from hypothesis import assume, event, given, settings
@@ -47,7 +47,13 @@ from scoutnet.lattice import (
     build_star,
     build_two_path,
 )
-from scoutnet.rng import _UNIT, BLOCK_DRAWS, MIN_TRIALS, trial_blocks
+from scoutnet.rng import (
+    _UNIT,
+    BLOCK_DRAWS,
+    MIN_TRIALS,
+    count_first_words,
+    trial_blocks,
+)
 
 # the largest 53-bit word, whose uniform is 1 - 2**-53
 TOP = 2**53 - 1
@@ -697,6 +703,44 @@ class TestSpanSplits:
             for master_seed in (-1, 2**64):
                 with pytest.raises(ValueError, match="master seed"):
                     count_winners(plan, mode, master_seed, 10, 2500)
+
+
+class TestLaneCount:
+    """A star's winners counted in the draw lanes: each trial's first word
+    placed among the source lottery's stored cuts, as the sequential
+    stream draws it."""
+
+    @given(
+        targets=st.lists(
+            st.floats(min_value=0.05, max_value=4.0),
+            min_size=2,
+            max_size=18,
+        ),
+        master_seed=st.integers(min_value=0, max_value=2**64 - 1),
+        start=st.integers(min_value=0, max_value=2**64)
+        | st.integers(min_value=2**64 - 3 * BLOCK_DRAWS, max_value=2**64),
+        # empty, shorter than a block, and two blocks and a tail
+        length=st.sampled_from([0, 1, 7, BLOCK_DRAWS - 1])
+        | st.integers(min_value=2 * BLOCK_DRAWS + 1, max_value=2 * BLOCK_DRAWS + 40),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_counts_equal_bisected_sequential_words(
+        self, targets, master_seed, start, length
+    ):
+        plan = prepare(build_intensity_star(targets))
+        source = plan.lattice.source
+        assert plan.draw_order == (source,)
+        (dets, _, _, _), cuts = plan.stored[plan.out_live[source]]
+        assert len(dets) == len(targets)
+        stop = start + length
+        streams = map(trial_stream, repeat(master_seed), range(start, stop))
+        words = [stream.next_word() >> 11 for stream in streams]
+        want = Counter(bisect_right(cuts, w) for w in words)
+        counts = count_first_words(master_seed, cuts, start, stop)
+        assert counts == [want[i] for i in range(len(dets))]
+        for mode in Mode:
+            winners = count_winners(plan, mode, master_seed, start, stop)
+            assert dict(winners) == {dets[i]: n for i, n in want.items()}
 
 
 class TestColumnKernel:

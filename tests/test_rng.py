@@ -1,6 +1,6 @@
 """The per-trial splitmix64 streams: known answers, the blocks of trials
-against the sequential generator, and the independence of successive
-draws."""
+and the first-word counts against the sequential generator, and the
+independence of successive draws."""
 
 from collections import Counter
 
@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from conftest import pooled_chi_square
 from reference_kernel import trial_stream
 from scoutnet.experiments import chi_square_critical
-from scoutnet.rng import BLOCK_DRAWS, MIN_TRIALS, trial_blocks
+from scoutnet.rng import BLOCK_DRAWS, MIN_TRIALS, count_first_words, trial_blocks
 
 
 def test_trial_seeds_are_splitmix64_outputs():
@@ -65,6 +65,40 @@ def test_one_draw_blocks_equal_sequential_generator():
         assert list(words) == [stream.next_word() >> 11 for stream in streams]
         index += trials
     assert index == stop
+
+
+class TestFirstWordCounts:
+    """``count_first_words`` at the edges of its cuts, over a span that
+    crosses a block boundary, ends in a shorter block and whose trial
+    states wrap past 2**64."""
+
+    SEED = 5
+    START = 2**64 - 40
+    STOP = START + BLOCK_DRAWS + 60
+
+    @pytest.fixture(scope="class")
+    def words(self) -> list[int]:
+        return [
+            trial_stream(self.SEED, i).next_word() >> 11
+            for i in range(self.START, self.STOP)
+        ]
+
+    def count(self, cuts: list[int]) -> list[int]:
+        return count_first_words(self.SEED, cuts, self.START, self.STOP)
+
+    def test_a_cut_on_a_word_counts_it_above(self, words):
+        # bisect_right: a trial whose word equals a cut lies past it, and
+        # below a cut one word higher
+        w = words[3]
+        below = sum(x < w for x in words)
+        assert self.count([w, w + 1]) == [below, 1, len(words) - below - 1]
+
+    def test_cut_zero_counts_every_trial(self, words):
+        assert self.count([0]) == [0, len(words)]
+
+    def test_cut_past_the_last_word_counts_none(self, words):
+        assert self.count([2**53]) == [len(words), 0]
+        assert self.count([0, 2**53]) == [0, len(words), 0]
 
 
 def serial_pair_chi_square(pairs: list[tuple[int, int]]) -> tuple[float, int]:

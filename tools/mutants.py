@@ -45,6 +45,8 @@ SPANS = "tests/test_engine.py::TestSpanSplits"
 GOLDEN = "tests/test_golden.py"
 STREAM = "tests/test_rng.py"
 STREAM_PROPERTY = "tests/test_rng.py::test_lane_batch_equals_sequential_generator"
+FIRST_WORDS = "tests/test_rng.py::TestFirstWordCounts"
+LANE_COUNT = "tests/test_engine.py::TestLaneCount"
 CLASSES = "tests/test_oracle.py::TestClassAmplitudes"
 PRECEDENCE = "tests/test_cli.py::TestConfigPrecedence"
 TWICE = (
@@ -236,8 +238,8 @@ MUTANTS: list[tuple[str, str, str, str, tuple[str, ...]]] = [
     (
         "draw-drops-twelve-bits",
         RNG,
-        "(z >> 11).to_bytes",
-        "(z >> 12).to_bytes",
+        "draw_mask, draw_mask) >> 11, trials",
+        "draw_mask, draw_mask) >> 12, trials",
         (STREAM,),
     ),
     (
@@ -258,16 +260,38 @@ MUTANTS: list[tuple[str, str, str, str, tuple[str, ...]]] = [
     (
         "block-seeds-from-first-trial",
         RNG,
-        "c = (master_seed + (first + 1) * _GOLDEN) & _MASK",
-        "c = (master_seed + first * _GOLDEN) & _MASK",
+        "c = (master_seed + (start + 1) * _GOLDEN) & _MASK",
+        "c = (master_seed + start * _GOLDEN) & _MASK",
         (STREAM_PROPERTY, GOLDEN),
     ),
     (
         "tail-block-dropped",
         RNG,
-        "    if tail:\n        yield from trial_blocks(master_seed, n, stop - tail, stop)\n",
+        "    if tail:\n        yield from _draw_lanes(master_seed, n, stop - tail, stop)\n",
         "",
+        (STREAM_PROPERTY, SPANS, LANE_COUNT),
+    ),
+    (
+        "state-advance-one-trial-short",
+        RNG,
+        "advance = (trials * _GOLDEN & _MASK) * ones",
+        "advance = ((trials - 1) * _GOLDEN & _MASK) * ones",
         (STREAM_PROPERTY, SPANS),
+    ),
+    # the star's winners counted in the draw lanes
+    (
+        "lane-count-ties-left",
+        RNG,
+        "offsets = [((1 << 53) - cut) * ones for cut in cuts]",
+        "offsets = [((1 << 53) - cut + 1) * ones for cut in cuts]",
+        (FIRST_WORDS,),
+    ),
+    (
+        "lane-count-reads-bit-52",
+        RNG,
+        "carry = ones << 53",
+        "carry = ones << 52",
+        (FIRST_WORDS,),
     ),
     (
         "trial-takes-next-trials-draws",
