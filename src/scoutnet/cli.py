@@ -157,20 +157,23 @@ def _merge_config(args: argparse.Namespace) -> RunConfig:
                 setattr(config, name, [kind[0](x) for x in str(text).split(",")])
             except ValueError as exc:
                 raise ConfigError(f"malformed {_flag(name)} value {text!r}") from exc
-    # the intensities set the star's detectors; a count given beside them
-    # must agree, or it would be dropped without a word.  No other
-    # scenario reads either.
-    given = args.detectors is not None or "detectors" in keys
-    if (
-        config.scenario == "star"
-        and given
-        and config.intensities
-        and config.detectors != len(config.intensities)
-    ):
-        raise ConfigError(
-            f"--detectors {config.detectors} differs from the "
-            f"{len(config.intensities)} values of --intensities"
-        )
+    # the intensities set the star's detectors and the shape of its arms:
+    # a detector count given beside them must agree, and an arm hop count
+    # has no arm to set, or either would be dropped without a word.  No
+    # other scenario reads these keys.
+    given = {name for name in OPTIONS if getattr(args, name) is not None}
+    given.update(keys)
+    if config.scenario == "star" and config.intensities:
+        if "detectors" in given and config.detectors != len(config.intensities):
+            raise ConfigError(
+                f"--detectors {config.detectors} differs from the "
+                f"{len(config.intensities)} values of --intensities"
+            )
+        if "arm_hops" in given:
+            raise ConfigError(
+                "--arm-hops does not apply beside --intensities, "
+                "which build each arm to its intensity"
+            )
     return config
 
 

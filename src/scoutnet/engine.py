@@ -27,48 +27,39 @@ query table is seeded with each live detector's own query and with the
 surviving query of every draw-free node, one whose live reach holds a
 single detector: such a node never holds a lottery.  Draw nodes with
 the same live children see the same competing queries in any one trial,
-so they share one lottery, named by those children; the plan stores the
-record of each lottery whose children are all seeded.  The
-reverse half is split in two.  The kernel, ``_columns``, runs a block of
-trials at once: every trial runs the same lotteries over the same
-traces, and only the draws differ.  It starts from the seeded table and
-visits ``draw_order``; each draw node gets a column holding each trial's
-surviving query.  A stored lottery's record serves the whole block: a
-node builds its surviving queries and draws its column in one pass of
-C-level maps (``_stored_select``), bisecting the plan's word cuts with
-each trial's word.  A merged lottery is built once per trial, at the
-first node of its group, and draws at every node of the group, one
+so they share one lottery, named by those children.  The reverse half
+is split in two.  The kernel, ``_columns``, runs a block of trials at
+once: every trial runs the same lotteries over the same traces, and
+only the draws differ.  It starts from the seeded table and visits
+``draw_order``; each draw node gets a column holding each trial's
+surviving query.  A lottery is built once per trial, at the first node
+of its group, and draws at every node of the group, one
 ``lottery_select`` call per node for the trials that draw.  A refusal
 wave voids only edges below its lottery, which barrier order has
 already passed, so the lotteries alone fix the winner.  The replay,
 ``_refusals``, runs the waves from the kernel's result and draws
 nothing; only the voided-edge set and the ``--trace`` lines need it.
 ``count_winners`` runs the kernel alone over a span of trials, block by
-block (what an ensemble counts); where the source holds the plan's one
-lottery, stored, it counts the winners in the draw lanes instead, with
-no kernel and no word unpacked.  ``_one_trial`` runs the kernel over one
+block (what an ensemble counts); where the source is the plan's one
+draw node, it counts the winners in the draw lanes instead, with no
+kernel and no word unpacked.  ``_one_trial`` runs the kernel over one
 trial's own block; ``run_trial`` adds the confirmation walk, the full
 ``TrialOutcome`` and, under a trace, the replay; ``backpropagate``
 returns the one-trial kernel's state keyed by node id with the replay's
-voided edges.  A query is one ``(detector,
-weight)`` pair wherever it is held: in the plan's seeded table, in the
-kernel's columns and memo, and in what ``lottery_select`` returns.
+voided edges.  A query is one ``(detector, weight)`` pair wherever it
+is held: in the plan's seeded table, in the kernel's columns and memo,
+and in what ``lottery_select`` returns.
 
 Every draw comes from the trial's own splitmix64 stream, through
 ``rng.trial_blocks``, which yields a block's draws draw-major, as 53-bit
 words, or through ``rng.count_first_words``, which counts the trials'
-first words at each place among a stored lottery's cuts.  A
+first words at each place among a lottery's word cuts (``_cuts``).  A
 lottery takes one draw, and a uniform choice among k options takes
 ``int(u * k)`` of one, where ``u = w * 2**-53`` is the uniform of word
-w.  Only a merged lottery and the confirmation walk form u; a stored
-lottery compares the word itself with its cuts.  Each trial takes its
-draws in order.  Every trial draws at a stored lottery, so the trials of
-a block share one offset into the block's draws until the first merged
-lottery where any trial draws; from there each trial keeps its own
-cursor.  The kernel draws at most once per draw node and the walk at
-most once per node it leaves, so a trial needs at most
-``len(draw_order)`` draws for its winner and ``len(process_order)``
-more for its path.
+w.  Each trial takes its draws in order, at its own cursor.  The kernel
+draws at most once per draw node and the walk at most once per node it
+leaves, so a trial needs at most ``len(draw_order)`` draws for its
+winner and ``len(process_order)`` more for its path.
 """
 
 from __future__ import annotations
@@ -78,7 +69,7 @@ from bisect import bisect_left, bisect_right
 from collections import Counter
 from enum import Enum
 from itertools import accumulate, compress, repeat
-from operator import add, itemgetter
+from operator import itemgetter
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .errors import DarkTrialError, ScoutnetError
@@ -248,10 +239,7 @@ class TrialPlan(NamedTuple):
     Every live child holds a query by the time its parents read it, and
     keeps it, so draw nodes with the same live children see the same
     competitors in any one trial: they share one lottery, named by those
-    children.  When every child of a lottery is seeded, its competitors
-    are fixed too, and ``stored`` maps its children to its record (see
-    ``_lottery``) and its word cuts (see ``_cuts``); the kernel merges any
-    other lottery once per trial.
+    children, which the kernel merges once per trial.
     """
 
     lattice: Lattice
@@ -261,7 +249,6 @@ class TrialPlan(NamedTuple):
     out_live: dict[int, tuple[int, ...]]
     base: tuple[Query, ...]
     draw_order: tuple[int, ...]
-    stored: dict[tuple[int, ...], tuple[Lottery, list[int]]]
 
     # a view for perfbench's plan counters and the frozen reference
     # kernel; the engine does not read it
@@ -304,7 +291,6 @@ def prepare(lattice: Lattice, trace: Optional[TraceSink] = None) -> TrialPlan:
         base[d] = d, intensities[d]
     live_children: dict[int, tuple[int, ...]] = {}
     draw_order: list[int] = []
-    stored: dict[tuple[int, ...], tuple[Lottery, list[int]]] = {}
     for u in reversed(report.children):
         kids = tuple(
             v for v in report.children[u] if v in live or v in live_children
@@ -318,9 +304,6 @@ def prepare(lattice: Lattice, trace: Optional[TraceSink] = None) -> TrialPlan:
             (base[u],) = weights.items()
             continue
         draw_order.append(u)
-        if seeded and kids not in stored:
-            lottery = _lottery(weights)
-            stored[kids] = lottery, _cuts(lottery)
 
     return TrialPlan(
         lattice=lattice,
@@ -330,7 +313,6 @@ def prepare(lattice: Lattice, trace: Optional[TraceSink] = None) -> TrialPlan:
         out_live=live_children,
         base=tuple(base),
         draw_order=tuple(draw_order),
-        stored=stored,
     )
 
 
@@ -357,14 +339,19 @@ Group = tuple[list[int], list[Lottery], list[Query]]
 Memo = dict[tuple[Query, ...], tuple[Optional[Lottery], Optional[Query]]]
 
 
-def _merged_group(
-    kids: tuple[int, ...], queries: dict[int, list[Query]], plan: TrialPlan, memo: Memo
+def _group(
+    kids: tuple[int, ...],
+    queries: dict[int, list[Query]],
+    plan: TrialPlan,
+    memo: Memo,
+    trials: int,
 ) -> Group:
-    """A merged lottery in one block, merged once per distinct row of its
+    """A lottery in one block, merged once per distinct row of its
     children's queries: row t holds them in trial t, and a merge reads
-    nothing else, so lotteries with equal rows share a memo entry."""
-    # a merged lottery has a drawn child, whose column ends the rows
-    rows = zip(*[queries.get(v) or repeat(plan.base[v]) for v in kids])
+    nothing else, so lotteries with equal rows share a memo entry.  A
+    lottery whose children are all seeded has ``trials`` equal rows, so it
+    merges once per block."""
+    rows = zip(*[queries.get(v) or repeat(plan.base[v], trials) for v in kids])
     entries = []
     for row in rows:
         entry = memo.get(row)
@@ -382,9 +369,10 @@ def _merged_group(
 
 
 def _cuts(lottery: Lottery) -> list[int]:
-    """A stored lottery's word cuts: cut i is the least word k in
-    [0, 2**53) with ``k * _UNIT * total >= sums[i]`` (2**53 if none), for
-    every running sum but the last.
+    """A lottery's word cuts, for counting in the draw lanes
+    (``rng.count_first_words``): cut i is the least word k in [0, 2**53)
+    with ``k * _UNIT * total >= sums[i]`` (2**53 if none), for every
+    running sum but the last.
 
     ``k * _UNIT * total`` is the ``r`` that ``lottery_select`` forms, and
     it never decreases as k grows, so running sum i is at most r exactly
@@ -399,19 +387,6 @@ def _cuts(lottery: Lottery) -> list[int]:
     ]
 
 
-def _stored_select(
-    lottery: Lottery, cuts: list[int], mode: Mode, words: Sequence[int]
-) -> list[Query]:
-    """``lottery_select([lottery] * len(words), mode, words)``, where
-    ``cuts`` is ``_cuts(lottery)``: each competitor's query as it survives
-    (its own weight in naive mode, the total in aggregate mode) is built
-    once, and each word bisects the cuts, in C-level maps, with no float
-    formed and no tuple built per draw."""
-    dets, weights, _, total = lottery
-    survivors = [*zip(dets, repeat(total) if mode is _AGGREGATE else weights)]
-    return [*map(survivors.__getitem__, map(bisect_right, repeat(cuts), words))]
-
-
 def _columns(
     plan: TrialPlan, mode: Mode, words: Sequence[int], trials: int
 ) -> tuple[dict[int, list[Query]], list[int]]:
@@ -421,53 +396,32 @@ def _columns(
     Returns, per draw node, the column of queries that survived there, one
     per trial, and each trial's cursor: the index in ``words`` of its next
     draw.  Trial t's draws are ``words[t]``, then every ``trials``-th; its
-    cursor moves only when it draws, so trials drift apart.  Every trial
-    draws at a stored lottery, so until the first merged lottery where any
-    trial draws, the trials are in lockstep: trial t's next draw is
-    ``words[step + t]``, so a node takes its words as one slice and
-    advances one int.  The per-trial cursors are built at that merged
-    lottery, or on return.
+    cursor moves only when it draws, so trials drift apart.
 
     Only ``draw_order`` is visited: draw-free nodes keep their seeded
-    queries.  A stored lottery's record serves every trial: each node
-    builds its surviving queries and draws its whole column in
-    ``_stored_select``, from the plan's cuts.  A merged one is built per
-    trial at the first node of its group and serves the group's other
-    nodes, whose children keep their queries; a trial whose lottery merges
-    to one competitor takes that query at each of them and draws nothing.
-    Each such node copies the group's column and overlays it with its
-    drawing trials' survivors, from one ``lottery_select`` call; a node
-    where no trial draws takes the column as it is.  Nothing outlives the
-    block.
+    queries.  A lottery is built per trial at the first node of its group
+    and serves the group's other nodes, whose children keep their queries;
+    a trial whose lottery merges to one competitor takes that query at
+    each of them and draws nothing.  Each such node copies the group's
+    column and overlays it with its drawing trials' survivors, from one
+    ``lottery_select`` call; a node where no trial draws takes the column
+    as it is.  Nothing outlives the block.
 
     Refusal waves are left out.  A wave started at node u voids only edges
     whose tail is u or a descendant of u, whose lotteries barrier order has
     already run, so no later lottery reads a voided edge.
     """
     queries: dict[int, list[Query]] = {}
-    step = 0
-    pos: Optional[list[int]] = None
+    pos = [*range(trials)]
     held: dict[tuple[int, ...], Group] = {}
     memo: Memo = {}
     for u in plan.draw_order:
         kids = plan.out_live[u]
-        stored = plan.stored.get(kids)
-        if stored is not None:
-            if pos is None:
-                drawn = words[step : step + trials]
-                step += trials
-            else:
-                drawn = [*map(words.__getitem__, pos)]
-                pos = [*map(add, pos, repeat(trials))]
-            queries[u] = _stored_select(*stored, mode, drawn)
-            continue
         group = held.get(kids)
         if group is None:
-            group = held[kids] = _merged_group(kids, queries, plan, memo)
+            group = held[kids] = _group(kids, queries, plan, memo, trials)
         drawing, lotteries, column = group
         if drawing:
-            if pos is None:
-                pos = [*range(step, step + trials)]
             drawn = [words[pos[t]] for t in drawing]
             for t in drawing:
                 pos[t] += trials
@@ -479,7 +433,7 @@ def _columns(
     source = plan.lattice.source
     if source not in queries and plan.base[source][0] < 0:
         raise ScoutnetError("protocol bug: no query survived to the source")
-    return queries, [*range(step, step + trials)] if pos is None else pos
+    return queries, pos
 
 
 def _one_trial(
@@ -512,7 +466,7 @@ def _refusals(
     stack, children in id order, so the ``lottery``/``refuse`` trace lines
     come out in protocol order.  Draw-free nodes hold no lottery, so only
     ``draw_order`` is visited.  Takes no draw from the random stream.
-    Each node's live in-degree is counted here, not stored in the plan:
+    Each node's live in-degree is counted here, not kept in the plan:
     only ``backpropagate`` and a traced ``run_trial`` replay the waves.
     """
     out_live = plan.out_live
@@ -566,11 +520,11 @@ def count_winners(
     A plan without draw nodes holds its one live detector's query at the
     source in every trial, so its span is counted without a draw.  Any
     other plan draws at the source: a node above a draw node sees two or
-    more detectors.  Where the source's lottery is stored, its children
-    are all seeded, so no other node draws (an ancestor of a draw node has
-    a child that is not seeded): each trial's winner is competitor
-    ``bisect_right(cuts, w)`` of the record, w the trial's first word, in
-    either mode, and ``rng.count_first_words`` counts those indices in
+    more detectors.  Where the source is the only draw node, its children
+    are all seeded (a child that drew would be a draw node too), so its
+    lottery is the same in every trial: each trial's winner is competitor
+    ``bisect_right(cuts, w)`` of its record, w the trial's first word,
+    in either mode, and ``rng.count_first_words`` counts those indices in
     the draw lanes, without the kernel.
     """
     source = plan.lattice.source
@@ -580,12 +534,10 @@ def count_winners(
         if stop > start:
             counts[plan.base[source][0]] = stop - start
         return counts
-    stored = plan.stored.get(plan.out_live[source])
-    if stored is not None:
-        (dets, _, _, _), cuts = stored
-        for det, won in zip(dets, count_first_words(master_seed, cuts, start, stop)):
-            if won:
-                counts[det] = won
+    if plan.draw_order == (source,):
+        lottery = _lottery(_merge(map(plan.base.__getitem__, plan.out_live[source])))
+        won = count_first_words(master_seed, _cuts(lottery), start, stop)
+        counts.update({det: n for det, n in zip(lottery[0], won) if n})
         return counts
     for words, trials in trial_blocks(master_seed, len(plan.draw_order), start, stop):
         counts.update(map(_DET, _columns(plan, mode, words, trials)[0][source]))

@@ -20,15 +20,14 @@ per span and carried from block to block, one lane-wise add of ``trials
 Two readers share the generator.  ``trial_blocks`` unpacks the lanes,
 little-endian on every host, into a block's words, draw-major for the
 reverse half's column kernel: draw j of trial t is ``words[j * trials +
-t]``.  A block holds the words, not their uniforms: the engine compares
-a stored lottery's words with precomputed cuts, and forms u only where a
-merged lottery or the confirmation walk needs it.  ``count_first_words``
-unpacks nothing: it counts each trial's first word against sorted cuts
-with a few whole-int operations per cut, which bits 53..85 being clear
-allows.  A trial of n draws gets a block of ``max(MIN_TRIALS,
-BLOCK_DRAWS // n)`` trials, so a block holds about ``BLOCK_DRAWS``
-draws, or ``MIN_TRIALS`` trials' worth when n is large.
-The blocks cover a span exactly: what is left after its full blocks is
+t]``.  A block holds the words, not their uniforms: the engine forms u
+only where a lottery or the confirmation walk draws.
+``count_first_words`` unpacks nothing: it counts each trial's first word
+against a lottery's sorted word cuts with a few whole-int operations per
+cut, which bits 53..85 being clear allows.  A trial of n draws gets a
+block of ``max(MIN_TRIALS, BLOCK_DRAWS // n)`` trials, so a block holds
+about ``BLOCK_DRAWS`` draws, or ``MIN_TRIALS`` trials' worth when n is
+large.  The blocks cover a span exactly: what is left after its full blocks is
 one shorter block.  No draw depends on the block it falls in.
 """
 

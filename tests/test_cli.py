@@ -137,6 +137,27 @@ class TestExitCodes:
         )
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize(
+        "argv,lines",
+        [(("--arm-hops", "9"), ""), (("--arm-hops", "2"), ""), ((), "arm-hops: 9\n")],
+    )
+    def test_arm_hops_beside_intensities_is_config_error(
+        self, tmp_path, capsys, argv, lines
+    ):
+        # the intensities build each arm to its intensity, so a hop count
+        # given beside them, even the default, would be dropped
+        cfg = tmp_path / "run.yaml"
+        cfg.write_text(
+            f"scenario: star\ntrials: 10\nintensities: 1,1,2\n{lines}"
+            f"out: {tmp_path / 'out'}\n"
+        )
+        assert run_cli("--config", str(cfg), *argv) == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            "error: --arm-hops does not apply beside --intensities, "
+            "which build each arm to its intensity\n"
+        )
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("argv", [("--detectors", "3"), ()])
     def test_agreeing_detector_count_beside_intensities_runs(self, tmp_path, argv):
         # README's star gives the count that the intensities imply
@@ -154,6 +175,16 @@ class TestExitCodes:
         cfg.write_text(
             f"scenario: {scenario}\ntrials: 10\ntv-threshold: 1\n"
             f"detectors: 5\nintensities: 1,1,2\nout: {tmp_path / 'out'}\n"
+        )
+        assert run_cli("--config", str(cfg)) == EXIT_OK
+
+    @pytest.mark.parametrize("scenario", ["two-path", "double-slit", "grid"])
+    def test_other_scenarios_ignore_star_arm_keys(self, tmp_path, scenario):
+        # only the star reads the arm hop count and the intensities
+        cfg = tmp_path / "run.yaml"
+        cfg.write_text(
+            f"scenario: {scenario}\ntrials: 10\ntv-threshold: 1\n"
+            f"arm-hops: 9\nintensities: 1,1,2\nout: {tmp_path / 'out'}\n"
         )
         assert run_cli("--config", str(cfg)) == EXIT_OK
 

@@ -28,7 +28,6 @@ from scoutnet.engine import (
     _cuts,
     _lottery,
     _merge,
-    _stored_select,
     backpropagate,
     count_winners,
     lottery_select,
@@ -267,18 +266,28 @@ class TestPrepare:
         assert plan.base[lat.source][0] == -1
 
     def test_intensity_star_source_competitors_are_stored(self):
+        # the source is the one draw node, so its children are all seeded
+        # and its competitors are fixed: count_winners counts the lanes
+        # against this record's cuts
         lat = build_intensity_star([1.0, 1.0, 2.0])
         plan = prepare(lat)
+        assert plan.draw_order == (lat.source,)
         kids = plan.out_live[lat.source]
+        assert seeded_lotteries(plan) == {kids}
         merged = _merge([plan.base[v] for v in kids])
         dets = sorted(merged)
-        ((stored_kids, (lottery, cuts)),) = plan.stored.items()
-        assert stored_kids == kids
-        assert cuts == _cuts(lottery)
+        lottery = _lottery(merged)
         assert lottery[:2] == (dets, [merged[d] for d in dets])
-        assert lottery == _lottery(merged)
         assert tuple(dets) == lat.detectors
         assert lottery[1] == [plan.intensities[d] for d in dets]
+        # each cut is the first word that lottery_select gives the next
+        # competitor
+        cuts = _cuts(lottery)
+        assert len(cuts) == len(dets) - 1 and cuts == sorted(cuts)
+        for i, cut in enumerate(cuts):
+            ((below, _),) = lottery_select([lottery], Mode.NAIVE, [cut - 1])
+            ((at, _),) = lottery_select([lottery], Mode.NAIVE, [cut])
+            assert (below, at) == (dets[i], dets[i + 1])
 
     def test_slit_deep_plan_shares_lotteries(self):
         # perfbench's slit-deep screen: every node of a fully connected
@@ -289,7 +298,7 @@ class TestPrepare:
         # draw nodes per live-children tuple, in order of first use
         groups = Counter(plan.out_live[u] for u in plan.draw_order)
         assert len(groups) == 6
-        assert len(plan.stored) == 1
+        assert len(seeded_lotteries(plan)) == 1
         assert [*groups.values()] == [2, 9, 9, 9, 9, 1]
         for mode in Mode:
             want = [reference_trial(plan, mode, 77, i)[0] for i in range(500)]
@@ -346,7 +355,8 @@ def scan_index(weights, r: float) -> int:
 
 class TestLotterySelect:
     """A lottery draws with 53-bit words, k standing for the uniform
-    ``k * 2**-53``; a stored lottery bisects its word cuts instead."""
+    ``k * 2**-53``; the lane counter bisects a lottery's word cuts
+    instead."""
 
     def test_zero_weight_never_wins(self):
         rng = random.Random(0)
@@ -446,41 +456,6 @@ class TestLotterySelect:
         compensated=st.booleans(),
         data=st.data(),
     )
-    def test_stored_column_equals_lottery_select(self, weights, compensated, data):
-        # one stored record drawn for a whole column: element for element
-        # what lottery_select returns for that record repeated, in both
-        # modes
-        lottery = _lottery(dict(enumerate(weights)))
-        if compensated:
-            # the record of test_r_past_the_last_running_sum_takes_the_last_index
-            weights = [1.0, 1e-16, 1e-16]
-            lottery = ([0, 1, 2], weights, [1.0, 1.0, 1.0], 1.0000000000000002)
-        _, _, sums, total = lottery
-        # free draws, draws that land r on a running sum when they can, and
-        # the largest draw, whose r reaches the last running sum on the
-        # compensated record: the clamp to the last index
-        edges = [int(s / total * 2**53) for s in sums if s / total < 1.0] + [TOP]
-        words = data.draw(
-            st.lists(
-                st.integers(0, TOP) | st.sampled_from(edges),
-                min_size=1,
-                max_size=40,
-            )
-        )
-        cuts = _cuts(lottery)
-        for mode in Mode:
-            want = lottery_select([lottery] * len(words), mode, words)
-            assert _stored_select(lottery, cuts, mode, words) == want
-
-    @given(
-        weights=st.lists(
-            st.floats(min_value=0.0, max_value=1e300, exclude_min=True),
-            min_size=2,
-            max_size=8,
-        ),
-        compensated=st.booleans(),
-        data=st.data(),
-    )
     def test_cuts_bisect_as_lottery_select_does(self, weights, compensated, data):
         # a word's place among the cuts is the index lottery_select bisects
         # from its r: at both ends of the words, on either side of every
@@ -505,9 +480,21 @@ def lottery_children(plan) -> set[tuple[int, ...]]:
     return {plan.out_live[u] for u in plan.draw_order}
 
 
+def seeded_lotteries(plan) -> set[tuple[int, ...]]:
+    """A plan's lotteries whose live children are all seeded: their
+    competitors are the same in every trial."""
+    return {
+        kids
+        for kids in lottery_children(plan)
+        if all(plan.base[v][0] >= 0 for v in kids)
+    }
+
+
 def lottery_kinds(plan) -> tuple[int, int]:
-    """How many of a plan's lotteries have stored and merged competitors."""
-    return len(plan.stored), len(lottery_children(plan)) - len(plan.stored)
+    """How many of a plan's lotteries have all children seeded, and how
+    many have a child that draws."""
+    seeded = len(seeded_lotteries(plan))
+    return seeded, len(lottery_children(plan)) - seeded
 
 
 def shares_a_lottery(plan) -> bool:
@@ -519,8 +506,9 @@ class TestReferenceKernel:
     """The array kernel against the frozen set-and-dict kernel, per seed.
 
     Lattices whose plan holds no lottery are skipped.  Each example
-    records, as Hypothesis events, whether its plan holds stored
-    lotteries, merged ones, or both, and whether two of its draw nodes
+    records, as Hypothesis events, whether its plan holds lotteries whose
+    children are all seeded, lotteries with a child that draws, or both,
+    and whether two of its draw nodes
     share a lottery (``--hypothesis-show-statistics`` prints the tally);
     ``test_lattice_family_holds_both_lottery_kinds`` checks that the
     lattice family covers each case.
@@ -533,22 +521,17 @@ class TestReferenceKernel:
                 plan = prepare(random_layered_lattice(random.Random(seed)))
             except DarkTrialError:
                 continue
-            # a lottery is stored under its live children exactly when they
-            # are all seeded, with the record and word cuts of their queries
-            assert set(plan.stored) == {
-                kids
-                for kids in lottery_children(plan)
-                if all(plan.base[v][0] >= 0 for v in kids)
-            }
-            for kids, (lottery, cuts) in plan.stored.items():
+            # a lottery whose children are all seeded merges their seeded
+            # queries, the same in every trial
+            for kids in seeded_lotteries(plan):
                 merged = _merge(map(plan.base.__getitem__, kids))
-                assert (lottery, cuts) == (_lottery(merged), _cuts(lottery))
+                lottery = _lottery(merged)
                 assert lottery[:2] == tuple(map(list, zip(*sorted(merged.items()))))
                 # lottery_select has no branch for fewer competitors or a
                 # zero total
                 assert len(lottery[0]) >= 2 and lottery[3] > 0.0
-            stored, merged = lottery_kinds(plan)
-            both += stored > 0 and merged > 0
+            seeded, drawn = lottery_kinds(plan)
+            both += seeded > 0 and drawn > 0
             shared += shares_a_lottery(plan)
         # 241 and 141 of these 300 seeds today
         assert both >= 150
@@ -574,8 +557,8 @@ class TestReferenceKernel:
         except DarkTrialError:
             assume(False)
         assume(plan.draw_order)
-        stored, merged = lottery_kinds(plan)
-        event(f"lotteries stored: {stored > 0}, merged: {merged > 0}")
+        seeded, drawn = lottery_kinds(plan)
+        event(f"lotteries seeded: {seeded > 0}, drawn: {drawn > 0}")
         event(f"shares a lottery: {shares_a_lottery(plan)}")
         want_events: list[str] = []
         winner, path, degenerate, void = reference_trial(
@@ -707,8 +690,8 @@ class TestSpanSplits:
 
 class TestLaneCount:
     """A star's winners counted in the draw lanes: each trial's first word
-    placed among the source lottery's stored cuts, as the sequential
-    stream draws it."""
+    placed among the source lottery's word cuts, as the sequential stream
+    draws it."""
 
     @given(
         targets=st.lists(
@@ -730,7 +713,8 @@ class TestLaneCount:
         plan = prepare(build_intensity_star(targets))
         source = plan.lattice.source
         assert plan.draw_order == (source,)
-        (dets, _, _, _), cuts = plan.stored[plan.out_live[source]]
+        lottery = _lottery(_merge(map(plan.base.__getitem__, plan.out_live[source])))
+        dets, cuts = lottery[0], _cuts(lottery)
         assert len(dets) == len(targets)
         stop = start + length
         streams = map(trial_stream, repeat(master_seed), range(start, stop))
@@ -744,10 +728,9 @@ class TestLaneCount:
 
 
 class TestColumnKernel:
-    """The kernel runs a block of trials at once; its trials share one
-    offset into the block's draws until the first merged lottery where any
-    trial draws, then each keeps its own cursor, and nothing outlives the
-    block."""
+    """The kernel runs a block of trials at once; each trial keeps its own
+    cursor into the block's draws, which moves only when the trial draws,
+    and nothing outlives the block."""
 
     @pytest.mark.parametrize(
         "build, draws",
@@ -761,7 +744,7 @@ class TestColumnKernel:
         ],
         ids=["star-1-1-2", "nested-tree"],
     )
-    def test_trials_that_draw_alike_stay_in_lockstep(self, build, draws):
+    def test_trials_that_draw_alike_advance_together(self, build, draws):
         plan = prepare(build())
         n = len(plan.draw_order)
         for mode in Mode:
@@ -777,9 +760,9 @@ class TestColumnKernel:
         lat = build_slit_grid(7, 9, (2, 6), wavelength=1.0)
         plan = prepare(lat)
         n = len(plan.draw_order)
-        # the first draw node holds a stored lottery, where every trial
-        # draws: a block starts in lockstep and drifts at a later node
-        assert plan.out_live[plan.draw_order[0]] in plan.stored
+        # the first draw node's children are all seeded, so every trial
+        # draws there: a block's trials drift apart only at a later node
+        assert plan.out_live[plan.draw_order[0]] in seeded_lotteries(plan)
         trials = max(MIN_TRIALS, BLOCK_DRAWS // n)
         for mode in Mode:
             drifted = False
@@ -807,9 +790,9 @@ class TestColumnKernel:
 
     @pytest.mark.parametrize("size", [6, 11])
     def test_reconvergent_grid_blocks_match_reference(self, size):
-        # a column grid's paths reconverge, so merged lotteries meet trials
-        # that all draw there, both while a block is in lockstep and after
-        # it has drifted apart
+        # a column grid's paths reconverge, so lotteries with a drawn child
+        # meet trials that all draw there, both before a block's trials
+        # drift apart and after
         plan = prepare(build_grid(size, size, "column", wavelength=0.73))
         n = len(plan.draw_order)
         source = plan.lattice.source

@@ -86,16 +86,6 @@ MUTANTS: list[tuple[str, str, str, str, tuple[str, ...]]] = [
         (PREPARE, REFERENCE),
     ),
     (
-        "stores-first-lottery-only",
-        ENGINE,
-        "if seeded and kids not in stored:",
-        "if seeded and not stored:",
-        (
-            "tests/test_engine.py::TestReferenceKernel::"
-            "test_lattice_family_holds_both_lottery_kinds",
-        ),
-    ),
-    (
         "seed-without-all-seeded-guard",
         ENGINE,
         "seeded = all(base[v][0] >= 0 for v in kids)",
@@ -161,17 +151,6 @@ MUTANTS: list[tuple[str, str, str, str, tuple[str, ...]]] = [
         ("tests/test_engine.py::TestLotterySelect", GOLDEN),
     ),
     (
-        "stored-path-carries-total-in-naive-mode",
-        ENGINE,
-        "repeat(total) if mode is _AGGREGATE else weights",
-        "repeat(total)",
-        (
-            "tests/test_engine.py::TestLotterySelect::"
-            "test_stored_column_equals_lottery_select",
-            GOLDEN,
-        ),
-    ),
-    (
         "lotteries-kept-across-trials",
         ENGINE,
         "held: dict[tuple[int, ...], Group] = {}",
@@ -183,6 +162,13 @@ MUTANTS: list[tuple[str, str, str, str, tuple[str, ...]]] = [
         ENGINE,
         "for t in drawing:\n                pos[t] += trials",
         "for t in range(trials):\n                pos[t] += trials",
+        (COLUMNS, REFERENCE),
+    ),
+    (
+        "rows-one-trial-short",
+        ENGINE,
+        "repeat(plan.base[v], trials)",
+        "repeat(plan.base[v], trials - 1)",
         (COLUMNS, REFERENCE),
     ),
     (
@@ -294,17 +280,17 @@ MUTANTS: list[tuple[str, str, str, str, tuple[str, ...]]] = [
         (FIRST_WORDS,),
     ),
     (
-        "trial-takes-next-trials-draws",
+        "lanes-count-every-plan",
         ENGINE,
-        "drawn = words[step : step + trials]",
-        "drawn = words[step + 1 : step + trials + 1]",
-        (REFERENCE, GOLDEN),
+        "plan.draw_order == (source,)",
+        "plan.draw_order[-1] == source",
+        (PREPARE, COLUMNS),
     ),
     (
-        "lockstep-offset-never-advances",
+        "trial-takes-next-trials-draws",
         ENGINE,
-        "\n                step += trials\n",
-        "\n",
+        "drawn = [words[pos[t]] for t in drawing]",
+        "drawn = [words[pos[t] + 1] for t in drawing]",
         (REFERENCE, GOLDEN),
     ),
     # one trial's block, shared by run_trial and backpropagate
