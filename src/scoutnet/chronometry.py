@@ -9,47 +9,30 @@ hidden speed, so the count is proportional to the source distance.
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
 
 from .errors import ConfigError
 
 
-class ClockScenario(
-    NamedTuple(
-        "ClockScenario",
-        [("source_distance", int), ("laser_distance", int), ("laser_cadence", int)],
-    )
-):
-    """Chain distances in hops and the laser emission cadence in ticks."""
-
-    __slots__ = ()
-
-    def __new__(
-        cls, source_distance: int, laser_distance: int, laser_cadence: int
-    ) -> ClockScenario:
-        if source_distance < 1:
-            raise ConfigError("source_distance must be >= 1 hop")
-        if laser_distance < 1:
-            raise ConfigError("laser_distance must be >= 1 hop")
-        if laser_cadence < 1:
-            raise ConfigError("laser_cadence must be >= 1 tick")
-        return super().__new__(cls, source_distance, laser_distance, laser_cadence)
-
-
-def queue_clock_count(scenario: ClockScenario) -> int:
+def queue_clock_count(
+    source_distance: int, laser_distance: int, laser_cadence: int
+) -> int:
     """Count laser scouts queued at the detector during the probe's flight.
 
-    The probe scout departs at tick 0 and arrives at tick ``source_distance``;
-    the laser emits at ticks 0, m, 2m, ...  Arrivals are counted over the
-    half-open interval (0, source_distance]: the synchronization tick is
-    excluded, the probe's own arrival tick included.  Emission k arrives at
-    ``k*m + d_l >= 1``, so the count is the number of k >= 0 with
-    ``k*m + d_l <= source_distance``.
+    Both distances are chain lengths in hops, d_l the laser's, and the
+    laser emits every ``laser_cadence`` = m ticks.  The probe scout departs
+    at tick 0 and arrives at tick ``source_distance``; the laser emits at
+    ticks 0, m, 2m, ...  Arrivals are counted over the half-open interval
+    (0, source_distance]: the synchronization tick is excluded, the probe's
+    own arrival tick included.  Emission k arrives at ``k*m + d_l >= 1``,
+    so the count is the number of k >= 0 with ``k*m + d_l <= source_distance``.
     """
-    d_s = scenario.source_distance
-    d_l = scenario.laser_distance
-    m = scenario.laser_cadence
-    return max(0, (d_s - d_l) // m + 1)
+    if source_distance < 1:
+        raise ConfigError("source_distance must be >= 1 hop")
+    if laser_distance < 1:
+        raise ConfigError("laser_distance must be >= 1 hop")
+    if laser_cadence < 1:
+        raise ConfigError("laser_cadence must be >= 1 tick")
+    return max(0, (source_distance - laser_distance) // laser_cadence + 1)
 
 
 def dilation_time(tau: float, v: float) -> float:

@@ -39,7 +39,6 @@ EXIT_CONFIG = 1
 EXIT_THRESHOLD = 2
 
 
-_MODES = tuple(m.value for m in Mode)
 # Each option: its default, its value type and its flag's help.  The type is
 # int, float, bool or str; a tuple of the values it may take; or a one-item
 # list: a comma list of that item type, given as text, which ``_merge_config``
@@ -47,7 +46,7 @@ _MODES = tuple(m.value for m in Mode)
 # default lets a config file give ``null``.
 OPTIONS: dict[str, tuple[object, object, Optional[str]]] = {
     "scenario": ("star", SCENARIOS, None),
-    "mode": ("aggregate", _MODES, None),
+    "mode": ("aggregate", tuple(m.value for m in Mode), None),
     "wavelength": (1.0, float, "photon wavelength"),
     "trials": (10_000, int, None),
     "seed": (42, int, "master seed in [0, 2**64)"),
@@ -78,17 +77,6 @@ def _flag(name: str) -> str:
     """The option's flag: ``--`` and its name with dashes, except that
     ``wavelength`` is ``--lambda``."""
     return "--lambda" if name == "wavelength" else "--" + name.replace("_", "-")
-
-
-class RunConfig:
-    """One run's options, each at its ``OPTIONS`` default unless given.
-    After ``_merge_config``, a list option holds its parsed list."""
-
-    __slots__ = tuple(OPTIONS)
-
-    def __init__(self) -> None:
-        for name, (default, _, _) in OPTIONS.items():
-            setattr(self, name, default)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -128,10 +116,11 @@ def _read(path: Path, what: str) -> str:
         raise ConfigError(f"{what} {path} is not UTF-8: {exc}") from exc
 
 
-def _merge_config(args: argparse.Namespace) -> RunConfig:
-    config = RunConfig()
-    config.out = os.environ.get(OUT_ENV_VAR) or config.out
-    keys: dict[str, object] = {}
+def _merge_config(args: argparse.Namespace) -> argparse.Namespace:
+    """One run's options: each ``OPTIONS`` default, then ``$SCOUTNET_OUT``
+    for ``out``, then ``given``: the config file's checked values, and over
+    them the flags that were given.  A list option holds its parsed list."""
+    given: dict[str, object] = {}
     if args.config:
         document = _read(Path(args.config), "config file")
         loaded = load_yaml(document, ConfigError, "config file") or {}
@@ -141,16 +130,16 @@ def _merge_config(args: argparse.Namespace) -> RunConfig:
             name = str(key).replace("-", "_")
             if name not in OPTIONS:
                 raise ConfigError(f"unknown config key {key!r}")
-            if name in keys:
-                raise ConfigError(
-                    f"config keys {keys[name]!r} and {key!r} set one option"
-                )
-            keys[name] = key
-            setattr(config, name, _checked_value(key, value, name))
+            if name in given:
+                first = next(k for k in loaded if str(k).replace("-", "_") == name)
+                raise ConfigError(f"config keys {first!r} and {key!r} set one option")
+            given[name] = _checked_value(key, value, name)
+    flags = vars(args)
+    given.update({name: flags[name] for name in OPTIONS if flags[name] is not None})
+    config = argparse.Namespace(**{name: spec[0] for name, spec in OPTIONS.items()})
+    config.out = os.environ.get(OUT_ENV_VAR) or config.out
+    vars(config).update(given)
     for name, (_, kind, _) in OPTIONS.items():
-        value = getattr(args, name, None)
-        if value is not None:
-            setattr(config, name, value)
         text = getattr(config, name)
         if isinstance(kind, list) and text is not None:
             try:
@@ -161,8 +150,6 @@ def _merge_config(args: argparse.Namespace) -> RunConfig:
     # a detector count given beside them must agree, and an arm hop count
     # has no arm to set, or either would be dropped without a word.  No
     # other scenario reads these keys.
-    given = {name for name in OPTIONS if getattr(args, name) is not None}
-    given.update(keys)
     if config.scenario == "star" and config.intensities:
         if "detectors" in given and config.detectors != len(config.intensities):
             raise ConfigError(
@@ -179,13 +166,20 @@ def _merge_config(args: argparse.Namespace) -> RunConfig:
 
 def _checked_value(key: object, value: object, name: str) -> object:
     """A config-file value of option ``name``'s type, or ``null`` where its
-    default is ``None``.  Fixed-set and list options take text; an int may
-    stand for a float, and a number for text (such as ``distance: 10``)."""
+    default is ``None``.  A fixed-set option takes one of its values, and a
+    list option text; an int may stand for a float, and a number for text
+    (such as ``distance: 10``)."""
     default, kind, _ = OPTIONS[name]
-    if not isinstance(kind, type):
-        kind = str
     if value is None and default is None:
         return value
+    if isinstance(kind, tuple):
+        if value in kind:
+            return value
+        raise ConfigError(
+            f"config key {key!r} must be one of {', '.join(kind)}, got {value!r}"
+        )
+    if isinstance(kind, list):
+        kind = str
     if kind is str and type(value) in (int, float):
         return str(value)
     if type(value) is kind or (kind is float and type(value) is int):
@@ -193,7 +187,7 @@ def _checked_value(key: object, value: object, name: str) -> object:
     raise ConfigError(f"config key {key!r} must be {kind.__name__}, got {value!r}")
 
 
-def _scenario_lattice(config: RunConfig) -> Lattice:
+def _scenario_lattice(config: argparse.Namespace) -> Lattice:
     if config.scenario == "star":
         if config.intensities:
             return build_intensity_star(
@@ -240,7 +234,7 @@ def _write(path: Path, text: str) -> None:
         raise ConfigError(f"cannot write {path}: {exc}") from exc
 
 
-def _run_ensemble_scenario(config: RunConfig, out_dir: Path) -> int:
+def _run_ensemble_scenario(config: argparse.Namespace, out_dir: Path) -> int:
     lattice = _scenario_lattice(config)
     mode = Mode(config.mode)
     plan = None
@@ -308,19 +302,18 @@ def _run_ensemble_scenario(config: RunConfig, out_dir: Path) -> int:
     return EXIT_OK
 
 
-def _run_clock(config: RunConfig, out_dir: Path) -> int:
-    from .chronometry import ClockScenario, queue_clock_count  # only clock runs
+def _run_clock(config: argparse.Namespace, out_dir: Path) -> int:
+    from .chronometry import queue_clock_count  # only clock runs need it
 
     lines = ["source_distance,laser_distance,cadence,laser_count"]
     for d_s in config.distance:
-        scenario = ClockScenario(d_s, config.laser_distance, config.cadence)
-        count = queue_clock_count(scenario)
+        count = queue_clock_count(d_s, config.laser_distance, config.cadence)
         lines.append(f"{d_s},{config.laser_distance},{config.cadence},{count}")
     _write(out_dir / "clock.csv", "\n".join(lines) + "\n")
     return EXIT_OK
 
 
-def _run_dilation(config: RunConfig, out_dir: Path) -> int:
+def _run_dilation(config: argparse.Namespace, out_dir: Path) -> int:
     from .chronometry import dilation_time  # only dilation runs need it
 
     if config.v is not None:
@@ -334,11 +327,7 @@ def _run_dilation(config: RunConfig, out_dir: Path) -> int:
     return EXIT_OK
 
 
-def run(config: RunConfig) -> int:
-    if config.scenario not in SCENARIOS:
-        raise ConfigError(f"unknown scenario {config.scenario!r}")
-    if config.mode not in _MODES:
-        raise ConfigError(f"unknown mode {config.mode!r}")
+def run(config: argparse.Namespace) -> int:
     if config.trials < 1:
         raise ConfigError("trials must be >= 1")
     if config.jobs < 1:
@@ -361,7 +350,7 @@ def run(config: RunConfig) -> int:
     out_dir = Path(config.out)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
+    except (OSError, ValueError) as exc:  # ValueError: a NUL byte in the name
         raise ConfigError(f"cannot create output directory {out_dir}: {exc}") from exc
     if config.scenario == "clock":
         return _run_clock(config, out_dir)

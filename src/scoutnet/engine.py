@@ -83,6 +83,11 @@ TraceSink = Callable[[str], None]
 
 
 class Mode(str, Enum):
+    """A lottery winner's weight rule.  ``count_winners``, ``run_trial``,
+    ``backpropagate`` and the experiments take a member or its value, as
+    ``Mode(mode)`` does, and raise ``ValueError`` on any other value;
+    ``lottery_select``, called per column of draws, takes the member."""
+
     NAIVE = "naive"
     AGGREGATE = "aggregate"
 
@@ -250,8 +255,7 @@ class TrialPlan(NamedTuple):
     base: tuple[Query, ...]
     draw_order: tuple[int, ...]
 
-    # a view for perfbench's plan counters and the frozen reference
-    # kernel; the engine does not read it
+    # a view for perfbench's plan counters; the engine does not read it
     @property
     def live_edges(self) -> frozenset[tuple[int, int]]:
         return frozenset((u, v) for u, kids in self.out_live.items() for v in kids)
@@ -447,7 +451,7 @@ def _one_trial(
     kernel and the walk's forks."""
     draws = len(plan.draw_order) + len(plan.process_order)
     ((words, _),) = trial_blocks(master_seed, draws, trial_index, trial_index + 1)
-    queries, (cursor,) = _columns(plan, mode, words, 1)
+    queries, (cursor,) = _columns(plan, Mode(mode), words, 1)
     won = list(plan.base)
     for u, (query,) in queries.items():
         won[u] = query
@@ -527,6 +531,7 @@ def count_winners(
     in either mode, and ``rng.count_first_words`` counts those indices in
     the draw lanes, without the kernel.
     """
+    mode = Mode(mode)
     source = plan.lattice.source
     counts: Counter = Counter()
     if not plan.draw_order:

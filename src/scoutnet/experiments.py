@@ -180,6 +180,7 @@ def run_ensemble(
     and so pickles the plan once per worker.  ``plan``, if given, is the
     lattice's prebuilt forward half; otherwise it is built here.
     """
+    mode = Mode(mode)
     if trials < 1:
         raise ValueError("trials must be >= 1")
     if plan is None:
@@ -265,6 +266,7 @@ def exact_selection_distribution(lattice: Lattice, mode: Mode) -> dict[int, floa
     The enumeration branches on every outcome of every lottery and has no
     budget of its own, only the oracle's: it is meant for small lattices.
     """
+    aggregate = Mode(mode) is Mode.AGGREGATE
     live, children = _live_graph(lattice)
     order = [*children.items()]
     result: dict[int, float] = {det: 0.0 for det in lattice.detectors}
@@ -290,7 +292,7 @@ def exact_selection_distribution(lattice: Lattice, mode: Mode) -> dict[int, floa
             total += w
         for det in sorted(weights):
             share = weights[det] / total
-            new_weight = total if mode is Mode.AGGREGATE else weights[det]
+            new_weight = total if aggregate else weights[det]
             descend(idx + 1, {**winner_at, u: (det, new_weight)}, prob * share)
 
     descend(0, {}, 1.0)

@@ -26,6 +26,11 @@ def path_amplitudes(lat: Lattice) -> dict[int, complex]:
     return {det: path_sum(oracle.enumerate_paths(lat, det)) for det in lat.detectors}
 
 
+def live_pairs(plan) -> list[tuple[int, int]]:
+    """A plan's live trace graph as ``(node, live child)`` pairs."""
+    return [(u, v) for u, kids in plan.out_live.items() for v in kids]
+
+
 def diamond_arm(
     nodes: list[Node],
     ribs: list[Rib],

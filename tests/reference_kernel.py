@@ -2,11 +2,11 @@
 runs every lottery and refusal wave in ``process_order``, with no seeded
 query table and no shared lotteries.
 
-Only the tests use it.  It reads the plan's ``live_edges``,
-``process_order`` and ``intensities``, builds its own child and parent
-maps from the edges, keeps its own copy of the lottery draw and of the
-random stream, a sequential splitmix64, and must agree with the engine's
-kernel per seed: winner, surviving path, voided edges and trace lines.
+Only the tests use it.  It reads the plan's ``out_live`` as a list of
+edges, ``process_order`` and ``intensities``, builds its own child and
+parent maps from the edges, keeps its own copy of the lottery draw and
+of the random stream, a sequential splitmix64, and must agree with the
+engine's kernel per seed: winner, surviving path, voided edges and trace lines.
 Its draw keeps an all-zero uniform fallback that the engine's lacks, and
 counts its uses; the tests assert that count stays 0.
 """
@@ -97,7 +97,7 @@ def _live_maps(
     order, so children come in id order."""
     out_live: dict[int, list[int]] = defaultdict(list)
     in_live: dict[int, list[int]] = defaultdict(list)
-    for u, v in sorted(plan.live_edges):
+    for u, v in sorted((u, v) for u, kids in plan.out_live.items() for v in kids):
         out_live[u].append(v)
         in_live[v].append(u)
     return out_live, in_live

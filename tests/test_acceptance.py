@@ -10,7 +10,7 @@ import pytest
 
 from conftest import random_layered_lattice, tree_merge_instances
 from scoutnet import experiments, oracle
-from scoutnet.chronometry import ClockScenario, dilation_time, queue_clock_count
+from scoutnet.chronometry import dilation_time, queue_clock_count
 from scoutnet.cli import EXIT_OK, main as cli_main
 from scoutnet.engine import Mode, RibState, prepare, propagate_scouts, run_trial
 from scoutnet.lattice import build_intensity_star, build_slit_grid, build_two_path
@@ -156,10 +156,8 @@ def test_c6_winner_path_invariant():
 
 def test_c7_queue_clock_linearity():
     for d_s in (5, 10, 20):
-        assert queue_clock_count(ClockScenario(d_s, 1, 1)) == d_s
-    counts_m2 = [
-        queue_clock_count(ClockScenario(d_s, 1, 2)) for d_s in (5, 10, 20)
-    ]
+        assert queue_clock_count(d_s, 1, 1) == d_s
+    counts_m2 = [queue_clock_count(d_s, 1, 2) for d_s in (5, 10, 20)]
     assert counts_m2 == [3, 5, 10]
     print("\nACCEPTANCE 7 queue-clock linearity: PASS")
 

@@ -4,12 +4,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from scoutnet.chronometry import ClockScenario, dilation_time, queue_clock_count
+from scoutnet.chronometry import dilation_time, queue_clock_count
 from scoutnet.errors import ConfigError
 
 
 def count(d_s: int, d_l: int, m: int) -> int:
-    return queue_clock_count(ClockScenario(d_s, d_l, m))
+    return queue_clock_count(d_s, d_l, m)
 
 
 def count_by_ticks(d_s: int, d_l: int, m: int) -> int:
@@ -75,9 +75,9 @@ class TestQueueClock:
 
     def test_invalid_scenario_rejected(self):
         with pytest.raises(ConfigError):
-            ClockScenario(0, 1, 1)
+            queue_clock_count(0, 1, 1)
         with pytest.raises(ConfigError):
-            ClockScenario(1, 1, 0)
+            queue_clock_count(1, 1, 0)
 
 
 class TestDilation:

@@ -245,6 +245,14 @@ class TestExitCodes:
         assert run_cli(*argv) == EXIT_CONFIG
         assert capsys.readouterr().err.startswith("error:")
 
+    def test_nul_byte_in_config_out_is_config_error(self, tmp_path, capsys):
+        # a flag or $SCOUTNET_OUT cannot hold a NUL byte; a config file can
+        cfg = tmp_path / "run.yaml"
+        cfg.write_text('scenario: dilation\nout: "o\\0x"\n')
+        assert run_cli("--config", str(cfg)) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot create output directory o\x00x: "), err
+
     @pytest.mark.parametrize(
         "artifact,argv",
         [

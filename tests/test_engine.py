@@ -14,6 +14,7 @@ from conftest import (
     chain_arm,
     diamond_arm,
     diamond_chain,
+    live_pairs,
     nested_tree_lattice,
     random_layered_lattice,
     shuffle_node_ids,
@@ -247,7 +248,8 @@ class TestPrepare:
         assert plan.intensities[live] == pytest.approx(1.0)
         assert plan.base[live][0] == live
         assert plan.base[dark][0] == -1
-        assert plan.live_edges and all(dark not in edge for edge in plan.live_edges)
+        edges = live_pairs(plan)
+        assert edges and all(dark not in edge for edge in edges)
         for index in range(100):
             outcome = run_trial(lat, Mode.AGGREGATE, 4, index, plan=plan)
             assert outcome.winner == live
@@ -325,8 +327,8 @@ class TestPrepare:
             assert expanded == sorted(expanded, key=lambda u: (dist[u], u))
             off_id_order += expanded != sorted(expanded)
             rank = {u: i for i, u in enumerate(plan.process_order)}
-            assert set(rank) == {u for u, _ in plan.live_edges}
-            for u, v in plan.live_edges:
+            assert set(rank) == {u for u, _ in live_pairs(plan)}
+            for u, v in live_pairs(plan):
                 assert rank.get(v, -1) < rank[u]
         assert off_id_order >= 20
 
@@ -833,6 +835,39 @@ class TestColumnKernel:
         assert len(plan.draw_order) * MIN_TRIALS > BLOCK_DRAWS
         for mode in Mode:
             assert self.peak_bytes(plan, mode, MIN_TRIALS) < 8e6
+
+
+class TestModeByValue:
+    """``Mode`` is a ``str`` enum: each entry point runs the member that a
+    value names, and raises on any other value."""
+
+    def test_value_runs_its_member(self):
+        lat = build_slit_grid(7, 9, [2, 6])
+        plan = prepare(lat)
+        counts = {}
+        for mode in Mode:
+            counts[mode] = count_winners(plan, mode, 1, 0, 2000)
+            assert count_winners(plan, mode.value, 1, 0, 2000) == counts[mode]
+            for index in range(10):
+                assert run_trial(lat, mode.value, 1, index, plan=plan) == run_trial(
+                    lat, mode, 1, index, plan=plan
+                )
+                assert backpropagate(plan, mode.value, 1, index) == backpropagate(
+                    plan, mode, 1, index
+                )
+        assert counts[Mode.NAIVE] != counts[Mode.AGGREGATE]
+
+    @pytest.mark.parametrize(
+        "lat", [build_star(1, 2, [1.0]), build_slit_grid(3, 5, [1, 3])]
+    )
+    def test_other_value_raises(self, lat):
+        plan = prepare(lat)
+        with pytest.raises(ValueError, match="bogus"):
+            count_winners(plan, "bogus", 1, 0, 10)
+        with pytest.raises(ValueError, match="bogus"):
+            run_trial(lat, "bogus", 1, 0, plan=plan)
+        with pytest.raises(ValueError, match="bogus"):
+            backpropagate(plan, "bogus", 1, 0)
 
 
 class TestRunTrial:

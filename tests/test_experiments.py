@@ -442,6 +442,38 @@ class TestInterferenceProfile:
         assert sum(profile.empirical_frequency) == pytest.approx(1.0, abs=1e-12)
 
 
+class TestModeByValue:
+    """A mode's value runs its member: the same law, counts and artifacts."""
+
+    def test_value_runs_its_member(self):
+        grid, slit = build_grid(4, 4, "column"), build_slit_grid(3, 9, [2, 6])
+        laws = {}
+        for mode in Mode:
+            laws[mode] = exact_selection_distribution(grid, mode)
+            assert exact_selection_distribution(grid, mode.value) == laws[mode]
+            by_value, by_member = (
+                run_ensemble(grid, m, 500, 1) for m in (mode.value, mode)
+            )
+            assert by_value == by_member and by_value.mode is mode
+            assert summary_json(by_value) == summary_json(by_member)
+            profiles = [
+                experiments.interference_profile(slit, m, 500, 1)
+                for m in (mode.value, mode)
+            ]
+            assert profile_csv(profiles[0]) == profile_csv(profiles[1])
+            assert ensemble_csv(profiles[0].ensemble) == ensemble_csv(
+                profiles[1].ensemble
+            )
+        assert laws[Mode.NAIVE] != laws[Mode.AGGREGATE]
+
+    def test_other_value_raises(self):
+        lat = build_intensity_star([1.0, 1.0, 2.0])
+        with pytest.raises(ValueError, match="bogus"):
+            run_ensemble(lat, "bogus", 10, 1)
+        with pytest.raises(ValueError, match="bogus"):
+            exact_selection_distribution(lat, "bogus")
+
+
 class TestSerialization:
     def test_ensemble_csv_shape(self):
         lat = build_intensity_star([1.0, 3.0])

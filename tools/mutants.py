@@ -413,14 +413,36 @@ MUTANTS: list[tuple[str, str, str, str, tuple[str, ...]]] = [
         "import json\nfrom . import oracle\n",
         ("tests/test_cli.py::test_cli_import_loads_only_what_start_up_needs",),
     ),
+    # a mode's value runs its member
+    (
+        "count-takes-mode-value-as-given",
+        ENGINE,
+        "    mode = Mode(mode)\n    source = plan.lattice.source\n",
+        "    source = plan.lattice.source\n",
+        ("tests/test_engine.py::TestModeByValue",),
+    ),
+    (
+        "trial-takes-mode-value-as-given",
+        ENGINE,
+        "_columns(plan, Mode(mode), words, 1)",
+        "_columns(plan, mode, words, 1)",
+        ("tests/test_engine.py::TestModeByValue",),
+    ),
+    (
+        "exact-law-takes-mode-value-as-given",
+        "src/scoutnet/experiments.py",
+        "aggregate = Mode(mode) is Mode.AGGREGATE",
+        "aggregate = mode is Mode.AGGREGATE",
+        ("tests/test_experiments.py::TestModeByValue",),
+    ),
     # the option table
     (
         "env-out-only-when-out-is-cwd",
         CLI,
-        "    for name, (_, kind, _) in OPTIONS.items():\n        value = getattr(args",
+        "    vars(config).update(given)\n",
+        "    vars(config).update(given)\n"
         "    if args.out is None and config.out == '.':\n"
-        "        config.out = os.environ.get(OUT_ENV_VAR) or '.'\n"
-        "    for name, (_, kind, _) in OPTIONS.items():\n        value = getattr(args",
+        "        config.out = os.environ.get(OUT_ENV_VAR) or '.'\n",
         (PRECEDENCE,),
     ),
     (
@@ -437,9 +459,29 @@ MUTANTS: list[tuple[str, str, str, str, tuple[str, ...]]] = [
     (
         "config-repeats-allowed",
         CLI,
-        "            if name in keys:\n",
+        "            if name in given:\n",
         "            if False:\n",
         (TWICE,),
+    ),
+    (
+        "config-choice-unchecked",
+        CLI,
+        "        if value in kind:\n",
+        "        if True:\n",
+        (
+            "tests/test_cli.py::TestExitCodes::"
+            "test_malformed_config_value_is_config_error[mode: bogus-mode]",
+        ),
+    ),
+    (
+        "out-dir-nul-byte-uncaught",
+        CLI,
+        "    except (OSError, ValueError) as exc:",
+        "    except OSError as exc:",
+        (
+            "tests/test_cli.py::TestExitCodes::"
+            "test_nul_byte_in_config_out_is_config_error",
+        ),
     ),
     (
         "yaml-repeats-allowed",
