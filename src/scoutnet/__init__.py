@@ -12,7 +12,6 @@ from .lattice import (
     build_star,
     build_two_path,
     load_topology,
-    serialize_topology,
 )
 from .oracle import born_distribution, enumerate_paths
 
@@ -30,7 +29,6 @@ __all__ = [
     "build_star",
     "build_two_path",
     "load_topology",
-    "serialize_topology",
     "born_distribution",
     "enumerate_paths",
 ]

@@ -265,41 +265,13 @@ def _run_ensemble_scenario(config: argparse.Namespace, out_dir: Path) -> int:
     _write(out_dir / "ensemble.csv", experiments.ensemble_csv(result))
     _write(out_dir / "summary.json", experiments.summary_json(result))
 
-    critical = None
-    if result.dof > 0:
-        critical = experiments.chi_square_critical(result.dof, config.chi_percentile)
-    tv_threshold = config.tv_threshold
-    if tv_threshold is None:
-        # TV = 1/2 sum|p^ - p| <= 1/2 sqrt(chi2 / n) by Cauchy-Schwarz, with
-        # chi2 taken over every detector, unpooled: the bound uses that
-        # statistic's quantile, so a run is not failed on TV by sampling
-        # noise alone, however few its trials.
-        tv_threshold = default_tv
-        cells = sum(p > 0.0 for p in result.reference.entries.values())
-        if cells > 1:
-            unpooled = experiments.chi_square_critical(cells - 1, config.chi_percentile)
-            tv_threshold = max(default_tv, 0.5 * math.sqrt(unpooled / result.trials))
-    if result.underpowered:
-        print(
-            f"warning: underpowered run: pooling the detectors that expect "
-            f"fewer than 5 of {result.trials} trials leaves one cell, so no "
-            f"chi-square gate runs",
-            file=sys.stderr,
-        )
-    if result.tv_distance > tv_threshold:
-        print(
-            f"threshold failure: tv {result.tv_distance:.5f} > {tv_threshold:.5g}",
-            file=sys.stderr,
-        )
-        return EXIT_THRESHOLD
-    if critical is not None and result.chi_square > critical:
-        print(
-            f"threshold failure: chi2 {result.chi_square:.3f} > "
-            f"critical {critical:.3f} (dof {result.dof})",
-            file=sys.stderr,
-        )
-        return EXIT_THRESHOLD
-    return EXIT_OK
+    warning, failure = experiments.gate(
+        result, config.chi_percentile, config.tv_threshold, default_tv
+    )
+    for line in (warning, failure):
+        if line is not None:
+            print(line, file=sys.stderr)
+    return EXIT_OK if failure is None else EXIT_THRESHOLD
 
 
 def _run_clock(config: argparse.Namespace, out_dir: Path) -> int:

@@ -221,6 +221,51 @@ def run_ensemble(
     )
 
 
+def gate(
+    result: EnsembleResult,
+    chi_percentile: float,
+    tv_threshold: Optional[float],
+    default_tv: float,
+) -> tuple[Optional[str], Optional[str]]:
+    """The run's verdict against the Born law, as two stderr lines: the
+    underpowered warning or None, and the threshold failure or None.
+
+    The run fails when its TV distance exceeds ``tv_threshold``, or else
+    when its pooled chi-square exceeds the ``chi_percentile`` quantile at
+    the pooled ``dof``; an underpowered run (``dof`` 0) has no chi-square
+    gate.  A ``tv_threshold`` of None is ``max(default_tv, 1/2 sqrt(c /
+    trials))``, with ``c`` that quantile at the unpooled degrees of
+    freedom, one less than the positive Born cells.
+    """
+    if tv_threshold is None:
+        # TV = 1/2 sum|p^ - p| <= 1/2 sqrt(chi2 / n) by Cauchy-Schwarz, with
+        # chi2 taken over every detector, unpooled: the bound uses that
+        # statistic's quantile, so a run is not failed on TV by sampling
+        # noise alone, however few its trials.
+        tv_threshold = default_tv
+        cells = sum(p > 0.0 for p in result.reference.entries.values())
+        if cells > 1:
+            unpooled = chi_square_critical(cells - 1, chi_percentile)
+            tv_threshold = max(default_tv, 0.5 * math.sqrt(unpooled / result.trials))
+    warning = failure = None
+    if result.underpowered:
+        warning = (
+            f"warning: underpowered run: pooling the detectors that expect "
+            f"fewer than 5 of {result.trials} trials leaves one cell, so no "
+            f"chi-square gate runs"
+        )
+    if result.tv_distance > tv_threshold:
+        failure = f"threshold failure: tv {result.tv_distance:.5f} > {tv_threshold:.5g}"
+    elif result.dof > 0:
+        critical = chi_square_critical(result.dof, chi_percentile)
+        if result.chi_square > critical:
+            failure = (
+                f"threshold failure: chi2 {result.chi_square:.3f} > "
+                f"critical {critical:.3f} (dof {result.dof})"
+            )
+    return warning, failure
+
+
 # ---------------------------------------------------------------------------
 # Exact selection distribution by brute force over lottery outcomes
 # ---------------------------------------------------------------------------

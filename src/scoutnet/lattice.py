@@ -8,8 +8,8 @@ reachable from it, and the photon wavelength is part of the lattice
 because phase accumulation is meaningless without it.
 
 Builders cover the canonical scenarios (star, two-path interferometer,
-slit screen, rectangular grid); ``load_topology``/``serialize_topology``
-round-trip arbitrary user topologies through a YAML document.
+slit screen, rectangular grid); ``load_topology`` reads arbitrary user
+topologies from a YAML document.
 """
 
 from __future__ import annotations
@@ -88,17 +88,6 @@ class Lattice:
     def __setstate__(self, state: tuple) -> None:
         for name, value in zip(self.__slots__, state):
             object.__setattr__(self, name, value)
-
-    def __eq__(self, other) -> bool:
-        # rib storage order is presentation detail; compare canonically
-        if not isinstance(other, Lattice):
-            return NotImplemented
-        return (
-            self.nodes == other.nodes
-            and sorted(self.ribs, key=lambda r: r.endpoints)
-            == sorted(other.ribs, key=lambda r: r.endpoints)
-            and self.wavelength == other.wavelength
-        )
 
     def _validate(self) -> None:
         if not (self.wavelength > 0) or not math.isfinite(self.wavelength):
@@ -443,28 +432,6 @@ def build_grid(
 # ---------------------------------------------------------------------------
 # Topology documents
 # ---------------------------------------------------------------------------
-
-
-def serialize_topology(lattice: Lattice) -> str:
-    """Deterministic YAML form (nodes by id, ribs by sorted endpoints)."""
-    data = {
-        "wavelength": float(lattice.wavelength),
-        "nodes": [
-            {
-                "id": node.id,
-                "position": [float(c) for c in node.position],
-                "kind": node.kind.value,
-            }
-            for node in lattice.nodes
-        ],
-        "ribs": [
-            {"endpoints": [rib.a, rib.b], "length": float(rib.length)}
-            for rib in sorted(lattice.ribs, key=lambda r: r.endpoints)
-        ],
-    }
-    import yaml  # imported on use: a CLI run without a topology never needs it
-
-    return yaml.safe_dump(data, sort_keys=False)
 
 
 def load_yaml(document: str, error: type[ScoutnetError], what: str) -> object:

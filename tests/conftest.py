@@ -1,5 +1,6 @@
-"""Shared lattice factories, statistics and a transcription of CPython
-3.12's ``sum`` for the unit and acceptance suites."""
+"""Shared lattice factories, a topology document writer, statistics and a
+transcription of CPython 3.12's ``sum`` for the unit and acceptance
+suites."""
 
 from __future__ import annotations
 
@@ -8,6 +9,8 @@ import cmath
 import math
 import random
 from collections.abc import Hashable, Mapping
+
+import yaml
 
 from scoutnet import oracle
 from scoutnet.lattice import Lattice, Node, NodeKind, Rib
@@ -24,6 +27,34 @@ def path_sum(paths: list[oracle.PathRecord]) -> complex:
 def path_amplitudes(lat: Lattice) -> dict[int, complex]:
     """Every detector's amplitude, path by path from ``enumerate_paths``."""
     return {det: path_sum(oracle.enumerate_paths(lat, det)) for det in lat.detectors}
+
+
+def topology_document(lat: Lattice) -> str:
+    """The YAML topology document of ``lat``: nodes by id, ribs by sorted
+    endpoints, every number a float."""
+    data = {
+        "wavelength": float(lat.wavelength),
+        "nodes": [
+            {
+                "id": node.id,
+                "position": [float(c) for c in node.position],
+                "kind": node.kind.value,
+            }
+            for node in lat.nodes
+        ],
+        "ribs": [
+            {"endpoints": [rib.a, rib.b], "length": float(rib.length)}
+            for rib in sorted(lat.ribs, key=lambda r: r.endpoints)
+        ],
+    }
+    return yaml.safe_dump(data, sort_keys=False)
+
+
+def canonical(lat: Lattice) -> tuple:
+    """What two equal lattices share: nodes, ribs in endpoint order (the
+    order they are stored in is presentation detail) and wavelength.
+    ``==`` on lattices is identity."""
+    return lat.nodes, sorted(lat.ribs, key=lambda r: r.endpoints), lat.wavelength
 
 
 def live_pairs(plan) -> list[tuple[int, int]]:

@@ -14,11 +14,11 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import diamond_chain
+from conftest import diamond_chain, topology_document
 from scoutnet import engine
 from scoutnet import cli
 from scoutnet.cli import EXIT_CONFIG, EXIT_OK, EXIT_THRESHOLD, OPTIONS, main
-from scoutnet.lattice import build_star, serialize_topology
+from scoutnet.lattice import build_star
 
 
 def run_cli(*argv: str) -> int:
@@ -50,7 +50,7 @@ class TestExitCodes:
         assert key in capsys.readouterr().err
 
     def test_laser_node_kind_is_config_error(self, tmp_path, capsys):
-        doc = serialize_topology(build_star(2, 2, [1.0, 1.0]))
+        doc = topology_document(build_star(2, 2, [1.0, 1.0]))
         topo = tmp_path / "topo.yaml"
         topo.write_text(doc.replace("kind: void", "kind: laser", 1))
         code = run_cli(
@@ -334,6 +334,38 @@ class TestGateFlags:
         assert summary["tv_distance"] > 0.1
         assert summary["underpowered"] is True
         assert (summary["dof"], summary["chi_square"]) == (0, 0.0)
+
+    @pytest.mark.parametrize(
+        "argv,code,line",
+        [
+            (
+                "--scenario star --detectors 2 --trials 2001 --seed 3 "
+                "--tv-threshold 1e-9",
+                EXIT_THRESHOLD,
+                "threshold failure: tv 0.00425 > 1e-09",
+            ),
+            (
+                "--scenario grid --grid-w 4 --grid-h 4 --trials 10000",
+                EXIT_THRESHOLD,
+                "threshold failure: tv 0.11717 > 0.016841",
+            ),
+            (
+                "--scenario grid --grid-w 20 --grid-h 20 --trials 500",
+                EXIT_THRESHOLD,
+                "threshold failure: chi2 37.049 > critical 11.345 (dof 3)",
+            ),
+            (
+                "--scenario grid --grid-w 9 --grid-h 9 --trials 10",
+                EXIT_OK,
+                "warning: underpowered run: pooling the detectors that expect "
+                "fewer than 5 of 10 trials leaves one cell, so no chi-square "
+                "gate runs",
+            ),
+        ],
+    )
+    def test_gate_prints_its_whole_line(self, tmp_path, capsys, argv, code, line):
+        assert run_cli(*argv.split(), "--out", str(tmp_path)) == code
+        assert capsys.readouterr().err == line + "\n"
 
     def test_pooled_cells_set_the_chi_square_dof(self, tmp_path, capsys):
         # grid 4x4's corner detector expects 6.8 of 1000 trials and the next
@@ -637,7 +669,7 @@ class TestScenarios:
 
     def test_intensity_overflow_is_config_error(self, tmp_path, capsys):
         topo = tmp_path / "d600.yaml"
-        topo.write_text(serialize_topology(diamond_chain(600)))
+        topo.write_text(topology_document(diamond_chain(600)))
         code = run_cli(
             "--scenario", "custom", "--topology", str(topo), "--trials", "10",
             "--out", str(tmp_path),
@@ -657,7 +689,7 @@ class TestScenarios:
         assert (tmp_path / "profile.csv").is_file()
 
     def test_custom_topology_round_trip(self, tmp_path):
-        doc = serialize_topology(build_star(2, 1, [1.0, 1.0]))
+        doc = topology_document(build_star(2, 1, [1.0, 1.0]))
         topo = tmp_path / "topo.yaml"
         topo.write_text(doc)
         code = run_cli(

@@ -1,5 +1,6 @@
 import builtins
 import concurrent.futures
+import math
 import os
 import random
 from collections import Counter
@@ -22,6 +23,7 @@ from scoutnet.experiments import (
     chi_square_critical,
     ensemble_csv,
     exact_selection_distribution,
+    gate,
     profile_csv,
     run_ensemble,
     summary_json,
@@ -472,6 +474,84 @@ class TestModeByValue:
             run_ensemble(lat, "bogus", 10, 1)
         with pytest.raises(ValueError, match="bogus"):
             exact_selection_distribution(lat, "bogus")
+
+
+@pytest.fixture(scope="module")
+def grid_300():
+    """Grid 4x4 at 300 trials: four positive Born cells, so 3 unpooled
+    degrees of freedom, and the corner cell, expecting 2.1 draws, pooled
+    to dof 2.  The gate tests set its statistics with ``_replace``."""
+    result = run_ensemble(build_grid(4, 4, "column"), Mode.AGGREGATE, 300, 42)
+    assert (result.dof, result.underpowered) == (2, False)
+    return result._replace(tv_distance=0.0, chi_square=0.0)
+
+
+def default_bound(dof: int, trials: int) -> float:
+    return 0.5 * math.sqrt(chi_square_critical(dof, 0.99) / trials)
+
+
+class TestGate:
+    def test_tv_at_the_threshold_passes_and_just_above_fails(self, grid_300):
+        for threshold in (0.05, None):
+            bound = 0.05 if threshold else default_bound(3, 300)
+            at = grid_300._replace(tv_distance=bound)
+            assert gate(at, 0.99, threshold, 0.01) == (None, None)
+            above = at._replace(tv_distance=math.nextafter(bound, 1.0))
+            assert gate(above, 0.99, threshold, 0.01) == (
+                None,
+                f"threshold failure: tv {above.tv_distance:.5f} > {bound:.5g}",
+            )
+
+    def test_one_positive_cell_takes_the_default(self):
+        result = run_ensemble(build_star(1, 1, [1.0]), Mode.AGGREGATE, 10, 42)
+        for default in (0.01, 0.3):
+            at = result._replace(tv_distance=default)
+            assert gate(at, 0.99, None, default) == (None, None)
+            above = result._replace(tv_distance=math.nextafter(default, 1.0))
+            assert gate(above, 0.99, None, default)[1] == (
+                f"threshold failure: tv {above.tv_distance:.5f} > {default:.5g}"
+            )
+
+    def test_default_bound_takes_the_unpooled_dof(self, grid_300):
+        # pooled, the bound at dof 2 would fail this run
+        bound = default_bound(3, 300)
+        assert default_bound(2, 300) < bound
+        at = grid_300._replace(tv_distance=bound)
+        assert gate(at, 0.99, None, 0.01) == (None, None)
+
+    def test_default_bound_is_floored_at_the_default(self, grid_300):
+        # a million trials bound TV by 0.0017, under the floor 0.01
+        many = grid_300._replace(trials=10**6, tv_distance=0.01)
+        assert default_bound(3, 10**6) < 0.01
+        assert gate(many, 0.99, None, 0.01) == (None, None)
+
+    def test_explicit_threshold_wins_over_the_default(self, grid_300):
+        # the default bound at 300 trials is 0.097
+        result = grid_300._replace(tv_distance=0.05)
+        assert gate(result, 0.99, None, 0.01) == (None, None)
+        assert gate(result, 0.99, 0.02, 0.01)[1] == (
+            "threshold failure: tv 0.05000 > 0.02"
+        )
+        loose = grid_300._replace(tv_distance=0.2)
+        assert gate(loose, 0.99, 0.5, 0.01) == (None, None)
+
+    def test_underpowered_run_warns_and_skips_the_chi_square_gate(self, grid_300):
+        result = grid_300._replace(dof=0, underpowered=True, chi_square=1e9)
+        assert gate(result, 0.99, None, 0.01) == (
+            "warning: underpowered run: pooling the detectors that expect fewer "
+            "than 5 of 300 trials leaves one cell, so no chi-square gate runs",
+            None,
+        )
+
+    def test_chi_square_failure_names_its_dof(self, grid_300):
+        critical = chi_square_critical(2, 0.99)
+        at = grid_300._replace(chi_square=critical)
+        assert gate(at, 0.99, None, 0.01) == (None, None)
+        above = at._replace(chi_square=critical + 0.01)
+        assert gate(above, 0.99, None, 0.01) == (
+            None,
+            f"threshold failure: chi2 {critical + 0.01:.3f} > critical 9.210 (dof 2)",
+        )
 
 
 class TestSerialization:

@@ -5,8 +5,11 @@ copies the tree into a temporary directory, replaces the single
 occurrence of ``old`` in ``file`` with ``new``, and runs the named tests
 there with pytest.  A mutant *survives* when those tests pass; an entry is
 *stale* when ``old`` does not occur exactly once in ``file`` (the code has
-moved: rebuild the entry) or when pytest cannot run its tests.  Before
-any mutant, the named tests must pass on an unmutated copy.
+moved: rebuild the entry) or when pytest cannot run its tests; it *timed
+out* when the run outlasts ``TIMEOUT_S`` (a mutant that never ends, such
+as a bracket doubled forever).  Only a killed mutant passes.  Before any
+mutant, the named tests must pass on an unmutated copy, within the same
+limit.
 
 Run from the repository root:
 
@@ -30,6 +33,11 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 COPIED = ("src", "tests", "README.md", "pyproject.toml")
+# seconds one pytest run may take, the baseline's or a mutant's: about five
+# times the slowest run measured on a 2-core box, where the slowest mutant
+# (lotteries-kept-across-trials) took 23.4 s and the baseline, every named
+# test at once, 16.2 s
+TIMEOUT_S = 120
 
 ENGINE = "src/scoutnet/engine.py"
 RNG = "src/scoutnet/rng.py"
@@ -49,6 +57,7 @@ FIRST_WORDS = "tests/test_rng.py::TestFirstWordCounts"
 LANE_COUNT = "tests/test_engine.py::TestLaneCount"
 CLASSES = "tests/test_oracle.py::TestClassAmplitudes"
 PRECEDENCE = "tests/test_cli.py::TestConfigPrecedence"
+GATE = "tests/test_experiments.py::TestGate"
 TWICE = (
     "tests/test_cli.py::TestExitCodes::"
     "test_option_set_twice_in_config_file_is_config_error"
@@ -399,6 +408,42 @@ MUTANTS: list[tuple[str, str, str, str, tuple[str, ...]]] = [
         "an = -i * (i + a)",
         ("tests/test_experiments.py::TestChiSquareCritical",),
     ),
+    # the run's verdict
+    (
+        "tv-bound-at-pooled-dof",
+        "src/scoutnet/experiments.py",
+        "unpooled = chi_square_critical(cells - 1, chi_percentile)",
+        "unpooled = chi_square_critical(result.dof, chi_percentile)",
+        (GATE,),
+    ),
+    (
+        "tv-bound-without-floor",
+        "src/scoutnet/experiments.py",
+        "tv_threshold = max(default_tv, 0.5 * math.sqrt(unpooled / result.trials))",
+        "tv_threshold = 0.5 * math.sqrt(unpooled / result.trials)",
+        (GATE,),
+    ),
+    (
+        "tv-gate-fails-at-threshold",
+        "src/scoutnet/experiments.py",
+        "if result.tv_distance > tv_threshold:",
+        "if result.tv_distance >= tv_threshold:",
+        (GATE,),
+    ),
+    (
+        "chi-square-gate-fails-at-critical",
+        "src/scoutnet/experiments.py",
+        "if result.chi_square > critical:",
+        "if result.chi_square >= critical:",
+        (GATE,),
+    ),
+    (
+        "explicit-tv-threshold-ignored",
+        "src/scoutnet/experiments.py",
+        "    if tv_threshold is None:\n        # TV = 1/2",
+        "    if True:\n        # TV = 1/2",
+        (GATE,),
+    ),
     (
         "top-level-yaml-import",
         CLI,
@@ -524,20 +569,30 @@ def copy_tree(dest: Path) -> None:
             shutil.copy2(path, dest / name)
 
 
-def run_tests(tree: Path, tests: tuple[str, ...]) -> int:
-    """pytest's exit status for ``tests`` run inside ``tree``."""
+def run_tests(tree: Path, tests: tuple[str, ...]) -> int | None:
+    """pytest's exit status for ``tests`` run inside ``tree``, or None when
+    the run outlasts ``TIMEOUT_S`` and is killed."""
     env = dict(os.environ, PYTHONPATH=str(tree / "src"))
     command = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider"]
     # a fixed seed: each run draws the same Hypothesis examples
     command.append("--hypothesis-seed=0")
-    done = subprocess.run(
-        [*command, *tests], cwd=tree, env=env, capture_output=True, text=True
-    )
+    try:
+        done = subprocess.run(
+            [*command, *tests],
+            cwd=tree,
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=TIMEOUT_S,
+        )
+    except subprocess.TimeoutExpired:
+        return None
     return done.returncode
 
 
 def check(name: str, file: str, old: str, new: str, tests: tuple[str, ...]) -> str:
-    """``killed``, ``survived`` or ``stale: <why>`` for one mutant."""
+    """``killed``, ``survived``, ``timed out`` or ``stale: <why>`` for one
+    mutant."""
     with tempfile.TemporaryDirectory() as tmp:
         tree = Path(tmp)
         copy_tree(tree)
@@ -547,6 +602,8 @@ def check(name: str, file: str, old: str, new: str, tests: tuple[str, ...]) -> s
             return f"stale: old text occurs {text.count(old)} times in {file}"
         target.write_text(text.replace(old, new))
         status = run_tests(tree, tests)
+    if status is None:
+        return "timed out"
     if status == 0:
         return "survived"
     if status in (1, 2):  # tests failed, or the mutant broke collection
@@ -571,8 +628,10 @@ def main(argv: list[str] | None = None) -> int:
     tests = tuple(dict.fromkeys(t for entry in chosen for t in entry[4]))
     with tempfile.TemporaryDirectory() as tmp:
         copy_tree(Path(tmp))
-        if run_tests(Path(tmp), tests) != 0:
-            print("baseline: the named tests fail on the unmutated tree")
+        status = run_tests(Path(tmp), tests)
+        if status != 0:
+            why = "time out" if status is None else "fail"
+            print(f"baseline: the named tests {why} on the unmutated tree")
             return 1
 
     failed = 0
