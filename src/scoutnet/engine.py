@@ -20,9 +20,9 @@ reaches each node after all of its children: it is the barrier order.
 
 Everything that does not depend on the random stream is computed once
 by ``prepare``.  The scout report holds each detector's amplitude, summed
-rib by rib, and each expanded node's forward children in expansion
-order; one backward sweep over them builds the live trace graph, each
-node's live children, and stores it in a ``TrialPlan``.  Its per-node
+rib by rib over the lattice's forward DAG, ``Lattice.forward``; one
+backward sweep over that DAG builds the live trace graph, each node's
+live children, and stores it in a ``TrialPlan``.  Its per-node
 query table is seeded with each live detector's own query and with the
 surviving query of every draw-free node, one whose live reach holds a
 single detector: such a node never holds a lottery.  Draw nodes with
@@ -73,7 +73,7 @@ from operator import itemgetter
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .errors import DarkTrialError, ScoutnetError
-from .lattice import Lattice, NodeKind
+from .lattice import Lattice
 from .rng import _UNIT, check_seed, count_first_words, trial_blocks
 
 TWO_PI = 2.0 * math.pi
@@ -99,16 +99,10 @@ class RibState(str, Enum):
 
 class ScoutReport(NamedTuple):
     """The forward half: each detector's amplitude (0j if no scout lands),
-    each expanded node's forward children, the hidden ticks, and
-    ``fronts``, the number of scouts ever created: one at the source plus
-    one per admissible path to each void node.
-
-    ``children`` is filled in expansion order, ``(hop distance, id)``, and
-    ``prepare`` relies on it: walked backward, it lists every node after
-    all of its children.  Each node's children are in id order."""
+    the hidden ticks, and ``fronts``, the number of scouts ever created:
+    one at the source plus one per admissible path to each void node."""
 
     amplitudes: dict[int, complex]
-    children: dict[int, tuple[int, ...]]
     ticks: int
     fronts: int
 
@@ -118,49 +112,39 @@ def propagate_scouts(
 ) -> ScoutReport:
     """Run the scout wavefront to exhaustion; one rib per hidden tick.
 
-    A scout crosses only ribs that raise the hop distance from the source
-    by one (the forward DAG).  Scouts do not interact and are absorbed by
-    charged nodes, so the sum of unit phasors over every admissible path
-    factorises rib by rib: amp(v) = sum over parents u of amp(u) turned
-    by the rib's phase, ``fmod(2*pi*l/lambda, 2*pi)``, and the number of
-    scouts reaching v is the sum of its parents' counts.  The source and
-    the void nodes are expanded once each, in ``(hop distance, id)``
-    order, so every parent is complete before its children; a node's
-    amplitude is summed over its parents in id order.  ``trace`` gets one
-    ``scout`` line per forward rib, with the number of scouts crossing it.
+    A scout crosses only the ribs of ``lattice.forward``, the forward DAG.
+    Scouts do not interact and are absorbed by charged nodes, so the sum
+    of unit phasors over every admissible path factorises rib by rib:
+    amp(v) = sum over parents u of amp(u) turned by the rib's phase,
+    ``fmod(2*pi*l/lambda, 2*pi)``, and the number of scouts reaching v is
+    the sum of its parents' counts.  The source and the void nodes are
+    expanded once each, in the DAG's ``(hop distance, id)`` order, so
+    every parent is complete before its children; a node's amplitude is
+    summed over its parents in id order.  ``trace`` gets one ``scout``
+    line per forward rib, with the number of scouts crossing it.
     """
-    nodes, ribs, wavelength = lattice.nodes, lattice.ribs, lattice.wavelength
-    dist = lattice.hop_distances()
-    re, im, paths = [0.0] * len(nodes), [0.0] * len(nodes), [0] * len(nodes)
+    forward, wavelength = lattice.forward, lattice.wavelength
+    n = len(lattice.nodes)
+    re, im, paths, hops = [0.0] * n, [0.0] * n, [0] * n, [0] * n
     re[lattice.source] = 1.0
     paths[lattice.source] = 1
-    expanded = sorted(
-        (u for u in dist if u == lattice.source or nodes[u].kind is NodeKind.VOID),
-        key=lambda u: (dist[u], u),
-    )
-    children: dict[int, tuple[int, ...]] = {}
-    for u in expanded:
-        du = dist[u]
-        ru, iu, n = re[u], im[u], paths[u]
-        kids = []
-        for v, idx in lattice.adjacency[u]:
-            if dist.get(v) != du + 1:
-                continue
-            kids.append(v)
-            turn = math.fmod(TWO_PI * ribs[idx].length / wavelength, TWO_PI)
+    for u, kids in forward.items():
+        ru, iu, scouts = re[u], im[u], paths[u]
+        tick = hops[u] + 1
+        for v, length in kids:
+            hops[v] = tick
+            turn = math.fmod(TWO_PI * length / wavelength, TWO_PI)
             c, s = math.cos(turn), math.sin(turn)
             re[v] += ru * c - iu * s
             im[v] += ru * s + iu * c
-            paths[v] += n
+            paths[v] += scouts
             if trace:
-                trace(f"tick={du + 1} scout rib=({u},{v}) scouts={n}")
-        children[u] = tuple(kids)
+                trace(f"tick={tick} scout rib=({u},{v}) scouts={scouts}")
 
     return ScoutReport(
         amplitudes={det: complex(re[det], im[det]) for det in lattice.detectors},
-        children=children,
-        ticks=dist[expanded[-1]] + 1,
-        fronts=1 + sum(paths[u] for u in expanded[1:]),
+        ticks=hops[next(reversed(forward))] + 1,
+        fronts=sum(paths[u] for u in forward),  # the source's 1 included
     )
 
 
@@ -283,8 +267,8 @@ def prepare(lattice: Lattice, trace: Optional[TraceSink] = None) -> TrialPlan:
     if not live:
         raise DarkTrialError("dark trial: no detector intensity above threshold")
 
-    # One backward sweep over the expansion order reaches every node after
-    # its children.  A node's live children are its forward children that
+    # One backward sweep over the forward DAG reaches every node after its
+    # children.  A node's live children are its forward children that
     # are live detectors or have live children of their own.  A seeded
     # node's live reach is its one detector, so a node whose live children
     # are all seeded and merge to one detector is draw-free and seeded too;
@@ -295,10 +279,9 @@ def prepare(lattice: Lattice, trace: Optional[TraceSink] = None) -> TrialPlan:
         base[d] = d, intensities[d]
     live_children: dict[int, tuple[int, ...]] = {}
     draw_order: list[int] = []
-    for u in reversed(report.children):
-        kids = tuple(
-            v for v in report.children[u] if v in live or v in live_children
-        )
+    forward = lattice.forward
+    for u in reversed(forward):
+        kids = tuple(v for v, _ in forward[u] if v in live or v in live_children)
         if not kids:
             continue
         live_children[u] = kids

@@ -6,7 +6,7 @@ chi-square goodness-of-fit statistic; both add their terms left to right
 in a plain loop, so every CPython writes the same bytes.  For small
 instances the exact selection distribution of the protocol is also
 computed by brute-force enumeration of every lottery outcome sequence,
-over a live graph cut from the oracle's forward DAG, not the engine's
+over a live graph cut from the lattice's forward DAG, not the engine's
 plan.  It is the reference for the aggregate-mode tree exactness claim
 and for quantifying the naive-mode deviation.
 """
@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 import os
 from collections import Counter
+from heapq import heapify, heappop, heappush
 from typing import NamedTuple, Optional
 
 from . import oracle
@@ -62,12 +63,15 @@ def chi_square(
     positive = sum(p > 0.0 for p in reference.values())
     if not positive:
         raise ValueError("reference distribution has no positive cells")
-    cells = sorted((p * trials, counts.get(k, 0)) for k, p in reference.items())
+    # a heap, not a re-sort per merge, which takes minutes on 100k cells
+    cells = [(p * trials, counts.get(k, 0)) for k, p in reference.items()]
+    heapify(cells)
     while len(cells) > 1 and cells[0][0] < 5.0:
-        (e1, o1), (e2, o2), *rest = cells
-        cells = sorted([(e1 + e2, o1 + o2), *rest])
+        e1, o1 = heappop(cells)
+        e2, o2 = heappop(cells)
+        heappush(cells, (e1 + e2, o1 + o2))
     statistic = 0.0
-    for exp, obs in cells:
+    for exp, obs in sorted(cells):
         statistic += (obs - exp) ** 2 / exp
     return ChiSquareResult(statistic, len(cells) - 1, len(cells) == 1 < positive)
 
@@ -275,12 +279,13 @@ def _live_graph(lattice: Lattice) -> tuple[dict[int, float], dict[int, list[int]
     """The live detectors' intensities, and the live trace graph.
 
     A detector is live when its intensity, from ``oracle.lattice_amplitudes``,
-    is above ``DEFAULT_EPS_INTENSITY``.  One backward pass over
-    ``oracle._forward_children`` keeps a rib when its head is a live
-    detector or has a live rib out: when it lies on an admissible path to
-    a live detector.  The graph maps each node with a live rib out to its
-    live children, in id order; its keys are in reverse ``(hop distance,
-    id)`` order, so every node comes after all of its live children.
+    is above ``DEFAULT_EPS_INTENSITY``.  One backward pass over the
+    lattice's forward DAG, ``Lattice.forward``, keeps a rib when its head
+    is a live detector or has a live rib out: when it lies on an
+    admissible path to a live detector.  The graph maps each node with a
+    live rib out to its live children, in id order; its keys are in
+    reverse ``(hop distance, id)`` order, so every node comes after all of
+    its live children.
     """
     intensities = {
         det: abs(amp) ** 2 for det, amp in oracle.lattice_amplitudes(lattice).items()
@@ -288,7 +293,7 @@ def _live_graph(lattice: Lattice) -> tuple[dict[int, float], dict[int, list[int]
     live = {det: i for det, i in intensities.items() if i > DEFAULT_EPS_INTENSITY}
     if not live:
         raise DarkTrialError("dark configuration: nothing to select")
-    forward = oracle._forward_children(lattice)
+    forward = lattice.forward
     children: dict[int, list[int]] = {}
     for u in reversed(forward):
         kids = [v for v, _ in forward[u] if v in children or v in live]

@@ -57,15 +57,27 @@ class Rib(NamedTuple("Rib", [("a", int), ("b", int), ("length", float)])):
 class Lattice:
     """Nodes, ribs and wavelength, validated on construction, which also
     computes each node's ``adjacency`` (``(neighbour, rib index)`` pairs in
-    order), the ``source`` and the sorted ``detectors``.  Immutable."""
+    order), the ``source``, the sorted ``detectors`` and ``forward``, the
+    admissible DAG.  Immutable.
 
-    __slots__ = ("nodes", "ribs", "wavelength", "adjacency", "source", "detectors")
+    A scout crosses a rib only when it raises the hop distance from the
+    source by one, and only the source and void nodes pass one on.
+    ``forward`` maps each such node that scouts reach to its admissible
+    children, ``(child, rib length)`` in id order; its keys are in
+    ``(hop distance, id)`` order, so every node comes after its parents.
+    A child that is not a key is a detector.  The engine, the oracle and
+    the exact enumerator all read this one rule."""
+
+    __slots__ = (
+        "nodes", "ribs", "wavelength", "adjacency", "source", "detectors", "forward"
+    )
     nodes: tuple[Node, ...]
     ribs: tuple[Rib, ...]
     wavelength: float
     adjacency: dict[int, tuple[tuple[int, int], ...]]
     source: int
     detectors: tuple[int, ...]
+    forward: dict[int, tuple[tuple[int, float], ...]]
 
     def __init__(
         self, nodes: Iterable[Node], ribs: Iterable[Rib], wavelength: float
@@ -143,6 +155,19 @@ class Lattice:
         for det in self.detectors:
             if det not in reachable:
                 raise LatticeError(f"detector {det} unreachable from Source")
+
+        dist = self.hop_distances()
+        passing = [u for u in dist if self.nodes[u].kind is not NodeKind.DETECTOR]
+        passing.sort(key=lambda u: (dist[u], u))
+        forward = {
+            u: tuple(
+                (v, self.ribs[idx].length)
+                for v, idx in self.adjacency[u]
+                if dist.get(v) == dist[u] + 1
+            )
+            for u in passing
+        }
+        object.__setattr__(self, "forward", forward)
 
     def _reachable_from(self, start: int) -> set[int]:
         seen = {start}

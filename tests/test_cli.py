@@ -18,7 +18,7 @@ from conftest import diamond_chain, topology_document
 from scoutnet import engine
 from scoutnet import cli
 from scoutnet.cli import EXIT_CONFIG, EXIT_OK, EXIT_THRESHOLD, OPTIONS, main
-from scoutnet.lattice import build_star
+from scoutnet.lattice import Lattice, build_star
 
 
 def run_cli(*argv: str) -> int:
@@ -725,6 +725,25 @@ class TestScenarios:
         traced.clear()
         assert run_cli(*argv, "--trace") == EXIT_OK
         assert traced == [True]  # traced trial 0's plan serves the ensemble too
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    @pytest.mark.parametrize("scenario", ["star", "double-slit"])
+    def test_one_hop_search_per_run(self, tmp_path, monkeypatch, scenario, jobs):
+        # the lattice builds its forward DAG once, and the engine and the
+        # oracle read it; the pool's workers unpickle it with the plan
+        calls = []
+        original = Lattice.hop_distances
+
+        def counting(self):
+            calls.append(self)
+            return original(self)
+
+        monkeypatch.setattr(Lattice, "hop_distances", counting)
+        assert run_cli(
+            "--scenario", scenario, "--trials", "2000", "--seed", "11",
+            "--jobs", jobs, "--tv-threshold", "0.1", "--out", str(tmp_path),
+        ) == EXIT_OK  # fmt: skip
+        assert len(calls) == 1
 
 
 class TestConfigPrecedence:

@@ -309,7 +309,7 @@ class TestPrepare:
             assert count_winners(plan, mode, 77, 0, 500) == Counter(want)
 
     def test_live_children_come_before_their_parents(self):
-        # the plan walks the expansion order backward; on grids and on
+        # the plan walks the forward DAG backward; on grids and on
         # shuffled ids that order is not the id order
         rng = random.Random(12)
         lattices = [build_grid(w, h, "column") for w, h in ((4, 4), (7, 5), (9, 9))]
@@ -323,7 +323,7 @@ class TestPrepare:
             except DarkTrialError:
                 continue
             dist = lat.hop_distances()
-            expanded = list(plan.scout_report.children)
+            expanded = list(lat.forward)
             assert expanded == sorted(expanded, key=lambda u: (dist[u], u))
             off_id_order += expanded != sorted(expanded)
             rank = {u: i for i, u in enumerate(plan.process_order)}

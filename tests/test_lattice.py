@@ -7,7 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import canonical, random_layered_lattice, topology_document
+from conftest import (
+    canonical,
+    diamond_chain,
+    nested_tree_lattice,
+    random_layered_lattice,
+    shuffle_node_ids,
+    topology_document,
+)
 from scoutnet.errors import LatticeError, TopologyError
 from scoutnet.lattice import (
     Lattice,
@@ -183,6 +190,94 @@ class TestGrid:
     def test_column_detectors(self):
         lat = build_grid(3, 3, "column")
         assert len(lat.detectors) == 3
+
+
+def reference_forward(lat: Lattice) -> dict[int, tuple[tuple[int, float], ...]]:
+    """The admissible DAG rebuilt from ``nodes`` and ``ribs`` alone, with
+    neither ``hop_distances`` nor ``adjacency``.
+
+    Hop counts come layer by layer, each layer found by a scan of every
+    rib for an end in the last layer that passes a scout on (the source
+    or a void node).  Then every rib is oriented from its passing end
+    with hop h to an end with hop h + 1, and the children are sorted.
+    """
+    kinds = [node.kind for node in lat.nodes]
+    (source,) = [i for i, kind in enumerate(kinds) if kind is NodeKind.SOURCE]
+    hop = {source: 0}
+    layer, depth = {source}, 0
+    while layer:
+        depth += 1
+        layer = {
+            v
+            for rib in lat.ribs
+            for u, v in ((rib.a, rib.b), (rib.b, rib.a))
+            if u in layer and kinds[u] is not NodeKind.DETECTOR and v not in hop
+        }
+        hop.update(dict.fromkeys(layer, depth))
+    passing = [u for u in hop if kinds[u] is not NodeKind.DETECTOR]
+    dag: dict[int, list[tuple[int, float]]] = {
+        u: [] for u in sorted(passing, key=lambda u: (hop[u], u))
+    }
+    for rib in lat.ribs:
+        for u, v in ((rib.a, rib.b), (rib.b, rib.a)):
+            if u in dag and hop.get(v) == hop[u] + 1:
+                dag[u].append((v, rib.length))
+    return {u: tuple(sorted(kids)) for u, kids in dag.items()}
+
+
+def sideways_lattice() -> Lattice:
+    """Source 0 to voids 1 and 2, which a rib joins within their layer,
+    and both to detector 3; void 4 hangs past the detector, where no
+    scout goes."""
+    nodes = [
+        Node(0, (0.0, 0.0), NodeKind.SOURCE),
+        Node(1, (1.0, 1.0)),
+        Node(2, (1.0, -1.0)),
+        Node(3, (2.0, 0.0), NodeKind.DETECTOR),
+        Node(4, (3.0, 0.0)),
+    ]
+    ribs = [Rib(0, 1, 1.5), Rib(0, 2, 1.4), Rib(1, 2, 2.0), Rib(1, 3, 1.5),
+            Rib(2, 3, 1.4), Rib(3, 4, 1.0)]  # fmt: skip
+    return Lattice(nodes, ribs, 1.0)
+
+
+class TestForwardDag:
+    def test_sideways_and_past_detector_ribs_are_not_admissible(self):
+        lat = sideways_lattice()
+        assert list(lat.forward.items()) == [
+            (0, ((1, 1.5), (2, 1.4))),
+            (1, ((3, 1.5),)),
+            (2, ((3, 1.4),)),
+        ]
+
+    @pytest.mark.parametrize(
+        "factory",
+        [
+            lambda: build_star(3, 2, [1.0, 0.5, 2.0]),
+            lambda: build_intensity_star([1.0, 2.0, 3.5]),
+            lambda: build_two_path(2.0, 2.5, 3),
+            lambda: build_slit_grid(5, 6, [1, 4]),
+            lambda: build_grid(5, 4, "corner"),
+            lambda: build_grid(4, 5, "column"),
+            lambda: nested_tree_lattice()[0],
+            lambda: diamond_chain(3),
+            sideways_lattice,
+        ],
+    )
+    def test_builders_match_the_reference(self, factory):
+        lat = factory()
+        assert list(lat.forward.items()) == list(reference_forward(lat).items())
+
+    def test_random_lattices_match_the_reference(self):
+        rng = random.Random(32)
+        off_id_order = 0
+        for i in range(60):
+            lat = random_layered_lattice(rng)
+            if i % 2:
+                lat = shuffle_node_ids(lat, rng)[0]
+                off_id_order += list(lat.forward) != sorted(lat.forward)
+            assert list(lat.forward.items()) == list(reference_forward(lat).items())
+        assert off_id_order >= 20
 
 
 CHAIN_DOC = """

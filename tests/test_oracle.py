@@ -238,6 +238,17 @@ class TestBornDistribution:
         with pytest.raises(ScoutnetError, match="intensity overflow"):
             oracle.lattice_amplitudes(diamond_chain(1030))
 
+    def test_many_equal_arms_sum_to_one(self):
+        # the built-in sum of 100k entries of 1e-5 is 1 - 1.9e-12, which
+        # once failed the check: a 100k-detector star ended in a traceback
+        dist = oracle.born_distribution(dict.fromkeys(range(100_000), 1 + 0j))
+        assert set(dist.entries.values()) == {1.0 / 100_000}
+        assert math.fsum(dist.entries.values()) == 1.0
+
+    def test_entries_off_one_are_rejected(self):
+        with pytest.raises(ValueError, match="sum to"):
+            oracle.BornDistribution({1: 0.5, 2: 0.5 + 1e-9}, {1: 1.0, 2: 1.0})
+
     def test_probabilities_sum_to_one(self):
         rng = random.Random(3)
         for _ in range(10):

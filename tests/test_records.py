@@ -33,6 +33,10 @@ class TestPickling:
         assert copy.lattice.adjacency == slit_plan.lattice.adjacency
         assert copy.lattice.source == slit_plan.lattice.source
         assert copy.lattice.detectors == slit_plan.lattice.detectors
+        # the workers walk the forward DAG in its key order, unchecked
+        assert list(copy.lattice.forward.items()) == list(
+            slit_plan.lattice.forward.items()
+        )
         assert set(live_pairs(copy)) == set(live_pairs(slit_plan))
 
     @pytest.mark.parametrize("mode", list(Mode))

@@ -42,8 +42,10 @@ TIMEOUT_S = 120
 ENGINE = "src/scoutnet/engine.py"
 RNG = "src/scoutnet/rng.py"
 ORACLE = "src/scoutnet/oracle.py"
+LATTICE = "src/scoutnet/lattice.py"
 CLI = "src/scoutnet/cli.py"
 SCOUTS = "tests/test_engine.py::TestPropagateScouts"
+FORWARD = "tests/test_lattice.py::TestForwardDag"
 BEYOND = "tests/test_engine.py::TestRecurrenceBeyondOracle"
 BOUNDARY = "tests/test_engine.py::TestPathBudgetBoundary"
 REFERENCE = "tests/test_engine.py::TestReferenceKernel"
@@ -64,34 +66,49 @@ TWICE = (
 )
 
 MUTANTS: list[tuple[str, str, str, str, tuple[str, ...]]] = [
+    # the admissibility rule: the lattice's forward DAG
+    (
+        "visit-by-id-only",
+        LATTICE,
+        "passing.sort(key=lambda u: (dist[u], u))",
+        "passing.sort(key=lambda u: u)",
+        (FORWARD, SCOUTS),
+    ),
+    (
+        "forward-keeps-any-reached-rib",
+        LATTICE,
+        "if dist.get(v) == dist[u] + 1",
+        "if v in dist",
+        (FORWARD, SCOUTS),
+    ),
+    (
+        "forward-child-order",
+        LATTICE,
+        "for v, idx in self.adjacency[u]",
+        "for v, idx in reversed(self.adjacency[u])",
+        (FORWARD, "tests/test_oracle.py::TestPinnedAmplitudes"),
+    ),
     # the rib-by-rib forward half
     (
         "turn-without-fmod",
         ENGINE,
-        "turn = math.fmod(TWO_PI * ribs[idx].length / wavelength, TWO_PI)",
-        "turn = TWO_PI * ribs[idx].length / wavelength",
+        "turn = math.fmod(TWO_PI * length / wavelength, TWO_PI)",
+        "turn = TWO_PI * length / wavelength",
         (SCOUTS,),
     ),
     (
         "one-scout-per-rib",
         ENGINE,
-        "paths[v] += n",
+        "paths[v] += scouts",
         "paths[v] += 1",
         (SCOUTS, BOUNDARY, BEYOND),
-    ),
-    (
-        "visit-by-id-only",
-        ENGINE,
-        "key=lambda u: (dist[u], u),",
-        "key=lambda u: u,",
-        (SCOUTS,),
     ),
     # the plan's backward sweep
     (
         "sweep-walks-forward",
         ENGINE,
-        "for u in reversed(report.children):",
-        "for u in report.children:",
+        "for u in reversed(forward):",
+        "for u in forward:",
         (PREPARE, REFERENCE),
     ),
     (
@@ -350,9 +367,9 @@ MUTANTS: list[tuple[str, str, str, str, tuple[str, ...]]] = [
         "chi-square-builtin-sum",
         "src/scoutnet/experiments.py",
         "    statistic = 0.0\n"
-        "    for exp, obs in cells:\n"
+        "    for exp, obs in sorted(cells):\n"
         "        statistic += (obs - exp) ** 2 / exp\n",
-        "    statistic = sum((obs - exp) ** 2 / exp for exp, obs in cells)\n",
+        "    statistic = sum((obs - exp) ** 2 / exp for exp, obs in sorted(cells))\n",
         ("tests/test_golden.py::test_golden_bytes_under_compensated_sum",),
     ),
     (
@@ -393,13 +410,6 @@ MUTANTS: list[tuple[str, str, str, str, tuple[str, ...]]] = [
         "unit = {length: (1 << (8 * width * i)) * (i > 0) "
         "for i, length in enumerate(lengths)}",
         (CLASSES,),
-    ),
-    (
-        "oracle-walk-child-order",
-        ORACLE,
-        "for v, idx in lattice.adjacency[u]",
-        "for v, idx in reversed(lattice.adjacency[u])",
-        ("tests/test_oracle.py::TestPinnedAmplitudes",),
     ),
     (
         "continued-fraction-coefficient",
@@ -530,7 +540,7 @@ MUTANTS: list[tuple[str, str, str, str, tuple[str, ...]]] = [
     ),
     (
         "yaml-repeats-allowed",
-        "src/scoutnet/lattice.py",
+        LATTICE,
         "if len(mapping) < len(node.value):",
         "if False:",
         (
@@ -551,7 +561,7 @@ MUTANTS: list[tuple[str, str, str, str, tuple[str, ...]]] = [
     # the value classes
     (
         "rib-endpoints-unsorted",
-        "src/scoutnet/lattice.py",
+        LATTICE,
         "        if a > b:\n            a, b = b, a\n",
         "",
         ("tests/test_lattice.py::TestRib::test_endpoints_are_normalized",),
