@@ -34,21 +34,26 @@ only the draws differ.  It starts from the seeded table and visits
 ``draw_order``; each draw node gets a column holding each trial's
 surviving query.  A lottery is built once per trial, at the first node
 of its group, and draws at every node of the group, one
-``lottery_select`` call per node for the trials that draw.  A refusal
-wave voids only edges below its lottery, which barrier order has
-already passed, so the lotteries alone fix the winner.  The replay,
+``lottery_select`` call per node for the trials that draw.  Its record
+is memoised by the row of its children's queries for one block; where
+those children are all nodes of one lottery group, as in a slit
+screen's columns, they hold only queries that one record handed out,
+and the record is memoised by the row's set for the whole span.  A
+refusal wave voids only edges below its lottery, which barrier order
+has already passed, so the lotteries alone fix the winner.  The replay,
 ``_refusals``, runs the waves from the kernel's result and draws
 nothing; only the voided-edge set and the ``--trace`` lines need it.
 ``count_winners`` runs the kernel alone over a span of trials, block by
-block (what an ensemble counts); where the source is the plan's one
-draw node, it counts the winners in the draw lanes instead, with no
-kernel and no word unpacked.  ``_one_trial`` runs the kernel over one
-trial's own block; ``run_trial`` adds the confirmation walk, the full
-``TrialOutcome`` and, under a trace, the replay; ``backpropagate``
-returns the one-trial kernel's state keyed by node id with the replay's
-voided edges.  A query is one ``(detector, weight)`` pair wherever it
-is held: in the plan's seeded table, in the kernel's columns and memo,
-and in what ``lottery_select`` returns.
+block, with one span memo (what an ensemble counts); where the source
+is the plan's one draw node, it counts the winners in the draw lanes
+instead, with no kernel and no word unpacked.  ``_one_trial`` runs the
+kernel over one trial's own block, with no span memo;
+``run_trial`` adds the confirmation walk, the full ``TrialOutcome``
+and, under a trace, the replay; ``backpropagate`` returns the one-trial
+kernel's state keyed by node id with the replay's voided edges.  A
+query is one ``(detector, weight)`` pair wherever it is held: in the
+plan's seeded table, in the kernel's columns and memos, and in what
+``lottery_select`` returns.
 
 Every draw comes from the trial's own splitmix64 stream, through
 ``rng.trial_blocks``, which yields a block's draws draw-major, as 53-bit
@@ -65,12 +70,13 @@ winner and ``len(process_order)`` more for its path.
 from __future__ import annotations
 
 import math
+import sys
 from bisect import bisect_left, bisect_right
 from collections import Counter
 from enum import Enum
 from itertools import accumulate, compress, repeat
 from operator import itemgetter
-from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence, Union
 
 from .errors import DarkTrialError, ScoutnetError
 from .lattice import Lattice
@@ -321,9 +327,32 @@ def _merge(queries: Iterable[Query]) -> dict[int, float]:
 # of them draws from, and a column of the query that each other trial's
 # lottery merges to.
 Group = tuple[list[int], list[Lottery], list[Query]]
-# The kernel's memo: a row of children's queries -> its record, or its
-# one query.
-Memo = dict[tuple[Query, ...], tuple[Optional[Lottery], Optional[Query]]]
+# The kernel's memo: a row of children's queries, or the set of its
+# distinct queries -> its record, or its one query.
+Memo = dict[
+    Union[tuple[Query, ...], frozenset[Query]],
+    tuple[Optional[Lottery], Optional[Query]],
+]
+# The kernel's span memo: the lotteries keyed by the set of their row's
+# queries, and their entries, kept from block to block.
+SpanMemo = tuple[frozenset[tuple[int, ...]], Memo]
+
+
+def _span_memo(plan: TrialPlan) -> SpanMemo:
+    """An empty span memo for ``plan``, its set-keyed lotteries decided:
+    those whose live children all have the same live children, a tuple
+    that is not empty."""
+    out_live = plan.out_live
+    get = out_live.get
+    by_set = frozenset(
+        kids
+        for kids in {*map(out_live.__getitem__, plan.draw_order)}
+        # the two ends first: a lottery that fails mostly fails there
+        if kids[0] in out_live
+        and get(kids[0]) == get(kids[-1])
+        and len({*map(get, kids)}) == 1
+    )
+    return by_set, {}
 
 
 def _group(
@@ -332,13 +361,18 @@ def _group(
     plan: TrialPlan,
     memo: Memo,
     trials: int,
+    by_set: bool,
 ) -> Group:
     """A lottery in one block, merged once per distinct row of its
     children's queries: row t holds them in trial t, and a merge reads
-    nothing else, so lotteries with equal rows share a memo entry.  A
-    lottery whose children are all seeded has ``trials`` equal rows, so it
-    merges once per block."""
+    nothing else, not even their order or repeats, so lotteries with
+    equal rows share a memo entry.  ``by_set`` turns each row into the set
+    of its queries first, for the span memo.  A lottery whose children
+    are all seeded has ``trials`` equal rows, so it merges once per block
+    at most."""
     rows = zip(*[queries.get(v) or repeat(plan.base[v], trials) for v in kids])
+    if by_set:
+        rows = map(frozenset, rows)
     entries = []
     for row in rows:
         entry = memo.get(row)
@@ -365,17 +399,36 @@ def _cuts(lottery: Lottery) -> list[int]:
     it never decreases as k grows, so running sum i is at most r exactly
     when k reaches cut i: ``bisect_right(cuts, k)`` is the index that
     ``lottery_select`` bisects for word k, its clamp to the last index
-    included.  Each cut is found by bisecting the words on that product,
-    53 steps."""
+    included.  Each cut starts from the estimate ``ceil(s / total *
+    2**53)`` and steps down while the word below it still reaches s, then
+    up while it falls short.  Where ``_UNIT * total`` is a normal float,
+    every r of a word past 0 is rounded to within a relative 2**-53, so
+    the estimate is a step or two from the cut; below that, r is rounded
+    to the subnormal grid, the estimate can be far off, and the cut is
+    found by bisecting the words, 53 steps."""
     _, _, sums, total = lottery
-    words = range(1 << 53)
-    return [
-        bisect_left(words, s, key=lambda k: k * _UNIT * total) for s in sums[:-1]
-    ]
+    if _UNIT * total < sys.float_info.min:
+        words = range(1 << 53)
+        return [
+            bisect_left(words, s, key=lambda k: k * _UNIT * total) for s in sums[:-1]
+        ]
+    cuts = []
+    for s in sums[:-1]:
+        k = math.ceil(s / total * 2**53)
+        while (k - 1) * _UNIT * total >= s:
+            k -= 1
+        while k * _UNIT * total < s:
+            k += 1
+        cuts.append(k)
+    return cuts
 
 
 def _columns(
-    plan: TrialPlan, mode: Mode, words: Sequence[int], trials: int
+    plan: TrialPlan,
+    mode: Mode,
+    words: Sequence[int],
+    trials: int,
+    span: Optional[SpanMemo] = None,
 ) -> tuple[dict[int, list[Query]], list[int]]:
     """The reverse-half kernel: every lottery in barrier order, for a
     block of ``trials`` trials (``rng.trial_blocks``).
@@ -392,7 +445,10 @@ def _columns(
     each of them and draws nothing.  Each such node copies the group's
     column and overlays it with its drawing trials' survivors, from one
     ``lottery_select`` call; a node where no trial draws takes the column
-    as it is.  Nothing outlives the block.
+    as it is.  Only ``span`` may outlive the block.  Without one, no
+    lottery is keyed by set: within one block a set key only saves the
+    merges of unequal rows of one set, and ``_one_trial``'s block holds
+    one trial.
 
     Refusal waves are left out.  A wave started at node u voids only edges
     whose tail is u or a descendant of u, whose lotteries barrier order has
@@ -402,11 +458,15 @@ def _columns(
     pos = [*range(trials)]
     held: dict[tuple[int, ...], Group] = {}
     memo: Memo = {}
+    by_set, span_memo = span or (frozenset(), {})
     for u in plan.draw_order:
         kids = plan.out_live[u]
         group = held.get(kids)
         if group is None:
-            group = held[kids] = _group(kids, queries, plan, memo, trials)
+            keyed = kids in by_set
+            group = held[kids] = _group(
+                kids, queries, plan, span_memo if keyed else memo, trials, keyed
+            )
         drawing, lotteries, column = group
         if drawing:
             drawn = [words[pos[t]] for t in drawing]
@@ -513,6 +573,12 @@ def count_winners(
     ``bisect_right(cuts, w)`` of its record, w the trial's first word,
     in either mode, and ``rng.count_first_words`` counts those indices in
     the draw lanes, without the kernel.
+
+    The blocks share one span memo, whose entries depend on their keys
+    alone.  It is emptied before a block once it holds more than
+    ``len(draw_order)`` entries per trial of the block, which no slit
+    screen reaches: over 20k aggregate trials, slit 7x9's peaked at 224
+    of 1,248 and 20x13's at 1,475 of 7,168.
     """
     mode = Mode(mode)
     source = plan.lattice.source
@@ -527,8 +593,11 @@ def count_winners(
         won = count_first_words(master_seed, _cuts(lottery), start, stop)
         counts.update({det: n for det, n in zip(lottery[0], won) if n})
         return counts
+    _, memo = span = _span_memo(plan)
     for words, trials in trial_blocks(master_seed, len(plan.draw_order), start, stop):
-        counts.update(map(_DET, _columns(plan, mode, words, trials)[0][source]))
+        if len(memo) > len(plan.draw_order) * trials:
+            memo.clear()
+        counts.update(map(_DET, _columns(plan, mode, words, trials, span)[0][source]))
     return counts
 
 

@@ -2,7 +2,7 @@ import math
 import random
 import re
 import tracemalloc
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from collections import Counter
 from itertools import accumulate, repeat
 
@@ -29,6 +29,7 @@ from scoutnet.engine import (
     _cuts,
     _lottery,
     _merge,
+    _span_memo,
     backpropagate,
     count_winners,
     lottery_select,
@@ -476,6 +477,30 @@ class TestLotterySelect:
             want = bisect_right(sums, k * _UNIT * total, 0, len(sums) - 1)
             assert bisect_right(cuts, k) == want, k
 
+    def test_cuts_equal_their_bisected_definition(self):
+        # each cut, the least word whose r reaches its running sum, found
+        # by bisecting all 2**53 words: records of 2 to 12 competitors with
+        # weights from 1e-12 to 1e6, one of 100k, and records whose r is
+        # rounded to the subnormal grid
+        def bisected(lottery):
+            _, _, sums, total = lottery
+            words = range(1 << 53)
+            return [
+                bisect_left(words, s, key=lambda k: k * _UNIT * total)
+                for s in sums[:-1]
+            ]
+
+        rng = random.Random(33)
+        records = [
+            [10 ** rng.uniform(-12, 6) for _ in range(rng.randint(2, 12))]
+            for _ in range(300)
+        ]
+        records += [[5e-324, 5e-324], [1e-310, 2e-310, 3e-310], [5e-324, 1e-300]]
+        records.append([10 ** rng.uniform(-12, 6) for _ in range(100_000)])
+        for weights in records:
+            lottery = _lottery(dict(enumerate(weights)))
+            assert _cuts(lottery) == bisected(lottery), weights[:12]
+
 
 def lottery_children(plan) -> set[tuple[int, ...]]:
     """A plan's lotteries, each named by its draw nodes' live children."""
@@ -629,6 +654,11 @@ class TestRefusalInvariant:
                 assert rank[tail] <= rank[lottery], (line, lottery)
 
 
+def slit_screen(columns: int) -> Lattice:
+    """perfbench's slit-deep screen, with ``columns`` columns."""
+    return build_slit_grid(columns, 9, (2, 6), wavelength=1.0)
+
+
 class TestSpanSplits:
     """Counting a span equals counting its two halves, wherever the split
     falls against the stream's blocks: the process pool counts an
@@ -663,6 +693,26 @@ class TestSpanSplits:
             halves = count_winners(plan, mode, 2**64 - 1, start, k)
             halves += count_winners(plan, mode, 2**64 - 1, k, stop)
             assert whole == halves
+
+    @pytest.mark.parametrize("size", [7, 12])
+    def test_slit_counts_add_over_arbitrary_splits(self, size):
+        # the span memo carries entries from block to block; no count may
+        # depend on what it holds, so pieces cut anywhere, inside blocks
+        # or on their edges, add up to the whole span
+        plan = prepare(slit_screen(size))
+        block = max(MIN_TRIALS, BLOCK_DRAWS // len(plan.draw_order))
+        start, stop = 11, 11 + 12 * block + 5
+        rng = random.Random(size)
+        for mode in Mode:
+            whole = count_winners(plan, mode, 9, start, stop)
+            assert sum(whole.values()) == stop - start
+            for _ in range(3):
+                cuts = rng.sample(range(start + 1, stop), rng.randint(1, 6))
+                edges = [start, *sorted(cuts), stop]
+                pieces: Counter = Counter()
+                for a, b in zip(edges, edges[1:]):
+                    pieces += count_winners(plan, mode, 9, a, b)
+                assert pieces == whole, (mode, edges)
 
     @pytest.mark.parametrize("name", list(LATTICES))
     def test_empty_span_counts_nothing(self, name):
@@ -821,13 +871,21 @@ class TestColumnKernel:
 
     def test_memory_does_not_grow_with_the_span(self):
         # in aggregate mode slit 7x9's merged lotteries meet new rows of
-        # queries in almost every trial: a memo or column kept past its
-        # block would grow with the span
-        plan = prepare(build_slit_grid(7, 9, (2, 6), wavelength=1.0))
-        block = max(MIN_TRIALS, BLOCK_DRAWS // len(plan.draw_order))
-        short = self.peak_bytes(plan, Mode.AGGREGATE, 2 * block)
-        long = self.peak_bytes(plan, Mode.AGGREGATE, 40 * block)
-        assert long < 1.5 * short, (short, long)
+        # queries in almost every trial: a row memo or column kept past its
+        # block would grow with the span, and the span memo, keyed by the
+        # set of a row's queries, must stay as small as the few sets it
+        # meets; grid 8x8's lotteries are all keyed by their rows
+        for lat in (
+            slit_screen(7),
+            slit_screen(12),
+            build_grid(8, 8, "column", wavelength=0.73),
+        ):
+            plan = prepare(lat)
+            block = max(MIN_TRIALS, BLOCK_DRAWS // len(plan.draw_order))
+            for mode in Mode:
+                short = self.peak_bytes(plan, mode, 2 * block)
+                long = self.peak_bytes(plan, mode, 40 * block)
+                assert long < 1.5 * short, (len(lat.nodes), mode, short, long)
 
     def test_deep_grid_block_stays_small(self):
         # grid 30x30 has 841 draw nodes: a block of MIN_TRIALS trials
@@ -835,6 +893,119 @@ class TestColumnKernel:
         assert len(plan.draw_order) * MIN_TRIALS > BLOCK_DRAWS
         for mode in Mode:
             assert self.peak_bytes(plan, mode, MIN_TRIALS) < 8e6
+
+
+class TestSpanMemo:
+    """A lottery whose live children are all nodes of one lottery group
+    reads, in any one trial, only queries that one record handed out, so
+    its merge depends on the set of queries in its row alone.  Its memo
+    entries are keyed by that set and kept for a whole span of blocks,
+    until the memo outgrows ``len(draw_order)`` entries per trial of the
+    next block."""
+
+    def test_set_keyed_lotteries(self):
+        # slit 7x9's columns are completely connected: each lottery but
+        # the one among the detectors has children of one group
+        plan = prepare(slit_screen(7))
+        by_set, memo = _span_memo(plan)
+        columns = [tuple(range(a, a + 9)) for a in (1, 10, 19, 28)]
+        assert by_set == {*columns, (37, 38)}
+        assert memo == {}
+        # a column grid's lotteries have children of different groups or
+        # detectors; the star's lottery is among its detectors
+        for lat in (build_grid(6, 6, "column"), build_intensity_star([1.0, 2.0])):
+            assert _span_memo(prepare(lat))[0] == frozenset()
+        rng = random.Random(4)
+        kinds = Counter()
+        for _ in range(60):
+            try:
+                plan = prepare(random_layered_lattice(rng))
+            except DarkTrialError:
+                continue
+            groups = {
+                kids: {plan.out_live.get(v, ()) for v in kids}
+                for kids in lottery_children(plan)
+            }
+            want = {kids for kids, of in groups.items() if of != {()} and len(of) == 1}
+            assert _span_memo(plan)[0] == want
+            kinds.update(kids in want for kids in groups)
+        assert kinds[True] and kinds[False], kinds
+
+    def test_slit_builds_few_lottery_records(self, monkeypatch):
+        # keyed by their rows for one block, slit 7x9's lotteries built
+        # 4,173 records over 1,000 trials in aggregate mode and 3,885 in
+        # naive mode
+        plan = prepare(slit_screen(7))
+        built = []
+        lottery = engine._lottery
+
+        def counted(weights_by_det):
+            built.append(weights_by_det)
+            return lottery(weights_by_det)
+
+        monkeypatch.setattr(engine, "_lottery", counted)
+        for mode in Mode:
+            built.clear()
+            count_winners(plan, mode, 1, 0, 1000)
+            assert 0 < len(built) <= 300, (mode, len(built))
+
+    @pytest.mark.parametrize("columns", [7, 12])
+    def test_blocks_sharing_a_span_memo_match_reference(self, columns):
+        # consecutive blocks over one span memo: every draw node's query in
+        # every trial is the reference kernel's, so an entry carried from
+        # an earlier block serves only the set of queries it was made for
+        plan = prepare(slit_screen(columns))
+        n = len(plan.draw_order)
+        span = range(3, 3 + 7 * max(MIN_TRIALS, BLOCK_DRAWS // n))
+        for mode in Mode:
+            span_memo = _span_memo(plan)
+            got: dict[int, list] = {u: [] for u in plan.draw_order}
+            for words, trials in trial_blocks(13, n, span.start, span.stop):
+                queries, _ = _columns(plan, mode, words, trials, span_memo)
+                for u in plan.draw_order:
+                    got[u] += queries[u]
+            assert span_memo[1]
+            for t, index in enumerate(span):
+                _, want, _, _ = reference_backpropagate(
+                    plan, mode, trial_stream(13, index)
+                )
+                assert {u: got[u][t] for u in plan.draw_order} == {
+                    u: want[u] for u in plan.draw_order
+                }, (mode, index)
+
+    def test_memo_is_emptied_past_its_bound(self, monkeypatch):
+        # blocks of one trial put the bound at len(draw_order) entries,
+        # which slit 7x9's span memo outgrows; at the default blocks of 32
+        # trials it never reaches its bound of 1,248
+        plan = prepare(slit_screen(7))
+        n = len(plan.draw_order)
+        want = {mode: count_winners(plan, mode, 4, 0, 600) for mode in Mode}
+        monkeypatch.setattr("scoutnet.rng.MIN_TRIALS", 1)
+        monkeypatch.setattr("scoutnet.rng.BLOCK_DRAWS", 1)
+        calls = []
+        columns = engine._columns
+
+        def spy(plan, mode, words, trials, span):
+            before = len(span[1])
+            result = columns(plan, mode, words, trials, span)
+            calls.append((before, len(span[1]), trials))
+            return result
+
+        monkeypatch.setattr(engine, "_columns", spy)
+        for mode in Mode:
+            calls.clear()
+            assert count_winners(plan, mode, 4, 0, 600) == want[mode]
+            assert len(calls) == 600
+            assert calls[0][0] == 0
+            emptied = 0
+            for (_, held, _), (before, _, trials) in zip(calls, calls[1:]):
+                assert trials == 1
+                if held > n * trials:
+                    assert before == 0
+                    emptied += 1
+                else:
+                    assert before == held
+            assert emptied >= 2, (mode, emptied)
 
 
 class TestModeByValue:

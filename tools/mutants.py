@@ -51,6 +51,7 @@ BOUNDARY = "tests/test_engine.py::TestPathBudgetBoundary"
 REFERENCE = "tests/test_engine.py::TestReferenceKernel"
 PREPARE = "tests/test_engine.py::TestPrepare"
 COLUMNS = "tests/test_engine.py::TestColumnKernel"
+SPAN_MEMO = "tests/test_engine.py::TestSpanMemo"
 SPANS = "tests/test_engine.py::TestSpanSplits"
 GOLDEN = "tests/test_golden.py"
 STREAM = "tests/test_rng.py"
@@ -64,6 +65,24 @@ TWICE = (
     "tests/test_cli.py::TestExitCodes::"
     "test_option_set_twice_in_config_file_is_config_error"
 )
+
+# _group's memo probe, and the same probe under another key
+MEMO_PROBE = (
+    "entry = memo.get(row)\n"
+    "        if entry is None:\n"
+    "            merged = _merge(row)\n"
+    "            if len(merged) == 1:\n"
+    "                entry = None, next(iter(merged.items()))\n"
+    "            else:\n"
+    "                entry = _lottery(merged), None\n"
+    "            memo[row] = entry"
+)
+
+
+def keyed_probe(key: str) -> str:
+    probe = MEMO_PROBE.replace("memo.get(row)", "memo.get(key)")
+    return f"key = {key}\n        " + probe.replace("memo[row]", "memo[key]")
+
 
 MUTANTS: list[tuple[str, str, str, str, tuple[str, ...]]] = [
     # the admissibility rule: the lattice's forward DAG
@@ -160,8 +179,12 @@ MUTANTS: list[tuple[str, str, str, str, tuple[str, ...]]] = [
     (
         "cut-strict",
         ENGINE,
-        "bisect_left(words, s, key=lambda k: k * _UNIT * total)",
-        "bisect_right(words, s, key=lambda k: k * _UNIT * total)",
+        "while (k - 1) * _UNIT * total >= s:\n"
+        "            k -= 1\n"
+        "        while k * _UNIT * total < s:",
+        "while (k - 1) * _UNIT * total > s:\n"
+        "            k -= 1\n"
+        "        while k * _UNIT * total <= s:",
         (
             "tests/test_engine.py::TestLotterySelect::"
             "test_r_on_a_running_sum_takes_the_next_index",
@@ -214,23 +237,37 @@ MUTANTS: list[tuple[str, str, str, str, tuple[str, ...]]] = [
     (
         "memo-keyed-without-weights",
         ENGINE,
-        "entry = memo.get(row)\n"
-        "        if entry is None:\n"
-        "            merged = _merge(row)\n"
-        "            if len(merged) == 1:\n"
-        "                entry = None, next(iter(merged.items()))\n"
-        "            else:\n"
-        "                entry = _lottery(merged), None\n"
-        "            memo[row] = entry",
-        "entry = memo.get(tuple(map(_DET, row)))\n"
-        "        if entry is None:\n"
-        "            merged = _merge(row)\n"
-        "            if len(merged) == 1:\n"
-        "                entry = None, next(iter(merged.items()))\n"
-        "            else:\n"
-        "                entry = _lottery(merged), None\n"
-        "            memo[tuple(map(_DET, row))] = entry",
+        MEMO_PROBE,
+        keyed_probe("row if by_set else tuple(map(_DET, row))"),
         (REFERENCE, GOLDEN),
+    ),
+    # the span memo: set keys for lotteries over one group, kept per span
+    (
+        "set-key-without-weights",
+        ENGINE,
+        MEMO_PROBE,
+        keyed_probe("frozenset(map(_DET, row)) if by_set else row"),
+        (SPAN_MEMO,),
+    ),
+    (
+        "set-key-rule-inverted",
+        ENGINE,
+        "        if kids[0] in out_live\n"
+        "        and get(kids[0]) == get(kids[-1])\n"
+        "        and len({*map(get, kids)}) == 1\n",
+        "        if not (\n"
+        "            kids[0] in out_live\n"
+        "            and get(kids[0]) == get(kids[-1])\n"
+        "            and len({*map(get, kids)}) == 1\n"
+        "        )\n",
+        (SPAN_MEMO,),
+    ),
+    (
+        "span-memo-unbounded",
+        ENGINE,
+        "if len(memo) > len(plan.draw_order) * trials:",
+        "if False:",
+        (SPAN_MEMO,),
     ),
     (
         "overflow-passes-as-intensity",
