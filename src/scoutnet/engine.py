@@ -33,15 +33,16 @@ once: every trial runs the same lotteries over the same traces, and
 only the draws differ.  It starts from the seeded table and visits
 ``draw_order``; each draw node gets a column holding each trial's
 surviving query.  A lottery is built once per trial, at the first node
-of its group, and draws at every node of the group, one
-``lottery_select`` call per node for the trials that draw.  Its record
-is memoised by the row of its children's queries for one block; where
-those children are all nodes of one lottery group, as in a slit
-screen's columns, they hold only queries that one record handed out,
-and the record is memoised by the row's set for the whole span.  A
-refusal wave voids only edges below its lottery, which barrier order
-has already passed, so the lotteries alone fix the winner.  The replay,
-``_refusals``, runs the waves from the kernel's result and draws
+of its group, as a record of its word cuts and of the query each
+competitor carries on in the run's mode, and draws at every node of the
+group, in one ``lottery_select`` loop per node over the trials that
+draw.  Its record is memoised by the row of its children's queries for
+one block; where those children are all nodes of one lottery group, as
+in a slit screen's columns, they hold only queries that one record
+handed out, and the record is memoised by the row's set for the whole
+span.  A refusal wave voids only edges below its lottery, which barrier
+order has already passed, so the lotteries alone fix the winner.  The
+replay, ``_refusals``, runs the waves from the kernel's result and draws
 nothing; only the voided-edge set and the ``--trace`` lines need it.
 ``count_winners`` runs the kernel alone over a span of trials, block by
 block, with one span memo (what an ensemble counts); where the source
@@ -52,19 +53,20 @@ kernel over one trial's own block, with no span memo;
 and, under a trace, the replay; ``backpropagate`` returns the one-trial
 kernel's state keyed by node id with the replay's voided edges.  A
 query is one ``(detector, weight)`` pair wherever it is held: in the
-plan's seeded table, in the kernel's columns and memos, and in what
-``lottery_select`` returns.
+plan's seeded table, and in the kernel's columns, memos and records.
 
 Every draw comes from the trial's own splitmix64 stream, through
 ``rng.trial_blocks``, which yields a block's draws draw-major, as 53-bit
 words, or through ``rng.count_first_words``, which counts the trials'
 first words at each place among a lottery's word cuts (``_cuts``).  A
-lottery takes one draw, and a uniform choice among k options takes
-``int(u * k)`` of one, where ``u = w * 2**-53`` is the uniform of word
-w.  Each trial takes its draws in order, at its own cursor.  The kernel
-draws at most once per draw node and the walk at most once per node it
-leaves, so a trial needs at most ``len(draw_order)`` draws for its
-winner and ``len(process_order)`` more for its path.
+lottery takes one draw, word w, and keeps its competitor
+``bisect_right(cuts, w)``, in the kernel and the lane counter alike; a
+uniform choice among k options takes ``int(u * k)`` of one, where ``u =
+w * 2**-53`` is the uniform of word w.  Each trial takes its draws in
+order, at its own cursor.  The kernel draws at most once per draw node
+and the walk at most once per node it leaves, so a trial needs at most
+``len(draw_order)`` draws for its winner and ``len(process_order)`` more
+for its path.
 """
 
 from __future__ import annotations
@@ -92,7 +94,8 @@ class Mode(str, Enum):
     """A lottery winner's weight rule.  ``count_winners``, ``run_trial``,
     ``backpropagate`` and the experiments take a member or its value, as
     ``Mode(mode)`` does, and raise ``ValueError`` on any other value;
-    ``lottery_select``, called per column of draws, takes the member."""
+    ``_lottery``, which builds a lottery's record with the queries its
+    winners carry on, takes the member."""
 
     NAIVE = "naive"
     AGGREGATE = "aggregate"
@@ -154,7 +157,7 @@ def propagate_scouts(
     )
 
 
-# Read once per column of draws: looking the member up on ``Mode`` costs
+# Read once per lottery record: looking the member up on ``Mode`` costs
 # about 190 ns on CPython 3.10 and 3.11, a module global about 30 ns.
 _AGGREGATE = Mode.AGGREGATE
 # field getters: a query's detector; a kernel memo entry's record and query
@@ -165,15 +168,17 @@ _QUERY = itemgetter(1)
 # A query: the detector it comes from and its weight.
 Query = tuple[int, float]
 
-# A lottery's record: its competitors' detectors, sorted; their query
-# weights in that order; the running sums of those weights; their total.
-# Lists, not tuples: the kernel builds records per trial, and a copy into
-# a tuple costs time there; no code changes a record once it is built.
-Lottery = tuple[list[int], list[float], list[float], float]
+# A lottery's record: its word cuts (``_cuts``), and per competitor, in
+# detector order, the query it carries on when it wins.  No code changes
+# a record once it is built.
+Lottery = tuple[list[int], list[Query]]
 
 
-def _lottery(weights_by_det: dict[int, float]) -> Lottery:
-    """The record of a lottery among ``weights_by_det``'s competitors.
+def _lottery(weights_by_det: dict[int, float], mode: Mode) -> Lottery:
+    """The record of a lottery among ``weights_by_det``'s competitors in
+    ``mode``: competitor i, in detector order, wins with probability
+    weights[i] / total, and carries on its own weight in naive mode and
+    the total in aggregate mode.
 
     The running sums are ``acc += w`` in detector order, and the total is
     the last of them: not ``sum(weights)``, which CPython 3.12+ adds with
@@ -182,39 +187,76 @@ def _lottery(weights_by_det: dict[int, float]) -> Lottery:
     dets = sorted(weights_by_det)
     weights = [*map(weights_by_det.__getitem__, dets)]
     sums = [*accumulate(weights)]
-    return dets, weights, sums, sums[-1]
+    total = sums[-1]
+    carried = repeat(total) if mode is _AGGREGATE else weights
+    return _cuts(sums, total), [*zip(dets, carried)]
+
+
+def _cuts(sums: list[float], total: float) -> list[int]:
+    """The word cuts of a lottery with running sums ``sums`` and total
+    ``total``: cut i is the least word k in [0, 2**53) with ``k * _UNIT *
+    total >= sums[i]`` (2**53 if none), for every running sum but the
+    last.
+
+    A lottery draws with a 53-bit word k, whose uniform is ``u = k *
+    2**-53``: it takes the first competitor whose running sum exceeds
+    ``r = u * total``, or the last if none does.  r never decreases as k
+    grows, so running sum i is at most r exactly when k reaches cut i,
+    and that competitor is ``bisect_right(cuts, k)``, the one draw rule of
+    the kernel (``lottery_select``) and of the lane counter
+    (``rng.count_first_words``).  ``_lottery``'s total is its last
+    running sum, which r stays below since ``u < 1``; a larger total, as
+    a compensated sum gives, lets r reach the last sum, and the cuts
+    still take the last competitor, as no cut lies past it.
+
+    Each cut starts from the estimate ``ceil(s / total * 2**53)`` and
+    steps down while the word below it still reaches s, then up while it
+    falls short.  Where ``_UNIT * total`` is a normal float, every r of a
+    word past 0 is rounded to within a relative 2**-53, so the estimate is
+    a step or two from the cut; below that, r is rounded to the subnormal
+    grid, the estimate can be far off, and the cut is found by bisecting
+    the words, 53 steps."""
+    if _UNIT * total < sys.float_info.min:
+        words = range(1 << 53)
+        return [
+            bisect_left(words, s, key=lambda k: k * _UNIT * total) for s in sums[:-1]
+        ]
+    cuts = []
+    for s in sums[:-1]:
+        k = math.ceil(s / total * 2**53)
+        while (k - 1) * _UNIT * total >= s:
+            k -= 1
+        while k * _UNIT * total < s:
+            k += 1
+        cuts.append(k)
+    return cuts
 
 
 def lottery_select(
-    lotteries: Sequence[Lottery],
-    mode: Mode,
-    words: Sequence[int],
+    group: Group, words: Sequence[int], pos: list[int], trials: int
 ) -> list[Query]:
-    """Draw one competitor from each lottery record with the 53-bit word
-    at the same place: index i of a record with probability
-    weights[i] / total.
+    """A lottery group's draws at one of its nodes, over a block of
+    ``trials`` trials: the node's column of surviving queries.
 
-    Returns the surviving queries in order: each drawn detector with the
-    weight its query carries on.  For a word k, whose uniform is
-    ``u = k * 2**-53``, the index is the first i whose running sum
-    exceeds ``r = u * total``, or the last index if none does, found by
-    bisection.  ``_lottery``'s total is its last running sum, which ``r``
-    stays below since ``u < 1``; the clamp serves records built with a
-    larger total.  The winner keeps its own weight in naive mode and
-    inherits the total in aggregate mode.
+    Each drawing trial t, in order, reads the word at its cursor,
+    ``words[pos[t]]``, takes the query of competitor ``bisect_right(cuts,
+    word)`` of its record, and moves its cursor on by ``trials``, to its
+    next draw.  The column is a copy of the group's with those queries in
+    the drawing trials' places; every other trial keeps the query its
+    lottery merged to, and its cursor.
 
     A record has at least two competitors and a positive total: a plan's
     lotteries are merged from two or more live detectors' queries, and
     each weight is a live intensity, above ``DEFAULT_EPS_INTENSITY``, or
     is carried on from such intensities.
     """
-    aggregate = mode is _AGGREGATE
-    # bisecting below the last index alone clamps r past the last sum to it
-    return [
-        (dets[i], total if aggregate else weights[i])
-        for (dets, weights, sums, total), k in zip(lotteries, words)
-        for i in (bisect_right(sums, k * _UNIT * total, 0, len(sums) - 1),)
-    ]
+    drawing, records, column = group
+    column = column.copy()
+    for t, (cuts, queries) in zip(drawing, records):
+        p = pos[t]
+        column[t] = queries[bisect_right(cuts, words[p])]
+        pos[t] = p + trials
+    return column
 
 
 class TrialPlan(NamedTuple):
@@ -328,7 +370,8 @@ def _merge(queries: Iterable[Query]) -> dict[int, float]:
 # lottery merges to.
 Group = tuple[list[int], list[Lottery], list[Query]]
 # The kernel's memo: a row of children's queries, or the set of its
-# distinct queries -> its record, or its one query.
+# distinct queries -> its record in the run's mode, or its one query.  A
+# memo serves one mode: ``_columns`` runs one, and so does each span.
 Memo = dict[
     Union[tuple[Query, ...], frozenset[Query]],
     tuple[Optional[Lottery], Optional[Query]],
@@ -359,6 +402,7 @@ def _group(
     kids: tuple[int, ...],
     queries: dict[int, list[Query]],
     plan: TrialPlan,
+    mode: Mode,
     memo: Memo,
     trials: int,
     by_set: bool,
@@ -366,10 +410,12 @@ def _group(
     """A lottery in one block, merged once per distinct row of its
     children's queries: row t holds them in trial t, and a merge reads
     nothing else, not even their order or repeats, so lotteries with
-    equal rows share a memo entry.  ``by_set`` turns each row into the set
-    of its queries first, for the span memo.  A lottery whose children
-    are all seeded has ``trials`` equal rows, so it merges once per block
-    at most."""
+    equal rows share a memo entry.  An entry holds the row's record in
+    ``mode``, its word cuts and the queries its winners carry on, built
+    once with the entry; or the one query of a row that merges to one
+    competitor.  ``by_set`` turns each row into the set of its queries
+    first, for the span memo.  A lottery whose children are all seeded
+    has ``trials`` equal rows, so it merges once per block at most."""
     rows = zip(*[queries.get(v) or repeat(plan.base[v], trials) for v in kids])
     if by_set:
         rows = map(frozenset, rows)
@@ -381,46 +427,12 @@ def _group(
             if len(merged) == 1:
                 entry = None, next(iter(merged.items()))
             else:
-                entry = _lottery(merged), None
+                entry = _lottery(merged, mode), None
             memo[row] = entry
         entries.append(entry)
-    lotteries = [*filter(None, map(_RECORD, entries))]
+    records = [*filter(None, map(_RECORD, entries))]
     drawing = [*compress(range(len(entries)), map(_RECORD, entries))]
-    return drawing, lotteries, [*map(_QUERY, entries)]
-
-
-def _cuts(lottery: Lottery) -> list[int]:
-    """A lottery's word cuts, for counting in the draw lanes
-    (``rng.count_first_words``): cut i is the least word k in [0, 2**53)
-    with ``k * _UNIT * total >= sums[i]`` (2**53 if none), for every
-    running sum but the last.
-
-    ``k * _UNIT * total`` is the ``r`` that ``lottery_select`` forms, and
-    it never decreases as k grows, so running sum i is at most r exactly
-    when k reaches cut i: ``bisect_right(cuts, k)`` is the index that
-    ``lottery_select`` bisects for word k, its clamp to the last index
-    included.  Each cut starts from the estimate ``ceil(s / total *
-    2**53)`` and steps down while the word below it still reaches s, then
-    up while it falls short.  Where ``_UNIT * total`` is a normal float,
-    every r of a word past 0 is rounded to within a relative 2**-53, so
-    the estimate is a step or two from the cut; below that, r is rounded
-    to the subnormal grid, the estimate can be far off, and the cut is
-    found by bisecting the words, 53 steps."""
-    _, _, sums, total = lottery
-    if _UNIT * total < sys.float_info.min:
-        words = range(1 << 53)
-        return [
-            bisect_left(words, s, key=lambda k: k * _UNIT * total) for s in sums[:-1]
-        ]
-    cuts = []
-    for s in sums[:-1]:
-        k = math.ceil(s / total * 2**53)
-        while (k - 1) * _UNIT * total >= s:
-            k -= 1
-        while k * _UNIT * total < s:
-            k += 1
-        cuts.append(k)
-    return cuts
+    return drawing, records, [*map(_QUERY, entries)]
 
 
 def _columns(
@@ -440,15 +452,15 @@ def _columns(
 
     Only ``draw_order`` is visited: draw-free nodes keep their seeded
     queries.  A lottery is built per trial at the first node of its group
-    and serves the group's other nodes, whose children keep their queries;
-    a trial whose lottery merges to one competitor takes that query at
-    each of them and draws nothing.  Each such node copies the group's
-    column and overlays it with its drawing trials' survivors, from one
-    ``lottery_select`` call; a node where no trial draws takes the column
-    as it is.  Only ``span`` may outlive the block.  Without one, no
-    lottery is keyed by set: within one block a set key only saves the
-    merges of unequal rows of one set, and ``_one_trial``'s block holds
-    one trial.
+    (``_group``), in ``mode``, and serves the group's other nodes, whose
+    children keep their queries; a trial whose lottery merges to one
+    competitor takes that query at each of them and draws nothing.  Each
+    node of the group draws its block in one ``lottery_select`` call, one
+    loop over its drawing trials; a node where no trial draws takes the
+    group's column as it is.  Only ``span`` may outlive the block.
+    Without one, no lottery is keyed by set: within one block a set key
+    only saves the merges of unequal rows of one set, and ``_one_trial``'s
+    block holds one trial.
 
     Refusal waves are left out.  A wave started at node u voids only edges
     whose tail is u or a descendant of u, whose lotteries barrier order has
@@ -465,17 +477,10 @@ def _columns(
         if group is None:
             keyed = kids in by_set
             group = held[kids] = _group(
-                kids, queries, plan, span_memo if keyed else memo, trials, keyed
+                kids, queries, plan, mode, span_memo if keyed else memo, trials, keyed
             )
-        drawing, lotteries, column = group
-        if drawing:
-            drawn = [words[pos[t]] for t in drawing]
-            for t in drawing:
-                pos[t] += trials
-            column = column.copy()
-            for t, query in zip(drawing, lottery_select(lotteries, mode, drawn)):
-                column[t] = query
-        queries[u] = column
+        drawing, _, column = group
+        queries[u] = lottery_select(group, words, pos, trials) if drawing else column
 
     source = plan.lattice.source
     if source not in queries and plan.base[source][0] < 0:
@@ -571,8 +576,9 @@ def count_winners(
     are all seeded (a child that drew would be a draw node too), so its
     lottery is the same in every trial: each trial's winner is competitor
     ``bisect_right(cuts, w)`` of its record, w the trial's first word,
-    in either mode, and ``rng.count_first_words`` counts those indices in
-    the draw lanes, without the kernel.
+    the draw rule of the kernel's ``lottery_select``, and
+    ``rng.count_first_words`` counts those indices in the draw lanes,
+    without the kernel.
 
     The blocks share one span memo, whose entries depend on their keys
     alone.  It is emptied before a block once it holds more than
@@ -589,9 +595,10 @@ def count_winners(
             counts[plan.base[source][0]] = stop - start
         return counts
     if plan.draw_order == (source,):
-        lottery = _lottery(_merge(map(plan.base.__getitem__, plan.out_live[source])))
-        won = count_first_words(master_seed, _cuts(lottery), start, stop)
-        counts.update({det: n for det, n in zip(lottery[0], won) if n})
+        merged = _merge(map(plan.base.__getitem__, plan.out_live[source]))
+        cuts, queries = _lottery(merged, mode)
+        won = count_first_words(master_seed, cuts, start, stop)
+        counts.update({det: n for (det, _), n in zip(queries, won) if n})
         return counts
     _, memo = span = _span_memo(plan)
     for words, trials in trial_blocks(master_seed, len(plan.draw_order), start, stop):

@@ -20,8 +20,9 @@ per span and carried from block to block, one lane-wise add of ``trials
 Two readers share the generator.  ``trial_blocks`` unpacks the lanes,
 little-endian on every host, into a block's words, draw-major for the
 reverse half's column kernel: draw j of trial t is ``words[j * trials +
-t]``.  A block holds the words, not their uniforms: the engine forms u
-only where a lottery or the confirmation walk draws.
+t]``.  A block holds the words, not their uniforms: a lottery places its
+word among its word cuts, and the engine forms u only where the
+confirmation walk draws.
 ``count_first_words`` unpacks nothing: it counts each trial's first word
 against a lottery's sorted word cuts with a few whole-int operations per
 cut, which bits 53..85 being clear allows.  A trial of n draws gets a

@@ -279,17 +279,19 @@ class TestPrepare:
         assert seeded_lotteries(plan) == {kids}
         merged = _merge([plan.base[v] for v in kids])
         dets = sorted(merged)
-        lottery = _lottery(merged)
-        assert lottery[:2] == (dets, [merged[d] for d in dets])
+        lottery = _lottery(merged, Mode.NAIVE)
+        cuts, queries = lottery
+        assert queries == [(d, merged[d]) for d in dets]
         assert tuple(dets) == lat.detectors
-        assert lottery[1] == [plan.intensities[d] for d in dets]
-        # each cut is the first word that lottery_select gives the next
-        # competitor
-        cuts = _cuts(lottery)
+        assert [w for _, w in queries] == [plan.intensities[d] for d in dets]
+        # each cut is the first word whose float-form draw takes the next
+        # competitor, and lottery_select takes it there too
+        _, _, sums, total = spec_record(merged)
         assert len(cuts) == len(dets) - 1 and cuts == sorted(cuts)
         for i, cut in enumerate(cuts):
-            ((below, _),) = lottery_select([lottery], Mode.NAIVE, [cut - 1])
-            ((at, _),) = lottery_select([lottery], Mode.NAIVE, [cut])
+            assert float_draw(sums, total, cut - 1) == i
+            assert float_draw(sums, total, cut) == i + 1
+            ((below, _), (at, _)) = select([lottery] * 2, [cut - 1, cut])
             assert (below, at) == (dets[i], dets[i + 1])
 
     def test_slit_deep_plan_shares_lotteries(self):
@@ -356,39 +358,72 @@ def scan_index(weights, r: float) -> int:
     return len(weights) - 1
 
 
+def spec_record(weights_by_det) -> tuple[list, list, list, float]:
+    """A lottery as the float-form draw reads it: its competitors'
+    detectors, sorted; their weights in that order; their running sums,
+    ``acc += w``; and its total, the last running sum."""
+    dets = sorted(weights_by_det)
+    weights = [weights_by_det[d] for d in dets]
+    sums = list(accumulate(weights))
+    return dets, weights, sums, sums[-1]
+
+
+def float_draw(sums, total: float, k: int) -> int:
+    """The definition of a draw with word k: the first index whose
+    running sum exceeds ``r = k * 2**-53 * total``, or the last index if
+    none does, found by bisection."""
+    return bisect_right(sums, k * _UNIT * total, 0, len(sums) - 1)
+
+
+def float_select(spec, mode: Mode, k: int) -> tuple[int, float]:
+    """The query that the float-form draw with word k carries on from the
+    lottery ``spec`` (``spec_record``): the winner keeps its own weight in
+    naive mode and inherits the total in aggregate mode."""
+    dets, weights, sums, total = spec
+    i = float_draw(sums, total, k)
+    return dets[i], total if mode is Mode.AGGREGATE else weights[i]
+
+
+def select(records, words) -> list[tuple[int, float]]:
+    """``lottery_select`` over a block where every trial draws: trial t
+    draws ``words[t]`` from ``records[t]``."""
+    n = len(records)
+    group = ([*range(n)], list(records), [(-1, 0.0)] * n)
+    return lottery_select(group, words, [*range(n)], n)
+
+
 class TestLotterySelect:
     """A lottery draws with 53-bit words, k standing for the uniform
-    ``k * 2**-53``; the lane counter bisects a lottery's word cuts
-    instead."""
+    ``k * 2**-53``, by bisecting its record's word cuts, in the kernel
+    and in the lane counter; ``float_draw``, the bisection of the running
+    sums at ``k * 2**-53 * total``, is the definition the cuts keep."""
 
     def test_zero_weight_never_wins(self):
         rng = random.Random(0)
         for _ in range(200):
-            ((det, _),) = lottery_select(
-                [_lottery({0: 2.0, 1: 0.0})], Mode.NAIVE, [rng.getrandbits(53)]
+            ((det, _),) = select(
+                [_lottery({0: 2.0, 1: 0.0}, Mode.NAIVE)], [rng.getrandbits(53)]
             )
             assert det == 0
 
     def test_equal_weights_split_evenly(self):
         rng = random.Random(1)
-        lottery = _lottery({0: 1.0, 1: 1.0})
+        lottery = _lottery({0: 1.0, 1: 1.0}, Mode.NAIVE)
         words = [rng.getrandbits(53) for _ in range(100_000)]
-        wins = Counter(
-            det for det, _ in lottery_select([lottery] * 100_000, Mode.NAIVE, words)
-        )
+        wins = Counter(det for det, _ in select([lottery] * 100_000, words))
         assert wins[0] / 100_000 == pytest.approx(0.5, abs=0.01)
 
     def test_aggregate_winner_inherits_total(self):
         rng = random.Random(2)
-        ((_, carried),) = lottery_select(
-            [_lottery({0: 1.0, 1: 3.0})], Mode.AGGREGATE, [rng.getrandbits(53)]
+        ((_, carried),) = select(
+            [_lottery({0: 1.0, 1: 3.0}, Mode.AGGREGATE)], [rng.getrandbits(53)]
         )
         assert carried == pytest.approx(4.0)
 
     def test_naive_winner_keeps_own_weight(self):
         rng = random.Random(2)
-        ((_, carried),) = lottery_select(
-            [_lottery({0: 1.0, 1: 3.0})], Mode.NAIVE, [rng.getrandbits(53)]
+        ((_, carried),) = select(
+            [_lottery({0: 1.0, 1: 3.0}, Mode.NAIVE)], [rng.getrandbits(53)]
         )
         assert carried in (1.0, 3.0)
 
@@ -401,38 +436,41 @@ class TestLotterySelect:
         data=st.data(),
     )
     def test_bisect_equals_scan(self, weights, data):
-        lottery = _lottery(dict(enumerate(weights)))
-        _, ranked, sums, total = lottery
+        lottery = _lottery(dict(enumerate(weights)), Mode.NAIVE)
+        _, ranked, sums, total = spec_record(dict(enumerate(weights)))
         # a free draw, or one that lands r on a running sum when it can
         ratios = [int(s / total * 2**53) for s in sums if s / total < 1.0]
         value = data.draw(st.integers(0, TOP) | st.sampled_from(ratios or [0]))
-        ((det, _),) = lottery_select([lottery], Mode.NAIVE, [value])
+        ((det, _),) = select([lottery], [value])
         assert det == scan_index(ranked, value * 2.0**-53 * total)
 
     def test_a_column_draws_each_record_with_its_own_uniform(self):
         rng = random.Random(3)
-        lotteries = [_lottery({0: 1.0, 1: 3.0}), _lottery({2: 2.0, 5: 1.0, 7: 1.0})]
-        lotteries *= 50
-        words = [rng.getrandbits(53) for _ in lotteries]
+        specs = [spec_record({0: 1.0, 1: 3.0}), spec_record({2: 2.0, 5: 1.0, 7: 1.0})]
+        specs *= 50
+        words = [rng.getrandbits(53) for _ in specs]
         for mode in Mode:
-            queries = lottery_select(lotteries, mode, words)
-            pairs = zip(lotteries, words)
-            alone = [lottery_select([x], mode, [k]) for x, k in pairs]
-            assert [det for det, _ in queries] == [d for ((d, _),) in alone]
-            assert [w for _, w in queries] == [w for ((_, w),) in alone]
+            lotteries = [_lottery(dict(zip(x[0], x[1])), mode) for x in specs]
+            queries = select(lotteries, words)
+            alone = [select([x], [k]) for x, k in zip(lotteries, words)]
+            assert queries == [query for (query,) in alone]
+            assert queries == [float_select(x, mode, k) for x, k in zip(specs, words)]
             assert [det for det, _ in queries] == [
                 x[0][scan_index(x[1], k * 2.0**-53 * x[3])]
-                for x, k in zip(lotteries, words)
+                for x, k in zip(specs, words)
             ]
 
     def test_r_on_a_running_sum_takes_the_next_index(self):
-        lottery = _lottery({0: 1.0, 1: 1.0, 2: 2.0})
-        assert lottery[2:] == ([1.0, 2.0, 4.0], 4.0)
+        weights = {0: 1.0, 1: 1.0, 2: 2.0}
+        _, ranked, sums, total = spec_record(weights)
+        assert (sums, total) == ([1.0, 2.0, 4.0], 4.0)
+        lottery = _lottery(weights, Mode.NAIVE)
         # the words of the uniforms 0.25 and 0.5, which are the cuts
-        assert _cuts(lottery) == [2**51, 2**52]
+        assert lottery[0] == _cuts(sums, total) == [2**51, 2**52]
         for value, want in ((2**51, 1), (2**52, 2)):
-            ((det, _),) = lottery_select([lottery], Mode.NAIVE, [value])
-            assert det == want == scan_index(lottery[1], value * 2.0**-53 * 4.0)
+            ((det, _),) = select([lottery], [value])
+            assert det == want == scan_index(ranked, value * 2.0**-53 * 4.0)
+            assert float_draw(sums, total, value) == want
 
     def test_r_past_the_last_running_sum_takes_the_last_index(self):
         # CPython 3.12+'s compensated sum() totals 1.0 + 1e-16 + 1e-16 as
@@ -440,15 +478,60 @@ class TestLotterySelect:
         # reach the last running sum; _lottery takes the last running sum
         # as its total, so the record is built by hand
         weights = [1.0, 1e-16, 1e-16]
-        lottery = ([0, 1, 2], weights, [1.0, 1.0, 1.0], 1.0000000000000002)
-        assert list(accumulate(weights)) == lottery[2]
-        assert math.fsum(weights) == lottery[3]
+        sums, total = [1.0, 1.0, 1.0], 1.0000000000000002
+        assert list(accumulate(weights)) == sums
+        assert math.fsum(weights) == total
         # the largest word, whose uniform is 1 - 2**-53
         value = TOP
-        assert value * 2.0**-53 * lottery[3] >= 1.0
-        ((det, carried),) = lottery_select([lottery], Mode.NAIVE, [value])
-        assert det == 2 == scan_index(weights, value * 2.0**-53 * lottery[3])
+        assert value * 2.0**-53 * total >= 1.0
+        assert float_draw(sums, total, value) == 2
+        lottery = (_cuts(sums, total), [*enumerate(weights)])
+        ((det, carried),) = select([lottery], [value])
+        assert det == 2 == scan_index(weights, value * 2.0**-53 * total)
         assert carried == 1e-16
+
+    @given(
+        weights=st.lists(
+            st.lists(
+                st.floats(min_value=0.0, max_value=1e300, exclude_min=True),
+                min_size=2,
+                max_size=6,
+            ),
+            min_size=1,
+            max_size=3,
+        ),
+        mode=st.sampled_from(list(Mode)),
+        trials=st.integers(min_value=1, max_value=12),
+        data=st.data(),
+    )
+    def test_draws_each_drawing_trial_at_its_cursor(self, weights, mode, trials, data):
+        # random records, columns and cursors: each drawing trial takes the
+        # float-form draw of the word at its cursor and moves that cursor
+        # on by one row of the block; no other cursor or query moves, and
+        # the group's own column is left as it was
+        specs = [spec_record(dict(enumerate(w))) for w in weights]
+        records = [_lottery(dict(enumerate(w)), mode) for w in weights]
+        drawing = sorted(data.draw(st.sets(st.integers(0, trials - 1), min_size=1)))
+        picks = [data.draw(st.integers(0, len(specs) - 1)) for _ in drawing]
+        rows = data.draw(st.integers(min_value=1, max_value=4))
+        pos = [t + trials * data.draw(st.integers(0, rows - 1)) for t in range(trials)]
+        # words on either side of every cut, as well as free ones
+        near = [k + d for cuts, _ in records for k in cuts for d in (-1, 0)]
+        near = [k for k in near if k <= TOP]
+        word = st.integers(0, TOP) | st.sampled_from([0, TOP, *near])
+        size = trials * rows
+        words = data.draw(st.lists(word, min_size=size, max_size=size))
+        column = [(data.draw(st.integers(-1, 9)), float(t)) for t in range(trials)]
+        group = (drawing, [records[i] for i in picks], column)
+        was_column, was_pos = column.copy(), pos.copy()
+
+        got = lottery_select(group, words, pos, trials)
+        want = was_column.copy()
+        for t, i in zip(drawing, picks):
+            want[t] = float_select(specs[i], mode, words[was_pos[t]])
+        assert got == want
+        assert pos == [p + trials * (t in drawing) for t, p in enumerate(was_pos)]
+        assert column == was_column
 
     @given(
         weights=st.lists(
@@ -460,30 +543,27 @@ class TestLotterySelect:
         data=st.data(),
     )
     def test_cuts_bisect_as_lottery_select_does(self, weights, compensated, data):
-        # a word's place among the cuts is the index lottery_select bisects
-        # from its r: at both ends of the words, on either side of every
-        # cut, and at random words
-        lottery = _lottery(dict(enumerate(weights)))
+        # a word's place among the cuts is the index the float-form draw
+        # bisects from its r: at both ends of the words, on either side of
+        # every cut, and at random words
+        _, _, sums, total = spec_record(dict(enumerate(weights)))
+        assert _lottery(dict(enumerate(weights)), Mode.NAIVE)[0] == _cuts(sums, total)
         if compensated:
-            # the record of test_r_past_the_last_running_sum_takes_the_last_index
-            weights = [1.0, 1e-16, 1e-16]
-            lottery = ([0, 1, 2], weights, [1.0, 1.0, 1.0], 1.0000000000000002)
-        _, _, sums, total = lottery
-        cuts = _cuts(lottery)
+            # the sums of test_r_past_the_last_running_sum_takes_the_last_index
+            sums, total = [1.0, 1.0, 1.0], 1.0000000000000002
+        cuts = _cuts(sums, total)
         assert len(cuts) == len(sums) - 1
         near = {k + d for k in cuts for d in (-1, 0, 1) if 0 <= k + d <= TOP}
         words = {0, TOP, *near, *data.draw(st.lists(st.integers(0, TOP), max_size=20))}
         for k in sorted(words):
-            want = bisect_right(sums, k * _UNIT * total, 0, len(sums) - 1)
-            assert bisect_right(cuts, k) == want, k
+            assert bisect_right(cuts, k) == float_draw(sums, total, k), k
 
     def test_cuts_equal_their_bisected_definition(self):
         # each cut, the least word whose r reaches its running sum, found
         # by bisecting all 2**53 words: records of 2 to 12 competitors with
         # weights from 1e-12 to 1e6, one of 100k, and records whose r is
         # rounded to the subnormal grid
-        def bisected(lottery):
-            _, _, sums, total = lottery
+        def bisected(sums, total):
             words = range(1 << 53)
             return [
                 bisect_left(words, s, key=lambda k: k * _UNIT * total)
@@ -498,8 +578,8 @@ class TestLotterySelect:
         records += [[5e-324, 5e-324], [1e-310, 2e-310, 3e-310], [5e-324, 1e-300]]
         records.append([10 ** rng.uniform(-12, 6) for _ in range(100_000)])
         for weights in records:
-            lottery = _lottery(dict(enumerate(weights)))
-            assert _cuts(lottery) == bisected(lottery), weights[:12]
+            _, _, sums, total = spec_record(dict(enumerate(weights)))
+            assert _cuts(sums, total) == bisected(sums, total), weights[:12]
 
 
 def lottery_children(plan) -> set[tuple[int, ...]]:
@@ -552,11 +632,16 @@ class TestReferenceKernel:
             # queries, the same in every trial
             for kids in seeded_lotteries(plan):
                 merged = _merge(map(plan.base.__getitem__, kids))
-                lottery = _lottery(merged)
-                assert lottery[:2] == tuple(map(list, zip(*sorted(merged.items()))))
-                # lottery_select has no branch for fewer competitors or a
-                # zero total
-                assert len(lottery[0]) >= 2 and lottery[3] > 0.0
+                dets, weights, sums, total = spec_record(merged)
+                for mode in Mode:
+                    cuts, queries = _lottery(merged, mode)
+                    aggregate = mode is Mode.AGGREGATE
+                    carried = [total] * len(dets) if aggregate else weights
+                    assert queries == [*zip(dets, carried)]
+                    assert cuts == _cuts(sums, total)
+                # _cuts divides by the total, and a draw needs two or more
+                # competitors
+                assert len(dets) >= 2 and total > 0.0
             seeded, drawn = lottery_kinds(plan)
             both += seeded > 0 and drawn > 0
             shared += shares_a_lottery(plan)
@@ -765,8 +850,9 @@ class TestLaneCount:
         plan = prepare(build_intensity_star(targets))
         source = plan.lattice.source
         assert plan.draw_order == (source,)
-        lottery = _lottery(_merge(map(plan.base.__getitem__, plan.out_live[source])))
-        dets, cuts = lottery[0], _cuts(lottery)
+        merged = _merge(map(plan.base.__getitem__, plan.out_live[source]))
+        cuts, queries = _lottery(merged, Mode.NAIVE)
+        dets = [det for det, _ in queries]
         assert len(dets) == len(targets)
         stop = start + length
         streams = map(trial_stream, repeat(master_seed), range(start, stop))
@@ -939,9 +1025,9 @@ class TestSpanMemo:
         built = []
         lottery = engine._lottery
 
-        def counted(weights_by_det):
+        def counted(weights_by_det, mode):
             built.append(weights_by_det)
-            return lottery(weights_by_det)
+            return lottery(weights_by_det, mode)
 
         monkeypatch.setattr(engine, "_lottery", counted)
         for mode in Mode:

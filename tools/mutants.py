@@ -53,6 +53,11 @@ PREPARE = "tests/test_engine.py::TestPrepare"
 COLUMNS = "tests/test_engine.py::TestColumnKernel"
 SPAN_MEMO = "tests/test_engine.py::TestSpanMemo"
 SPANS = "tests/test_engine.py::TestSpanSplits"
+SELECT = "tests/test_engine.py::TestLotterySelect"
+DRAW_PROPERTY = (
+    "tests/test_engine.py::TestLotterySelect::"
+    "test_draws_each_drawing_trial_at_its_cursor"
+)
 GOLDEN = "tests/test_golden.py"
 STREAM = "tests/test_rng.py"
 STREAM_PROPERTY = "tests/test_rng.py::test_lane_batch_equals_sequential_generator"
@@ -74,7 +79,7 @@ MEMO_PROBE = (
     "            if len(merged) == 1:\n"
     "                entry = None, next(iter(merged.items()))\n"
     "            else:\n"
-    "                entry = _lottery(merged), None\n"
+    "                entry = _lottery(merged, mode), None\n"
     "            memo[row] = entry"
 )
 
@@ -159,21 +164,22 @@ MUTANTS: list[tuple[str, str, str, str, tuple[str, ...]]] = [
         "if det not in weights or w < weights[det]:",
         (REFERENCE,),
     ),
+    # the one draw rule: a word's place among its lottery's cuts
     (
-        "biased-lottery-select",
+        "biased-cuts",
         ENGINE,
-        "bisect_right(sums, k * _UNIT * total, 0, len(sums) - 1)",
-        "bisect_right(sums, k * _UNIT * total * 0.9, 0, len(sums) - 1)",
-        ("tests/test_engine.py::TestLotterySelect",),
+        "cuts.append(k)",
+        "cuts.append(k * 9 // 10)",
+        (SELECT,),
     ),
     (
-        "merged-r-skips-unit",
+        "subnormal-cut-skips-unit",
         ENGINE,
-        "bisect_right(sums, k * _UNIT * total, 0,",
-        "bisect_right(sums, k * total, 0,",
+        "key=lambda k: k * _UNIT * total)",
+        "key=lambda k: k * total)",
         (
             "tests/test_engine.py::TestLotterySelect::"
-            "test_r_on_a_running_sum_takes_the_next_index",
+            "test_cuts_equal_their_bisected_definition",
         ),
     ),
     (
@@ -193,11 +199,25 @@ MUTANTS: list[tuple[str, str, str, str, tuple[str, ...]]] = [
         ),
     ),
     (
-        "aggregate-carries-own-weight",
+        "aggregate-record-carries-own-weight",
         ENGINE,
-        "(dets[i], total if aggregate else weights[i])",
-        "(dets[i], weights[i])",
-        ("tests/test_engine.py::TestLotterySelect", GOLDEN),
+        "carried = repeat(total) if mode is _AGGREGATE else weights",
+        "carried = weights",
+        (DRAW_PROPERTY, SELECT, GOLDEN),
+    ),
+    (
+        "draw-bisects-left",
+        ENGINE,
+        "queries[bisect_right(cuts, words[p])]",
+        "queries[bisect_left(cuts, words[p])]",
+        (DRAW_PROPERTY,),
+    ),
+    (
+        "cursor-not-advanced",
+        ENGINE,
+        "pos[t] = p + trials",
+        "pos[t] = p",
+        (DRAW_PROPERTY,),
     ),
     (
         "lotteries-kept-across-trials",
@@ -209,9 +229,12 @@ MUTANTS: list[tuple[str, str, str, str, tuple[str, ...]]] = [
     (
         "cursor-advanced-for-every-trial",
         ENGINE,
-        "for t in drawing:\n                pos[t] += trials",
-        "for t in range(trials):\n                pos[t] += trials",
-        (COLUMNS, REFERENCE),
+        "        pos[t] = p + trials\n    return column\n",
+        "        pos[t] = p + trials\n"
+        "    for t in {*range(trials)} - {*drawing}:\n"
+        "        pos[t] += trials\n"
+        "    return column\n",
+        (DRAW_PROPERTY, COLUMNS, REFERENCE),
     ),
     (
         "rows-one-trial-short",
@@ -223,9 +246,9 @@ MUTANTS: list[tuple[str, str, str, str, tuple[str, ...]]] = [
     (
         "group-column-shared",
         ENGINE,
-        "\n            column = column.copy()\n",
+        "\n    column = column.copy()\n",
         "\n",
-        (REFERENCE, COLUMNS),
+        (DRAW_PROPERTY, REFERENCE, COLUMNS),
     ),
     (
         "memo-kept-across-blocks",
@@ -352,8 +375,8 @@ MUTANTS: list[tuple[str, str, str, str, tuple[str, ...]]] = [
     (
         "trial-takes-next-trials-draws",
         ENGINE,
-        "drawn = [words[pos[t]] for t in drawing]",
-        "drawn = [words[pos[t] + 1] for t in drawing]",
+        "bisect_right(cuts, words[p])",
+        "bisect_right(cuts, words[p + 1])",
         (REFERENCE, GOLDEN),
     ),
     # one trial's block, shared by run_trial and backpropagate
