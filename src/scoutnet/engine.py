@@ -40,8 +40,11 @@ draw.  Its record is memoised by the row of its children's queries for
 one block; where those children are all nodes of one lottery group, as
 in a slit screen's columns, they hold only queries that one record
 handed out, and the record is memoised by the row's set for the whole
-span.  A refusal wave voids only edges below its lottery, which barrier
-order has already passed, so the lotteries alone fix the winner.  The
+span.  A lottery whose children are all seeded has one row in every
+trial, and its record is built once per span.  A draw node with one
+live child holds no lottery: it takes its child's column.  A refusal
+wave voids only edges below its lottery, which barrier order has
+already passed, so the lotteries alone fix the winner.  The
 replay, ``_refusals``, runs the waves from the kernel's result and draws
 nothing; only the voided-edge set and the ``--trace`` lines need it.
 ``count_winners`` runs the kernel alone over a span of trials, block by
@@ -377,7 +380,8 @@ Memo = dict[
     tuple[Optional[Lottery], Optional[Query]],
 ]
 # The kernel's span memo: the lotteries keyed by the set of their row's
-# queries, and their entries, kept from block to block.
+# queries, and the entries kept from block to block, theirs and those of
+# the lotteries whose children are all seeded, keyed by their one row.
 SpanMemo = tuple[frozenset[tuple[int, ...]], Memo]
 
 
@@ -403,9 +407,9 @@ def _group(
     queries: dict[int, list[Query]],
     plan: TrialPlan,
     mode: Mode,
-    memo: Memo,
     trials: int,
-    by_set: bool,
+    memo: Memo,
+    span: Optional[SpanMemo],
 ) -> Group:
     """A lottery in one block, merged once per distinct row of its
     children's queries: row t holds them in trial t, and a merge reads
@@ -413,12 +417,19 @@ def _group(
     equal rows share a memo entry.  An entry holds the row's record in
     ``mode``, its word cuts and the queries its winners carry on, built
     once with the entry; or the one query of a row that merges to one
-    competitor.  ``by_set`` turns each row into the set of its queries
-    first, for the span memo.  A lottery whose children are all seeded
-    has ``trials`` equal rows, so it merges once per block at most."""
-    rows = zip(*[queries.get(v) or repeat(plan.base[v], trials) for v in kids])
-    if by_set:
-        rows = map(frozenset, rows)
+    competitor.  Rows are looked up in ``memo``, the block's, but where
+    there is a span memo: a lottery of its set-keyed kind turns each row
+    into the set of its queries first, and looks that up in the span
+    memo; and a lottery whose children are all seeded, which has one row
+    in every trial, looks that row up there once, and its entry serves
+    every trial."""
+    seeded = span is not None and not any(map(queries.__contains__, kids))
+    if seeded:
+        rows, memo = [tuple(map(plan.base.__getitem__, kids))], span[1]
+    else:
+        rows = zip(*[queries.get(v) or repeat(plan.base[v], trials) for v in kids])
+        if span is not None and kids in span[0]:
+            rows, memo = map(frozenset, rows), span[1]
     entries = []
     for row in rows:
         entry = memo.get(row)
@@ -430,6 +441,8 @@ def _group(
                 entry = _lottery(merged, mode), None
             memo[row] = entry
         entries.append(entry)
+    if seeded:
+        entries *= trials
     records = [*filter(None, map(_RECORD, entries))]
     drawing = [*compress(range(len(entries)), map(_RECORD, entries))]
     return drawing, records, [*map(_QUERY, entries)]
@@ -451,16 +464,18 @@ def _columns(
     cursor moves only when it draws, so trials drift apart.
 
     Only ``draw_order`` is visited: draw-free nodes keep their seeded
-    queries.  A lottery is built per trial at the first node of its group
-    (``_group``), in ``mode``, and serves the group's other nodes, whose
-    children keep their queries; a trial whose lottery merges to one
-    competitor takes that query at each of them and draws nothing.  Each
-    node of the group draws its block in one ``lottery_select`` call, one
-    loop over its drawing trials; a node where no trial draws takes the
-    group's column as it is.  Only ``span`` may outlive the block.
-    Without one, no lottery is keyed by set: within one block a set key
-    only saves the merges of unequal rows of one set, and ``_one_trial``'s
-    block holds one trial.
+    queries.  A draw node with one live child, which draws too, never
+    holds a lottery: it takes that child's column as it is.  A lottery is
+    built per trial at the first node of its group (``_group``), in
+    ``mode``, and serves the group's other nodes, whose children keep
+    their queries; a trial whose lottery merges to one competitor takes
+    that query at each of them and draws nothing.  Each node of the group
+    draws its block in one ``lottery_select`` call, one loop over its
+    drawing trials; a node where no trial draws takes the group's column
+    as it is.  Only ``span`` may outlive the block.  Without one, every
+    row is looked up in the block's memo: within one block a set key only
+    saves the merges of unequal rows of one set, and ``_one_trial``'s
+    block holds one trial, one row per lottery.
 
     Refusal waves are left out.  A wave started at node u voids only edges
     whose tail is u or a descendant of u, whose lotteries barrier order has
@@ -470,15 +485,14 @@ def _columns(
     pos = [*range(trials)]
     held: dict[tuple[int, ...], Group] = {}
     memo: Memo = {}
-    by_set, span_memo = span or (frozenset(), {})
     for u in plan.draw_order:
         kids = plan.out_live[u]
+        if len(kids) == 1:
+            queries[u] = queries[kids[0]]
+            continue
         group = held.get(kids)
         if group is None:
-            keyed = kids in by_set
-            group = held[kids] = _group(
-                kids, queries, plan, mode, span_memo if keyed else memo, trials, keyed
-            )
+            group = held[kids] = _group(kids, queries, plan, mode, trials, memo, span)
         drawing, _, column = group
         queries[u] = lottery_select(group, words, pos, trials) if drawing else column
 
@@ -581,10 +595,14 @@ def count_winners(
     without the kernel.
 
     The blocks share one span memo, whose entries depend on their keys
-    alone.  It is emptied before a block once it holds more than
-    ``len(draw_order)`` entries per trial of the block, which no slit
-    screen reaches: over 20k aggregate trials, slit 7x9's peaked at 224
-    of 1,248 and 20x13's at 1,475 of 7,168.
+    alone: the set-keyed lotteries' and the one row of each lottery whose
+    children are all seeded, so that lottery's record is built once per
+    call, and again only after the memo is emptied.  It is emptied before
+    a block once it holds more than ``len(draw_order)`` entries per trial
+    of the block, which no slit
+    screen reaches: over 20k aggregate trials, slit 7x9's peaked at 225
+    entries of 4,992 (128-trial blocks) and 20x13's, slits at rows 2 and
+    10, at 1,474 of 7,168 (32-trial blocks).
     """
     mode = Mode(mode)
     source = plan.lattice.source

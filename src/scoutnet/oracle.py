@@ -22,7 +22,7 @@ live graph.
 from __future__ import annotations
 
 import math
-import sys
+import struct
 from operator import mul
 from typing import NamedTuple
 
@@ -176,6 +176,8 @@ def lattice_amplitudes(lattice: Lattice) -> dict[int, complex]:
 
     size = width * len(lengths)
     fields = {1: "B", 2: "H", 4: "I", 8: "Q"}[width]
+    # field i is byte field i of the key, little-endian on every host
+    unpack = struct.Struct("<" + fields * len(lengths)).unpack
     two_pi = 2.0 * math.pi
     fmod, fsum, cos, sin = math.fmod, math.fsum, math.cos, math.sin
     turns = [fmod(two_pi * length / lattice.wavelength, two_pi) for length in lengths]
@@ -187,8 +189,8 @@ def lattice_amplitudes(lattice: Lattice) -> dict[int, complex]:
             for key, paths in classes.get(det, {}).items():
                 phasor = phasors.get(key)
                 if phasor is None:
-                    counts = memoryview(key.to_bytes(size, sys.byteorder))
-                    phase = fsum(map(mul, turns, counts.cast(fields)))
+                    counts = unpack(key.to_bytes(size, "little"))
+                    phase = fsum(map(mul, turns, counts))
                     phasor = phasors[key] = (cos(phase), sin(phase))
                 re.append(paths * phasor[0])
                 im.append(paths * phasor[1])

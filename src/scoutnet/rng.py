@@ -11,12 +11,19 @@ j does not depend on how many draws a caller asks for.  Word k stands
 for the uniform u = k * ``_UNIT``, k * 2**-53 in [0, 1).
 
 The draws are computed a block of trials at a time, in one generator,
-``_draw_lanes``: one Python int holds one 128-bit lane per trial state,
-or per draw, and each lane is masked to 64 bits before every multiply, so
-that no product carries into the next lane.  The states are built once
-per span and carried from block to block, one lane-wise add of ``trials
-* GAMMA`` and a mask per block.  A shifted lane holds its word in bits
-0..52 and has bits 53..85 clear; above them are bits of the next lane.
+``_draw_lanes``: one Python int holds one 128-bit lane per trial, and
+each lane is masked to 64 bits before every multiply, so that no product
+carries into the next lane.  A block mixes its trial states in one int,
+then each row of its draws in an int of its own: row j, draw j of every
+trial of the block, is the mixed states plus draw j's Weyl offset, mixed
+again.  So an int of a full block holds one row, at most ``MAX_TRIALS``
+lanes, however many draws a trial takes.  Only a block of fewer than
+``MIN_TRIALS`` trials, a span's short end such as ``run_trial``'s one
+trial, mixes all its rows in one int: its rows are too short to pay a
+call each.  The states are built once per span and carried from block
+to block, one lane-wise add of ``trials * GAMMA`` and a mask per block.
+A shifted lane holds its word in bits 0..52 and has bits 53..85 clear;
+above them are bits of the next lane.
 Two readers share the generator.  ``trial_blocks`` unpacks the lanes,
 little-endian on every host, into a block's words, draw-major for the
 reverse half's column kernel: draw j of trial t is ``words[j * trials +
@@ -25,18 +32,19 @@ word among its word cuts, and the engine forms u only where the
 confirmation walk draws.
 ``count_first_words`` unpacks nothing: it counts each trial's first word
 against a lottery's sorted word cuts with a few whole-int operations per
-cut, which bits 53..85 being clear allows.  A trial of n draws gets a
-block of ``max(MIN_TRIALS, BLOCK_DRAWS // n)`` trials, so a block holds
-about ``BLOCK_DRAWS`` draws, or ``MIN_TRIALS`` trials' worth when n is
-large.  The blocks cover a span exactly: what is left after its full blocks is
-one shorter block.  No draw depends on the block it falls in.
+cut on the block's one row, which bits 53..85 being clear allows.  A
+trial of n draws gets a block of ``block_trials(n)`` trials: about
+``BLOCK_DRAWS`` draws' worth, but at least ``MIN_TRIALS`` trials, where n
+is large, and at most ``MAX_TRIALS``, where n is small.  The blocks cover
+a span exactly: what is left after its full blocks is one shorter block.
+No draw depends on the block it falls in.
 """
 
 from __future__ import annotations
 
 import struct
 from operator import sub
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 _MASK = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -44,19 +52,28 @@ _GOLDEN = 0x9E3779B97F4A7C15
 _UNIT = 2.0**-53
 # draws per block: the reverse half's column kernel runs each lottery once
 # per block, so a block must hold enough trials to spread its per-node
-# Python calls; counting 20000 trials of the 1,1,2 star (a 2-core Xeon,
-# CPython 3.11, medians of 12 interleaved rounds, each the best of 15)
-# took 0.32 us per trial at 512 and 1024, 0.34 at 2048 and 0.38 at 4096,
-# and 1000 trials of slit 7x9 (39 draw nodes; medians of 5 rounds) 28.5,
-# 29.5, 27.9 and 33.2 ms, within the rounds' noise up to 2048
-BLOCK_DRAWS = 1024
-# the floor on a block's trials, for lattices of many draw nodes: counting
-# 100 trials of grid 30x30 (column detectors, wavelength 0.73, 841 draw
-# nodes; same box, medians of 5 interleaved rounds) took 59.8 ms with
-# blocks of 16, 54.7 with 32 and 54.9 with 64, at a tracemalloc peak of
-# 2.6, 4.9 and 9.1 MB; 1000 trials of slit 7x9 (39 draw nodes) took 29.2,
-# 29.5 and 29.7 ms
+# Python calls, and mixing a row of draws costs about as much per lane at
+# 32 lanes as at 256.  Counting 1000 trials of slit 7x9 (39 draw nodes; a
+# 2-core Xeon, CPython 3.11.7, medians of 5 interleaved rounds, each the
+# best of 7) took 13.4, 12.8, 12.1, 11.3, 11.4 and 11.2 ms in naive mode,
+# and 14.2, 13.2, 12.4, 11.9, 12.0 and 12.1 ms in aggregate mode, in blocks
+# of 32, 64, 96, 128, 192 and 256 trials; 5000 draws give it 128.  Drawing
+# 1024 of its trials' 39 draws (medians of 11 rounds) took 6.6, 6.6, 6.9
+# and 8.6 ms with a block's rows in one int, at 32, 64, 128 and 256
+# trials, and 7.0, 6.9, 6.5 and 6.7 ms row by row
+BLOCK_DRAWS = 5000
+# the floor on a block's trials, for lattices of many draw nodes, set by
+# their peak memory: counting 100 trials of grid 30x30 (column detectors,
+# wavelength 0.73, 841 draw nodes; same box, aggregate mode, medians of 5
+# rounds) took 104, 87 and 74 ms in blocks of 16, 32 and 64 trials, at a
+# tracemalloc peak of 1.7, 3.2 and 5.6 MB; its one-int blocks of 32, before
+# rows were mixed apart, peaked at 5.4 MB
 MIN_TRIALS = 32
+# the most trials in a block, the lanes of one row: counting the first
+# words of 20000 trials of the 1,1,2 star (medians of 12 interleaved
+# rounds, each the best of 15) took 0.32 us per trial in rows of 512 and
+# 1024 lanes, 0.34 at 2048 and 0.38 at 4096
+MAX_TRIALS = 1024
 
 
 def _mix(z: int, mask: int) -> int:
@@ -77,34 +94,45 @@ def check_seed(master_seed: int) -> None:
         raise ValueError(f"master seed must lie in [0, 2**64), got {master_seed}")
 
 
-def _lanes(values: Iterable[int], copies: int = 1) -> int:
+def _lanes(values: list[int], copies: int) -> int:
     """One lane per value, each value ``copies`` times in a row."""
     # built from bytes: summing shifted ints would take time quadratic in
     # the lane count
-    lanes = b"".join(v.to_bytes(16, "little") * copies for v in values)
+    lanes = b"".join([v.to_bytes(16, "little") * copies for v in values])
     return int.from_bytes(lanes, "little")
+
+
+def block_trials(n: int) -> int:
+    """The trials in a full block of trials of ``n`` draws each: about
+    ``BLOCK_DRAWS`` draws, but no fewer than ``MIN_TRIALS`` trials and no
+    more than ``MAX_TRIALS``."""
+    return max(MIN_TRIALS, min(MAX_TRIALS, BLOCK_DRAWS // max(n, 1)))
 
 
 def _draw_lanes(
     master_seed: int, n: int, start: int, stop: int
-) -> Iterator[tuple[int, int]]:
+) -> Iterator[tuple[list[int], int]]:
     """The first ``n`` draws of trials ``start``..``stop - 1``, a block of
-    trials at a time: each block is ``(w, trials)``, where lane ``j *
-    trials + t`` of the int ``w`` holds draw j of the block's trial t, the
-    top 53 bits of its splitmix64 word, in bits 0..52, and has bits 53..85
-    clear; the bits above them come from the next lane.  A block holds
-    ``max(MIN_TRIALS, BLOCK_DRAWS // n)`` trials, or the span's length if
-    that is shorter; the span's remainder after its full blocks is one
-    last, shorter block, so the blocks' trials sum to the span.
+    trials at a time.  Each block is ``(ints, trials)``: row j of the
+    block, draw j of each of its trials, takes ``trials`` lanes, and the
+    rows fill the ints' lanes in draw order, each int holding the same
+    number of whole rows.  Lane t of row j holds draw j of the block's
+    trial t, the top 53 bits of its splitmix64 word, in bits 0..52, and
+    has bits 53..85 clear; the bits above them come from the next lane.
+    A block holds ``block_trials(n)`` trials, or the span's length if that
+    is shorter; the span's remainder after its full blocks is one last,
+    shorter block, so the blocks' trials sum to the span.
 
-    A block mixes its trial states in one int, copies that int once per
-    draw (a block of one-draw trials uses it as it is), adds each draw's
-    Weyl offset and mixes again.  The states are built once and carried
-    from block to block: the next block starts ``trials`` trials later,
-    so every lane adds ``trials * GAMMA`` and is masked.
+    A block mixes its trial states in one int, then each row in its own
+    int: the mixed states plus the row's Weyl offset, mixed again.  A
+    block of fewer than ``MIN_TRIALS`` trials (``run_trial``'s one-trial
+    block, or a span's short end) mixes all its rows in one int instead,
+    the mixed states copied once per row.  The states are built once and
+    carried from block to block: the next block starts ``trials`` trials
+    later, so every lane adds ``trials * GAMMA`` and is masked.
     """
     check_seed(master_seed)
-    trials = max(1, min(max(MIN_TRIALS, BLOCK_DRAWS // max(n, 1)), stop - start))
+    trials = max(1, min(block_trials(n), stop - start))
     tail = (stop - start) % trials
     ones = _lanes([1], trials)
     state_mask = _MASK * ones
@@ -113,8 +141,12 @@ def _draw_lanes(
     ramp = struct.Struct("<" + "Q8x" * trials).pack(*range(trials))
     steps = _GOLDEN * int.from_bytes(ramp, "little") & state_mask
     advance = (trials * _GOLDEN & _MASK) * ones
-    weyl = _lanes(((j + 1) * _GOLDEN & _MASK for j in range(n)), trials)
-    draw_mask = _lanes([_MASK], trials * n)
+    offsets = [(j + 1) * _GOLDEN & _MASK for j in range(n)]
+    if trials >= MIN_TRIALS:
+        copies, weyl, row_mask = 1, [w * ones for w in offsets], state_mask
+    else:
+        copies, weyl = n, [_lanes(offsets, trials)]
+        row_mask = _lanes([_MASK], n * trials)
     size = 16 * trials
     # lane t: the state of trial start + t, before its mix
     c = (master_seed + (start + 1) * _GOLDEN) & _MASK
@@ -123,9 +155,9 @@ def _draw_lanes(
         # unmasked: adding the Weyl offset carries into bit 64 at most, and
         # the mask after the add clears what the next lane shifted down
         mixed = _mix(states, state_mask)
-        if n > 1:
-            mixed = int.from_bytes(mixed.to_bytes(size, "little") * n, "little")
-        yield _mix((mixed + weyl) & draw_mask, draw_mask) >> 11, trials
+        if copies > 1:
+            mixed = int.from_bytes(mixed.to_bytes(size, "little") * copies, "little")
+        yield [_mix((mixed + w) & row_mask, row_mask) >> 11 for w in weyl], trials
         states = (states + advance) & state_mask
     if tail:
         yield from _draw_lanes(master_seed, n, stop - tail, stop)
@@ -133,17 +165,23 @@ def _draw_lanes(
 
 def trial_blocks(
     master_seed: int, n: int, start: int, stop: int
-) -> Iterator[tuple[tuple[int, ...], int]]:
+) -> Iterator[tuple[list[int], int]]:
     """The first ``n`` draws of trials ``start``..``stop - 1``, in the
     blocks of ``_draw_lanes``: each block is ``(words, trials)``, where
     draw j of the block's trial t is ``words[j * trials + t]``, the top 53
-    bits of its splitmix64 word, an int in [0, 2**53)."""
-    unpack, size = None, 0
-    for w, trials in _draw_lanes(master_seed, n, start, stop):
-        if trials != size:
-            unpack, size = struct.Struct("<" + "Q8x" * (trials * n)).unpack, trials
-        # each lane's low 64 bits hold its word
-        yield unpack(w.to_bytes(16 * trials * n, "little")), trials
+    bits of its splitmix64 word, an int in [0, 2**53).  Each int is
+    unpacked on its own, and their words joined in draw order."""
+    unpack, size = None, None
+    for ints, trials in _draw_lanes(master_seed, n, start, stop):
+        # one row per int, or every row in one
+        lanes = n * trials // max(len(ints), 1)
+        if lanes != size:
+            unpack, size = struct.Struct("<" + "Q8x" * lanes).unpack, lanes
+        words: list[int] = []
+        for w in ints:
+            # each lane's low 64 bits hold its word
+            words += unpack(w.to_bytes(16 * lanes, "little"))
+        yield words, trials
 
 
 def count_first_words(
@@ -162,7 +200,7 @@ def count_first_words(
     """
     above = [0] * len(cuts)
     size = 0
-    for w, trials in _draw_lanes(master_seed, 1, start, stop):
+    for (w,), trials in _draw_lanes(master_seed, 1, start, stop):
         if trials != size:
             size = trials
             ones = _lanes([1], trials)

@@ -50,8 +50,9 @@ from scoutnet.lattice import (
 )
 from scoutnet.rng import (
     _UNIT,
-    BLOCK_DRAWS,
+    MAX_TRIALS,
     MIN_TRIALS,
+    block_trials,
     count_first_words,
     trial_blocks,
 )
@@ -752,12 +753,27 @@ class TestSpanSplits:
     LATTICES = {
         "star-1-1-2": lambda: build_intensity_star([1.0, 1.0, 2.0]),
         "slit-7x9": lambda: build_slit_grid(7, 9, (2, 6), wavelength=1.0),
-        # 100 draw nodes: BLOCK_DRAWS // n < MIN_TRIALS, so the floor sets
-        # the block
+        # 100 draw nodes: a block of 50 trials, neither the floor nor the
+        # lane limit
         "grid-11x11": lambda: build_grid(11, 11, "column"),
         # one detector, no lottery: each trial holds no draws
         "two-path": lambda: build_two_path(2.0, 2.0, 2),
     }
+
+    def test_block_sizes_are_pinned(self):
+        # written out, not read back from rng's rule: the star's one-draw
+        # trials fill a row's lanes, slit 7x9 (39 draw nodes) and grid
+        # 11x11 (100) take about BLOCK_DRAWS draws, and grid 30x30 (841)
+        # stays at the floor, which holds its peak memory
+        for lat, size in [
+            (build_intensity_star([1.0, 1.0, 2.0]), 1024),
+            (slit_screen(7), 128),
+            (build_grid(11, 11, "column"), 50),
+            (build_grid(30, 30, "column"), 32),
+        ]:
+            n = len(prepare(lat).draw_order)
+            ((_, trials), *_) = trial_blocks(1, n, 0, 3000)
+            assert trials == size == block_trials(n), n
 
     @pytest.mark.parametrize("where", ["inside-a-block", "on-a-block-edge"])
     @pytest.mark.parametrize("name", list(LATTICES))
@@ -766,9 +782,9 @@ class TestSpanSplits:
         n = len(plan.draw_order)
         if name == "two-path":
             assert n == 0
+        block = block_trials(n)
         if name == "grid-11x11":
-            assert BLOCK_DRAWS // n < MIN_TRIALS
-        block = max(MIN_TRIALS, BLOCK_DRAWS // max(n, 1))
+            assert MIN_TRIALS < block < MAX_TRIALS
         start = 7
         stop = start + 2 * block + 5
         k = start + (block if where == "on-a-block-edge" else block // 2 + 1)
@@ -785,7 +801,7 @@ class TestSpanSplits:
         # depend on what it holds, so pieces cut anywhere, inside blocks
         # or on their edges, add up to the whole span
         plan = prepare(slit_screen(size))
-        block = max(MIN_TRIALS, BLOCK_DRAWS // len(plan.draw_order))
+        block = block_trials(len(plan.draw_order))
         start, stop = 11, 11 + 12 * block + 5
         rng = random.Random(size)
         for mode in Mode:
@@ -838,10 +854,11 @@ class TestLaneCount:
         ),
         master_seed=st.integers(min_value=0, max_value=2**64 - 1),
         start=st.integers(min_value=0, max_value=2**64)
-        | st.integers(min_value=2**64 - 3 * BLOCK_DRAWS, max_value=2**64),
-        # empty, shorter than a block, and two blocks and a tail
-        length=st.sampled_from([0, 1, 7, BLOCK_DRAWS - 1])
-        | st.integers(min_value=2 * BLOCK_DRAWS + 1, max_value=2 * BLOCK_DRAWS + 40),
+        | st.integers(min_value=2**64 - 3 * MAX_TRIALS, max_value=2**64),
+        # empty, shorter than a block, and two blocks and a tail: a block
+        # of one-draw trials holds MAX_TRIALS
+        length=st.sampled_from([0, 1, 7, MAX_TRIALS - 1])
+        | st.integers(min_value=2 * MAX_TRIALS + 1, max_value=2 * MAX_TRIALS + 40),
     )
     @settings(max_examples=40, deadline=None)
     def test_counts_equal_bisected_sequential_words(
@@ -901,7 +918,7 @@ class TestColumnKernel:
         # the first draw node's children are all seeded, so every trial
         # draws there: a block's trials drift apart only at a later node
         assert plan.out_live[plan.draw_order[0]] in seeded_lotteries(plan)
-        trials = max(MIN_TRIALS, BLOCK_DRAWS // n)
+        trials = block_trials(n)
         for mode in Mode:
             drifted = False
             for first in range(0, 40 * trials, trials):
@@ -946,6 +963,38 @@ class TestColumnKernel:
                 winners
             )
 
+    def test_node_of_one_live_child_takes_its_column(self, monkeypatch):
+        # the nested tree's source has one live child, the junction: it
+        # never holds a lottery, so it takes the junction's column with no
+        # merge, and every trial still matches the reference kernel
+        lat, ids = nested_tree_lattice()
+        plan = prepare(lat)
+        junction = (ids["junction"],)
+        assert plan.out_live[lat.source] == junction
+        assert lat.source in plan.draw_order
+        grouped = []
+        group = engine._group
+
+        def spy(kids, *args):
+            grouped.append(kids)
+            return group(kids, *args)
+
+        monkeypatch.setattr(engine, "_group", spy)
+        span = range(3, 3 + 2 * block_trials(len(plan.draw_order)) + 9)
+        for mode in Mode:
+            grouped.clear()
+            got = []
+            blocks = trial_blocks(6, len(plan.draw_order), span.start, span.stop)
+            for words, trials in blocks:
+                queries, _ = _columns(plan, mode, words, trials)
+                assert queries[lat.source] == queries[ids["junction"]]
+                got += [det for det, _ in queries[lat.source]]
+            assert got == [reference_trial(plan, mode, 6, i)[0] for i in span]
+            for index in span.start, span.stop - 1:
+                want = reference_backpropagate(plan, mode, trial_stream(6, index))
+                assert backpropagate(plan, mode, 6, index) == want
+            assert grouped and junction not in grouped
+
     @staticmethod
     def peak_bytes(plan, mode: Mode, trials: int) -> int:
         tracemalloc.start()
@@ -967,16 +1016,17 @@ class TestColumnKernel:
             build_grid(8, 8, "column", wavelength=0.73),
         ):
             plan = prepare(lat)
-            block = max(MIN_TRIALS, BLOCK_DRAWS // len(plan.draw_order))
+            block = block_trials(len(plan.draw_order))
             for mode in Mode:
                 short = self.peak_bytes(plan, mode, 2 * block)
                 long = self.peak_bytes(plan, mode, 40 * block)
                 assert long < 1.5 * short, (len(lat.nodes), mode, short, long)
 
     def test_deep_grid_block_stays_small(self):
-        # grid 30x30 has 841 draw nodes: a block of MIN_TRIALS trials
+        # grid 30x30 has 841 draw nodes: the floor sets its block, of
+        # MIN_TRIALS trials
         plan = prepare(build_grid(30, 30, "column"))
-        assert len(plan.draw_order) * MIN_TRIALS > BLOCK_DRAWS
+        assert block_trials(len(plan.draw_order)) == MIN_TRIALS
         for mode in Mode:
             assert self.peak_bytes(plan, mode, MIN_TRIALS) < 8e6
 
@@ -1035,6 +1085,29 @@ class TestSpanMemo:
             count_winners(plan, mode, 1, 0, 1000)
             assert 0 < len(built) <= 300, (mode, len(built))
 
+    def test_seeded_lottery_is_built_once_per_span(self, monkeypatch):
+        # slit 7x9's lottery among its detectors, held by the two draw
+        # nodes over its last column, is the same in every trial: each
+        # count builds its record once, in its own mode, not once per block
+        plan = prepare(slit_screen(7))
+        (kids,) = seeded_lotteries(plan)
+        assert len(kids) == 9
+        merged = _merge(map(plan.base.__getitem__, kids))
+        built = []
+        lottery = engine._lottery
+
+        def counted(weights_by_det, mode):
+            built.append((weights_by_det, mode))
+            return lottery(weights_by_det, mode)
+
+        monkeypatch.setattr(engine, "_lottery", counted)
+        block = block_trials(len(plan.draw_order))
+        for mode in [*Mode, *Mode]:
+            for start, stop in [(0, 1000), (7, 7 + 3 * block + 5)]:
+                built.clear()
+                count_winners(plan, mode, 2, start, stop)
+                assert [m for w, m in built if w == merged] == [mode], (mode, start)
+
     @pytest.mark.parametrize("columns", [7, 12])
     def test_blocks_sharing_a_span_memo_match_reference(self, columns):
         # consecutive blocks over one span memo: every draw node's query in
@@ -1042,7 +1115,7 @@ class TestSpanMemo:
         # an earlier block serves only the set of queries it was made for
         plan = prepare(slit_screen(columns))
         n = len(plan.draw_order)
-        span = range(3, 3 + 7 * max(MIN_TRIALS, BLOCK_DRAWS // n))
+        span = range(3, 3 + 7 * block_trials(n))
         for mode in Mode:
             span_memo = _span_memo(plan)
             got: dict[int, list] = {u: [] for u in plan.draw_order}
@@ -1061,8 +1134,8 @@ class TestSpanMemo:
 
     def test_memo_is_emptied_past_its_bound(self, monkeypatch):
         # blocks of one trial put the bound at len(draw_order) entries,
-        # which slit 7x9's span memo outgrows; at the default blocks of 32
-        # trials it never reaches its bound of 1,248
+        # which slit 7x9's span memo outgrows; at its default blocks of
+        # 128 trials it never reaches its bound of 4,992
         plan = prepare(slit_screen(7))
         n = len(plan.draw_order)
         want = {mode: count_winners(plan, mode, 4, 0, 600) for mode in Mode}

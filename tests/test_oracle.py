@@ -2,6 +2,7 @@ import cmath
 import json
 import math
 import random
+import sys
 from pathlib import Path
 
 import pytest
@@ -88,6 +89,22 @@ class TestPinnedAmplitudes:
         for seed in range(50):
             lat = random_layered_lattice(random.Random(seed))
             self.assert_pinned(lat, f"random-{seed}")
+
+    def test_class_sum_reads_its_keys_alike_on_either_byte_order(self, monkeypatch):
+        # a class key's fields are read little-endian on every host: read
+        # in the host's order, a big-endian host would take the counts of
+        # slit 7x9's two rib lengths last-first
+        monkeypatch.setattr(sys, "byteorder", "big")
+        lattices = {
+            "slit-7x9": build_slit_grid(7, 9, [2, 6]),
+            **{f"grid-{n}x{n}-column": build_grid(n, n, "column") for n in range(3, 9)},
+            **{
+                f"random-{seed}": random_layered_lattice(random.Random(seed))
+                for seed in range(50)
+            },
+        }
+        for key, lat in lattices.items():
+            assert repr(oracle.lattice_amplitudes(lat)) == PINNED["classes"][key]
 
 
 def intensities(amplitudes: dict[int, complex]) -> dict[int, float]:

@@ -11,7 +11,14 @@ from hypothesis import strategies as st
 from conftest import pooled_chi_square
 from reference_kernel import trial_stream
 from scoutnet.experiments import chi_square_critical
-from scoutnet.rng import BLOCK_DRAWS, MIN_TRIALS, count_first_words, trial_blocks
+from scoutnet.rng import (
+    BLOCK_DRAWS,
+    MAX_TRIALS,
+    MIN_TRIALS,
+    block_trials,
+    count_first_words,
+    trial_blocks,
+)
 
 
 def test_trial_seeds_are_splitmix64_outputs():
@@ -24,14 +31,17 @@ def test_trial_seeds_are_splitmix64_outputs():
 @given(
     master_seed=st.integers(min_value=0, max_value=2**64 - 1),
     start=st.integers(min_value=0, max_value=2**64),
-    n=st.sampled_from([0, 1, 2, 39, BLOCK_DRAWS // MIN_TRIALS + 1, BLOCK_DRAWS + 1]),
+    n=st.sampled_from([0, 1, 2, 39, 33, 1025, BLOCK_DRAWS // MAX_TRIALS]),
     extra=st.integers(min_value=1, max_value=40),
 )
 @settings(max_examples=100, deadline=None)
 def test_lane_batch_equals_sequential_generator(master_seed, start, n, extra):
-    # a span that crosses two block boundaries; past BLOCK_DRAWS //
-    # MIN_TRIALS draws a block holds MIN_TRIALS trials
-    block = max(MIN_TRIALS, BLOCK_DRAWS // max(n, 1))
+    # a span that crosses two block boundaries: up to BLOCK_DRAWS //
+    # MAX_TRIALS draws, the lane limit holds a block at MAX_TRIALS
+    # trials; past BLOCK_DRAWS // MIN_TRIALS draws the floor holds it at
+    # MIN_TRIALS.  Its short end, of ``extra`` trials, mixes its rows in
+    # one int when it holds fewer than MIN_TRIALS.
+    block = block_trials(n)
     stop = start + 2 * block + extra
     index = start
     sizes = []
@@ -53,11 +63,11 @@ def test_lane_batch_equals_sequential_generator(master_seed, start, n, extra):
 
 
 def test_one_draw_blocks_equal_sequential_generator():
-    # a block of one-draw trials mixes its trial states' int as it is,
-    # with no copy per draw; seeded near 2**64 so the Weyl offset carries
+    # a block of one-draw trials mixes its one row in one int; seeded
+    # near 2**64 so the Weyl offset carries
     master_seed = 2**64 - 3
-    start = 2**64 - BLOCK_DRAWS
-    stop = start + 2 * BLOCK_DRAWS + 3
+    start = 2**64 - MAX_TRIALS
+    stop = start + 2 * MAX_TRIALS + 3
     index = start
     for words, trials in trial_blocks(master_seed, 1, start, stop):
         assert len(words) == trials
@@ -74,7 +84,7 @@ class TestFirstWordCounts:
 
     SEED = 5
     START = 2**64 - 40
-    STOP = START + BLOCK_DRAWS + 60
+    STOP = START + MAX_TRIALS + 60
 
     @pytest.fixture(scope="class")
     def words(self) -> list[int]:

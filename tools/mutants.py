@@ -261,7 +261,7 @@ MUTANTS: list[tuple[str, str, str, str, tuple[str, ...]]] = [
         "memo-keyed-without-weights",
         ENGINE,
         MEMO_PROBE,
-        keyed_probe("row if by_set else tuple(map(_DET, row))"),
+        keyed_probe("row if isinstance(row, frozenset) else tuple(map(_DET, row))"),
         (REFERENCE, GOLDEN),
     ),
     # the span memo: set keys for lotteries over one group, kept per span
@@ -269,7 +269,7 @@ MUTANTS: list[tuple[str, str, str, str, tuple[str, ...]]] = [
         "set-key-without-weights",
         ENGINE,
         MEMO_PROBE,
-        keyed_probe("frozenset(map(_DET, row)) if by_set else row"),
+        keyed_probe("frozenset(map(_DET, row)) if isinstance(row, frozenset) else row"),
         (SPAN_MEMO,),
     ),
     (
@@ -284,6 +284,29 @@ MUTANTS: list[tuple[str, str, str, str, tuple[str, ...]]] = [
         "            and len({*map(get, kids)}) == 1\n"
         "        )\n",
         (SPAN_MEMO,),
+    ),
+    # the lottery whose children are all seeded: one entry per span
+    (
+        "seeded-entry-in-block-memo",
+        ENGINE,
+        "rows, memo = [tuple(map(plan.base.__getitem__, kids))], span[1]",
+        "rows = [tuple(map(plan.base.__getitem__, kids))]",
+        (SPAN_MEMO,),
+    ),
+    (
+        "seeded-entry-shared-across-modes",
+        ENGINE,
+        "rows, memo = [tuple(map(plan.base.__getitem__, kids))], span[1]",
+        "rows, memo = [tuple(map(plan.base.__getitem__, kids))], "
+        '_group.__dict__.setdefault("seeded", {})',
+        (SPAN_MEMO, GOLDEN),
+    ),
+    (
+        "one-child-node-merged",
+        ENGINE,
+        "        if len(kids) == 1:\n",
+        "        if False:\n",
+        (COLUMNS,),
     ),
     (
         "span-memo-unbounded",
@@ -310,8 +333,29 @@ MUTANTS: list[tuple[str, str, str, str, tuple[str, ...]]] = [
     (
         "draw-drops-twelve-bits",
         RNG,
-        "draw_mask, draw_mask) >> 11, trials",
-        "draw_mask, draw_mask) >> 12, trials",
+        "row_mask, row_mask) >> 11 for w in weyl]",
+        "row_mask, row_mask) >> 12 for w in weyl]",
+        (STREAM,),
+    ),
+    (
+        "row-takes-next-rows-weyl-offset",
+        RNG,
+        "[w * ones for w in offsets]",
+        "[w * ones for w in offsets[1:] + offsets[:1]]",
+        (STREAM_PROPERTY,),
+    ),
+    (
+        "row-unmasked-after-weyl-add",
+        RNG,
+        "_mix((mixed + w) & row_mask, row_mask)",
+        "_mix(mixed + w, row_mask)",
+        (STREAM,),
+    ),
+    (
+        "one-int-mask-covers-one-row",
+        RNG,
+        "row_mask = _lanes([_MASK], n * trials)",
+        "row_mask = _lanes([_MASK], trials)",
         (STREAM,),
     ),
     (
