@@ -16,14 +16,12 @@ each lane is masked to 64 bits before every multiply, so that no product
 carries into the next lane.  A block mixes its trial states in one int,
 then each row of its draws in an int of its own: row j, draw j of every
 trial of the block, is the mixed states plus draw j's Weyl offset, mixed
-again.  So an int of a full block holds one row, at most ``MAX_TRIALS``
-lanes, however many draws a trial takes.  Only a block of fewer than
-``MIN_TRIALS`` trials, a span's short end such as ``run_trial``'s one
-trial, mixes all its rows in one int: its rows are too short to pay a
-call each.  The states are built once per span and carried from block
-to block, one lane-wise add of ``trials * GAMMA`` and a mask per block.
-A shifted lane holds its word in bits 0..52 and has bits 53..85 clear;
-above them are bits of the next lane.
+again.  So an int holds one row, at most ``MAX_TRIALS`` lanes, however
+many draws a trial takes; a block of one trial, ``run_trial``'s, pays
+one mix per draw.  The states are built once per span and carried from
+block to block, one lane-wise add of ``trials * GAMMA`` and a mask per
+block.  A shifted lane holds its word in bits 0..52 and has bits 53..85
+clear; above them are bits of the next lane.
 Two readers share the generator.  ``trial_blocks`` unpacks the lanes,
 little-endian on every host, into a block's words, draw-major for the
 reverse half's column kernel: draw j of trial t is ``words[j * trials +
@@ -94,12 +92,11 @@ def check_seed(master_seed: int) -> None:
         raise ValueError(f"master seed must lie in [0, 2**64), got {master_seed}")
 
 
-def _lanes(values: list[int], copies: int) -> int:
-    """One lane per value, each value ``copies`` times in a row."""
+def _ones(lanes: int) -> int:
+    """An int of ``lanes`` lanes, each holding 1."""
     # built from bytes: summing shifted ints would take time quadratic in
     # the lane count
-    lanes = b"".join([v.to_bytes(16, "little") * copies for v in values])
-    return int.from_bytes(lanes, "little")
+    return int.from_bytes((1).to_bytes(16, "little") * lanes, "little")
 
 
 def block_trials(n: int) -> int:
@@ -113,52 +110,41 @@ def _draw_lanes(
     master_seed: int, n: int, start: int, stop: int
 ) -> Iterator[tuple[list[int], int]]:
     """The first ``n`` draws of trials ``start``..``stop - 1``, a block of
-    trials at a time.  Each block is ``(ints, trials)``: row j of the
-    block, draw j of each of its trials, takes ``trials`` lanes, and the
-    rows fill the ints' lanes in draw order, each int holding the same
-    number of whole rows.  Lane t of row j holds draw j of the block's
-    trial t, the top 53 bits of its splitmix64 word, in bits 0..52, and
-    has bits 53..85 clear; the bits above them come from the next lane.
-    A block holds ``block_trials(n)`` trials, or the span's length if that
-    is shorter; the span's remainder after its full blocks is one last,
-    shorter block, so the blocks' trials sum to the span.
+    trials at a time.  Each block is ``(rows, trials)``: row j, an int of
+    ``trials`` lanes, holds draw j of each of the block's trials.  Lane t
+    of row j holds draw j of the block's trial t, the top 53 bits of its
+    splitmix64 word, in bits 0..52, and has bits 53..85 clear; the bits
+    above them come from the next lane.  A block holds
+    ``block_trials(n)`` trials, or the span's length if that is shorter;
+    the span's remainder after its full blocks is one last, shorter
+    block, so the blocks' trials sum to the span.
 
     A block mixes its trial states in one int, then each row in its own
-    int: the mixed states plus the row's Weyl offset, mixed again.  A
-    block of fewer than ``MIN_TRIALS`` trials (``run_trial``'s one-trial
-    block, or a span's short end) mixes all its rows in one int instead,
-    the mixed states copied once per row.  The states are built once and
-    carried from block to block: the next block starts ``trials`` trials
-    later, so every lane adds ``trials * GAMMA`` and is masked.
+    int: the mixed states plus the row's Weyl offset, mixed again.  The
+    states are built once and carried from block to block: the next
+    block starts ``trials`` trials later, so every lane adds ``trials *
+    GAMMA`` and is masked.
     """
     check_seed(master_seed)
     trials = max(1, min(block_trials(n), stop - start))
     tail = (stop - start) % trials
-    ones = _lanes([1], trials)
-    state_mask = _MASK * ones
+    ones = _ones(trials)
+    mask = _MASK * ones
     # lane t holds t, and t * _GOLDEN, below 2**128, carries into no other
     # lane
     ramp = struct.Struct("<" + "Q8x" * trials).pack(*range(trials))
-    steps = _GOLDEN * int.from_bytes(ramp, "little") & state_mask
+    steps = _GOLDEN * int.from_bytes(ramp, "little") & mask
     advance = (trials * _GOLDEN & _MASK) * ones
-    offsets = [(j + 1) * _GOLDEN & _MASK for j in range(n)]
-    if trials >= MIN_TRIALS:
-        copies, weyl, row_mask = 1, [w * ones for w in offsets], state_mask
-    else:
-        copies, weyl = n, [_lanes(offsets, trials)]
-        row_mask = _lanes([_MASK], n * trials)
-    size = 16 * trials
+    weyl = [((j + 1) * _GOLDEN & _MASK) * ones for j in range(n)]
     # lane t: the state of trial start + t, before its mix
     c = (master_seed + (start + 1) * _GOLDEN) & _MASK
-    states = (c * ones + steps) & state_mask
+    states = (c * ones + steps) & mask
     for _ in range((stop - start) // trials):
         # unmasked: adding the Weyl offset carries into bit 64 at most, and
         # the mask after the add clears what the next lane shifted down
-        mixed = _mix(states, state_mask)
-        if copies > 1:
-            mixed = int.from_bytes(mixed.to_bytes(size, "little") * copies, "little")
-        yield [_mix((mixed + w) & row_mask, row_mask) >> 11 for w in weyl], trials
-        states = (states + advance) & state_mask
+        mixed = _mix(states, mask)
+        yield [_mix((mixed + w) & mask, mask) >> 11 for w in weyl], trials
+        states = (states + advance) & mask
     if tail:
         yield from _draw_lanes(master_seed, n, stop - tail, stop)
 
@@ -169,18 +155,16 @@ def trial_blocks(
     """The first ``n`` draws of trials ``start``..``stop - 1``, in the
     blocks of ``_draw_lanes``: each block is ``(words, trials)``, where
     draw j of the block's trial t is ``words[j * trials + t]``, the top 53
-    bits of its splitmix64 word, an int in [0, 2**53).  Each int is
-    unpacked on its own, and their words joined in draw order."""
-    unpack, size = None, None
-    for ints, trials in _draw_lanes(master_seed, n, start, stop):
-        # one row per int, or every row in one
-        lanes = n * trials // max(len(ints), 1)
-        if lanes != size:
-            unpack, size = struct.Struct("<" + "Q8x" * lanes).unpack, lanes
+    bits of its splitmix64 word, an int in [0, 2**53).  Each row is
+    unpacked on its own, and the rows' words joined in draw order."""
+    unpack, size = None, 0
+    for rows, trials in _draw_lanes(master_seed, n, start, stop):
+        if trials != size:
+            unpack, size = struct.Struct("<" + "Q8x" * trials).unpack, trials
         words: list[int] = []
-        for w in ints:
+        for w in rows:
             # each lane's low 64 bits hold its word
-            words += unpack(w.to_bytes(16 * lanes, "little"))
+            words += unpack(w.to_bytes(16 * trials, "little"))
         yield words, trials
 
 
@@ -203,7 +187,7 @@ def count_first_words(
     for (w,), trials in _draw_lanes(master_seed, 1, start, stop):
         if trials != size:
             size = trials
-            ones = _lanes([1], trials)
+            ones = _ones(trials)
             carry = ones << 53
             offsets = [((1 << 53) - cut) * ones for cut in cuts]
         for i, offset in enumerate(offsets):

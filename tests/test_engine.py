@@ -50,6 +50,7 @@ from scoutnet.lattice import (
 )
 from scoutnet.rng import (
     _UNIT,
+    BLOCK_DRAWS,
     MAX_TRIALS,
     MIN_TRIALS,
     block_trials,
@@ -756,6 +757,8 @@ class TestSpanSplits:
         # 100 draw nodes: a block of 50 trials, neither the floor nor the
         # lane limit
         "grid-11x11": lambda: build_grid(11, 11, "column"),
+        # 169 draw nodes: the floor sets its block of MIN_TRIALS trials
+        "grid-14x14": lambda: build_grid(14, 14, "column"),
         # one detector, no lottery: each trial holds no draws
         "two-path": lambda: build_two_path(2.0, 2.0, 2),
     }
@@ -785,6 +788,8 @@ class TestSpanSplits:
         block = block_trials(n)
         if name == "grid-11x11":
             assert MIN_TRIALS < block < MAX_TRIALS
+        if name == "grid-14x14":
+            assert BLOCK_DRAWS // n < MIN_TRIALS == block
         start = 7
         stop = start + 2 * block + 5
         k = start + (block if where == "on-a-block-edge" else block // 2 + 1)

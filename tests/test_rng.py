@@ -31,16 +31,24 @@ def test_trial_seeds_are_splitmix64_outputs():
 @given(
     master_seed=st.integers(min_value=0, max_value=2**64 - 1),
     start=st.integers(min_value=0, max_value=2**64),
-    n=st.sampled_from([0, 1, 2, 39, 33, 1025, BLOCK_DRAWS // MAX_TRIALS]),
+    n=st.sampled_from(
+        [
+            *(0, 1, 2, 39, 33, 1025),
+            # the edges of the block rule: the last n the lane limit caps,
+            # the first it does not, and the first the floor sets
+            BLOCK_DRAWS // MAX_TRIALS,
+            BLOCK_DRAWS // MAX_TRIALS + 1,
+            BLOCK_DRAWS // MIN_TRIALS + 1,
+        ]
+    ),
     extra=st.integers(min_value=1, max_value=40),
 )
 @settings(max_examples=100, deadline=None)
 def test_lane_batch_equals_sequential_generator(master_seed, start, n, extra):
-    # a span that crosses two block boundaries: up to BLOCK_DRAWS //
-    # MAX_TRIALS draws, the lane limit holds a block at MAX_TRIALS
-    # trials; past BLOCK_DRAWS // MIN_TRIALS draws the floor holds it at
-    # MIN_TRIALS.  Its short end, of ``extra`` trials, mixes its rows in
-    # one int when it holds fewer than MIN_TRIALS.
+    # a span that crosses two block boundaries and ends in a short block
+    # of ``extra`` trials: up to BLOCK_DRAWS // MAX_TRIALS draws, the lane
+    # limit holds a block at MAX_TRIALS trials; past BLOCK_DRAWS //
+    # MIN_TRIALS draws the floor holds it at MIN_TRIALS
     block = block_trials(n)
     stop = start + 2 * block + extra
     index = start
@@ -63,8 +71,8 @@ def test_lane_batch_equals_sequential_generator(master_seed, start, n, extra):
 
 
 def test_one_draw_blocks_equal_sequential_generator():
-    # a block of one-draw trials mixes its one row in one int; seeded
-    # near 2**64 so the Weyl offset carries
+    # a block of one-draw trials is one row; seeded near 2**64 so the
+    # Weyl offset carries
     master_seed = 2**64 - 3
     start = 2**64 - MAX_TRIALS
     stop = start + 2 * MAX_TRIALS + 3

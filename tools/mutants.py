@@ -333,36 +333,29 @@ MUTANTS: list[tuple[str, str, str, str, tuple[str, ...]]] = [
     (
         "draw-drops-twelve-bits",
         RNG,
-        "row_mask, row_mask) >> 11 for w in weyl]",
-        "row_mask, row_mask) >> 12 for w in weyl]",
+        "mask, mask) >> 11 for w in weyl]",
+        "mask, mask) >> 12 for w in weyl]",
         (STREAM,),
     ),
     (
         "row-takes-next-rows-weyl-offset",
         RNG,
-        "[w * ones for w in offsets]",
-        "[w * ones for w in offsets[1:] + offsets[:1]]",
+        "((j + 1) * _GOLDEN & _MASK) * ones for j in range(n)",
+        "((j + 2) * _GOLDEN & _MASK) * ones for j in range(n)",
         (STREAM_PROPERTY,),
     ),
     (
         "row-unmasked-after-weyl-add",
         RNG,
-        "_mix((mixed + w) & row_mask, row_mask)",
-        "_mix(mixed + w, row_mask)",
-        (STREAM,),
-    ),
-    (
-        "one-int-mask-covers-one-row",
-        RNG,
-        "row_mask = _lanes([_MASK], n * trials)",
-        "row_mask = _lanes([_MASK], trials)",
+        "_mix((mixed + w) & mask, mask)",
+        "_mix(mixed + w, mask)",
         (STREAM,),
     ),
     (
         "weyl-offset-from-zero",
         RNG,
-        "(j + 1) * _GOLDEN & _MASK for j in range(n)",
-        "j * _GOLDEN & _MASK for j in range(n)",
+        "((j + 1) * _GOLDEN & _MASK) * ones",
+        "(j * _GOLDEN & _MASK) * ones",
         (STREAM,),
     ),
     (
