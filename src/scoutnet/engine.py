@@ -51,7 +51,7 @@ nothing; only the voided-edge set and the ``--trace`` lines need it.
 block, with one span memo (what an ensemble counts); where the source
 is the plan's one draw node, it counts the winners in the draw lanes
 instead, with no kernel and no word unpacked.  ``_one_trial`` runs the
-kernel over one trial's own block, with no span memo;
+kernel over one trial's own block, a span with a fresh span memo;
 ``run_trial`` adds the confirmation walk, the full ``TrialOutcome``
 and, under a trace, the replay; ``backpropagate`` returns the one-trial
 kernel's state keyed by node id with the replay's voided edges.  A
@@ -372,34 +372,14 @@ def _merge(queries: Iterable[Query]) -> dict[int, float]:
 # of them draws from, and a column of the query that each other trial's
 # lottery merges to.
 Group = tuple[list[int], list[Lottery], list[Query]]
-# The kernel's memo: a row of children's queries, or the set of its
-# distinct queries -> its record in the run's mode, or its one query.  A
-# memo serves one mode: ``_columns`` runs one, and so does each span.
+# The kernel's memos: a row of children's queries, or the set of its
+# distinct queries -> its record in the run's mode, or its one query.  The
+# block's holds rows; the span memo outlives it and holds the sets and the
+# all-seeded rows.  A memo serves one mode, as ``_columns`` and a span do.
 Memo = dict[
     Union[tuple[Query, ...], frozenset[Query]],
     tuple[Optional[Lottery], Optional[Query]],
 ]
-# The kernel's span memo: the lotteries keyed by the set of their row's
-# queries, and the entries kept from block to block, theirs and those of
-# the lotteries whose children are all seeded, keyed by their one row.
-SpanMemo = tuple[frozenset[tuple[int, ...]], Memo]
-
-
-def _span_memo(plan: TrialPlan) -> SpanMemo:
-    """An empty span memo for ``plan``, its set-keyed lotteries decided:
-    those whose live children all have the same live children, a tuple
-    that is not empty."""
-    out_live = plan.out_live
-    get = out_live.get
-    by_set = frozenset(
-        kids
-        for kids in {*map(out_live.__getitem__, plan.draw_order)}
-        # the two ends first: a lottery that fails mostly fails there
-        if kids[0] in out_live
-        and get(kids[0]) == get(kids[-1])
-        and len({*map(get, kids)}) == 1
-    )
-    return by_set, {}
 
 
 def _group(
@@ -409,7 +389,7 @@ def _group(
     mode: Mode,
     trials: int,
     memo: Memo,
-    span: Optional[SpanMemo],
+    span: Memo,
 ) -> Group:
     """A lottery in one block, merged once per distinct row of its
     children's queries: row t holds them in trial t, and a merge reads
@@ -417,19 +397,22 @@ def _group(
     equal rows share a memo entry.  An entry holds the row's record in
     ``mode``, its word cuts and the queries its winners carry on, built
     once with the entry; or the one query of a row that merges to one
-    competitor.  Rows are looked up in ``memo``, the block's, but where
-    there is a span memo: a lottery of its set-keyed kind turns each row
-    into the set of its queries first, and looks that up in the span
-    memo; and a lottery whose children are all seeded, which has one row
-    in every trial, looks that row up there once, and its entry serves
-    every trial."""
-    seeded = span is not None and not any(map(queries.__contains__, kids))
+    competitor.  A lottery whose children are all seeded has one row in
+    every trial: it looks that row up once in ``span``, the span memo.
+    Any other has a child that draws; where its children all have the
+    same live children, they are nodes of one lottery group and hold
+    only queries that one record handed out, so it looks each row's set
+    of queries up in ``span``, and else each row in ``memo``, the
+    block's."""
+    seeded = not any(map(queries.__contains__, kids))
     if seeded:
-        rows, memo = [tuple(map(plan.base.__getitem__, kids))], span[1]
+        rows, memo = [tuple(map(plan.base.__getitem__, kids))], span
     else:
         rows = zip(*[queries.get(v) or repeat(plan.base[v], trials) for v in kids])
-        if span is not None and kids in span[0]:
-            rows, memo = map(frozenset, rows), span[1]
+        get = plan.out_live.get
+        # the two ends first: a lottery that fails mostly fails there
+        if get(kids[0]) == get(kids[-1]) and len({*map(get, kids)}) == 1:
+            rows, memo = map(frozenset, rows), span
     entries = []
     for row in rows:
         entry = memo.get(row)
@@ -453,7 +436,7 @@ def _columns(
     mode: Mode,
     words: Sequence[int],
     trials: int,
-    span: Optional[SpanMemo] = None,
+    span: Memo,
 ) -> tuple[dict[int, list[Query]], list[int]]:
     """The reverse-half kernel: every lottery in barrier order, for a
     block of ``trials`` trials (``rng.trial_blocks``).
@@ -472,10 +455,7 @@ def _columns(
     that query at each of them and draws nothing.  Each node of the group
     draws its block in one ``lottery_select`` call, one loop over its
     drawing trials; a node where no trial draws takes the group's column
-    as it is.  Only ``span`` may outlive the block.  Without one, every
-    row is looked up in the block's memo: within one block a set key only
-    saves the merges of unequal rows of one set, and ``_one_trial``'s
-    block holds one trial, one row per lottery.
+    as it is.  Only ``span``, the span memo, may outlive the block.
 
     Refusal waves are left out.  A wave started at node u voids only edges
     whose tail is u or a descendant of u, whose lotteries barrier order has
@@ -513,7 +493,7 @@ def _one_trial(
     kernel and the walk's forks."""
     draws = len(plan.draw_order) + len(plan.process_order)
     ((words, _),) = trial_blocks(master_seed, draws, trial_index, trial_index + 1)
-    queries, (cursor,) = _columns(plan, Mode(mode), words, 1)
+    queries, (cursor,) = _columns(plan, Mode(mode), words, 1, {})
     won = list(plan.base)
     for u, (query,) in queries.items():
         won[u] = query
@@ -618,11 +598,11 @@ def count_winners(
         won = count_first_words(master_seed, cuts, start, stop)
         counts.update({det: n for (det, _), n in zip(queries, won) if n})
         return counts
-    _, memo = span = _span_memo(plan)
+    memo: Memo = {}
     for words, trials in trial_blocks(master_seed, len(plan.draw_order), start, stop):
         if len(memo) > len(plan.draw_order) * trials:
             memo.clear()
-        counts.update(map(_DET, _columns(plan, mode, words, trials, span)[0][source]))
+        counts.update(map(_DET, _columns(plan, mode, words, trials, memo)[0][source]))
     return counts
 
 

@@ -29,7 +29,6 @@ from scoutnet.engine import (
     _cuts,
     _lottery,
     _merge,
-    _span_memo,
     backpropagate,
     count_winners,
     lottery_select,
@@ -911,7 +910,7 @@ class TestColumnKernel:
             for trials in (1, MIN_TRIALS, 37):
                 ((words, size),) = trial_blocks(8, n, 3, 3 + trials)
                 assert size == trials
-                _, cursors = _columns(plan, mode, words, trials)
+                _, cursors = _columns(plan, mode, words, trials, {})
                 assert cursors == [draws * trials + t for t in range(trials)]
 
     def test_trials_of_one_block_drift_apart(self):
@@ -938,7 +937,7 @@ class TestColumnKernel:
                 drifted = True
                 ((words, size),) = trial_blocks(31, n, first, first + trials)
                 assert size == trials
-                queries, cursors = _columns(plan, mode, words, trials)
+                queries, cursors = _columns(plan, mode, words, trials, {})
                 assert [p // trials for p in cursors] == taken
                 winners = [reference_trial(plan, mode, 31, i)[0] for i in span]
                 assert [det for det, _ in queries[lat.source]] == winners
@@ -961,7 +960,7 @@ class TestColumnKernel:
             winners = [reference_trial(plan, mode, 3, i)[0] for i in span]
             got = []
             for words, trials in trial_blocks(3, n, span.start, span.stop):
-                queries, _ = _columns(plan, mode, words, trials)
+                queries, _ = _columns(plan, mode, words, trials, {})
                 got += [det for det, _ in queries[source]]
             assert got == winners, mode
             assert count_winners(plan, mode, 3, span.start, span.stop) == Counter(
@@ -991,7 +990,7 @@ class TestColumnKernel:
             got = []
             blocks = trial_blocks(6, len(plan.draw_order), span.start, span.stop)
             for words, trials in blocks:
-                queries, _ = _columns(plan, mode, words, trials)
+                queries, _ = _columns(plan, mode, words, trials, {})
                 assert queries[lat.source] == queries[ids["junction"]]
                 got += [det for det, _ in queries[lat.source]]
             assert got == [reference_trial(plan, mode, 6, i)[0] for i in span]
@@ -1044,20 +1043,50 @@ class TestSpanMemo:
     until the memo outgrows ``len(draw_order)`` entries per trial of the
     next block."""
 
+    @staticmethod
+    def span_keys(plan) -> dict[tuple[int, ...], set[type]]:
+        """The kinds of key each lottery of ``plan`` puts in the span memo
+        over one block of 16 trials: ``frozenset`` for a lottery keyed by
+        its rows' sets, ``tuple`` for one whose children are all seeded,
+        and none for one keyed by its rows in the block's memo."""
+        kinds: dict[tuple[int, ...], set[type]] = {}
+        if not plan.draw_order:
+            return kinds
+        group = engine._group
+
+        # each lottery fills a span memo of its own
+        def spy(kids, queries, plan, mode, trials, memo, _):
+            span: dict = {}
+            result = group(kids, queries, plan, mode, trials, memo, span)
+            kinds[kids] = {type(key) for key in span}
+            return result
+
+        ((words, trials),) = trial_blocks(4, len(plan.draw_order), 0, 16)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(engine, "_group", spy)
+            _columns(plan, Mode.AGGREGATE, words, trials, {})
+        return kinds
+
     def test_set_keyed_lotteries(self):
         # slit 7x9's columns are completely connected: each lottery but
         # the one among the detectors has children of one group
         plan = prepare(slit_screen(7))
-        by_set, memo = _span_memo(plan)
+        kinds = self.span_keys(plan)
         columns = [tuple(range(a, a + 9)) for a in (1, 10, 19, 28)]
-        assert by_set == {*columns, (37, 38)}
-        assert memo == {}
+        assert {kids for kids, of in kinds.items() if frozenset in of} == {
+            *columns,
+            (37, 38),
+        }
+        assert {kids for kids, of in kinds.items() if tuple in of} == (
+            seeded_lotteries(plan)
+        )
         # a column grid's lotteries have children of different groups or
         # detectors; the star's lottery is among its detectors
         for lat in (build_grid(6, 6, "column"), build_intensity_star([1.0, 2.0])):
-            assert _span_memo(prepare(lat))[0] == frozenset()
+            kinds = self.span_keys(prepare(lat))
+            assert kinds and not any(frozenset in of for of in kinds.values())
         rng = random.Random(4)
-        kinds = Counter()
+        counted = Counter()
         for _ in range(60):
             try:
                 plan = prepare(random_layered_lattice(rng))
@@ -1066,11 +1095,43 @@ class TestSpanMemo:
             groups = {
                 kids: {plan.out_live.get(v, ()) for v in kids}
                 for kids in lottery_children(plan)
+                if len(kids) > 1
             }
             want = {kids for kids, of in groups.items() if of != {()} and len(of) == 1}
-            assert _span_memo(plan)[0] == want
-            kinds.update(kids in want for kids in groups)
-        assert kinds[True] and kinds[False], kinds
+            kinds = self.span_keys(plan)
+            assert kinds.keys() == groups.keys()
+            assert {kids for kids, of in kinds.items() if frozenset in of} == want
+            assert all(len(of) <= 1 for of in kinds.values())
+            counted.update(kids in want for kids in groups)
+        assert counted[True] and counted[False], counted
+
+    def test_one_trial_gets_a_fresh_span_memo(self, monkeypatch):
+        # run_trial's one-trial block is a span of its own: its kernel
+        # call gets an empty span memo, which it fills as count_winners'
+        # blocks do, with the seeded lottery's one row as a tuple and the
+        # column lotteries' rows as sets
+        lat = slit_screen(7)
+        plan = prepare(lat)
+        (kids,) = seeded_lotteries(plan)
+        row = tuple(map(plan.base.__getitem__, kids))
+        spans = []
+        columns = engine._columns
+
+        def spy(*args):
+            spans.append(args[4])
+            assert not args[4]
+            return columns(*args)
+
+        monkeypatch.setattr(engine, "_columns", spy)
+        for mode in Mode:
+            for index in range(4):
+                outcome = run_trial(lat, mode, 9, index, plan=plan)
+                assert outcome.winner == reference_trial(plan, mode, 9, index)[0]
+        assert len(spans) == 8 and len({*map(id, spans)}) == 8
+        for span in spans:
+            assert [key for key in span if isinstance(key, tuple)] == [row]
+            sets = [key for key in span if not isinstance(key, tuple)]
+            assert sets and all(isinstance(key, frozenset) for key in sets)
 
     def test_slit_builds_few_lottery_records(self, monkeypatch):
         # keyed by their rows for one block, slit 7x9's lotteries built
@@ -1122,13 +1183,13 @@ class TestSpanMemo:
         n = len(plan.draw_order)
         span = range(3, 3 + 7 * block_trials(n))
         for mode in Mode:
-            span_memo = _span_memo(plan)
+            span_memo: dict = {}
             got: dict[int, list] = {u: [] for u in plan.draw_order}
             for words, trials in trial_blocks(13, n, span.start, span.stop):
                 queries, _ = _columns(plan, mode, words, trials, span_memo)
                 for u in plan.draw_order:
                     got[u] += queries[u]
-            assert span_memo[1]
+            assert span_memo
             for t, index in enumerate(span):
                 _, want, _, _ = reference_backpropagate(
                     plan, mode, trial_stream(13, index)
@@ -1150,9 +1211,9 @@ class TestSpanMemo:
         columns = engine._columns
 
         def spy(plan, mode, words, trials, span):
-            before = len(span[1])
+            before = len(span)
             result = columns(plan, mode, words, trials, span)
-            calls.append((before, len(span[1]), trials))
+            calls.append((before, len(span), trials))
             return result
 
         monkeypatch.setattr(engine, "_columns", spy)

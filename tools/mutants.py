@@ -253,8 +253,9 @@ MUTANTS: list[tuple[str, str, str, str, tuple[str, ...]]] = [
     (
         "memo-kept-across-blocks",
         ENGINE,
-        "memo: Memo = {}",
-        'memo = _columns.__dict__.setdefault(("memo", id(plan)), {})',
+        "memo: Memo = {}\n    for u in plan.draw_order:",
+        'memo = _columns.__dict__.setdefault(("memo", id(plan)), {})\n'
+        "    for u in plan.draw_order:",
         (COLUMNS,),
     ),
     (
@@ -275,28 +276,29 @@ MUTANTS: list[tuple[str, str, str, str, tuple[str, ...]]] = [
     (
         "set-key-rule-inverted",
         ENGINE,
-        "        if kids[0] in out_live\n"
-        "        and get(kids[0]) == get(kids[-1])\n"
-        "        and len({*map(get, kids)}) == 1\n",
-        "        if not (\n"
-        "            kids[0] in out_live\n"
-        "            and get(kids[0]) == get(kids[-1])\n"
-        "            and len({*map(get, kids)}) == 1\n"
-        "        )\n",
+        "if get(kids[0]) == get(kids[-1]) and len({*map(get, kids)}) == 1:",
+        "if not (get(kids[0]) == get(kids[-1]) and len({*map(get, kids)}) == 1):",
+        (SPAN_MEMO,),
+    ),
+    (
+        "every-lottery-set-keyed",
+        ENGINE,
+        "if get(kids[0]) == get(kids[-1]) and len({*map(get, kids)}) == 1:",
+        "if True:",
         (SPAN_MEMO,),
     ),
     # the lottery whose children are all seeded: one entry per span
     (
         "seeded-entry-in-block-memo",
         ENGINE,
-        "rows, memo = [tuple(map(plan.base.__getitem__, kids))], span[1]",
+        "rows, memo = [tuple(map(plan.base.__getitem__, kids))], span",
         "rows = [tuple(map(plan.base.__getitem__, kids))]",
         (SPAN_MEMO,),
     ),
     (
         "seeded-entry-shared-across-modes",
         ENGINE,
-        "rows, memo = [tuple(map(plan.base.__getitem__, kids))], span[1]",
+        "rows, memo = [tuple(map(plan.base.__getitem__, kids))], span",
         "rows, memo = [tuple(map(plan.base.__getitem__, kids))], "
         '_group.__dict__.setdefault("seeded", {})',
         (SPAN_MEMO, GOLDEN),
@@ -430,6 +432,14 @@ MUTANTS: list[tuple[str, str, str, str, tuple[str, ...]]] = [
         "candidates[int(next(words) * _UNIT * k)]",
         "candidates[int(next(words) * k)]",
         (GOLDEN,),
+    ),
+    (
+        "one-trial-span-memo-shared",
+        ENGINE,
+        "_columns(plan, Mode(mode), words, 1, {})",
+        "_columns(plan, Mode(mode), words, 1, "
+        '_one_trial.__dict__.setdefault("span", {}))',
+        (SPAN_MEMO,),
     ),
     (
         "backprop-reads-next-trial",
@@ -576,8 +586,8 @@ MUTANTS: list[tuple[str, str, str, str, tuple[str, ...]]] = [
     (
         "trial-takes-mode-value-as-given",
         ENGINE,
-        "_columns(plan, Mode(mode), words, 1)",
-        "_columns(plan, mode, words, 1)",
+        "_columns(plan, Mode(mode), words, 1, {})",
+        "_columns(plan, mode, words, 1, {})",
         ("tests/test_engine.py::TestModeByValue",),
     ),
     (
