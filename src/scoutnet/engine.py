@@ -25,27 +25,27 @@ backward sweep over that DAG builds the live trace graph, each node's
 live children, and stores it in a ``TrialPlan``.  Its per-node
 query table is seeded with each live detector's own query and with the
 surviving query of every draw-free node, one whose live reach holds a
-single detector: such a node never holds a lottery.  Draw nodes with
-the same live children see the same competing queries in any one trial,
-so they share one lottery, named by those children.  The reverse half
-is split in two.  The kernel, ``_columns``, runs a block of trials at
-once: every trial runs the same lotteries over the same traces, and
-only the draws differ.  It starts from the seeded table and visits
-``draw_order``; each draw node gets a column holding each trial's
-surviving query.  A lottery is built once per trial, at the first node
-of its group, as a record of its word cuts and of the query each
-competitor carries on in the run's mode, and draws at every node of the
-group, in one ``lottery_select`` loop per node over the trials that
-draw.  Its record is memoised by the row of its children's queries for
-one block; where those children are all nodes of one lottery group, as
-in a slit screen's columns, they hold only queries that one record
-handed out, and the record is memoised by the row's set for the whole
-span.  A lottery whose children are all seeded has one row in every
-trial, and its record is built once per span.  A draw node with one
-live child holds no lottery: it takes its child's column.  A refusal
-wave voids only edges below its lottery, which barrier order has
-already passed, so the lotteries alone fix the winner.  The
-replay, ``_refusals``, runs the waves from the kernel's result and draws
+single detector: such a node never holds a lottery.  Draw nodes with the
+same live children see the same competing queries in any one trial, so
+they share one lottery, named by those children; a lottery whose
+children are all seeded is the same in every trial, and the plan keeps
+its record in each mode, in ``fixed``.  The reverse half is split in
+two.  The kernel, ``_columns``, runs a block of trials at once: every
+trial runs the same lotteries over the same traces, and only the draws
+differ.  It starts from the seeded table and visits ``draw_order``; each
+draw node gets a column holding each trial's surviving query.  Every
+other lottery is built once per trial, at the first node of its group,
+as a record of its word cuts and of the query each competitor carries on
+in the run's mode; a lottery draws at every node of its group, in one
+``lottery_select`` loop per node over the trials that draw.  A built
+record is memoised by the row of its children's queries for one block;
+where those children are all nodes of one lottery group, as in a slit
+screen's columns, they hold only queries that one record handed out, and
+the record is memoised by the row's set for the whole span.  A draw node
+with one live child holds no lottery: it takes its child's column.  A
+refusal wave voids only edges below its lottery, which barrier order has
+already passed, so the lotteries alone fix the winner.  The replay,
+``_refusals``, runs the waves from the kernel's result and draws
 nothing; only the voided-edge set and the ``--trace`` lines need it.
 ``count_winners`` runs the kernel alone over a span of trials, block by
 block, with one span memo (what an ensemble counts); where the source
@@ -56,7 +56,7 @@ kernel over one trial's own block, a span with a fresh span memo;
 and, under a trace, the replay; ``backpropagate`` returns the one-trial
 kernel's state keyed by node id with the replay's voided edges.  A
 query is one ``(detector, weight)`` pair wherever it is held: in the
-plan's seeded table, and in the kernel's columns, memos and records.
+plan's seeded table and records, and in the kernel's columns and memos.
 
 Every draw comes from the trial's own splitmix64 stream, through
 ``rng.trial_blocks``, which yields a block's draws draw-major, as 53-bit
@@ -279,7 +279,8 @@ class TrialPlan(NamedTuple):
     Every live child holds a query by the time its parents read it, and
     keeps it, so draw nodes with the same live children see the same
     competitors in any one trial: they share one lottery, named by those
-    children, which the kernel merges once per trial.
+    children.  ``fixed`` maps the children of each lottery whose children
+    are all seeded, the same in every trial, to its record per mode.
     """
 
     lattice: Lattice
@@ -289,6 +290,7 @@ class TrialPlan(NamedTuple):
     out_live: dict[int, tuple[int, ...]]
     base: tuple[Query, ...]
     draw_order: tuple[int, ...]
+    fixed: dict[tuple[int, ...], dict[Mode, Lottery]]
 
     # a view for perfbench's plan counters; the engine does not read it
     @property
@@ -323,13 +325,15 @@ def prepare(lattice: Lattice, trace: Optional[TraceSink] = None) -> TrialPlan:
     # are live detectors or have live children of their own.  A seeded
     # node's live reach is its one detector, so a node whose live children
     # are all seeded and merge to one detector is draw-free and seeded too;
-    # every other node with live children draws.
+    # every other node with live children draws, and where its children
+    # are all seeded its lottery is fixed: its records are built here.
     n = len(lattice.nodes)
     base: list[Query] = [(-1, 0.0)] * n
     for d in live:
         base[d] = d, intensities[d]
     live_children: dict[int, tuple[int, ...]] = {}
     draw_order: list[int] = []
+    fixed: dict[tuple[int, ...], dict[Mode, Lottery]] = {}
     forward = lattice.forward
     for u in reversed(forward):
         kids = tuple(v for v, _ in forward[u] if v in live or v in live_children)
@@ -341,6 +345,8 @@ def prepare(lattice: Lattice, trace: Optional[TraceSink] = None) -> TrialPlan:
         if len(weights) == 1:
             (base[u],) = weights.items()
             continue
+        if weights and kids not in fixed:
+            fixed[kids] = {m: _lottery(weights, m) for m in Mode}
         draw_order.append(u)
 
     return TrialPlan(
@@ -351,6 +357,7 @@ def prepare(lattice: Lattice, trace: Optional[TraceSink] = None) -> TrialPlan:
         out_live=live_children,
         base=tuple(base),
         draw_order=tuple(draw_order),
+        fixed=fixed,
     )
 
 
@@ -374,8 +381,8 @@ def _merge(queries: Iterable[Query]) -> dict[int, float]:
 Group = tuple[list[int], list[Lottery], list[Query]]
 # The kernel's memos: a row of children's queries, or the set of its
 # distinct queries -> its record in the run's mode, or its one query.  The
-# block's holds rows; the span memo outlives it and holds the sets and the
-# all-seeded rows.  A memo serves one mode, as ``_columns`` and a span do.
+# block's holds rows; the span memo outlives it and holds sets.  A memo
+# serves one mode, as ``_columns`` and a span do.
 Memo = dict[
     Union[tuple[Query, ...], frozenset[Query]],
     tuple[Optional[Lottery], Optional[Query]],
@@ -391,28 +398,25 @@ def _group(
     memo: Memo,
     span: Memo,
 ) -> Group:
-    """A lottery in one block, merged once per distinct row of its
-    children's queries: row t holds them in trial t, and a merge reads
-    nothing else, not even their order or repeats, so lotteries with
-    equal rows share a memo entry.  An entry holds the row's record in
-    ``mode``, its word cuts and the queries its winners carry on, built
-    once with the entry; or the one query of a row that merges to one
-    competitor.  A lottery whose children are all seeded has one row in
-    every trial: it looks that row up once in ``span``, the span memo.
-    Any other has a child that draws; where its children all have the
-    same live children, they are nodes of one lottery group and hold
-    only queries that one record handed out, so it looks each row's set
-    of queries up in ``span``, and else each row in ``memo``, the
-    block's."""
-    seeded = not any(map(queries.__contains__, kids))
-    if seeded:
-        rows, memo = [tuple(map(plan.base.__getitem__, kids))], span
-    else:
-        rows = zip(*[queries.get(v) or repeat(plan.base[v], trials) for v in kids])
-        get = plan.out_live.get
-        # the two ends first: a lottery that fails mostly fails there
-        if get(kids[0]) == get(kids[-1]) and len({*map(get, kids)}) == 1:
-            rows, memo = map(frozenset, rows), span
+    """A lottery in one block.  One whose children are all seeded draws
+    in every trial from its record in ``plan.fixed``.  Any other is merged
+    once per distinct row of its children's queries: row t holds them in
+    trial t, and a merge reads nothing else, not even their order or
+    repeats, so lotteries with equal rows share a memo entry.  An entry
+    holds the row's record in ``mode``, its word cuts and the queries its
+    winners carry on, built once with the entry; or the one query of a row
+    that merges to one competitor.  Where its children all have the same
+    live children, they are nodes of one lottery group and hold only
+    queries that one record handed out, so it looks each row's set of
+    queries up in ``span``, and else each row in ``memo``, the block's."""
+    fixed = plan.fixed.get(kids)
+    if fixed:
+        return [*range(trials)], [fixed[mode]] * trials, [None] * trials
+    rows = zip(*[queries.get(v) or repeat(plan.base[v], trials) for v in kids])
+    get = plan.out_live.get
+    # the two ends first: a lottery that fails mostly fails there
+    if get(kids[0]) == get(kids[-1]) and len({*map(get, kids)}) == 1:
+        rows, memo = map(frozenset, rows), span
     entries = []
     for row in rows:
         entry = memo.get(row)
@@ -424,8 +428,6 @@ def _group(
                 entry = _lottery(merged, mode), None
             memo[row] = entry
         entries.append(entry)
-    if seeded:
-        entries *= trials
     records = [*filter(None, map(_RECORD, entries))]
     drawing = [*compress(range(len(entries)), map(_RECORD, entries))]
     return drawing, records, [*map(_QUERY, entries)]
@@ -569,20 +571,17 @@ def count_winners(
     more detectors.  Where the source is the only draw node, its children
     are all seeded (a child that drew would be a draw node too), so its
     lottery is the same in every trial: each trial's winner is competitor
-    ``bisect_right(cuts, w)`` of its record, w the trial's first word,
-    the draw rule of the kernel's ``lottery_select``, and
-    ``rng.count_first_words`` counts those indices in the draw lanes,
+    ``bisect_right(cuts, w)`` of its record in ``plan.fixed``, w the
+    trial's first word, the draw rule of the kernel's ``lottery_select``,
+    and ``rng.count_first_words`` counts those indices in the draw lanes,
     without the kernel.
 
-    The blocks share one span memo, whose entries depend on their keys
-    alone: the set-keyed lotteries' and the one row of each lottery whose
-    children are all seeded, so that lottery's record is built once per
-    call, and again only after the memo is emptied.  It is emptied before
-    a block once it holds more than ``len(draw_order)`` entries per trial
-    of the block, which no slit
-    screen reaches: over 20k aggregate trials, slit 7x9's peaked at 225
-    entries of 4,992 (128-trial blocks) and 20x13's, slits at rows 2 and
-    10, at 1,474 of 7,168 (32-trial blocks).
+    The blocks share one span memo, of the set-keyed lotteries' entries,
+    each of which depends on its key alone.  It is emptied before a block
+    once it holds more than ``len(draw_order)`` entries per trial of the
+    block, which no slit screen reaches: over 20k aggregate trials, slit
+    7x9's peaked at 224 entries of 4,992 (128-trial blocks) and 20x13's,
+    slits at rows 2 and 10, at 1,473 of 7,168 (32-trial blocks).
     """
     mode = Mode(mode)
     source = plan.lattice.source
@@ -593,8 +592,7 @@ def count_winners(
             counts[plan.base[source][0]] = stop - start
         return counts
     if plan.draw_order == (source,):
-        merged = _merge(map(plan.base.__getitem__, plan.out_live[source]))
-        cuts, queries = _lottery(merged, mode)
+        cuts, queries = plan.fixed[plan.out_live[source]][mode]
         won = count_first_words(master_seed, cuts, start, stop)
         counts.update({det: n for (det, _), n in zip(queries, won) if n})
         return counts

@@ -630,7 +630,9 @@ class TestReferenceKernel:
             except DarkTrialError:
                 continue
             # a lottery whose children are all seeded merges their seeded
-            # queries, the same in every trial
+            # queries, the same in every trial, and the plan holds its
+            # record in each mode
+            assert plan.fixed.keys() == seeded_lotteries(plan)
             for kids in seeded_lotteries(plan):
                 merged = _merge(map(plan.base.__getitem__, kids))
                 dets, weights, sums, total = spec_record(merged)
@@ -640,6 +642,7 @@ class TestReferenceKernel:
                     carried = [total] * len(dets) if aggregate else weights
                     assert queries == [*zip(dets, carried)]
                     assert cuts == _cuts(sums, total)
+                    assert plan.fixed[kids][mode] == (cuts, queries)
                 # _cuts divides by the total, and a draw needs two or more
                 # competitors
                 assert len(dets) >= 2 and total > 0.0
@@ -1041,14 +1044,15 @@ class TestSpanMemo:
     its merge depends on the set of queries in its row alone.  Its memo
     entries are keyed by that set and kept for a whole span of blocks,
     until the memo outgrows ``len(draw_order)`` entries per trial of the
-    next block."""
+    next block.  A lottery whose children are all seeded takes its record
+    from the plan and puts no key there."""
 
     @staticmethod
     def span_keys(plan) -> dict[tuple[int, ...], set[type]]:
         """The kinds of key each lottery of ``plan`` puts in the span memo
         over one block of 16 trials: ``frozenset`` for a lottery keyed by
-        its rows' sets, ``tuple`` for one whose children are all seeded,
-        and none for one keyed by its rows in the block's memo."""
+        its rows' sets, and none for one keyed by its rows in the block's
+        memo or whose record the plan holds."""
         kinds: dict[tuple[int, ...], set[type]] = {}
         if not plan.draw_order:
             return kinds
@@ -1077,14 +1081,16 @@ class TestSpanMemo:
             *columns,
             (37, 38),
         }
-        assert {kids for kids, of in kinds.items() if tuple in of} == (
-            seeded_lotteries(plan)
-        )
+        # the lottery among the detectors is the plan's: it puts no key
+        (kids,) = seeded_lotteries(plan)
+        assert kinds[kids] == set()
+        assert not any(tuple in of for of in kinds.values())
         # a column grid's lotteries have children of different groups or
         # detectors; the star's lottery is among its detectors
         for lat in (build_grid(6, 6, "column"), build_intensity_star([1.0, 2.0])):
             kinds = self.span_keys(prepare(lat))
             assert kinds and not any(frozenset in of for of in kinds.values())
+            assert not any(tuple in of for of in kinds.values())
         rng = random.Random(4)
         counted = Counter()
         for _ in range(60):
@@ -1101,6 +1107,7 @@ class TestSpanMemo:
             kinds = self.span_keys(plan)
             assert kinds.keys() == groups.keys()
             assert {kids for kids, of in kinds.items() if frozenset in of} == want
+            assert not any(tuple in of for of in kinds.values())
             assert all(len(of) <= 1 for of in kinds.values())
             counted.update(kids in want for kids in groups)
         assert counted[True] and counted[False], counted
@@ -1108,12 +1115,9 @@ class TestSpanMemo:
     def test_one_trial_gets_a_fresh_span_memo(self, monkeypatch):
         # run_trial's one-trial block is a span of its own: its kernel
         # call gets an empty span memo, which it fills as count_winners'
-        # blocks do, with the seeded lottery's one row as a tuple and the
-        # column lotteries' rows as sets
+        # blocks do, with the column lotteries' rows as sets
         lat = slit_screen(7)
         plan = prepare(lat)
-        (kids,) = seeded_lotteries(plan)
-        row = tuple(map(plan.base.__getitem__, kids))
         spans = []
         columns = engine._columns
 
@@ -1129,9 +1133,7 @@ class TestSpanMemo:
                 assert outcome.winner == reference_trial(plan, mode, 9, index)[0]
         assert len(spans) == 8 and len({*map(id, spans)}) == 8
         for span in spans:
-            assert [key for key in span if isinstance(key, tuple)] == [row]
-            sets = [key for key in span if not isinstance(key, tuple)]
-            assert sets and all(isinstance(key, frozenset) for key in sets)
+            assert span and all(isinstance(key, frozenset) for key in span)
 
     def test_slit_builds_few_lottery_records(self, monkeypatch):
         # keyed by their rows for one block, slit 7x9's lotteries built
@@ -1151,28 +1153,38 @@ class TestSpanMemo:
             count_winners(plan, mode, 1, 0, 1000)
             assert 0 < len(built) <= 300, (mode, len(built))
 
-    def test_seeded_lottery_is_built_once_per_span(self, monkeypatch):
+    @pytest.mark.parametrize(
+        "lat",
+        [slit_screen(7), build_intensity_star([1.0, 1.0, 2.0])],
+        ids=["slit-7x9", "star-1-1-2"],
+    )
+    def test_fixed_lottery_is_built_by_prepare_alone(self, lat, monkeypatch):
         # slit 7x9's lottery among its detectors, held by the two draw
-        # nodes over its last column, is the same in every trial: each
-        # count builds its record once, in its own mode, not once per block
-        plan = prepare(slit_screen(7))
+        # nodes over its last column, and the star's at its source are the
+        # same in every trial: prepare builds their records, one per mode,
+        # and no count, trial or backpropagation builds them again
+        plan = prepare(lat)
         (kids,) = seeded_lotteries(plan)
-        assert len(kids) == 9
         merged = _merge(map(plan.base.__getitem__, kids))
+        assert len(merged) >= 3
+        for mode in Mode:
+            assert plan.fixed[kids][mode] == _lottery(merged, mode)
         built = []
         lottery = engine._lottery
 
         def counted(weights_by_det, mode):
-            built.append((weights_by_det, mode))
+            built.append(weights_by_det)
             return lottery(weights_by_det, mode)
 
         monkeypatch.setattr(engine, "_lottery", counted)
         block = block_trials(len(plan.draw_order))
-        for mode in [*Mode, *Mode]:
+        for mode in Mode:
             for start, stop in [(0, 1000), (7, 7 + 3 * block + 5)]:
-                built.clear()
                 count_winners(plan, mode, 2, start, stop)
-                assert [m for w, m in built if w == merged] == [mode], (mode, start)
+            for index in range(8):
+                run_trial(lat, mode, 2, index, plan=plan)
+                backpropagate(plan, mode, 2, index)
+        assert merged not in built
 
     @pytest.mark.parametrize("columns", [7, 12])
     def test_blocks_sharing_a_span_memo_match_reference(self, columns):

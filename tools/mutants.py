@@ -287,21 +287,20 @@ MUTANTS: list[tuple[str, str, str, str, tuple[str, ...]]] = [
         "if True:",
         (SPAN_MEMO,),
     ),
-    # the lottery whose children are all seeded: one entry per span
+    # the lottery whose children are all seeded: its records, built by prepare
     (
-        "seeded-entry-in-block-memo",
+        "fixed-record-built-in-one-mode",
         ENGINE,
-        "rows, memo = [tuple(map(plan.base.__getitem__, kids))], span",
-        "rows = [tuple(map(plan.base.__getitem__, kids))]",
-        (SPAN_MEMO,),
+        "fixed[kids] = {m: _lottery(weights, m) for m in Mode}",
+        "fixed[kids] = {m: _lottery(weights, Mode.NAIVE) for m in Mode}",
+        (REFERENCE, SPAN_MEMO),
     ),
     (
-        "seeded-entry-shared-across-modes",
+        "fixed-lottery-left-out-below-the-source",
         ENGINE,
-        "rows, memo = [tuple(map(plan.base.__getitem__, kids))], span",
-        "rows, memo = [tuple(map(plan.base.__getitem__, kids))], "
-        '_group.__dict__.setdefault("seeded", {})',
-        (SPAN_MEMO, GOLDEN),
+        "if weights and kids not in fixed:",
+        "if weights and kids not in fixed and u == lattice.source:",
+        (SPAN_MEMO,),
     ),
     (
         "one-child-node-merged",
